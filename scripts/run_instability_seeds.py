@@ -15,6 +15,7 @@ import starlab.functionals as F
 from starlab import classify_expansion, solve_isentropic_profile
 from starlab.acceptance import negative_energy_data
 from starlab.lagrangian import SolverSpec, evolve_self_similar
+from starlab.profiles import sample_background
 
 
 def main():
@@ -28,9 +29,9 @@ def main():
     prof = solve_isentropic_profile(args.delta)
     params = classify_expansion(args.delta, 1.0, math.sqrt(2 * abs(args.delta)))
     x = np.linspace(0.0, prof.R0, args.n_cells + 1)
-    xm = 0.5 * (x[:-1] + x[1:])
-    rho4 = x**4 * prof.rho_at(x)
-    rho43 = xm**2 * prof.rho43_at(xm)
+    bg = sample_background(prof, x)
+    rho4 = x**4 * bg.rho
+    rho43 = bg.xm**2 * bg.rho43_m
     for seed in args.seeds:
         phi0, phi1 = negative_energy_data(prof, args.delta, x, args.amplitude, seed)
         E0, D0 = F.perturbation_energy_ss(x, phi0, phi1, rho4, rho43,

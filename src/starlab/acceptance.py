@@ -25,8 +25,8 @@ from .homogeneous import PhaseState, curve_phi_s, energy_homogeneous, integrate_
 from .lagrangian import (LINEAR_REGIME, PerturbationField, SolverSpec,
                          evolve_linear_isentropic, evolve_linear_thermo,
                          evolve_self_similar, reconstruct_eulerian)
-from .profiles import (GridSpec, boundary_slope_fd, solve_isentropic_profile,
-                       solve_thermo_profile)
+from .profiles import (GridSpec, boundary_slope_fd, sample_background,
+                       solve_isentropic_profile, solve_thermo_profile)
 
 # Standard laboratory point for self-similar PDE runs: the empirically
 # solvable negative-delta window is narrow (no first zero below about
@@ -223,9 +223,9 @@ def c05_zero_energy_manifold() -> dict:
     prof = _isentropic_profile(d)
     traj = integrate_phase(PhaseState(0.0, 0.01, d), 5.0, rtol=1e-12, atol=1e-12)
     x = prof.y_nodes
-    xm = 0.5 * (x[:-1] + x[1:])
-    rho4 = x**4 * prof.rho_at(x)
-    rho43 = xm**2 * prof.rho43_at(xm)
+    bg = sample_background(prof, x)
+    rho4 = x**4 * bg.rho
+    rho43 = bg.xm**2 * bg.rho43_m
     Q4 = float(np.trapezoid(rho4, x))
     b = math.sqrt(2.0 * abs(d))
     E_vals, ident = [], []
@@ -329,7 +329,7 @@ def c08_stability_linear_isentropic() -> dict:
     assert omegas.max() <= 2e-3, "amplitude left the stability envelope"
 
     a = 0.5
-    rho4 = x**4 * prof.rho_at(x)
+    rho4 = x**4 * run.background.rho
     term = np.array([
         (math.exp((1 + a) * s.clock)) * np.trapezoid(rho4 * s.theta_t**2, x)
         for s in run.snapshots])
@@ -371,9 +371,9 @@ def c09_instability_self_similar() -> dict:
     params = classify_expansion(d, 1.0, math.sqrt(2 * abs(d)))
     n = 192
     x = np.linspace(0.0, prof.R0, n + 1)
-    xm = 0.5 * (x[:-1] + x[1:])
-    rho4 = x**4 * prof.rho_at(x)
-    rho43 = xm**2 * prof.rho43_at(xm)
+    bg = sample_background(prof, x)
+    rho4 = x**4 * bg.rho
+    rho43 = bg.xm**2 * bg.rho43_m
     events_s = []
     for seed in (7, 11, 13):
         phi0, phi1 = negative_energy_data(prof, d, x, 1e-3, seed)
@@ -403,7 +403,7 @@ def c10_stability_thermo() -> dict:
     xi1 = np.zeros_like(xi0)
     zeta0 = shape * (prof.R0 - x) / prof.R0
     from .lagrangian import ThermoPerturbationField
-    probe = ThermoPerturbationField(x, xi0, xi1, None, zeta0, None, 0.0, prof)
+    probe = ThermoPerturbationField(x, xi0, xi1, None, zeta0, None, 0.0)
     scale = 1e-3 / F.amplitude(probe)
     xi0, zeta0 = xi0 * scale, zeta0 * scale
     spec = SolverSpec(n_cells=n, n_emit=41, growth_threshold=0.1)
@@ -415,7 +415,7 @@ def c10_stability_thermo() -> dict:
     assert omegas.max() <= 2e-3, "thermo amplitude left the stability envelope"
 
     from .lagrangian import _Grid, _thermo_aux
-    grid = _Grid(prof, n, thermo=True)
+    grid = _Grid(run.background)
     min_frakF = math.inf
     for s in run.snapshots:
         assert s.zeta[-1] == 0.0, "zeta(R0) not exactly zero"

@@ -22,7 +22,8 @@ from .errors import CollapseReached, ConfigInvalid, StarlabError
 from .expansion import classify_expansion, integrate_alpha
 from .homogeneous import PhaseState, curve_phi_s, integrate_phase
 from .lagrangian import (LINEAR_REGIME, SELF_SIMILAR_REGIME, THERMO_REGIME,
-                         SolverSpec, evolve_linear_isentropic, evolve_linear_thermo,
+                         PerturbationField, RunEvent, SolverSpec, ThermoPerturbationField,
+                         evolve_linear_isentropic, evolve_linear_thermo,
                          evolve_self_similar, initial_second_derivatives,
                          reconstruct_eulerian)
 from .profiles import GridSpec, solve_isentropic_profile, solve_thermo_profile
@@ -105,8 +106,7 @@ def _run_expansion(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
         events = []
     except CollapseReached as exc:
         path = exc.path
-        events = [type("E", (), {"kind": "collapse-reached", "clock": path.t_end,
-                                 "detail": f"T ~ {path.T_collapse:.6g}"})()]
+        events = [RunEvent("collapse-reached", path.t_end, f"T ~ {path.T_collapse:.6g}")]
     files = list(artifacts.write_expansion_csv(out_dir, path))
     files.append(svgplot.line_chart(
         os.path.join(out_dir, "expansion.svg"),
@@ -181,8 +181,7 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
         x = np.linspace(0.0, prof.R0, spec.n_cells + 1)
         xi0, xi1, zeta0 = build_initial(x, prof.R0, cfg.initial, thermo=True)
         if cfg.initial.normalize_omega and cfg.initial.amplitude > 0:
-            from .lagrangian import ThermoPerturbationField
-            probe = ThermoPerturbationField(x, xi0, xi1, None, zeta0, None, 0.0, prof)
+            probe = ThermoPerturbationField(x, xi0, xi1, None, zeta0, None, 0.0)
             om = functionals.amplitude(probe)
             if om > 0:
                 scale = cfg.initial.amplitude / om
@@ -191,16 +190,17 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
 
         def integrands(fieldlike):
             return functionals.dissipation_integrands_thermo(
-                fieldlike, prof, weights, m.a1)
+                fieldlike, fieldlike.background, weights, m.a1)
 
         run = evolve_linear_thermo(prof, params, (xi0, xi1, zeta0), cfg.time.end,
                                    spec, mu=m.mu, online_integrands=integrands)
-        xi2, zeta1 = initial_second_derivatives(prof, params, (xi0, xi1, zeta0),
+        bg = run.background
+        xi2, zeta1 = initial_second_derivatives(bg, params, (xi0, xi1, zeta0),
                                                 THERMO_REGIME, mu=m.mu)
         E0 = functionals.initial_energy_thermo(x, xi0, xi1, xi2, zeta0, zeta1,
-                                               prof, weights)
+                                               bg, weights)
         reports = functionals.total_energy_ledger(
-            run.snapshots, prof, weights, THERMO_REGIME,
+            run.snapshots, bg, weights, THERMO_REGIME,
             lambda tau: m.a0 * np.exp(m.a1 * tau), E0, a1=m.a1,
             dissipation_online=run.dissipation_online)
     else:
@@ -213,7 +213,6 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
         x = np.linspace(0.0, prof.R0, spec.n_cells + 1)
         th0, th1 = build_initial(x, prof.R0, cfg.initial)
         if cfg.initial.normalize_omega and cfg.initial.amplitude > 0:
-            from .lagrangian import PerturbationField
             probe = PerturbationField(x, th0, th1, None, 0.0, regime)
             om = functionals.amplitude(probe)
             if om > 0:
@@ -227,7 +226,7 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
                 if al is None:
                     raise ConfigInvalid(["online ledger needs delta = 0"])
                 return functionals.dissipation_integrands_isentropic(
-                    fieldlike, prof, weights, al)
+                    fieldlike, fieldlike.background, weights, al)
 
             evolve = evolve_linear_isentropic
             online = integrands if params.delta == 0 else None
@@ -238,10 +237,11 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
                      online_integrands=online)
         reports = None
         if regime == LINEAR_REGIME and params.delta == 0:
-            th2 = initial_second_derivatives(prof, params, (th0, th1), regime, mu=m.mu)
-            E0 = functionals.initial_energy_isentropic(x, th0, th1, th2, prof, weights)
+            bg = run.background
+            th2 = initial_second_derivatives(bg, params, (th0, th1), regime, mu=m.mu)
+            E0 = functionals.initial_energy_isentropic(x, th0, th1, th2, bg, weights)
             reports = functionals.total_energy_ledger(
-                run.snapshots, prof, weights, LINEAR_REGIME,
+                run.snapshots, bg, weights, LINEAR_REGIME,
                 lambda tau: params.a0 * np.exp(params.a1 * tau), E0,
                 dissipation_online=run.dissipation_online)
 

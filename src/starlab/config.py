@@ -127,6 +127,18 @@ def _get(d: dict, key: str, default):
     return d.get(key, default) if isinstance(d, dict) else default
 
 
+def _num(errors: list, d: dict, name: str, default, conv=float, optional=False):
+    """Field `name` ("section.key") of d converted by conv; a bad value is recorded."""
+    val = _get(d, name.rpartition(".")[2], default)
+    if optional and val is None:
+        return None
+    try:
+        return conv(val)
+    except (TypeError, ValueError):
+        errors.append(f"{name} must be a number, got {val!r}")
+        return default
+
+
 def validate_config(raw) -> ScenarioConfig:
     """Parse and validate a scenario configuration.
 
@@ -148,19 +160,20 @@ def validate_config(raw) -> ScenarioConfig:
 
     errors: list[str] = []
     scenario = cfg_dict.get("scenario")
+    seed = _num(errors, cfg_dict, "seed", 0, int)
     if scenario not in SCENARIOS:
         errors.append(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
 
     md = cfg_dict.get("model", {})
     model = ModelParams(
         kind=_get(md, "kind", "isentropic"),
-        delta=float(_get(md, "delta", 0.0)),
-        a0=float(_get(md, "a0", 1.0)),
-        a1=None if _get(md, "a1", 1.0) is None else float(_get(md, "a1", 1.0)),
-        K=float(_get(md, "K", 1.0)),
-        epsilon=float(_get(md, "epsilon", 0.25)),
-        c_nu=float(_get(md, "c_nu", 3.0)),
-        mu=float(_get(md, "mu", 1.0)),
+        delta=_num(errors, md, "model.delta", 0.0),
+        a0=_num(errors, md, "model.a0", 1.0),
+        a1=_num(errors, md, "model.a1", 1.0, optional=True),
+        K=_num(errors, md, "model.K", 1.0),
+        epsilon=_num(errors, md, "model.epsilon", 0.25),
+        c_nu=_num(errors, md, "model.c_nu", 3.0),
+        mu=_num(errors, md, "model.mu", 1.0),
     )
     if model.kind not in ("isentropic", "thermo"):
         errors.append("model.kind must be 'isentropic' or 'thermo'")
@@ -170,24 +183,23 @@ def validate_config(raw) -> ScenarioConfig:
         errors.append("mu > 0")
 
     gd = cfg_dict.get("grid", {})
-    grid = GridConfig(n_cells=int(_get(gd, "n_cells", 512)),
-                      rtol=float(_get(gd, "rtol", 1e-10)),
-                      atol=float(_get(gd, "atol", 1e-10)),
-                      y_max=float(_get(gd, "y_max", 200.0)))
+    grid = GridConfig(n_cells=_num(errors, gd, "grid.n_cells", 512, int),
+                      rtol=_num(errors, gd, "grid.rtol", 1e-10),
+                      atol=_num(errors, gd, "grid.atol", 1e-10),
+                      y_max=_num(errors, gd, "grid.y_max", 200.0))
     if grid.n_cells < 8:
         errors.append("grid.n_cells >= 8")
     if grid.rtol <= 0 or grid.atol <= 0:
         errors.append("grid tolerances > 0")
 
     sd = cfg_dict.get("solver", {})
-    solver = SolverConfig(n_cells=int(_get(sd, "n_cells", 192)),
-                          cfl=float(_get(sd, "cfl", 0.4)),
-                          order=int(_get(sd, "order", 1)),
-                          max_rel_change=float(_get(sd, "max_rel_change", 1e-3)),
-                          growth_threshold=float(_get(sd, "growth_threshold", 0.1)),
+    solver = SolverConfig(n_cells=_num(errors, sd, "solver.n_cells", 192, int),
+                          cfl=_num(errors, sd, "solver.cfl", 0.4),
+                          order=_num(errors, sd, "solver.order", 1, int),
+                          max_rel_change=_num(errors, sd, "solver.max_rel_change", 1e-3),
+                          growth_threshold=_num(errors, sd, "solver.growth_threshold", 0.1),
                           fully_implicit=bool(_get(sd, "fully_implicit", False)),
-                          dt_max=None if _get(sd, "dt_max", None) is None
-                          else float(_get(sd, "dt_max", None)))
+                          dt_max=_num(errors, sd, "solver.dt_max", None, optional=True))
     if solver.order not in (1, 2):
         errors.append("solver.order in {1, 2}")
     if not (0 < solver.cfl <= 1):
@@ -195,12 +207,12 @@ def validate_config(raw) -> ScenarioConfig:
 
     idd = cfg_dict.get("initial", {})
     initial = InitialSpec(family=_get(idd, "family", "bump"),
-                          amplitude=float(_get(idd, "amplitude", 1e-3)),
-                          amplitude_t=float(_get(idd, "amplitude_t", 0.0)),
-                          center=float(_get(idd, "center", 0.45)),
-                          width=float(_get(idd, "width", 0.25)),
-                          modes=int(_get(idd, "modes", 6)),
-                          seed=int(_get(idd, "seed", cfg_dict.get("seed", 0))),
+                          amplitude=_num(errors, idd, "initial.amplitude", 1e-3),
+                          amplitude_t=_num(errors, idd, "initial.amplitude_t", 0.0),
+                          center=_num(errors, idd, "initial.center", 0.45),
+                          width=_num(errors, idd, "initial.width", 0.25),
+                          modes=_num(errors, idd, "initial.modes", 6, int),
+                          seed=_num(errors, idd, "initial.seed", seed, int),
                           normalize_omega=bool(_get(idd, "normalize_omega", False)))
     if initial.family not in FAMILIES:
         errors.append(f"initial.family in {FAMILIES}")
@@ -208,23 +220,27 @@ def validate_config(raw) -> ScenarioConfig:
         errors.append("initial.amplitude >= 0")
 
     wd = cfg_dict.get("weights", {})
-    weights = WeightSpec(a=float(_get(wd, "a", 0.5)),
-                         r1=float(_get(wd, "r1", 0.5)),
-                         l1=float(_get(wd, "l1", -2.5)),
-                         r2=float(_get(wd, "r2", -0.5)),
-                         l2=float(_get(wd, "l2", -2.0)),
-                         frak_r=float(_get(wd, "frak_r", -1.5)),
-                         r3=float(_get(wd, "r3", -2.5)))
+    weights = WeightSpec(a=_num(errors, wd, "weights.a", 0.5),
+                         r1=_num(errors, wd, "weights.r1", 0.5),
+                         l1=_num(errors, wd, "weights.l1", -2.5),
+                         r2=_num(errors, wd, "weights.r2", -0.5),
+                         l2=_num(errors, wd, "weights.l2", -2.0),
+                         frak_r=_num(errors, wd, "weights.frak_r", -1.5),
+                         r3=_num(errors, wd, "weights.r3", -2.5))
     errors.extend(weights.violations())
 
     td = cfg_dict.get("time", {})
-    time = TimeConfig(end=float(_get(td, "end", 1.0)),
-                      n_emit=int(_get(td, "n_emit", 41)))
+    time = TimeConfig(end=_num(errors, td, "time.end", 1.0),
+                      n_emit=_num(errors, td, "time.n_emit", 41, int))
     if time.end <= 0:
         errors.append("time.end > 0")
 
-    phase_grid = tuple(tuple(float(v) for v in p)
-                       for p in cfg_dict.get("phase_grid", ()))
+    try:
+        phase_grid = tuple(tuple(float(v) for v in p)
+                           for p in cfg_dict.get("phase_grid", ()))
+    except (TypeError, ValueError):
+        errors.append("phase_grid entries are [phi, phi_s] number pairs")
+        phase_grid = ()
 
     # scenario-specific constraints
     if scenario == "evolve-thermo" or (scenario == "profile" and model.kind == "thermo"):
@@ -261,4 +277,4 @@ def validate_config(raw) -> ScenarioConfig:
     return ScenarioConfig(
         scenario=scenario, model=model, grid=grid, solver=solver,
         initial=initial, weights=weights, time=time, phase_grid=phase_grid,
-        out_dir=str(cfg_dict.get("out_dir", "out")), seed=int(cfg_dict.get("seed", 0)))
+        out_dir=str(cfg_dict.get("out_dir", "out")), seed=seed)

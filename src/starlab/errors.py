@@ -30,7 +30,7 @@ class ZerosDoNotCoincide(StarlabError):
 # -- expansion factor ------------------------------------------------------
 
 class InvalidParams(StarlabError):
-    """Expansion parameters violate a precondition (e.g. a0 <= 0)."""
+    """Parameters or inputs violate a precondition (e.g. a0 <= 0, mismatched grids)."""
 
 
 class CollapseReached(StarlabError):
@@ -60,20 +60,8 @@ class StepFailure(StarlabError):
     """Time stepper failed to produce an acceptable step."""
 
 
-class JacobianDegenerate(StarlabError):
-    """Flow map Jacobian lost positivity (also reported as a run event)."""
-
-
 class NewtonDivergence(StarlabError):
     """Implicit corrector iteration failed to converge."""
-
-
-class CFLFloor(StarlabError):
-    """Adaptive step shrank below the configured floor."""
-
-
-class TemperatureNegative(StarlabError):
-    """Absolute temperature lost positivity in the interior."""
 
 
 # -- functionals ------------------------------------------------------------

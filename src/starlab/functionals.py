@@ -4,6 +4,11 @@ Everything here is a pure function of arrays (fields are duck-typed by
 attribute), composite trapezoid on the field grid unless a derivative lives
 more naturally on cell edges, in which case the midpoint rule is used.  All
 x-derivatives are second-order finite differences (one-sided at the ends).
+
+One background per grid: the ledger functions read the static star only
+from a `profiles.Background` sampled on the field's own x_nodes (by the
+solver, which hands it out on every field it emits).  They never evaluate a
+profile, and a background from another grid raises InvalidParams.
 """
 
 from __future__ import annotations
@@ -190,17 +195,6 @@ def perturbation_energy_ss(x, phi, phi_s, rho4_nodes, rho43_edges, a0: float,
     return (E1 + E2) / alpha_bar, D
 
 
-def perturbation_energy_ss_field(field, profile, a0: float, delta: float,
-                                 mu: float = 1.0) -> tuple[float, float]:
-    """Field-object wrapper around perturbation_energy_ss."""
-    x = field.x_nodes
-    xm = 0.5 * (x[:-1] + x[1:])
-    rho4 = x**4 * profile.rho_at(x)
-    rho43 = xm**2 * profile.rho43_at(xm)
-    return perturbation_energy_ss(x, field.theta, field.theta_t, rho4, rho43,
-                                  a0, delta, field.clock, mu)
-
-
 # ---------------------------------------------------------------------------
 # relative entropy
 # ---------------------------------------------------------------------------
@@ -331,16 +325,15 @@ def _entropy_grad_pair(x, th, th_t):
     return G_x, G_xt
 
 
-def ledger_terms_isentropic(field, profile, weights: WeightSpec, alpha: float) -> dict:
+def ledger_terms_isentropic(field, background, weights: WeightSpec, alpha: float) -> dict:
     """Instantaneous terms of the linearly expanding isentropic total energy."""
     if field.theta_tt is None:
         raise MissingDerivative("ledger needs the second clock derivative")
     x = np.asarray(field.x_nodes, dtype=float)
     th, v, acc = field.theta, field.theta_t, field.theta_tt
     a = weights.a
-    rho = profile.rho_at(x)
-    rho43 = profile.rho43_at(x)
-    chi = chi_cutoff(x, profile.R0)
+    background.require_grid(x)
+    rho, rho43, chi = background.rho, background.rho43, background.chi
     th_x = _gradient(th, x)
     v_x = _gradient(v, x)
     th_xx = _gradient(th_x, x)
@@ -365,16 +358,16 @@ def ledger_terms_isentropic(field, profile, weights: WeightSpec, alpha: float) -
     }
 
 
-def dissipation_integrands_isentropic(field, profile, weights: WeightSpec, alpha: float) -> dict:
+def dissipation_integrands_isentropic(field, background, weights: WeightSpec,
+                                      alpha: float) -> dict:
     """Integrands (per unit tau) of the isentropic dissipation ledger."""
     if field.theta_tt is None:
         raise MissingDerivative("dissipation ledger needs the second clock derivative")
     x = np.asarray(field.x_nodes, dtype=float)
     th, v, acc = field.theta, field.theta_t, field.theta_tt
     a = weights.a
-    rho = profile.rho_at(x)
-    rho43 = profile.rho43_at(x)
-    chi = chi_cutoff(x, profile.R0)
+    background.require_grid(x)
+    rho, rho43, chi = background.rho, background.rho43, background.chi
     th_x = _gradient(th, x)
     v_x = _gradient(v, x)
     acc_x = _gradient(acc, x)
@@ -394,12 +387,11 @@ def dissipation_integrands_isentropic(field, profile, weights: WeightSpec, alpha
     }
 
 
-def initial_energy_isentropic(x, th0, th1, th2, profile, weights: WeightSpec) -> float:
+def initial_energy_isentropic(x, th0, th1, th2, background, weights: WeightSpec) -> float:
     """The initial total energy of the linearly expanding isentropic ledger."""
     x = np.asarray(x, dtype=float)
-    rho = profile.rho_at(x)
-    rho43 = profile.rho43_at(x)
-    chi = chi_cutoff(x, profile.R0)
+    background.require_grid(x)
+    rho, rho43, chi = background.rho, background.rho43, background.chi
     th0_x = _gradient(th0, x)
     th0_xx = _gradient(th0_x, x)
     return float(
@@ -413,7 +405,7 @@ def initial_energy_isentropic(x, th0, th1, th2, profile, weights: WeightSpec) ->
         + _trapz(th0_x**2 + x**2 * th0_xx**2, x))
 
 
-def ledger_terms_thermo(field, profile, weights: WeightSpec, a1: float) -> dict:
+def ledger_terms_thermo(field, background, weights: WeightSpec, a1: float) -> dict:
     """Instantaneous terms of the thermodynamic total energy ledger."""
     if field.xi_tt is None or field.zeta_t is None:
         raise MissingDerivative("thermo ledger needs xi_tt and zeta_t")
@@ -422,8 +414,8 @@ def ledger_terms_thermo(field, profile, weights: WeightSpec, a1: float) -> dict:
     zeta, zeta_t = field.zeta, field.zeta_t
     w = weights
     tau = field.clock
-    rho = profile.rho_at(x)
-    chi = chi_cutoff(x, profile.R0)
+    background.require_grid(x)
+    rho, chi = background.rho, background.chi
     xi_x = _gradient(xi, x)
     v_x = _gradient(v, x)
     xi_xx = _gradient(xi_x, x)
@@ -452,7 +444,7 @@ def ledger_terms_thermo(field, profile, weights: WeightSpec, a1: float) -> dict:
     }
 
 
-def dissipation_integrands_thermo(field, profile, weights: WeightSpec, a1: float) -> dict:
+def dissipation_integrands_thermo(field, background, weights: WeightSpec, a1: float) -> dict:
     if field.xi_tt is None or field.zeta_t is None:
         raise MissingDerivative("thermo dissipation ledger needs xi_tt and zeta_t")
     x = np.asarray(field.x_nodes, dtype=float)
@@ -460,8 +452,8 @@ def dissipation_integrands_thermo(field, profile, weights: WeightSpec, a1: float
     zeta, zeta_t = field.zeta, field.zeta_t
     w = weights
     tau = field.clock
-    rho = profile.rho_at(x)
-    chi = chi_cutoff(x, profile.R0)
+    background.require_grid(x)
+    rho, chi = background.rho, background.chi
     xi_x = _gradient(xi, x)
     v_x = _gradient(v, x)
     acc_x = _gradient(acc, x)
@@ -483,11 +475,11 @@ def dissipation_integrands_thermo(field, profile, weights: WeightSpec, a1: float
     }
 
 
-def initial_energy_thermo(x, xi0, xi1, xi2, zeta0, zeta1, profile,
+def initial_energy_thermo(x, xi0, xi1, xi2, zeta0, zeta1, background,
                           weights: WeightSpec) -> float:
     x = np.asarray(x, dtype=float)
-    rho = profile.rho_at(x)
-    chi = chi_cutoff(x, profile.R0)
+    background.require_grid(x)
+    rho, chi = background.rho, background.chi
     xi0_x = _gradient(xi0, x)
     xi0_xx = _gradient(xi0_x, x)
     return float(
@@ -502,7 +494,7 @@ def initial_energy_thermo(x, xi0, xi1, xi2, zeta0, zeta1, profile,
         + _trapz(xi0_x**2 + x**2 * xi0_xx**2, x))
 
 
-def total_energy_ledger(series, profile, weights: WeightSpec, regime: str,
+def total_energy_ledger(series, background, weights: WeightSpec, regime: str,
                         alpha_of_clock, E0: float, a1: float | None = None,
                         dissipation_online: dict | None = None) -> list[EnergyReport]:
     """EnergyReport per emission time for a field series.
@@ -511,41 +503,37 @@ def total_energy_ledger(series, profile, weights: WeightSpec, regime: str,
     Time-integral (dissipation) terms use the solver's online accumulators
     when given, otherwise the trapezoid rule over the emitted series.
     """
-    weights.validate(profile.R0)
+    weights.validate(background.R0)
+    pairs = {"linear-isentropic": (ledger_terms_isentropic, dissipation_integrands_isentropic),
+             "linear-thermo": (ledger_terms_thermo, dissipation_integrands_thermo)}
+    if regime not in pairs:
+        raise ValueError(f"no total-energy ledger for regime {regime!r}")
+    terms_fn, integrands_fn = pairs[regime]
     reports = []
     acc_diss: dict[str, float] = {}
     prev_clock = None
     prev_integrands = None
     for idx, f in enumerate(series):
         clock = f.clock
-        if regime == "linear-isentropic":
-            terms = ledger_terms_isentropic(f, profile, weights, alpha_of_clock(clock))
-            integrands = dissipation_integrands_isentropic(
-                f, profile, weights, alpha_of_clock(clock))
-        elif regime == "linear-thermo":
-            terms = ledger_terms_thermo(f, profile, weights, a1)
-            integrands = dissipation_integrands_thermo(f, profile, weights, a1)
-        else:
-            raise ValueError(f"no total-energy ledger for regime {regime!r}")
+        coef = alpha_of_clock(clock) if regime == "linear-isentropic" else a1
+        terms = terms_fn(f, background, weights, coef)
         if dissipation_online is not None:
-            for name in integrands:
-                acc_diss[name] = dissipation_online[name][idx]
-        elif prev_clock is not None:
-            dt = clock - prev_clock
-            for name, val in integrands.items():
-                acc_diss[name] = acc_diss.get(name, 0.0) + 0.5 * dt * (val + prev_integrands[name])
+            acc_diss = {k: vals[idx] for k, vals in dissipation_online.items()}
         else:
-            for name in integrands:
-                acc_diss.setdefault(name, 0.0)
+            integrands = integrands_fn(f, background, weights, coef)
+            acc_diss = {k: 0.0 if prev_clock is None else acc_diss[k]
+                        + 0.5 * (clock - prev_clock) * (val + prev_integrands[k])
+                        for k, val in integrands.items()}
+            prev_integrands = integrands
         ledger = dict(terms)
-        ledger.update({k: acc_diss[k] for k in integrands})
+        ledger.update(acc_diss)
         bad = [k for k, v in ledger.items() if not np.isfinite(v)]
         if bad:
             raise WeightViolation([f"non-finite ledger term {k}" for k in bad])
         reports.append(EnergyReport(
             clock=clock, ledger=ledger,
             total_E=float(sum(terms.values())),
-            total_D=float(sum(acc_diss[k] for k in integrands)),
+            total_D=float(sum(acc_diss.values())),
             E0=E0, omega=amplitude(f)))
-        prev_clock, prev_integrands = clock, integrands
+        prev_clock = clock
     return reports

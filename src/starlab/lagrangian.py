@@ -31,6 +31,11 @@ Time stepping is first-order IMEX: implicit in viscosity and damping
 gravity, with step control on the CFL of the explicit part and on the
 per-step change of the flow map.  An optional midpoint variant (order = 2)
 and a Picard-corrected fully implicit mode are available.
+
+One background per grid: each run samples its profile once
+(`profiles.sample_background`) on the solver grid.  The step kernel, every
+emitted field, the RunResult, `initial_second_derivatives` and
+`reconstruct_eulerian` read the static star from that Background only.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from scipy.linalg import solve_banded
 
 from . import functionals
 from .errors import (
+    DegenerateWeight,
     DomainViolation,
     InvalidParams,
     NewtonDivergence,
@@ -51,6 +57,7 @@ from .errors import (
     WrongClassification,
 )
 from .expansion import LINEAR, SELF_SIMILAR, ExpansionParams
+from .profiles import Background, sample_background
 
 SELF_SIMILAR_REGIME = "self-similar"
 LINEAR_REGIME = "linear-isentropic"
@@ -82,7 +89,7 @@ class PerturbationField:
     theta_tt: np.ndarray | None
     clock: float
     regime: str
-    profile: object = dc_field(repr=False, default=None)
+    background: Background | None = dc_field(repr=False, default=None)
 
 
 @dataclass
@@ -94,7 +101,7 @@ class ThermoPerturbationField:
     zeta: np.ndarray
     zeta_t: np.ndarray | None
     clock: float
-    profile: object = dc_field(repr=False, default=None)
+    background: Background | None = dc_field(repr=False, default=None)
 
     # Momentum aliases so amplitude/energy helpers can duck-type the field.
     @property
@@ -139,15 +146,20 @@ class RunResult:
     dissipation: np.ndarray | None  # D(s) per step (ss only)
     visc_work: np.ndarray | None   # cumulative int alpha^{3/2} D ds (ss only)
     dissipation_online: dict | None  # ledger integrals at emission times
-    profile: object
+    background: Background
     params: ExpansionParams
     spec: SolverSpec
     completed: bool
-    dt_policy: dict | None = None
 
     @property
     def final(self):
         return self.snapshots[-1]
+
+    @property
+    def dt_policy(self) -> dict:
+        s = self.spec
+        return {"cfl": s.cfl, "order": s.order, "max_rel_change": s.max_rel_change,
+                "fully_implicit": s.fully_implicit, "newton_tol": s.newton_tol}
 
 
 # ---------------------------------------------------------------------------
@@ -155,33 +167,29 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 class _Grid:
-    """Profile data and static weights on the node/edge layout."""
+    """Background data and static weights on the node/edge layout."""
 
-    def __init__(self, profile, n_cells: int, thermo: bool = False):
-        self.profile = profile
-        R0 = profile.R0
-        self.R0 = R0
-        self.n = n_cells
-        self.x = np.linspace(0.0, R0, n_cells + 1)
+    def __init__(self, bg: Background):
+        self.x, self.xm = bg.x, bg.xm
+        self.n = self.x.size - 1
         self.dx = self.x[1] - self.x[0]
-        self.xm = 0.5 * (self.x[:-1] + self.x[1:])
-        self.wq = np.full(n_cells + 1, self.dx)
+        self.wq = np.full(self.n + 1, self.dx)
         self.wq[0] = self.wq[-1] = 0.5 * self.dx
-        self.rho = profile.rho_at(self.x)
+        self.rho = bg.rho.copy()             # the vacuum node is exactly massless
         self.rho[-1] = 0.0
-        self.rho_m = profile.rho_at(self.xm)
+        self.rho_m = bg.rho_m
         self.mass = self.wq * self.x**4 * self.rho
-        self.thermo = thermo
-        if thermo:
-            self.ptheta_m = profile.ptheta_at(self.xm)       # K rho theta at edges
-            self.K = profile.K
-            self.theta_b = profile.theta_at(self.x)
+        self.thermo = bg.theta is not None
+        if self.thermo:
+            self.ptheta_m = bg.ptheta_m      # K rho theta at edges
+            self.K = bg.K
+            self.theta_b = bg.theta.copy()
             self.theta_b[-1] = 0.0
-            self.theta_m = profile.theta_at(self.xm)
-            self.thetap_m = profile.thetaprime_at(self.xm)
+            self.theta_m = bg.theta_m
+            self.thetap_m = bg.thetap_m
             self.mass_z = self.wq * 3.0 * self.K * self.x**2 * self.rho
         else:
-            self.rho43_m = profile.rho43_at(self.xm)         # rho^{4/3} at edges
+            self.rho43_m = bg.rho43_m        # rho^{4/3} at edges
 
     def edge_geometry(self, f):
         Hm = 1.0 + 0.5 * (f[:-1] + f[1:])
@@ -401,7 +409,8 @@ def _emit_times(end: float, n_emit: int):
 def _run_isentropic(profile, params, initial, clock_end, spec, mu, regime,
                     online_integrands=None):
     theta0, theta1 = (np.array(initial[0], dtype=float), np.array(initial[1], dtype=float))
-    grid = _Grid(profile, spec.n_cells, thermo=False)
+    bg = sample_background(profile, np.linspace(0.0, profile.R0, spec.n_cells + 1))
+    grid = _Grid(bg)
     if theta0.size != grid.n + 1:
         raise InvalidParams(f"initial fields must live on {grid.n + 1} nodes")
     if grid.check_geometry(theta0) <= 0.0:
@@ -425,13 +434,17 @@ def _run_isentropic(profile, params, initial, clock_end, spec, mu, regime,
     online = None
     online_series: dict[str, list[float]] = {}
     prev_online_vals = None
-    if online_integrands is not None:
-        online = {}
 
     def mk_field(acc):
         return PerturbationField(x_nodes=grid.x, theta=f.copy(), theta_t=v.copy(),
                                  theta_tt=None if acc is None else acc.copy(),
-                                 clock=clock, regime=regime, profile=profile)
+                                 clock=clock, regime=regime, background=bg)
+
+    def record(field):
+        """Emit a snapshot with the online ledger integrals accumulated so far."""
+        snapshots.append(field)
+        for k in online_series:
+            online_series[k].append(online[k])
 
     def energy_now():
         return functionals.perturbation_energy_ss(
@@ -444,11 +457,10 @@ def _run_isentropic(profile, params, initial, clock_end, spec, mu, regime,
     if track_energy:
         E, D = energy_now()
         E_series, D_series, W_series = [E], [D], [0.0]
-    if online is not None:
+    if online_integrands is not None:
         vals = online_integrands(mk_field(acc0))
-        for k in vals:
-            online[k] = 0.0
-            online_series[k] = [0.0]
+        online = {k: 0.0 for k in vals}
+        online_series = {k: [0.0] for k in vals}
         prev_online_vals = vals
 
     inertia0 = 1.0 if regime == SELF_SIMILAR_REGIME else params.a0
@@ -528,28 +540,19 @@ def _run_isentropic(profile, params, initial, clock_end, spec, mu, regime,
             if not any(e.kind == "growth" for e in events):
                 events.append(RunEvent("growth", clock, f"amplitude = {omega:.3e}"))
             if spec.stop_on_growth:
-                snapshots.append(mk_field(acc))
-                if online is not None:
-                    for k in online:
-                        online_series[k].append(online[k])
+                record(mk_field(acc))
                 completed = False
                 break
 
         if emit_idx < emit.size and clock >= emit[emit_idx] - 1e-12:
-            snapshots.append(mk_field(acc))
-            if online is not None:
-                for k in online:
-                    online_series[k].append(online[k])
+            record(mk_field(acc))
             while emit_idx < emit.size and clock >= emit[emit_idx] - 1e-12:
                 emit_idx += 1
     else:
         raise StepFailure("step budget exhausted")
 
     if snapshots[-1].clock < clock - 1e-12:
-        snapshots.append(mk_field(None))
-        if online is not None:
-            for k in online:
-                online_series[k].append(online[k])
+        record(mk_field(None))
 
     return RunResult(
         regime=regime, snapshots=snapshots, events=events, times=np.asarray(times),
@@ -558,11 +561,7 @@ def _run_isentropic(profile, params, initial, clock_end, spec, mu, regime,
         visc_work=np.asarray(W_series) if track_energy else None,
         dissipation_online={k: np.asarray(vs) for k, vs in online_series.items()}
         if online is not None else None,
-        profile=profile, params=params, spec=spec, completed=completed,
-        dt_policy={"cfl": spec.cfl, "order": spec.order,
-                   "max_rel_change": spec.max_rel_change,
-                   "fully_implicit": spec.fully_implicit,
-                   "newton_tol": spec.newton_tol})
+        background=bg, params=params, spec=spec, completed=completed)
 
 
 def _picard_correct(stepper, grid, f, v, dt, clock_new, alpha_clock, v_guess, spec, events):
@@ -615,6 +614,26 @@ def _thermo_aux(grid: _Grid, f, v):
     return H, J, dprod, frakF
 
 
+def _zeta_rate(grid: _Grid, f, v, z, alpha: float, mu: float):
+    """Pointwise zeta_tau from the semi-discrete temperature equation."""
+    x, dx, xm = grid.x, grid.dx, grid.xm
+    H, J, dprod, frakF = _thermo_aux(grid, f, v)
+    adv = grid.K * grid.rho * (z + grid.theta_b) * dprod / (H**2 * J)
+    heat = alpha * x**2 * H**2 * J * mu * frakF
+    Hm, dfm, Jm = grid.edge_geometry(f)
+    cdiff = xm**2 * Hm**2 / Jm
+    bgflux = (Hm**2 / Jm - 1.0) * xm**2 * grid.thetap_m
+    Fz = cdiff * np.diff(z) / dx + bgflux
+    div = np.concatenate([Fz, [0.0]]) - np.concatenate([[0.0], Fz])
+    num = -grid.wq * adv + grid.wq * heat + alpha**2 * div
+    rate = np.zeros_like(z)
+    inner = grid.mass_z > 0
+    rate[inner] = num[inner] / grid.mass_z[inner]
+    rate[0] = _quad_extrap(x, rate, 0)
+    rate[-1] = 0.0
+    return rate
+
+
 def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: float,
                          spec: SolverSpec | None = None, mu: float = 1.0,
                          online_integrands=None) -> RunResult:
@@ -628,7 +647,8 @@ def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: flo
     if params.delta != 0.0 or params.classification != LINEAR:
         raise WrongClassification("thermodynamic expansion requires delta = 0 Linear parameters")
     xi0, xi1, zeta0 = (np.array(a, dtype=float) for a in initial)
-    grid = _Grid(profile, spec.n_cells, thermo=True)
+    bg = sample_background(profile, np.linspace(0.0, profile.R0, spec.n_cells + 1))
+    grid = _Grid(bg)
     if xi0.size != grid.n + 1:
         raise InvalidParams(f"initial fields must live on {grid.n + 1} nodes")
     if abs(zeta0[-1]) > 0.0:
@@ -639,7 +659,6 @@ def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: flo
         raise InvalidParams("initial absolute temperature must stay positive")
     alpha_clock = _AlphaClock(params, THERMO_REGIME, tau_end)
     stepper = _MomentumStepper(grid, params, THERMO_REGIME, mu)
-    mu_ = mu
 
     f, v, z = xi0.copy(), xi1.copy(), zeta0.copy()
     clock = 0.0
@@ -653,33 +672,21 @@ def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: flo
 
     x, dx, xm = grid.x, grid.dx, grid.xm
 
-    def zeta_rate(f_new, v_new, z_cur, alpha):
-        """Pointwise zeta_tau from the semi-discrete temperature equation."""
-        H, J, dprod, frakF = _thermo_aux(grid, f_new, v_new)
-        adv = grid.K * grid.rho * (z_cur + grid.theta_b) * dprod / (H**2 * J)
-        heat = alpha * x**2 * H**2 * J * mu_ * frakF
-        Hm, dfm, Jm = grid.edge_geometry(f_new)
-        cdiff = xm**2 * Hm**2 / Jm
-        bgflux = (Hm**2 / Jm - 1.0) * xm**2 * grid.thetap_m
-        Fz = cdiff * np.diff(z_cur) / dx + bgflux
-        div = np.concatenate([Fz, [0.0]]) - np.concatenate([[0.0], Fz])
-        num = -grid.wq * adv + grid.wq * heat + alpha**2 * div
-        rate = np.zeros_like(z_cur)
-        inner = grid.mass_z > 0
-        rate[inner] = num[inner] / grid.mass_z[inner]
-        rate[0] = _quad_extrap(x, rate, 0)
-        rate[-1] = 0.0
-        return rate
-
     def mk_field(acc, z_rate):
         return ThermoPerturbationField(
             x_nodes=x, xi=f.copy(), xi_t=v.copy(),
             xi_tt=None if acc is None else acc.copy(),
             zeta=z.copy(), zeta_t=None if z_rate is None else z_rate.copy(),
-            clock=clock, profile=profile)
+            clock=clock, background=bg)
+
+    def record(field):
+        """Emit a snapshot with the online ledger integrals accumulated so far."""
+        snapshots.append(field)
+        for k in online_series:
+            online_series[k].append(online[k])
 
     acc0 = stepper.acceleration(f, v, 0.0, alpha_clock, zeta=z)
-    zr0 = zeta_rate(f, v, z, params.a0)
+    zr0 = _zeta_rate(grid, f, v, z, params.a0, mu)
     snapshots = [mk_field(acc0, zr0)]
     if online_integrands is not None:
         vals = online_integrands(snapshots[0])
@@ -707,7 +714,7 @@ def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: flo
             # temperature step: implicit diffusion, explicit advection/heating
             H, J, dprod, frakF = _thermo_aux(grid, f_new, v_new)
             adv = grid.K * grid.rho * (z + grid.theta_b) * dprod / (H**2 * J)
-            heat = alpha_new * x**2 * H**2 * J * mu_ * frakF
+            heat = alpha_new * x**2 * H**2 * J * mu * frakF
             Hm, dfm, Jm = grid.edge_geometry(f_new)
             cdiff = xm**2 * Hm**2 / Jm
             bgflux = (Hm**2 / Jm - 1.0) * xm**2 * grid.thetap_m
@@ -770,48 +777,37 @@ def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: flo
             if not any(e.kind == "growth" for e in events):
                 events.append(RunEvent("growth", clock, f"amplitude = {omega:.3e}"))
             if spec.stop_on_growth:
-                snapshots.append(mk_field(acc, z_rate))
-                if online is not None:
-                    for k in online:
-                        online_series[k].append(online[k])
+                record(mk_field(acc, z_rate))
                 completed = False
                 break
 
         if emit_idx < emit.size and clock >= emit[emit_idx] - 1e-12:
-            snapshots.append(mk_field(acc, z_rate))
-            if online is not None:
-                for k in online:
-                    online_series[k].append(online[k])
+            record(mk_field(acc, z_rate))
             while emit_idx < emit.size and clock >= emit[emit_idx] - 1e-12:
                 emit_idx += 1
     else:
         raise StepFailure("step budget exhausted")
 
     if snapshots[-1].clock < clock - 1e-12:
-        snapshots.append(mk_field(None, None))
-        if online is not None:
-            for k in online:
-                online_series[k].append(online[k])
+        record(mk_field(None, None))
 
     return RunResult(
         regime=THERMO_REGIME, snapshots=snapshots, events=events,
         times=np.asarray(times), energy=None, dissipation=None, visc_work=None,
         dissipation_online={k: np.asarray(vs) for k, vs in online_series.items()}
         if online is not None else None,
-        profile=profile, params=params, spec=spec, completed=completed,
-        dt_policy={"cfl": spec.cfl, "order": spec.order,
-                   "max_rel_change": spec.max_rel_change,
-                   "fully_implicit": spec.fully_implicit,
-                   "newton_tol": spec.newton_tol})
+        background=bg, params=params, spec=spec, completed=completed)
 
 
 # ---------------------------------------------------------------------------
 # initial second clock derivatives
 # ---------------------------------------------------------------------------
 
-def initial_second_derivatives(profile, params: ExpansionParams, initial,
+def initial_second_derivatives(background: Background, params: ExpansionParams, initial,
                                regime: str, mu: float = 1.0, limit_form: bool = True):
     """Initial second clock derivatives implied by the equations of motion.
+
+    `initial` lives on the background's grid (InvalidParams otherwise).
 
     Solves the same semi-discrete identities that the evolution operators
     step, inverting the rho-weighted mass only where it is positive; the
@@ -825,43 +821,19 @@ def initial_second_derivatives(profile, params: ExpansionParams, initial,
     downstream use is rho-weighted, and in those norms the fields converge
     under refinement.
     """
-    from .errors import DegenerateWeight
-
-    if regime == THERMO_REGIME:
-        xi0, xi1, zeta0 = (np.asarray(a, dtype=float) for a in initial)
-        n_cells = xi0.size - 1
-        grid = _Grid(profile, n_cells, thermo=True)
-        alpha_clock = _AlphaClock(params, regime, 1.0)
-        stepper = _MomentumStepper(grid, params, regime, mu)
-        if not limit_form:
-            raise DegenerateWeight("vacuum node has no pointwise identity; "
-                                   "use the limit form")
-        xi2 = stepper.acceleration(xi0, xi1, 0.0, alpha_clock, zeta=zeta0)
-
-        x, dx, xm = grid.x, grid.dx, grid.xm
-        H, J, dprod, frakF = _thermo_aux(grid, xi0, xi1)
-        adv = grid.K * grid.rho * (zeta0 + grid.theta_b) * dprod / (H**2 * J)
-        heat = params.a0 * x**2 * H**2 * J * mu * frakF
-        Hm, dfm, Jm = grid.edge_geometry(xi0)
-        cdiff = xm**2 * Hm**2 / Jm
-        bgflux = (Hm**2 / Jm - 1.0) * xm**2 * grid.thetap_m
-        Fz = cdiff * np.diff(zeta0) / dx + bgflux
-        div = np.concatenate([Fz, [0.0]]) - np.concatenate([[0.0], Fz])
-        num = -grid.wq * adv + grid.wq * heat + params.a0**2 * div
-        zeta1 = np.zeros_like(zeta0)
-        inner = grid.mass_z > 0
-        zeta1[inner] = num[inner] / grid.mass_z[inner]
-        zeta1[0] = _quad_extrap(x, zeta1, 0)
-        zeta1[-1] = 0.0
-        return xi2, zeta1
-
-    theta0, theta1 = (np.asarray(a, dtype=float) for a in initial)
-    n_cells = theta0.size - 1
-    grid = _Grid(profile, n_cells, thermo=False)
+    grid = _Grid(background)
+    if np.size(initial[0]) != grid.n + 1 or grid.thermo != (regime == THERMO_REGIME):
+        raise InvalidParams(f"a {regime} run needs its background sampled on the "
+                            "grid of its initial data")
     alpha_clock = _AlphaClock(params, regime, 1.0)
     stepper = _MomentumStepper(grid, params, regime, mu)
     if not limit_form:
         raise DegenerateWeight("vacuum node has no pointwise identity; use the limit form")
+    if regime == THERMO_REGIME:
+        xi0, xi1, zeta0 = (np.asarray(a, dtype=float) for a in initial)
+        xi2 = stepper.acceleration(xi0, xi1, 0.0, alpha_clock, zeta=zeta0)
+        return xi2, _zeta_rate(grid, xi0, xi1, zeta0, params.a0, mu)
+    theta0, theta1 = (np.asarray(a, dtype=float) for a in initial)
     return stepper.acceleration(theta0, theta1, 0.0, alpha_clock)
 
 
@@ -879,13 +851,15 @@ def reconstruct_eulerian(field, params: ExpansionParams, path=None) -> EulerianS
     profile mass).
     """
     x = np.asarray(field.x_nodes, dtype=float)
+    bg = field.background
+    if bg is None:
+        raise InvalidParams("field carries no background; cannot reconstruct the density")
+    bg.require_grid(x)
     if isinstance(field, ThermoPerturbationField):
         f, v = field.xi, field.xi_t
-        profile = field.profile
         regime = THERMO_REGIME
     else:
         f, v = field.theta, field.theta_t
-        profile = None
         regime = field.regime
 
     clock = field.clock
@@ -914,17 +888,13 @@ def reconstruct_eulerian(field, params: ExpansionParams, path=None) -> EulerianS
     if np.any(np.diff(r) <= 0.0):
         raise DomainViolation("r is not strictly increasing in x")
 
-    if profile is None:
-        profile = field.profile
-    if profile is None:
-        raise InvalidParams("field carries no profile; cannot reconstruct the density")
     if isinstance(field, ThermoPerturbationField):
-        theta_abs = (field.zeta + profile.theta_at(x)) / alpha
+        theta_abs = (field.zeta + bg.theta) / alpha
     else:
         theta_abs = None
 
     # rho = x^2 rho_bar / (r^2 r_x) = alpha^-3 rho_bar / (H^2 J)
-    rho_b = profile.rho_at(x)
+    rho_b = bg.rho
     rho = alpha**-3 * rho_b / (H**2 * J)
 
     # mass checks: r^2 rho r_x == x^2 rho_bar nodewise by construction

@@ -34,12 +34,14 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (
+    InvalidParams,
     NoFirstZero,
     NonPhysicalVacuum,
     OutOfRange,
     ToleranceNotMet,
     ZerosDoNotCoincide,
 )
+from .functionals import chi_cutoff
 
 # Ballpark radius of the delta = 0 star; used only to place the series start
 # and to cap step sizes so the dense output stays as accurate as the steps.
@@ -95,8 +97,8 @@ class IsentropicProfile:
     _sol: object = field(repr=False, default=None)
     _y_series: float = field(repr=False, default=0.0)
 
-    # Evaluation helpers, valid for 0 <= y <= R0.  The PDE modules use them
-    # to place profile data on cell edges at integrator accuracy.
+    # Evaluation helpers, valid for 0 <= y <= R0.  sample_background uses
+    # them once per grid to place profile data on nodes and cell edges.
 
     def _blend(self, y, series_fn, idx):
         y = np.asarray(y, dtype=float)
@@ -117,10 +119,6 @@ class IsentropicProfile:
 
     def rho43_at(self, y):
         return np.clip(self.w_at(y), 0.0, None) ** 4
-
-    def drho43_at(self, y):
-        w = np.clip(self.w_at(y), 0.0, None)
-        return 4.0 * w**3 * self.wprime_at(y)
 
     def cumulative_mass_at(self, y):
         c2 = -(1.0 + 3.0 * self.delta) / 24.0
@@ -168,9 +166,10 @@ class ThermoProfile:
         # Linear vacuum behavior past the temperature cut.
         return np.clip(self.theta_boundary_slope * (y - self.R0), 0.0, None)
 
-    def _eval(self, y, which):
+    def _eval(self, y, which, mid=None):
         y = np.asarray(y, dtype=float)
-        mid = self._sol.sol(np.clip(y, self._y_series, self._y_cut))
+        if mid is None:   # dense output at y, shareable between quantities
+            mid = self._sol.sol(np.clip(y, self._y_series, self._y_cut))
         if which == "rho":
             m = self.exponent
             theta_c = float(self._sol.sol(self._y_cut)[1])
@@ -198,19 +197,56 @@ class ThermoProfile:
     def thetaprime_at(self, y):
         return self._eval(y, "thetaprime")
 
-    def ptheta_at(self, y):
-        """Background pressure K * rho * theta."""
-        return self.K * self.rho_at(y) * self.theta_at(y)
-
-    def dptheta_at(self, y, h: float = 1e-6):
-        """d/dy of the background pressure, from the hydrostatic relation."""
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = -self.rho_at(y) * self._eval(y, "mass") / np.maximum(y, 1e-300) ** 2
-        return np.where(y > 0, vals, 0.0)
-
     def cumulative_mass_at(self, y):
         return self._eval(y, "mass")
+
+
+@dataclass(frozen=True, eq=False)
+class Background:
+    """A solved profile sampled once on a node grid x and its cell midpoints xm.
+
+    The static star never changes during a run: solvers, ledgers and the
+    Eulerian reconstruction read it from here, never from the dense output.
+    The read-only node values are raw (rho at R0 is not zeroed).
+    """
+
+    x: np.ndarray
+    xm: np.ndarray
+    R0: float
+    rho: np.ndarray
+    rho_m: np.ndarray
+    chi: np.ndarray                     # ledger interior cut-off at the nodes
+    rho43: np.ndarray | None = None     # isentropic: rho^{4/3}
+    rho43_m: np.ndarray | None = None
+    K: float | None = None              # thermo: pressure constant
+    theta: np.ndarray | None = None
+    theta_m: np.ndarray | None = None
+    thetap_m: np.ndarray | None = None  # d theta / dy at the midpoints
+    ptheta_m: np.ndarray | None = None  # K rho theta at the midpoints
+
+    def require_grid(self, x) -> None:
+        """Raise InvalidParams unless x is the grid this background was sampled on."""
+        if x is not self.x and not np.array_equal(x, self.x):
+            raise InvalidParams(f"background sampled on {self.x.size} nodes over "
+                                f"[0, {self.R0:.6g}] does not match the field grid")
+
+
+def sample_background(profile, x) -> Background:
+    """Sample a solved profile once on the node grid x and its cell midpoints."""
+    x = np.array(x, dtype=float)
+    xm = 0.5 * (x[:-1] + x[1:])
+    arrays = {"x": x, "xm": xm, "rho": profile.rho_at(x), "rho_m": profile.rho_at(xm),
+              "chi": chi_cutoff(x, profile.R0)}
+    thermo = isinstance(profile, ThermoProfile)
+    if thermo:
+        arrays.update(theta=profile.theta_at(x), theta_m=profile.theta_at(xm),
+                      thetap_m=profile.thetaprime_at(xm))
+        arrays["ptheta_m"] = profile.K * arrays["rho_m"] * arrays["theta_m"]
+    else:
+        arrays.update(rho43=profile.rho43_at(x), rho43_m=profile.rho43_at(xm))
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    return Background(R0=profile.R0, K=profile.K if thermo else None, **arrays)
 
 
 def solve_isentropic_profile(delta: float, grid_spec: GridSpec | None = None) -> IsentropicProfile:
@@ -394,9 +430,10 @@ def solve_thermo_profile(K: float, epsilon: float, grid_spec: GridSpec | None = 
         _y_series=y0,
         _y_cut=y_cut,
     )
-    profile.rho_bar = profile.rho_at(y_nodes)
-    profile.theta_bar = profile.theta_at(y_nodes)
-    profile.mass_moments.cumulative = profile.cumulative_mass_at(y_nodes)
+    mid = sol.sol(np.clip(y_nodes, y0, y_cut))   # one dense evaluation for the nodes
+    profile.rho_bar = profile._eval(y_nodes, "rho", mid)
+    profile.theta_bar = profile._eval(y_nodes, "theta", mid)
+    profile.mass_moments.cumulative = profile._eval(y_nodes, "mass", mid)
     profile.rho_bar[-1] = 0.0
     profile.theta_bar[-1] = 0.0
     if np.any(profile.rho_bar[1:-1] <= 0.0) or np.any(profile.theta_bar[1:-1] <= 0.0):

@@ -48,6 +48,27 @@ class TestValidation:
                                "model": {"delta": -1e-3, "a1": None}})
         assert cfg.model.a1 is None
 
+    def test_non_numeric_delta_named(self):
+        with pytest.raises(ConfigInvalid) as exc:
+            validate_config({"model": {"delta": "abc"}})
+        assert any("model.delta" in e and "'abc'" in e for e in exc.value.errors)
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"solver": {"n_cells": "many"}}, "solver.n_cells"),
+        ({"time": {"end": [1.0]}}, "time.end"),
+        ({"weights": {"a": None}}, "weights.a"),
+        ({"seed": "x"}, "seed"),
+    ])
+    def test_non_numeric_field_named(self, raw, field):
+        with pytest.raises(ConfigInvalid) as exc:
+            validate_config({"scenario": "evolve-linear", **raw})
+        assert any(e.startswith(f"{field} must be a number") for e in exc.value.errors)
+
+    def test_null_optional_numbers_accepted(self):
+        cfg = validate_config({"scenario": "evolve-ss", "model": {"delta": -0.5, "a1": None},
+                               "solver": {"dt_max": None}})
+        assert cfg.model.a1 is None and cfg.solver.dt_max is None
+
     def test_bad_json(self):
         with pytest.raises(ConfigInvalid):
             validate_config("{not json")
@@ -156,6 +177,13 @@ class TestMain:
         assert code == 1
         assert "0 < a < 1" in capsys.readouterr().err
 
+    def test_non_numeric_value_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"model": {"delta": "abc"}}))
+        code = main(["evolve-linear", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 1
+        assert "model.delta must be a number" in capsys.readouterr().err
+
     def test_profile_scenario(self, tmp_path, capsys):
         code = main(["profile", "--out", str(tmp_path / "o")])
         assert code == 0
@@ -171,6 +199,17 @@ class TestMain:
         assert code == 0
         header = open(tmp_path / "e" / "expansion.csv").readline().strip()
         assert header == "t,alpha,alpha_prime,s"
+
+    def test_expansion_collapse_event(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": {"delta": -0.5, "a0": 1.0, "a1": 0.5},
+                                   "time": {"end": 10.0}}))
+        code = main(["expansion", "--config", str(cfg), "--out", str(tmp_path / "e")])
+        assert code == 0
+        with open(tmp_path / "e" / "manifest.json") as fh:
+            events = json.load(fh)["events"]
+        assert [e["kind"] for e in events] == ["collapse-reached"]
+        assert events[0]["detail"].startswith("T ~ ")
 
     def test_runtime_event_fails_under_verify(self, tmp_path):
         # growth event on an unstable run: plain exit 0, but 2 under --verify

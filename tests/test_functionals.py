@@ -7,6 +7,7 @@ from starlab import classify_expansion
 from starlab.errors import DomainViolation, KEqualsOne, MissingDerivative, WeightViolation
 from starlab.lagrangian import (LINEAR_REGIME, PerturbationField, SolverSpec,
                                 ThermoPerturbationField, evolve_self_similar)
+from starlab.profiles import sample_background
 
 
 class TestPhysicalEnergy:
@@ -237,7 +238,7 @@ class TestLedger:
         z = 0 * x
         fields = [PerturbationField(x, z, z, z, tau, LINEAR_REGIME)
                   for tau in (0.0, 0.5, 1.0)]
-        reports = F.total_energy_ledger(fields, iso0, F.WeightSpec(),
+        reports = F.total_energy_ledger(fields, sample_background(iso0, x), F.WeightSpec(),
                                         LINEAR_REGIME, lambda t: np.exp(t), 0.0)
         for rep in reports:
             assert all(v == 0.0 for v in rep.ledger.values())
@@ -248,14 +249,15 @@ class TestLedger:
         z = 0 * x
         f = PerturbationField(x, z, z, None, 0.0, LINEAR_REGIME)
         with pytest.raises(MissingDerivative):
-            F.ledger_terms_isentropic(f, iso0, F.WeightSpec(), 1.0)
+            F.ledger_terms_isentropic(f, sample_background(iso0, x), F.WeightSpec(), 1.0)
 
     def test_initial_energy_positive(self, iso0):
         x = np.linspace(0.0, iso0.R0, 97)
         th0 = 1e-3 * np.cos(np.pi * x / iso0.R0)
         th1 = 0 * x
         th2 = 0 * x
-        E0 = F.initial_energy_isentropic(x, th0, th1, th2, iso0, F.WeightSpec())
+        E0 = F.initial_energy_isentropic(x, th0, th1, th2, sample_background(iso0, x),
+                                         F.WeightSpec())
         assert E0 > 0
 
     def test_amplitude_bounded_by_ledger(self, iso0):
@@ -272,11 +274,12 @@ class TestLedger:
             th1 = 0 * x
             run = evolve_linear_isentropic(iso0, pars, (th0, th1), 3.0,
                                            SolverSpec(n_cells=n, n_emit=13))
-            th2 = initial_second_derivatives(iso0, pars, (th0, th1),
+            bg = sample_background(iso0, x)
+            th2 = initial_second_derivatives(bg, pars, (th0, th1),
                                              LINEAR_REGIME)
-            E0 = F.initial_energy_isentropic(x, th0, th1, th2, iso0, weights)
+            E0 = F.initial_energy_isentropic(x, th0, th1, th2, bg, weights)
             reports = F.total_energy_ledger(
-                run.snapshots, iso0, weights, LINEAR_REGIME,
+                run.snapshots, bg, weights, LINEAR_REGIME,
                 lambda t: np.exp(t), E0,
                 dissipation_online=run.dissipation_online)
             Cs.append(max(r.omega**2 / (r.total_E + r.E0) for r in reports))

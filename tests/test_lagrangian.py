@@ -7,8 +7,13 @@ from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, SolverSpec,
                                 evolve_linear_isentropic, evolve_linear_thermo,
                                 evolve_self_similar, initial_second_derivatives,
                                 reconstruct_eulerian)
+from starlab.profiles import sample_background
 
 N = 96
+
+
+def background(prof):
+    return sample_background(prof, np.linspace(0.0, prof.R0, N + 1))
 
 
 def bump(x, R0, amp):
@@ -114,12 +119,12 @@ class TestEnergyIdentity:
 class TestInitialSecondDerivatives:
     def test_zero_data(self, iso0, pars0):
         z = np.zeros(N + 1)
-        th2 = initial_second_derivatives(iso0, pars0, (z, z), LINEAR_REGIME)
+        th2 = initial_second_derivatives(background(iso0), pars0, (z, z), LINEAR_REGIME)
         assert np.max(np.abs(th2)) == 0.0
 
     def test_x_independent_matches_reduced_ode(self, iso0, pars0):
         c = 1e-3 * np.ones(N + 1)
-        th2 = initial_second_derivatives(iso0, pars0, (c, 0.5 * c), LINEAR_REGIME)
+        th2 = initial_second_derivatives(background(iso0), pars0, (c, 0.5 * c), LINEAR_REGIME)
         # delta = 0 reduction: a0 th2 + a0 a1 th1 = 0 (end nodes extrapolated)
         assert np.max(np.abs(th2 + 0.5e-3)) < 1e-9
 
@@ -127,7 +132,7 @@ class TestInitialSecondDerivatives:
         x = np.linspace(0.0, iso0.R0, N + 1)
         th0 = 1e-3 * (0.7 + 0.3 * np.cos(np.pi * x / iso0.R0))
         th1 = 0.5e-3 * np.ones_like(th0)
-        th2 = initial_second_derivatives(iso0, pars0, (th0, th1), LINEAR_REGIME)
+        th2 = initial_second_derivatives(background(iso0), pars0, (th0, th1), LINEAR_REGIME)
         w = x**4 * iso0.rho_at(x)
         core = x <= 0.8 * iso0.R0
         errs = []
@@ -144,7 +149,7 @@ class TestInitialSecondDerivatives:
         x = np.linspace(0.0, thermo14.R0, N + 1)
         xi0 = 1e-3 * (0.7 + 0.3 * np.cos(np.pi * x / thermo14.R0))
         zeta0 = xi0 * (thermo14.R0 - x) / thermo14.R0
-        xi2, zeta1 = initial_second_derivatives(thermo14, parst,
+        xi2, zeta1 = initial_second_derivatives(background(thermo14), parst,
                                                 (xi0, np.zeros_like(xi0), zeta0),
                                                 THERMO_REGIME)
         assert zeta1[-1] == 0.0
@@ -153,7 +158,7 @@ class TestInitialSecondDerivatives:
     def test_degenerate_weight_without_limit(self, iso0, pars0):
         z = np.zeros(N + 1)
         with pytest.raises(DegenerateWeight):
-            initial_second_derivatives(iso0, pars0, (z, z), LINEAR_REGIME,
+            initial_second_derivatives(background(iso0), pars0, (z, z), LINEAR_REGIME,
                                        limit_form=False)
 
 
@@ -169,7 +174,7 @@ class TestThermoRun:
             assert s.zeta[-1] == 0.0
         # viscous heating is a square
         from starlab.lagrangian import _Grid, _thermo_aux
-        grid = _Grid(thermo14, N, thermo=True)
+        grid = _Grid(background(thermo14))
         for s in run.snapshots:
             assert np.min(_thermo_aux(grid, s.xi, s.xi_t)[3]) >= 0.0
         # absolute temperature positive in the interior

@@ -85,10 +85,8 @@ def test_profile_virial_identity():
     p = sp.Function("p")(y)
     relation = sp.Eq(y**2 * p.diff(y), -rho * M - delta * rho * y**3)
     # d/dy [y^3 p] = 3 y^2 p + y^3 p'
-    lhs = sp.integrate(sp.diff(y**3 * p, y), (y, 0, R0))
     # substitute the relation into y^3 p' = y * (y^2 p')
     integrand = 3 * y**2 * p + y * (-rho * M - delta * rho * y**3)
-    rhs = sp.integrate(integrand, (y, 0, R0))
     # equality of the two integral expressions given p(R0) = 0 reduces to
     # 3 int y^2 p - int y rho M - delta int y^4 rho = 0 up to the boundary
     # term [y^3 p](R0) = 0; check the integrands match after the relation
