@@ -220,19 +220,14 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
                 th0, th1 = th0 * scale, th1 * scale
 
         weights = cfg.weights
-        if regime == LINEAR_REGIME:
-            def integrands(fieldlike, _p=params):
-                al = _p.a0 * np.exp(_p.a1 * fieldlike.clock) if _p.delta == 0 else None
-                if al is None:
-                    raise ConfigInvalid(["online ledger needs delta = 0"])
+        online = None
+        if regime == LINEAR_REGIME and params.delta == 0:
+            def online(fieldlike):
                 return functionals.dissipation_integrands_isentropic(
-                    fieldlike, fieldlike.background, weights, al)
+                    fieldlike, fieldlike.background, weights,
+                    params.a0 * np.exp(params.a1 * fieldlike.clock))
 
-            evolve = evolve_linear_isentropic
-            online = integrands if params.delta == 0 else None
-        else:
-            evolve = evolve_self_similar
-            online = None
+        evolve = evolve_linear_isentropic if regime == LINEAR_REGIME else evolve_self_similar
         run = evolve(prof, params, (th0, th1), cfg.time.end, spec, mu=m.mu,
                      online_integrands=online)
         reports = None

@@ -191,6 +191,8 @@ def validate_config(raw) -> ScenarioConfig:
         errors.append("grid.n_cells >= 8")
     if grid.rtol <= 0 or grid.atol <= 0:
         errors.append("grid tolerances > 0")
+    if not grid.y_max > 0:
+        errors.append("grid.y_max > 0")
 
     sd = cfg_dict.get("solver", {})
     solver = SolverConfig(n_cells=_num(errors, sd, "solver.n_cells", 192, int),
@@ -204,6 +206,12 @@ def validate_config(raw) -> ScenarioConfig:
         errors.append("solver.order in {1, 2}")
     if not (0 < solver.cfl <= 1):
         errors.append("0 < solver.cfl <= 1")
+    if solver.n_cells < 8:
+        errors.append("solver.n_cells >= 8")
+    if not solver.max_rel_change > 0:
+        errors.append("solver.max_rel_change > 0")
+    if solver.dt_max is not None and not solver.dt_max > 0:
+        errors.append("solver.dt_max > 0 when set")
 
     idd = cfg_dict.get("initial", {})
     initial = InitialSpec(family=_get(idd, "family", "bump"),
@@ -234,6 +242,8 @@ def validate_config(raw) -> ScenarioConfig:
                       n_emit=_num(errors, td, "time.n_emit", 41, int))
     if time.end <= 0:
         errors.append("time.end > 0")
+    if time.n_emit < 2:
+        errors.append("time.n_emit >= 2")
 
     try:
         phase_grid = tuple(tuple(float(v) for v in p)
@@ -252,6 +262,10 @@ def validate_config(raw) -> ScenarioConfig:
             errors.append("3K - c_nu = 0")
         if model.delta != 0.0:
             errors.append("delta = 0 for the thermodynamic expansion")
+        if solver.order != 1:
+            errors.append("solver.order = 1 for evolve-thermo")
+        if solver.fully_implicit:
+            errors.append("solver.fully_implicit = false for evolve-thermo")
     if scenario == "evolve-ss":
         if model.delta >= 0:
             errors.append("delta < 0 for the self-similar branch")

@@ -29,8 +29,23 @@ viscosity+damping solve absorbs them.
 Time stepping is first-order IMEX: implicit in viscosity and damping
 (linear in the new velocity at frozen geometry), explicit in pressure and
 gravity, with step control on the CFL of the explicit part and on the
-per-step change of the flow map.  An optional midpoint variant (order = 2)
-and a Picard-corrected fully implicit mode are available.
+per-step change of the flow map.  An optional midpoint variant (order = 2,
+implicit weight 1/2 in the same velocity solve) and a Picard-corrected fully
+implicit mode are available for the isentropic regimes.
+
+One driver steps all three regimes (`_evolve`).  It owns the dt choice (CFL,
+the 1.25 growth factor, dt_max, emission times, the end time), retry by
+halving with the cfl-floor and step-failure events, the geometry check,
+growth detection, snapshot emission, the online ledger accumulation and the
+RunResult.  Only four parts depend on the regime:
+
+  (a) the thermodynamic state zeta and its implicit temperature step;
+  (b) the thermodynamic stop when the absolute temperature turns <= 0;
+  (c) the emitted field: ThermoPerturbationField or PerturbationField;
+  (d) the self-similar probe of energy E, dissipation D and viscous work W.
+
+One `_AlphaClock` gives alpha(clock) to the driver and to
+`reconstruct_eulerian`.
 
 One background per grid: each run samples its profile once
 (`profiles.sample_background`) on the solver grid.  The step kernel, every
@@ -41,6 +56,7 @@ emitted field, the RunResult, `initial_second_derivatives` and
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -265,11 +281,7 @@ class _Grid:
 
 
 def _solve_tridiag(diag, upper, lower, rhs):
-    ab = np.zeros((3, diag.size))
-    ab[0] = upper
-    ab[1] = diag
-    ab[2] = lower
-    return solve_banded((1, 1), ab, rhs)
+    return solve_banded((1, 1), np.array([upper, diag, lower]), rhs)
 
 
 _OVERDAMPED_RATIO = 1e12
@@ -295,7 +307,7 @@ def _cap_overdamped(visc, mass_term, K_diag):
 # ---------------------------------------------------------------------------
 
 class _AlphaClock:
-    """alpha and its clock derivative as functions of the rescaled clock."""
+    """alpha, alpha_tau and alpha'(t) as functions of the rescaled clock."""
 
     def __init__(self, params: ExpansionParams, regime: str, clock_end: float):
         self.params = params
@@ -336,9 +348,18 @@ class _AlphaClock:
             return p.a1 * al
         return al * math.sqrt(max(self._rad - 2.0 * p.delta / al, 0.0))
 
+    def alpha_prime(self, clock: float) -> float:
+        """d alpha / dt, the physical-time derivative, at the given clock."""
+        p = self.params
+        if self.regime == SELF_SIMILAR_REGIME:
+            return math.sqrt(2.0 * abs(p.delta) / self.alpha(clock))
+        if p.delta == 0.0:
+            return p.a1
+        return self.alpha_tau(clock) / self.alpha(clock)
+
 
 # ---------------------------------------------------------------------------
-# the shared IMEX driver
+# momentum and temperature steps
 # ---------------------------------------------------------------------------
 
 class _MomentumStepper:
@@ -349,29 +370,32 @@ class _MomentumStepper:
         self.mu = mu
 
     def coefficients(self, clock: float, alpha_clock: _AlphaClock):
+        """(inertia, damping, viscosity) of the momentum equation at the clock."""
+        al = alpha_clock.alpha(clock)
         if self.regime == SELF_SIMILAR_REGIME:
-            inertia = 1.0
-            damping = 0.5 * self.params.b
-            visc = alpha_clock.alpha(clock) ** 2.5
-        else:
-            inertia = alpha_clock.alpha(clock)
-            damping = alpha_clock.alpha_tau(clock)
-            visc = alpha_clock.alpha(clock) ** 3
-        return inertia, damping, visc
+            return 1.0, 0.5 * self.params.b, al ** 2.5
+        return al, alpha_clock.alpha_tau(clock), al ** 3
 
-    def solve_velocity(self, f, v_old, dt, clock_new, alpha_clock, zeta=None):
-        """One implicit viscosity+damping solve at frozen geometry f."""
+    def solve_velocity(self, f, v_old, dt, clock, alpha_clock, zeta=None, weight=1.0):
+        """One implicit viscosity+damping solve at frozen geometry f.
+
+        weight is the implicit share of damping and viscosity: 1 for IMEX
+        Euler, 1/2 for the midpoint rule, whose explicit half (at v_old)
+        then equals its implicit half.
+        """
         grid = self.grid
-        inertia, damping, visc = self.coefficients(clock_new, alpha_clock)
+        inertia, damping, visc = self.coefficients(clock, alpha_clock)
         Kb = grid.viscous_matrix(f, self.mu)
         rows = grid.pressure_gravity(f, self.params.delta, zeta=zeta)
-        mass_term = (inertia / dt + damping) * grid.mass
-        visc = _cap_overdamped(visc, mass_term, Kb[1])
+        mass_term = (inertia / dt + weight * damping) * grid.mass
+        visc = _cap_overdamped(weight * visc, mass_term, Kb[1])
         diag = mass_term + visc * Kb[1]
-        upper = visc * Kb[0]
-        lower = visc * Kb[2]
-        rhs = (inertia / dt) * grid.mass * v_old - rows
-        return _solve_tridiag(diag, upper, lower, rhs), visc
+        explicit = 1.0 - weight
+        rhs = (inertia / dt - explicit * damping) * grid.mass * v_old
+        if explicit:
+            rhs -= visc * grid.apply_viscous(Kb, v_old)
+        rhs -= rows
+        return _solve_tridiag(diag, visc * Kb[0], visc * Kb[2], rhs)
 
     def acceleration(self, f, v, clock, alpha_clock, zeta=None):
         """Pointwise clock-acceleration from the semi-discrete equations.
@@ -394,212 +418,23 @@ class _MomentumStepper:
 
 def _quad_extrap(x, vals, idx):
     """Quadratic extrapolation of vals to node idx from its 3 nearest interior nodes."""
-    if idx == 0:
-        js = [1, 2, 3]
-    else:
-        js = [idx - 1, idx - 2, idx - 3]
+    js = [1, 2, 3] if idx == 0 else [idx - 1, idx - 2, idx - 3]
     c = np.polyfit(x[js], vals[js], 2)
     return float(np.polyval(c, x[idx]))
 
 
-def _emit_times(end: float, n_emit: int):
-    return np.linspace(0.0, end, max(2, n_emit))
-
-
-def _run_isentropic(profile, params, initial, clock_end, spec, mu, regime,
-                    online_integrands=None):
-    theta0, theta1 = (np.array(initial[0], dtype=float), np.array(initial[1], dtype=float))
-    bg = sample_background(profile, np.linspace(0.0, profile.R0, spec.n_cells + 1))
-    grid = _Grid(bg)
-    if theta0.size != grid.n + 1:
-        raise InvalidParams(f"initial fields must live on {grid.n + 1} nodes")
-    if grid.check_geometry(theta0) <= 0.0:
-        raise DomainViolation("initial data degenerates the flow map")
-    alpha_clock = _AlphaClock(params, regime, clock_end)
-    stepper = _MomentumStepper(grid, params, regime, mu)
-
-    if regime == LINEAR_REGIME and params.delta <= -params.a0 * params.a1**2 / 8.0:
-        import warnings
-        warnings.warn("delta <= -a0 a1^2/8: outside the proven stability range",
-                      stacklevel=2)
-
-    f, v = theta0.copy(), theta1.copy()
-    clock = 0.0
-    emit = _emit_times(clock_end, spec.n_emit)
-    events: list[RunEvent] = []
-    snapshots: list = []
-    times = [0.0]
-    track_energy = regime == SELF_SIMILAR_REGIME
-    E_series, D_series, W_series = [], [], []
-    online = None
-    online_series: dict[str, list[float]] = {}
-    prev_online_vals = None
-
-    def mk_field(acc):
-        return PerturbationField(x_nodes=grid.x, theta=f.copy(), theta_t=v.copy(),
-                                 theta_tt=None if acc is None else acc.copy(),
-                                 clock=clock, regime=regime, background=bg)
-
-    def record(field):
-        """Emit a snapshot with the online ledger integrals accumulated so far."""
-        snapshots.append(field)
-        for k in online_series:
-            online_series[k].append(online[k])
-
-    def energy_now():
-        return functionals.perturbation_energy_ss(
-            grid.x, f, v, grid.x**4 * grid.rho, grid.xm**2 * grid.rho43_m,
-            params.a0, params.delta, clock, mu)
-
-    acc0 = stepper.acceleration(f, v, 0.0, alpha_clock)
-    snapshots.append(mk_field(acc0))
-    emit_idx = 1
-    if track_energy:
-        E, D = energy_now()
-        E_series, D_series, W_series = [E], [D], [0.0]
-    if online_integrands is not None:
-        vals = online_integrands(mk_field(acc0))
-        online = {k: 0.0 for k in vals}
-        online_series = {k: [0.0] for k in vals}
-        prev_online_vals = vals
-
-    inertia0 = 1.0 if regime == SELF_SIMILAR_REGIME else params.a0
-    dt = spec.dt_init or spec.cfl * grid.dx / grid.wave_speed(f, inertia0)
-    completed = True
-    max_steps = 2_000_000
-    for _ in range(max_steps):
-        if clock >= clock_end * (1.0 - 1e-14):
-            break
-        inertia, _, _ = stepper.coefficients(clock, alpha_clock)
-        dt_cfl = spec.cfl * grid.dx / grid.wave_speed(f, inertia)
-        dt = min(dt * 1.25, dt_cfl, spec.dt_max or np.inf, clock_end - clock)
-        if emit_idx < emit.size:
-            dt = min(dt, emit[emit_idx] - clock + 1e-15)
-        accepted = False
-        for _retry in range(40):
-            clock_new = clock + dt
-            if spec.order == 2:
-                f_hat = f + 0.5 * dt * v
-                mid = clock + 0.5 * dt
-                inertia, damping, visc = stepper.coefficients(mid, alpha_clock)
-                Kb = grid.viscous_matrix(f_hat, stepper.mu)
-                rows = grid.pressure_gravity(f_hat, params.delta)
-                mass_term = (inertia / dt + 0.5 * damping) * grid.mass
-                visc = _cap_overdamped(0.5 * visc, mass_term, Kb[1]) * 2.0
-                diag = mass_term + 0.5 * visc * Kb[1]
-                rhs = ((inertia / dt - 0.5 * damping) * grid.mass * v
-                       - 0.5 * visc * grid.apply_viscous(Kb, v) - rows)
-                v_new = _solve_tridiag(diag, 0.5 * visc * Kb[0], 0.5 * visc * Kb[2], rhs)
-                f_new = f + 0.5 * dt * (v + v_new)
-            else:
-                v_new, _ = stepper.solve_velocity(f, v, dt, clock_new, alpha_clock)
-                if spec.fully_implicit:
-                    v_new = _picard_correct(stepper, grid, f, v, dt, clock_new,
-                                            alpha_clock, v_new, spec, events)
-                f_new = f + dt * v_new
-            change = np.max(np.abs(f_new - f)) / max(1.0, np.max(np.abs(1.0 + f)))
-            if change <= spec.max_rel_change and np.all(np.isfinite(f_new)):
-                accepted = True
-                break
-            dt *= 0.5
-            if dt < spec.dt_floor:
-                events.append(RunEvent("cfl-floor", clock, f"dt = {dt:.3e}"))
-                completed = False
-                break
-        if not accepted:
-            if not events or events[-1].kind != "cfl-floor":
-                events.append(RunEvent("step-failure", clock, "no acceptable step"))
-            completed = False
-            break
-
-        geom = grid.check_geometry(f_new)
-        if geom <= 0.0:
-            events.append(RunEvent("jacobian-degenerate", clock_new,
-                                   f"min(1+f, J) = {geom:.3e}"))
-            completed = False
-            break
-
-        acc = (v_new - v) / dt
-        f, v, clock = f_new, v_new, clock_new
-        times.append(clock)
-        if track_energy:
-            E, D = energy_now()
-            ab32 = alpha_clock.alpha(clock) ** 1.5
-            ab32_prev = alpha_clock.alpha(times[-2]) ** 1.5
-            W_series.append(W_series[-1] + 0.5 * dt * (ab32 * D + ab32_prev * D_series[-1]))
-            E_series.append(E)
-            D_series.append(D)
-        if online is not None:
-            vals = online_integrands(mk_field(acc))
-            for k, val in vals.items():
-                online[k] += 0.5 * dt * (val + prev_online_vals[k])
-            prev_online_vals = vals
-
-        omega = functionals.amplitude(mk_field(None))
-        if omega > spec.growth_threshold:
-            if not any(e.kind == "growth" for e in events):
-                events.append(RunEvent("growth", clock, f"amplitude = {omega:.3e}"))
-            if spec.stop_on_growth:
-                record(mk_field(acc))
-                completed = False
-                break
-
-        if emit_idx < emit.size and clock >= emit[emit_idx] - 1e-12:
-            record(mk_field(acc))
-            while emit_idx < emit.size and clock >= emit[emit_idx] - 1e-12:
-                emit_idx += 1
-    else:
-        raise StepFailure("step budget exhausted")
-
-    if snapshots[-1].clock < clock - 1e-12:
-        record(mk_field(None))
-
-    return RunResult(
-        regime=regime, snapshots=snapshots, events=events, times=np.asarray(times),
-        energy=np.asarray(E_series) if track_energy else None,
-        dissipation=np.asarray(D_series) if track_energy else None,
-        visc_work=np.asarray(W_series) if track_energy else None,
-        dissipation_online={k: np.asarray(vs) for k, vs in online_series.items()}
-        if online is not None else None,
-        background=bg, params=params, spec=spec, completed=completed)
-
-
-def _picard_correct(stepper, grid, f, v, dt, clock_new, alpha_clock, v_guess, spec, events):
+def _picard_correct(stepper, f, v, dt, clock_new, alpha_clock, v_guess, spec, events):
     """Fixed-point correction re-freezing geometry at the midpoint state."""
     v_new = v_guess
     for _ in range(spec.max_newton):
         f_mid = f + 0.5 * dt * v_new
-        trial, _ = stepper.solve_velocity(f_mid, v, dt, clock_new, alpha_clock)
+        trial = stepper.solve_velocity(f_mid, v, dt, clock_new, alpha_clock)
         if np.max(np.abs(trial - v_new)) <= spec.newton_tol * max(1.0, np.max(np.abs(trial))):
             return trial
         v_new = trial
     events.append(RunEvent("newton-divergence", clock_new, "picard stalled"))
     raise NewtonDivergence("fully implicit corrector failed to converge")
 
-
-def evolve_self_similar(profile, params: ExpansionParams, initial, s_end: float,
-                        spec: SolverSpec | None = None, mu: float = 1.0,
-                        online_integrands=None) -> RunResult:
-    """Evolve a perturbation of the self-similarly expanding star to s_end."""
-    if profile.delta != params.delta:
-        raise InvalidParams("profile and expansion parameters must share delta")
-    return _run_isentropic(profile, params, initial, s_end, spec or SolverSpec(),
-                           mu, SELF_SIMILAR_REGIME, online_integrands)
-
-
-def evolve_linear_isentropic(profile, params: ExpansionParams, initial, tau_end: float,
-                             spec: SolverSpec | None = None, mu: float = 1.0,
-                             online_integrands=None) -> RunResult:
-    """Evolve a perturbation of the linearly expanding isentropic star to tau_end."""
-    if profile.delta != params.delta:
-        raise InvalidParams("profile and expansion parameters must share delta")
-    return _run_isentropic(profile, params, initial, tau_end, spec or SolverSpec(),
-                           mu, LINEAR_REGIME, online_integrands)
-
-
-# ---------------------------------------------------------------------------
-# thermodynamic regime
-# ---------------------------------------------------------------------------
 
 def _thermo_aux(grid: _Grid, f, v):
     """Nodal advection bracket, Jacobian, and viscous-heating rate."""
@@ -614,70 +449,95 @@ def _thermo_aux(grid: _Grid, f, v):
     return H, J, dprod, frakF
 
 
-def _zeta_rate(grid: _Grid, f, v, z, alpha: float, mu: float):
-    """Pointwise zeta_tau from the semi-discrete temperature equation."""
-    x, dx, xm = grid.x, grid.dx, grid.xm
+def _zeta_terms(grid: _Grid, f, v, z, alpha: float, mu: float):
+    """Terms of the temperature equation, unsummed so each caller keeps its order.
+
+    Returns the nodal advection and viscous heating, and at the edges the
+    diffusion coefficient and the flux of the background temperature.
+    """
+    x, xm = grid.x, grid.xm
     H, J, dprod, frakF = _thermo_aux(grid, f, v)
     adv = grid.K * grid.rho * (z + grid.theta_b) * dprod / (H**2 * J)
     heat = alpha * x**2 * H**2 * J * mu * frakF
-    Hm, dfm, Jm = grid.edge_geometry(f)
+    Hm, _, Jm = grid.edge_geometry(f)
     cdiff = xm**2 * Hm**2 / Jm
     bgflux = (Hm**2 / Jm - 1.0) * xm**2 * grid.thetap_m
-    Fz = cdiff * np.diff(z) / dx + bgflux
+    return adv, heat, cdiff, bgflux
+
+
+def _zeta_rate(grid: _Grid, f, v, z, alpha: float, mu: float):
+    """Pointwise zeta_tau from the semi-discrete temperature equation."""
+    adv, heat, cdiff, bgflux = _zeta_terms(grid, f, v, z, alpha, mu)
+    Fz = cdiff * np.diff(z) / grid.dx + bgflux
     div = np.concatenate([Fz, [0.0]]) - np.concatenate([[0.0], Fz])
     num = -grid.wq * adv + grid.wq * heat + alpha**2 * div
     rate = np.zeros_like(z)
     inner = grid.mass_z > 0
     rate[inner] = num[inner] / grid.mass_z[inner]
-    rate[0] = _quad_extrap(x, rate, 0)
+    rate[0] = _quad_extrap(grid.x, rate, 0)
     rate[-1] = 0.0
     return rate
 
 
-def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: float,
-                         spec: SolverSpec | None = None, mu: float = 1.0,
-                         online_integrands=None) -> RunResult:
-    """Evolve (xi, zeta) for the linearly expanding thermodynamic star.
+def _temperature_step(grid: _Grid, f, v, z, dt: float, alpha: float, mu: float):
+    """zeta after one step: implicit diffusion, explicit advection and heating."""
+    adv, heat, cdiff, bgflux = _zeta_terms(grid, f, v, z, alpha, mu)
+    dx = grid.dx
+    bdiv = np.concatenate([bgflux, [0.0]]) - np.concatenate([[0.0], bgflux])
+    # tridiagonal diffusion operator (zero natural flux at the center)
+    diag = grid.mass_z / dt + alpha**2 * (
+        np.concatenate([cdiff, [0.0]]) + np.concatenate([[0.0], cdiff])) / dx
+    upper = np.zeros_like(diag)
+    lower = np.zeros_like(diag)
+    upper[1:] = -alpha**2 * cdiff / dx
+    lower[:-1] = -alpha**2 * cdiff / dx
+    rhs = (grid.mass_z / dt) * z - grid.wq * adv + grid.wq * heat + alpha**2 * bdiv
+    # Dirichlet zeta(R0) = 0: identity row, decoupled from zeta_{N-1}
+    diag[-1] = 1.0
+    lower[-2] = 0.0
+    upper[-1] = 0.0
+    rhs[-1] = 0.0
+    return _solve_tridiag(diag, upper, lower, rhs)
 
-    alpha = a0 + a1 t exactly (delta-free); requires params built with
-    delta = 0.  zeta(R0) = 0 is a hard Dirichlet row; the viscous heating is
-    assembled in its squared form so it is nonnegative at every node.
-    """
-    spec = spec or SolverSpec()
-    if params.delta != 0.0 or params.classification != LINEAR:
-        raise WrongClassification("thermodynamic expansion requires delta = 0 Linear parameters")
-    xi0, xi1, zeta0 = (np.array(a, dtype=float) for a in initial)
+
+# ---------------------------------------------------------------------------
+# the stepping driver
+# ---------------------------------------------------------------------------
+
+def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integrands):
+    """Step one regime from clock 0 to clock_end; see the module docstring."""
+    thermo = regime == THERMO_REGIME
+    f, v, *rest = (np.array(a, dtype=float) for a in initial)
+    z = rest[0] if thermo else None          # (a) the temperature state
     bg = sample_background(profile, np.linspace(0.0, profile.R0, spec.n_cells + 1))
     grid = _Grid(bg)
-    if xi0.size != grid.n + 1:
+    if f.size != grid.n + 1:
         raise InvalidParams(f"initial fields must live on {grid.n + 1} nodes")
-    if abs(zeta0[-1]) > 0.0:
+    if thermo and abs(z[-1]) > 0.0:
         raise InvalidParams("zeta(R0) must be 0 initially")
-    if grid.check_geometry(xi0) <= 0.0:
+    if grid.check_geometry(f) <= 0.0:
         raise DomainViolation("initial data degenerates the flow map")
-    if np.any(zeta0[1:-1] + grid.theta_b[1:-1] <= 0.0):
+    if thermo and np.any(z[1:-1] + grid.theta_b[1:-1] <= 0.0):
         raise InvalidParams("initial absolute temperature must stay positive")
-    alpha_clock = _AlphaClock(params, THERMO_REGIME, tau_end)
-    stepper = _MomentumStepper(grid, params, THERMO_REGIME, mu)
+    alpha_clock = _AlphaClock(params, regime, clock_end)
+    stepper = _MomentumStepper(grid, params, regime, mu)
 
-    f, v, z = xi0.copy(), xi1.copy(), zeta0.copy()
     clock = 0.0
-    emit = _emit_times(tau_end, spec.n_emit)
+    emit = np.linspace(0.0, clock_end, spec.n_emit)
     emit_idx = 1
-    events: list[RunEvent] = []
-    times = [0.0]
-    online = None
+    events, snapshots, times = [], [], [0.0]
+    online = prev_online_vals = None
     online_series: dict[str, list[float]] = {}
-    prev_online_vals = None
 
-    x, dx, xm = grid.x, grid.dx, grid.xm
-
-    def mk_field(acc, z_rate):
-        return ThermoPerturbationField(
-            x_nodes=x, xi=f.copy(), xi_t=v.copy(),
-            xi_tt=None if acc is None else acc.copy(),
-            zeta=z.copy(), zeta_t=None if z_rate is None else z_rate.copy(),
-            clock=clock, background=bg)
+    def mk_field(acc, z_rate, copy=True):
+        """(c) The regime's field at the current state; copy=False shares the arrays."""
+        c = np.copy if copy else (lambda a: a)
+        acc = None if acc is None else c(acc)
+        if not thermo:
+            return PerturbationField(grid.x, c(f), c(v), acc, clock, regime, background=bg)
+        return ThermoPerturbationField(grid.x, c(f), c(v), acc, c(z),
+                                       None if z_rate is None else c(z_rate), clock,
+                                       background=bg)
 
     def record(field):
         """Emit a snapshot with the online ledger integrals accumulated so far."""
@@ -685,94 +545,92 @@ def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: flo
         for k in online_series:
             online_series[k].append(online[k])
 
-    acc0 = stepper.acceleration(f, v, 0.0, alpha_clock, zeta=z)
-    zr0 = _zeta_rate(grid, f, v, z, params.a0, mu)
-    snapshots = [mk_field(acc0, zr0)]
-    if online_integrands is not None:
-        vals = online_integrands(snapshots[0])
-        online = {k: 0.0 for k in vals}
-        online_series = {k: [0.0] for k in vals}
-        prev_online_vals = vals
+    track_energy = regime == SELF_SIMILAR_REGIME   # (d) the E/D/W probe
+    if track_energy:
+        rho4, rho43 = grid.x**4 * grid.rho, grid.xm**2 * grid.rho43_m
 
-    dt = spec.dt_init or spec.cfl * grid.dx / grid.wave_speed(f, params.a0, zeta=z)
+        def energy_now():
+            return functionals.perturbation_energy_ss(grid.x, f, v, rho4, rho43, params.a0,
+                                                      params.delta, clock, mu)
+
+        E, D = energy_now()
+        E_series, D_series, W_series = [E], [D], [0.0]
+
+    acc = stepper.acceleration(f, v, 0.0, alpha_clock, zeta=z)
+    z_rate = _zeta_rate(grid, f, v, z, params.a0, mu) if thermo else None
+    record(mk_field(acc, z_rate))
+    if online_integrands is not None:
+        prev_online_vals = online_integrands(mk_field(acc, z_rate))
+        online = dict.fromkeys(prev_online_vals, 0.0)
+        online_series = {k: [0.0] for k in prev_online_vals}
+
+    dt = spec.dt_init or math.inf     # the first step is set by the CFL limit
     completed = True
     for _ in range(2_000_000):
-        if clock >= tau_end * (1.0 - 1e-14):
+        if clock >= clock_end * (1.0 - 1e-14):
             break
-        alpha_now = alpha_clock.alpha(clock)
-        dt_cfl = spec.cfl * grid.dx / grid.wave_speed(f, alpha_now, zeta=z)
-        dt = min(dt * 1.25, dt_cfl, spec.dt_max or np.inf, tau_end - clock)
+        inertia = stepper.coefficients(clock, alpha_clock)[0]
+        dt_cfl = spec.cfl * grid.dx / grid.wave_speed(f, inertia, zeta=z)
+        dt = min(dt * 1.25, dt_cfl, spec.dt_max or np.inf, clock_end - clock)
         if emit_idx < emit.size:
             dt = min(dt, emit[emit_idx] - clock + 1e-15)
-        accepted = False
+        stop = None
         for _retry in range(40):
             clock_new = clock + dt
-            alpha_new = alpha_clock.alpha(clock_new)
-            v_new, _ = stepper.solve_velocity(f, v, dt, clock_new, alpha_clock, zeta=z)
-            f_new = f + dt * v_new
-
-            # temperature step: implicit diffusion, explicit advection/heating
-            H, J, dprod, frakF = _thermo_aux(grid, f_new, v_new)
-            adv = grid.K * grid.rho * (z + grid.theta_b) * dprod / (H**2 * J)
-            heat = alpha_new * x**2 * H**2 * J * mu * frakF
-            Hm, dfm, Jm = grid.edge_geometry(f_new)
-            cdiff = xm**2 * Hm**2 / Jm
-            bgflux = (Hm**2 / Jm - 1.0) * xm**2 * grid.thetap_m
-            bdiv = np.concatenate([bgflux, [0.0]]) - np.concatenate([[0.0], bgflux])
-            # tridiagonal diffusion operator (zero natural flux at the center)
-            diag = grid.mass_z / dt + alpha_new**2 * (
-                np.concatenate([cdiff, [0.0]]) + np.concatenate([[0.0], cdiff])) / dx
-            upper = np.zeros_like(diag)
-            lower = np.zeros_like(diag)
-            upper[1:] = -alpha_new**2 * cdiff / dx
-            lower[:-1] = -alpha_new**2 * cdiff / dx
-            rhs = (grid.mass_z / dt) * z - grid.wq * adv + grid.wq * heat + alpha_new**2 * bdiv
-            # Dirichlet zeta(R0) = 0: identity row, decoupled from zeta_{N-1}
-            diag[-1] = 1.0
-            lower[-2] = 0.0
-            upper[-1] = 0.0
-            rhs[-1] = 0.0
-            z_new = _solve_tridiag(diag, upper, lower, rhs)
-
+            if spec.order == 2:
+                v_new = stepper.solve_velocity(f + 0.5 * dt * v, v, dt, clock + 0.5 * dt,
+                                               alpha_clock, weight=0.5)
+                f_new = f + 0.5 * dt * (v + v_new)
+            else:
+                v_new = stepper.solve_velocity(f, v, dt, clock_new, alpha_clock, zeta=z)
+                if spec.fully_implicit:
+                    v_new = _picard_correct(stepper, f, v, dt, clock_new, alpha_clock,
+                                            v_new, spec, events)
+                f_new = f + dt * v_new
+            if thermo:
+                z_new = _temperature_step(grid, f_new, v_new, z, dt,
+                                          alpha_clock.alpha(clock_new), mu)
             change = np.max(np.abs(f_new - f)) / max(1.0, np.max(np.abs(1.0 + f)))
             if change <= spec.max_rel_change and np.all(np.isfinite(f_new)) \
-                    and np.all(np.isfinite(z_new)):
-                accepted = True
+                    and (not thermo or np.all(np.isfinite(z_new))):
                 break
             dt *= 0.5
             if dt < spec.dt_floor:
-                events.append(RunEvent("cfl-floor", clock, f"dt = {dt:.3e}"))
-                completed = False
+                stop = RunEvent("cfl-floor", clock, f"dt = {dt:.3e}")
                 break
-        if not accepted:
-            if not events or events[-1].kind != "cfl-floor":
-                events.append(RunEvent("step-failure", clock, "no acceptable step"))
-            completed = False
-            break
-
-        geom = grid.check_geometry(f_new)
-        if geom <= 0.0:
-            events.append(RunEvent("jacobian-degenerate", clock + dt, f"min = {geom:.3e}"))
-            completed = False
-            break
-        temp_abs = z_new[1:-1] + grid.theta_b[1:-1]
-        if np.any(temp_abs <= 0.0):
-            events.append(RunEvent("temperature-negative", clock + dt,
-                                   f"min = {temp_abs.min():.3e}"))
+        else:
+            stop = RunEvent("step-failure", clock, "no acceptable step")
+        if stop is None and (geom := grid.check_geometry(f_new)) <= 0.0:
+            stop = RunEvent("jacobian-degenerate", clock_new, f"min(1+f, J) = {geom:.3e}")
+        if stop is None and thermo:           # (b) the absolute temperature stays positive
+            temp_abs = z_new[1:-1] + grid.theta_b[1:-1]
+            if np.any(temp_abs <= 0.0):
+                stop = RunEvent("temperature-negative", clock_new, f"min = {temp_abs.min():.3e}")
+        if stop is not None:
+            events.append(stop)
             completed = False
             break
 
         acc = (v_new - v) / dt
-        z_rate = (z_new - z) / dt
-        f, v, z, clock = f_new, v_new, z_new, clock + dt
+        if thermo:
+            z_rate = (z_new - z) / dt
+            z = z_new
+        f, v, clock = f_new, v_new, clock_new
         times.append(clock)
+        if track_energy:
+            E, D = energy_now()
+            ab32 = alpha_clock.alpha(clock) ** 1.5
+            ab32_prev = alpha_clock.alpha(times[-2]) ** 1.5
+            W_series.append(W_series[-1] + 0.5 * dt * (ab32 * D + ab32_prev * D_series[-1]))
+            E_series.append(E)
+            D_series.append(D)
         if online is not None:
             vals = online_integrands(mk_field(acc, z_rate))
             for k, val in vals.items():
                 online[k] += 0.5 * dt * (val + prev_online_vals[k])
             prev_online_vals = vals
 
-        omega = functionals.amplitude(mk_field(None, None))
+        omega = functionals.amplitude(mk_field(None, None, copy=False))
         if omega > spec.growth_threshold:
             if not any(e.kind == "growth" for e in events):
                 events.append(RunEvent("growth", clock, f"amplitude = {omega:.3e}"))
@@ -791,12 +649,59 @@ def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: flo
     if snapshots[-1].clock < clock - 1e-12:
         record(mk_field(None, None))
 
+    energy = dissipation = visc_work = None
+    if track_energy:
+        energy, dissipation, visc_work = map(np.asarray, (E_series, D_series, W_series))
     return RunResult(
-        regime=THERMO_REGIME, snapshots=snapshots, events=events,
-        times=np.asarray(times), energy=None, dissipation=None, visc_work=None,
+        regime=regime, snapshots=snapshots, events=events, times=np.asarray(times),
+        energy=energy, dissipation=dissipation, visc_work=visc_work,
         dissipation_online={k: np.asarray(vs) for k, vs in online_series.items()}
         if online is not None else None,
         background=bg, params=params, spec=spec, completed=completed)
+
+
+def evolve_self_similar(profile, params: ExpansionParams, initial, s_end: float,
+                        spec: SolverSpec | None = None, mu: float = 1.0,
+                        online_integrands=None) -> RunResult:
+    """Evolve a perturbation of the self-similarly expanding star to s_end."""
+    if profile.delta != params.delta:
+        raise InvalidParams("profile and expansion parameters must share delta")
+    return _evolve(profile, params, initial, s_end, spec or SolverSpec(), mu,
+                   SELF_SIMILAR_REGIME, online_integrands)
+
+
+def evolve_linear_isentropic(profile, params: ExpansionParams, initial, tau_end: float,
+                             spec: SolverSpec | None = None, mu: float = 1.0,
+                             online_integrands=None) -> RunResult:
+    """Evolve a perturbation of the linearly expanding isentropic star to tau_end."""
+    if profile.delta != params.delta:
+        raise InvalidParams("profile and expansion parameters must share delta")
+    if params.classification == LINEAR and params.delta <= -params.a0 * params.a1**2 / 8.0:
+        warnings.warn("delta <= -a0 a1^2/8: outside the proven stability range",
+                      stacklevel=2)
+    return _evolve(profile, params, initial, tau_end, spec or SolverSpec(), mu,
+                   LINEAR_REGIME, online_integrands)
+
+
+def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: float,
+                         spec: SolverSpec | None = None, mu: float = 1.0,
+                         online_integrands=None) -> RunResult:
+    """Evolve (xi, zeta) for the linearly expanding thermodynamic star.
+
+    alpha = a0 + a1 t exactly (delta-free); requires params built with
+    delta = 0.  zeta(R0) = 0 is a hard Dirichlet row; the viscous heating is
+    assembled in its squared form so it is nonnegative at every node.  Only
+    IMEX Euler is implemented here: order 2 and the fully implicit mode
+    raise InvalidParams.
+    """
+    spec = spec or SolverSpec()
+    if params.delta != 0.0 or params.classification != LINEAR:
+        raise WrongClassification("thermodynamic expansion requires delta = 0 Linear parameters")
+    if spec.order != 1 or spec.fully_implicit:
+        raise InvalidParams("the thermodynamic regime needs order = 1 and "
+                            "fully_implicit = False")
+    return _evolve(profile, params, initial, tau_end, spec, mu, THERMO_REGIME,
+                   online_integrands)
 
 
 # ---------------------------------------------------------------------------
@@ -841,11 +746,12 @@ def initial_second_derivatives(background: Background, params: ExpansionParams, 
 # Eulerian reconstruction
 # ---------------------------------------------------------------------------
 
-def reconstruct_eulerian(field, params: ExpansionParams, path=None) -> EulerianSnapshot:
+def reconstruct_eulerian(field, params: ExpansionParams) -> EulerianSnapshot:
     """Map a Lagrangian perturbation field to Eulerian (r, rho, u[, theta]).
 
     r = alpha x (1 + f), rho = x^2 rho_bar / (r^2 r_x), u = r_t through the
-    chain rule of the field's clock.  The mass identity uses the same
+    chain rule of the field's clock, with alpha and alpha'(t) from the same
+    alpha clock the solver steps with.  The mass identity uses the same
     discrete r_x that built rho, so its residual isolates wiring errors from
     quadrature error (which is reported separately against the integrated
     profile mass).
@@ -855,29 +761,13 @@ def reconstruct_eulerian(field, params: ExpansionParams, path=None) -> EulerianS
     if bg is None:
         raise InvalidParams("field carries no background; cannot reconstruct the density")
     bg.require_grid(x)
-    if isinstance(field, ThermoPerturbationField):
-        f, v = field.xi, field.xi_t
-        regime = THERMO_REGIME
-    else:
-        f, v = field.theta, field.theta_t
-        regime = field.regime
-
-    clock = field.clock
-    if regime == SELF_SIMILAR_REGIME:
-        alpha = params.a0 * math.exp(params.b * clock)
-        alpha_p = math.sqrt(2.0 * abs(params.delta) / alpha)
-        u = alpha_p * x * (1.0 + f) + alpha**-0.5 * x * v
-    else:
-        if params.delta == 0.0:
-            alpha = params.a0 * math.exp(params.a1 * clock)
-            alpha_p = params.a1
-        else:
-            if path is None:
-                raise InvalidParams("general linear paths need the integrated ExpansionPath")
-            t = path.t_of_clock(clock, "tau")
-            alpha = float(path.alpha_at(t))
-            alpha_p = float(path.alpha_prime_at(t))
-        u = alpha_p * x * (1.0 + f) + x * v
+    thermo = isinstance(field, ThermoPerturbationField)
+    regime = THERMO_REGIME if thermo else field.regime
+    f, v = field.theta, field.theta_t
+    alpha_clock = _AlphaClock(params, regime, field.clock)
+    alpha = alpha_clock.alpha(field.clock)
+    v_scale = alpha**-0.5 if regime == SELF_SIMILAR_REGIME else 1.0
+    u = alpha_clock.alpha_prime(field.clock) * x * (1.0 + f) + v_scale * x * v
 
     H = 1.0 + f
     f_x = np.gradient(f, x, edge_order=2)
@@ -888,10 +778,7 @@ def reconstruct_eulerian(field, params: ExpansionParams, path=None) -> EulerianS
     if np.any(np.diff(r) <= 0.0):
         raise DomainViolation("r is not strictly increasing in x")
 
-    if isinstance(field, ThermoPerturbationField):
-        theta_abs = (field.zeta + bg.theta) / alpha
-    else:
-        theta_abs = None
+    theta_abs = (field.zeta + bg.theta) / alpha if thermo else None
 
     # rho = x^2 rho_bar / (r^2 r_x) = alpha^-3 rho_bar / (H^2 J)
     rho_b = bg.rho

@@ -69,6 +69,26 @@ class TestValidation:
                                "solver": {"dt_max": None}})
         assert cfg.model.a1 is None and cfg.solver.dt_max is None
 
+    @pytest.mark.parametrize("scenario, raw, message", [
+        ("evolve-linear", {"solver": {"n_cells": 3}}, "solver.n_cells >= 8"),
+        ("evolve-linear", {"time": {"n_emit": 0}}, "time.n_emit >= 2"),
+        ("evolve-linear", {"solver": {"max_rel_change": -1}}, "solver.max_rel_change > 0"),
+        ("evolve-linear", {"solver": {"dt_max": -1}}, "solver.dt_max > 0 when set"),
+        ("profile", {"grid": {"y_max": -5}}, "grid.y_max > 0"),
+        ("evolve-thermo", {"solver": {"order": 2}}, "solver.order = 1 for evolve-thermo"),
+        ("evolve-thermo", {"solver": {"fully_implicit": True}},
+         "solver.fully_implicit = false for evolve-thermo"),
+    ])
+    def test_constraint_named(self, scenario, raw, message):
+        with pytest.raises(ConfigInvalid) as exc:
+            validate_config({"scenario": scenario, **raw})
+        assert exc.value.errors == [message]
+
+    def test_isentropic_schemes_accepted(self):
+        cfg = validate_config({"scenario": "evolve-linear",
+                               "solver": {"order": 2, "fully_implicit": True, "dt_max": 0.1}})
+        assert cfg.solver.order == 2 and cfg.solver.fully_implicit
+
     def test_bad_json(self):
         with pytest.raises(ConfigInvalid):
             validate_config("{not json")
@@ -183,6 +203,23 @@ class TestMain:
         code = main(["evolve-linear", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 1
         assert "model.delta must be a number" in capsys.readouterr().err
+
+    def test_thermo_order_two_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"solver": {"order": 2}}))
+        code = main(["evolve-thermo", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 1
+        assert "solver.order = 1 for evolve-thermo" in capsys.readouterr().err
+
+    def test_general_linear_path_exits_zero(self, tmp_path):
+        # delta != 0 on the linear branch used to fail after the run, when
+        # the Eulerian reconstruction asked for an integrated path
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": {"delta": -1e-3, "a1": 0.1},
+                                   "solver": {"n_cells": 48}, "time": {"end": 0.5}}))
+        code = main(["evolve-linear", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert (tmp_path / "o" / "eulerian.csv").exists()
 
     def test_profile_scenario(self, tmp_path, capsys):
         code = main(["profile", "--out", str(tmp_path / "o")])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from starlab import classify_expansion, integrate_phase, PhaseState
+from starlab import classify_expansion, integrate_alpha, integrate_phase, PhaseState
 from starlab.errors import DegenerateWeight, InvalidParams, WrongClassification
 from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, SolverSpec,
                                 evolve_linear_isentropic, evolve_linear_thermo,
@@ -194,6 +194,13 @@ class TestThermoRun:
             evolve_linear_thermo(thermo14, classify_expansion(-0.5, 1.0, 0.5),
                                  (z, z, z), 0.1, SolverSpec(n_cells=N))
 
+    @pytest.mark.parametrize("scheme", [dict(order=2), dict(fully_implicit=True)])
+    def test_rejects_schemes_it_does_not_step(self, thermo14, parst, scheme):
+        z = np.zeros(N + 1)
+        with pytest.raises(InvalidParams):
+            evolve_linear_thermo(thermo14, parst, (z, z, z), 0.1,
+                                 SolverSpec(n_cells=N, **scheme))
+
 
 class TestBoundaryStress:
     def test_viscous_stress_vanishes_at_vacuum_edge(self, iso_ss, pars_ss):
@@ -263,6 +270,24 @@ class TestEulerian:
         assert np.all(np.diff(snap.r) > 0)
         assert snap.mass_identity_residual < 1e-12
         assert snap.mass_quadrature_residual < 1e-4
+
+    def test_general_linear_path_matches_integrated_alpha(self, iso_ss):
+        # delta != 0 on the linear branch: alpha(tau) has no closed form
+        pars = classify_expansion(iso_ss.delta, 1.0, 0.1)
+        x = np.linspace(0.0, iso_ss.R0, N + 1)
+        th0 = bump(x, iso_ss.R0, 1e-3)
+        run = evolve_linear_isentropic(iso_ss, pars, (th0, 0 * th0), 0.5,
+                                       SolverSpec(n_cells=N, n_emit=3))
+        snap = reconstruct_eulerian(run.final, pars)
+        f, v, tau = run.final.theta, run.final.theta_t, run.final.clock
+        # independent oracle: alpha(t) integrated in t, t inverted from tau(t)
+        path = integrate_alpha(pars, 2.0)
+        t = path.t_of_clock(tau, "tau")
+        alpha, alpha_p = float(path.alpha_at(t)), float(path.alpha_prime_at(t))
+        used = snap.r[1:] / (x[1:] * (1.0 + f[1:]))
+        assert np.max(np.abs(used / alpha - 1.0)) < 1e-9
+        u = alpha_p * x * (1.0 + f) + x * v
+        assert np.max(np.abs(snap.u - u)) < 1e-9 * np.max(np.abs(u))
 
     def test_profile_params_mismatch(self, iso0, pars_ss):
         z = np.zeros(N + 1)

@@ -64,6 +64,7 @@ class TestIsentropic:
                              SolverSpec(**NO_LIMITS))
         assert_stopped(run, "jacobian-degenerate")
         assert run.events[0].clock > run.times[-1]
+        assert run.events[0].detail.startswith("min(1+f, J) = ")
 
     def test_step_failure(self, regime, iso0, iso_ss, pars_ss):
         spec = SolverSpec(n_cells=N, n_emit=5, max_rel_change=1e-30, dt_floor=0.0)
@@ -86,6 +87,7 @@ class TestThermo:
                                    SolverSpec(**NO_LIMITS))
         assert_stopped(run, "jacobian-degenerate")
         assert run.events[0].clock > run.times[-1]
+        assert run.events[0].detail.startswith("min(1+f, J) = ")
 
     def test_temperature_negative(self, thermo14):
         # under weak damping (a1 = 0.1) a fast compression drives the
