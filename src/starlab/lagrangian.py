@@ -529,15 +529,11 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
     online = prev_online_vals = None
     online_series: dict[str, list[float]] = {}
 
-    def mk_field(acc, z_rate, copy=True):
-        """(c) The regime's field at the current state; copy=False shares the arrays."""
-        c = np.copy if copy else (lambda a: a)
-        acc = None if acc is None else c(acc)
+    def mk_field(acc, z_rate):
+        """(c) The current state as the regime's field, uncopied: no step writes in place."""
         if not thermo:
-            return PerturbationField(grid.x, c(f), c(v), acc, clock, regime, background=bg)
-        return ThermoPerturbationField(grid.x, c(f), c(v), acc, c(z),
-                                       None if z_rate is None else c(z_rate), clock,
-                                       background=bg)
+            return PerturbationField(grid.x, f, v, acc, clock, regime, background=bg)
+        return ThermoPerturbationField(grid.x, f, v, acc, z, z_rate, clock, background=bg)
 
     def record(field):
         """Emit a snapshot with the online ledger integrals accumulated so far."""
@@ -558,9 +554,10 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
 
     acc = stepper.acceleration(f, v, 0.0, alpha_clock, zeta=z)
     z_rate = _zeta_rate(grid, f, v, z, params.a0, mu) if thermo else None
-    record(mk_field(acc, z_rate))
+    field = mk_field(acc, z_rate)
+    record(field)
     if online_integrands is not None:
-        prev_online_vals = online_integrands(mk_field(acc, z_rate))
+        prev_online_vals = online_integrands(field)
         online = dict.fromkeys(prev_online_vals, 0.0)
         online_series = {k: [0.0] for k in prev_online_vals}
 
@@ -624,23 +621,24 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
             W_series.append(W_series[-1] + 0.5 * dt * (ab32 * D + ab32_prev * D_series[-1]))
             E_series.append(E)
             D_series.append(D)
+        field = mk_field(acc, z_rate)
         if online is not None:
-            vals = online_integrands(mk_field(acc, z_rate))
+            vals = online_integrands(field)
             for k, val in vals.items():
                 online[k] += 0.5 * dt * (val + prev_online_vals[k])
             prev_online_vals = vals
 
-        omega = functionals.amplitude(mk_field(None, None, copy=False))
+        omega = functionals.amplitude(field)
         if omega > spec.growth_threshold:
             if not any(e.kind == "growth" for e in events):
                 events.append(RunEvent("growth", clock, f"amplitude = {omega:.3e}"))
             if spec.stop_on_growth:
-                record(mk_field(acc, z_rate))
+                record(field)
                 completed = False
                 break
 
         if emit_idx < emit.size and clock >= emit[emit_idx] - 1e-12:
-            record(mk_field(acc, z_rate))
+            record(field)
             while emit_idx < emit.size and clock >= emit[emit_idx] - 1e-12:
                 emit_idx += 1
     else:
