@@ -169,6 +169,40 @@ class TestScenarios:
         assert header == schema["columns"]
         assert "manifest.json" in names and "eulerian.csv" in names
 
+    @pytest.mark.parametrize("scenario, model, extra", [
+        ("evolve-ss", {"delta": -1e-3, "a1": None}, {"amplitude.svg", "energy.svg"}),
+        ("evolve-linear", {"delta": 0.0}, {"amplitude.svg", "energy_reports.csv",
+                                           "energy_schema.json"}),
+        ("evolve-thermo", {"kind": "thermo"}, {"amplitude.svg", "energy_reports.csv",
+                                               "energy_schema.json"}),
+    ])
+    def test_normalized_evolution_files(self, tmp_path, monkeypatch, scenario, model, extra):
+        thermo = scenario == "evolve-thermo"
+        if thermo:
+            # zeta / (R0 - x) = 100 A / R0 everywhere: the zeta term sets omega
+            monkeypatch.setattr("starlab.cli.build_initial", lambda x, R0, spec, thermo:
+                                (0 * x + spec.amplitude, 0 * x,
+                                 100.0 * spec.amplitude * (R0 - x) / R0))
+        cfg = validate_config({
+            "scenario": scenario, "model": model,
+            "solver": {"n_cells": 32},
+            "initial": {"family": "random-smooth", "amplitude": 1e-4, "seed": 5,
+                        "normalize_omega": True},
+            "time": {"end": 0.05, "n_emit": 4},
+            "out_dir": str(tmp_path),
+        })
+        report = run_scenario(cfg)
+        assert report.status == 0 and report.summary["completed"]
+        assert abs(report.summary["omega_initial"] - 1e-4) < 1e-12
+        snaps = {f"snapshot_{i:04d}.csv" for i in range(4)}
+        assert set(os.listdir(tmp_path)) == snaps | extra | {"eulerian.csv", "manifest.json"}
+        if thermo:
+            x, theta, _, zeta = np.loadtxt(tmp_path / "snapshot_0000.csv", delimiter=",",
+                                           skiprows=1, unpack=True)
+            assert abs(np.max(np.abs(zeta[:-1] / (x[-1] - x[:-1]))) - 1e-4) < 1e-12
+            # theta shares the scale the zeta term set: A R0 / 100, not A
+            assert np.allclose(theta, 1e-6 * x[-1], rtol=1e-12, atol=0.0)
+
     def test_determinism(self, tmp_path):
         raw = {
             "scenario": "evolve-linear",
