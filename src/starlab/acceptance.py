@@ -22,7 +22,7 @@ from .expansion import (COLLAPSE, LINEAR, POSITIVE_DELTA, SELF_SIMILAR,
                         fit_collapse_exponent, integrate_alpha,
                         integrate_to_collapse)
 from .homogeneous import PhaseState, curve_phi_s, energy_homogeneous, integrate_phase
-from .lagrangian import (LINEAR_REGIME, PerturbationField, SolverSpec,
+from .lagrangian import (LINEAR_REGIME, THERMO_REGIME, PerturbationField, SolverSpec,
                          evolve_linear_isentropic, evolve_linear_thermo,
                          evolve_self_similar, reconstruct_eulerian)
 from .profiles import (GridSpec, boundary_slope_fd, sample_background,
@@ -402,8 +402,7 @@ def c10_stability_thermo() -> dict:
     xi0 = shape.copy()
     xi1 = np.zeros_like(xi0)
     zeta0 = shape * (prof.R0 - x) / prof.R0
-    from .lagrangian import ThermoPerturbationField
-    probe = ThermoPerturbationField(x, xi0, xi1, None, zeta0, None, 0.0)
+    probe = PerturbationField(x, xi0, xi1, None, 0.0, THERMO_REGIME, zeta0)
     scale = 1e-3 / F.amplitude(probe)
     xi0, zeta0 = xi0 * scale, zeta0 * scale
     spec = SolverSpec(n_cells=n, n_emit=41, growth_threshold=0.1)
@@ -419,7 +418,7 @@ def c10_stability_thermo() -> dict:
     min_frakF = math.inf
     for s in run.snapshots:
         assert s.zeta[-1] == 0.0, "zeta(R0) not exactly zero"
-        _, _, _, frakF = _thermo_aux(grid, s.xi, s.xi_t)
+        _, _, _, frakF = _thermo_aux(grid, s.theta, s.theta_t)
         min_frakF = min(min_frakF, float(np.min(frakF)))
     details["min_viscous_heating"] = min_frakF
     assert min_frakF >= 0.0, "viscous heating lost positivity"
@@ -508,7 +507,7 @@ def c12_conservation_sweep() -> dict:
     zmax = max(
         max(np.max(np.abs(s.theta)) for s in run_ss.snapshots),
         max(np.max(np.abs(s.theta)) for s in run_lin.snapshots),
-        max(max(np.max(np.abs(s.xi)), np.max(np.abs(s.zeta)))
+        max(max(np.max(np.abs(s.theta)), np.max(np.abs(s.zeta)))
             for s in run_th.snapshots))
     details["zero_run_max"] = float(zmax)
     assert zmax <= 1e-12

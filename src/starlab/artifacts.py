@@ -106,13 +106,12 @@ def write_trajectory_csv(out_dir: str, name: str, traj) -> str:
 
 
 def write_snapshot_csv(out_dir: str, idx: int, field) -> str:
-    zeta = getattr(field, "zeta", None)
     name = os.path.join(out_dir, f"snapshot_{idx:04d}.csv")
-    if zeta is None:
+    if field.zeta is None:
         return write_csv(name, ["x", "theta", "theta_t"],
                          [field.x_nodes, field.theta, field.theta_t])
     return write_csv(name, ["x", "theta", "theta_t", "zeta"],
-                     [field.x_nodes, field.theta, field.theta_t, zeta])
+                     [field.x_nodes, field.theta, field.theta_t, field.zeta])
 
 
 def write_eulerian_csv(out_dir: str, snap) -> str:

@@ -22,10 +22,9 @@ from .errors import CollapseReached, ConfigInvalid, StarlabError
 from .expansion import classify_expansion, integrate_alpha
 from .homogeneous import PhaseState, curve_phi_s, integrate_phase
 from .lagrangian import (LINEAR_REGIME, SELF_SIMILAR_REGIME, THERMO_REGIME,
-                         PerturbationField, RunEvent, SolverSpec, ThermoPerturbationField,
+                         PerturbationField, RunEvent, SolverSpec,
                          evolve_linear_isentropic, evolve_linear_thermo,
-                         evolve_self_similar, initial_second_derivatives,
-                         reconstruct_eulerian)
+                         evolve_self_similar, reconstruct_eulerian)
 from .profiles import GridSpec, solve_isentropic_profile, solve_thermo_profile
 
 
@@ -173,84 +172,63 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
     m = cfg.model
     gs = _grid_spec(cfg)
     spec = _solver_spec(cfg, cfg.time.n_emit)
-    files = []
 
-    if cfg.scenario == "evolve-thermo":
+    thermo = cfg.scenario == "evolve-thermo"
+    a1 = m.a1
+    if thermo:
         prof = solve_thermo_profile(m.K, m.epsilon, gs)
-        params = classify_expansion(0.0, m.a0, m.a1)
-        x = np.linspace(0.0, prof.R0, spec.n_cells + 1)
-        xi0, xi1, zeta0 = build_initial(x, prof.R0, cfg.initial, thermo=True)
-        if cfg.initial.normalize_omega and cfg.initial.amplitude > 0:
-            probe = ThermoPerturbationField(x, xi0, xi1, None, zeta0, None, 0.0)
-            om = functionals.amplitude(probe)
-            if om > 0:
-                scale = cfg.initial.amplitude / om
-                xi0, xi1, zeta0 = xi0 * scale, xi1 * scale, zeta0 * scale
-        weights = cfg.weights
-
-        def integrands(fieldlike):
-            return functionals.dissipation_integrands_thermo(
-                fieldlike, fieldlike.background, weights, m.a1)
-
-        run = evolve_linear_thermo(prof, params, (xi0, xi1, zeta0), cfg.time.end,
-                                   spec, mu=m.mu, online_integrands=integrands)
-        bg = run.background
-        xi2, zeta1 = initial_second_derivatives(bg, params, (xi0, xi1, zeta0),
-                                                THERMO_REGIME, mu=m.mu)
-        E0 = functionals.initial_energy_thermo(x, xi0, xi1, xi2, zeta0, zeta1,
-                                               bg, weights)
-        reports = functionals.total_energy_ledger(
-            run.snapshots, bg, weights, THERMO_REGIME,
-            lambda tau: m.a0 * np.exp(m.a1 * tau), E0, a1=m.a1,
-            dissipation_online=run.dissipation_online)
-    else:
-        regime = SELF_SIMILAR_REGIME if cfg.scenario == "evolve-ss" else LINEAR_REGIME
+        regime, evolve = THERMO_REGIME, evolve_linear_thermo
+    elif cfg.scenario == "evolve-linear":
         prof = solve_isentropic_profile(m.delta, gs)
-        a1 = m.a1
-        if regime == SELF_SIMILAR_REGIME and a1 is None:
+        regime, evolve = LINEAR_REGIME, evolve_linear_isentropic
+    else:
+        prof = solve_isentropic_profile(m.delta, gs)
+        regime, evolve = SELF_SIMILAR_REGIME, evolve_self_similar
+        if a1 is None:
             a1 = np.sqrt(2.0 * abs(m.delta) / m.a0)
-        params = classify_expansion(m.delta, m.a0, a1)
-        x = np.linspace(0.0, prof.R0, spec.n_cells + 1)
-        th0, th1 = build_initial(x, prof.R0, cfg.initial)
-        if cfg.initial.normalize_omega and cfg.initial.amplitude > 0:
-            probe = PerturbationField(x, th0, th1, None, 0.0, regime)
-            om = functionals.amplitude(probe)
-            if om > 0:
-                scale = cfg.initial.amplitude / om
-                th0, th1 = th0 * scale, th1 * scale
+    params = classify_expansion(0.0 if thermo else m.delta, m.a0, a1)
 
-        weights = cfg.weights
-        online = None
-        if regime == LINEAR_REGIME and params.delta == 0:
-            def online(fieldlike):
-                return functionals.dissipation_integrands_isentropic(
-                    fieldlike, fieldlike.background, weights,
-                    params.a0 * np.exp(params.a1 * fieldlike.clock))
+    x = np.linspace(0.0, prof.R0, spec.n_cells + 1)
+    initial = build_initial(x, prof.R0, cfg.initial, thermo=thermo)
+    if cfg.initial.normalize_omega and cfg.initial.amplitude > 0:
+        probe = PerturbationField(x, initial[0], initial[1], None, 0.0, regime, *initial[2:])
+        om = functionals.amplitude(probe)
+        if om > 0:
+            scale = cfg.initial.amplitude / om
+            initial = tuple(a * scale for a in initial)
 
-        evolve = evolve_linear_isentropic if regime == LINEAR_REGIME else evolve_self_similar
-        run = evolve(prof, params, (th0, th1), cfg.time.end, spec, mu=m.mu,
-                     online_integrands=online)
-        reports = None
-        if regime == LINEAR_REGIME and params.delta == 0:
-            bg = run.background
-            th2 = initial_second_derivatives(bg, params, (th0, th1), regime, mu=m.mu)
-            E0 = functionals.initial_energy_isentropic(x, th0, th1, th2, bg, weights)
-            reports = functionals.total_energy_ledger(
-                run.snapshots, bg, weights, LINEAR_REGIME,
-                lambda tau: params.a0 * np.exp(params.a1 * tau), E0,
-                dissipation_online=run.dissipation_online)
+    weights = cfg.weights
+    ledger = regime != SELF_SIMILAR_REGIME   # every linearly expanding run has one
 
-    for idx, snap in enumerate(run.snapshots):
-        files.append(artifacts.write_snapshot_csv(out_dir, idx, snap))
+    def integrands(field, alpha):
+        if thermo:
+            return functionals.dissipation_integrands_thermo(field, field.background,
+                                                             weights, params.a1)
+        return functionals.dissipation_integrands_isentropic(field, field.background,
+                                                             weights, alpha)
+
+    run = evolve(prof, params, initial, cfg.time.end, spec, mu=m.mu,
+                 online_integrands=integrands if ledger else None)
+    files = [artifacts.write_snapshot_csv(out_dir, idx, snap)
+             for idx, snap in enumerate(run.snapshots)]
     eul = reconstruct_eulerian(run.final, run.params)
     files.append(artifacts.write_eulerian_csv(out_dir, eul))
-    if reports is not None:
-        model_kind = "thermo" if cfg.scenario == "evolve-thermo" else "isentropic"
+    if ledger:
+        s0 = run.snapshots[0]
+        if thermo:
+            E0 = functionals.initial_energy_thermo(s0.x_nodes, s0.theta, s0.theta_t,
+                                                   s0.theta_tt, s0.zeta, s0.zeta_t,
+                                                   run.background, weights)
+        else:
+            E0 = functionals.initial_energy_isentropic(s0.x_nodes, s0.theta, s0.theta_t,
+                                                       s0.theta_tt, run.background, weights)
+        reports = functionals.total_energy_ledger(
+            run.snapshots, run.background, weights, regime, run.alpha_clock.alpha, E0,
+            a1=params.a1, dissipation_online=run.dissipation_online)
         for rep, snap in zip(reports, run.snapshots):
             phys = functionals.physical_energy(
-                reconstruct_eulerian(snap, run.params), model_kind, mu=m.mu,
-                c_nu=m.c_nu if model_kind == "thermo" else None,
-                epsilon=m.epsilon if model_kind == "thermo" else None)
+                reconstruct_eulerian(snap, run.params), "thermo" if thermo else "isentropic",
+                mu=m.mu, c_nu=m.c_nu, epsilon=m.epsilon)
             rep.E_phys, rep.D_phys = phys.E, phys.D
         files.extend(artifacts.write_energy_reports(out_dir, reports))
 

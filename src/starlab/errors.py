@@ -82,10 +82,6 @@ class KEqualsOne(StarlabError):
     """Hardy inequality excludes k = 1."""
 
 
-class DegenerateWeight(StarlabError):
-    """Pointwise identity requested at a vacuum node without the limit form."""
-
-
 # -- CLI ----------------------------------------------------------------------
 
 class ConfigInvalid(StarlabError):

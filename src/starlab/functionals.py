@@ -249,9 +249,8 @@ def amplitude(field) -> float:
     th_t = np.asarray(field.theta_t, dtype=float)
     vals = [np.max(np.abs(th)), np.max(np.abs(x * _gradient(th, x))),
             np.max(np.abs(th_t)), np.max(np.abs(x * _gradient(th_t, x)))]
-    zeta = getattr(field, "zeta", None)
-    if zeta is not None:
-        zeta = np.asarray(zeta, dtype=float)
+    if field.zeta is not None:
+        zeta = np.asarray(field.zeta, dtype=float)
         sigma = x[-1] - x
         ratio = np.abs(zeta[:-1]) / sigma[:-1]
         boundary = abs(zeta[-1] - zeta[-2]) / (x[-1] - x[-2])
@@ -304,11 +303,8 @@ class EnergyReport:
     total_D: float
     E0: float
     omega: float
-    E_pert: float | None = None
-    D_pert: float | None = None
     E_phys: float | None = None
     D_phys: float | None = None
-    identity_residual: float | None = None
 
 
 def _entropy_grad_pair(x, th, th_t):
@@ -406,11 +402,11 @@ def initial_energy_isentropic(x, th0, th1, th2, background, weights: WeightSpec)
 
 
 def ledger_terms_thermo(field, background, weights: WeightSpec, a1: float) -> dict:
-    """Instantaneous terms of the thermodynamic total energy ledger."""
-    if field.xi_tt is None or field.zeta_t is None:
-        raise MissingDerivative("thermo ledger needs xi_tt and zeta_t")
+    """Instantaneous terms of the thermodynamic total energy ledger (theta is xi)."""
+    if field.theta_tt is None or field.zeta_t is None:
+        raise MissingDerivative("thermo ledger needs theta_tt and zeta_t")
     x = np.asarray(field.x_nodes, dtype=float)
-    xi, v, acc = field.xi, field.xi_t, field.xi_tt
+    xi, v, acc = field.theta, field.theta_t, field.theta_tt
     zeta, zeta_t = field.zeta, field.zeta_t
     w = weights
     tau = field.clock
@@ -445,10 +441,10 @@ def ledger_terms_thermo(field, background, weights: WeightSpec, a1: float) -> di
 
 
 def dissipation_integrands_thermo(field, background, weights: WeightSpec, a1: float) -> dict:
-    if field.xi_tt is None or field.zeta_t is None:
-        raise MissingDerivative("thermo dissipation ledger needs xi_tt and zeta_t")
+    if field.theta_tt is None or field.zeta_t is None:
+        raise MissingDerivative("thermo dissipation ledger needs theta_tt and zeta_t")
     x = np.asarray(field.x_nodes, dtype=float)
-    xi, v, acc = field.xi, field.xi_t, field.xi_tt
+    xi, v, acc = field.theta, field.theta_t, field.theta_tt
     zeta, zeta_t = field.zeta, field.zeta_t
     w = weights
     tau = field.clock
@@ -499,7 +495,7 @@ def total_energy_ledger(series, background, weights: WeightSpec, regime: str,
                         dissipation_online: dict | None = None) -> list[EnergyReport]:
     """EnergyReport per emission time for a field series.
 
-    `series` must carry second clock derivatives (theta_tt / xi_tt, zeta_t).
+    `series` must carry second clock derivatives (theta_tt, and zeta_t for thermo).
     Time-integral (dissipation) terms use the solver's online accumulators
     when given, otherwise the trapezoid rule over the emitted series.
     """

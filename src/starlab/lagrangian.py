@@ -37,15 +37,16 @@ One driver steps all three regimes (`_evolve`).  It owns the dt choice (CFL,
 the 1.25 growth factor, dt_max, emission times, the end time), retry by
 halving with the cfl-floor and step-failure events, the geometry check,
 growth detection, snapshot emission, the online ledger accumulation and the
-RunResult.  Only four parts depend on the regime:
+RunResult.  Only three parts depend on the regime:
 
   (a) the thermodynamic state zeta and its implicit temperature step;
   (b) the thermodynamic stop when the absolute temperature turns <= 0;
-  (c) the emitted field: ThermoPerturbationField or PerturbationField;
-  (d) the self-similar probe of energy E, dissipation D and viscous work W.
+  (c) the self-similar probe of energy E, dissipation D and viscous work W.
 
-One `_AlphaClock` gives alpha(clock) to the driver and to
-`reconstruct_eulerian`.
+Every regime emits `PerturbationField`, tagged with its regime; thermodynamic
+fields also carry zeta and zeta_t.  One `_AlphaClock` gives alpha(clock) to the
+driver, the online ledger integrands, the caller's post-run ledger
+(`RunResult.alpha_clock`) and `reconstruct_eulerian`.
 
 One background per grid: each run samples its profile once
 (`profiles.sample_background`) on the solver grid.  The step kernel, every
@@ -65,7 +66,6 @@ from scipy.linalg import solve_banded
 
 from . import functionals
 from .errors import (
-    DegenerateWeight,
     DomainViolation,
     InvalidParams,
     NewtonDivergence,
@@ -99,38 +99,17 @@ class SolverSpec:
 
 @dataclass
 class PerturbationField:
+    """A perturbation at one clock; in the thermodynamic regime theta is xi."""
+
     x_nodes: np.ndarray
     theta: np.ndarray
     theta_t: np.ndarray
     theta_tt: np.ndarray | None
     clock: float
     regime: str
+    zeta: np.ndarray | None = None       # thermodynamic regime only
+    zeta_t: np.ndarray | None = None
     background: Background | None = dc_field(repr=False, default=None)
-
-
-@dataclass
-class ThermoPerturbationField:
-    x_nodes: np.ndarray
-    xi: np.ndarray
-    xi_t: np.ndarray
-    xi_tt: np.ndarray | None
-    zeta: np.ndarray
-    zeta_t: np.ndarray | None
-    clock: float
-    background: Background | None = dc_field(repr=False, default=None)
-
-    # Momentum aliases so amplitude/energy helpers can duck-type the field.
-    @property
-    def theta(self):
-        return self.xi
-
-    @property
-    def theta_t(self):
-        return self.xi_t
-
-    @property
-    def theta_tt(self):
-        return self.xi_tt
 
 
 @dataclass
@@ -148,7 +127,7 @@ class EulerianSnapshot:
 @dataclass
 class RunEvent:
     kind: str
-    clock: float
+    clock: float                       # a stop carries the last accepted clock
     detail: str = ""
 
 
@@ -163,6 +142,7 @@ class RunResult:
     visc_work: np.ndarray | None   # cumulative int alpha^{3/2} D ds (ss only)
     dissipation_online: dict | None  # ledger integrals at emission times
     background: Background
+    alpha_clock: _AlphaClock
     params: ExpansionParams
     spec: SolverSpec
     completed: bool
@@ -505,8 +485,15 @@ def _temperature_step(grid: _Grid, f, v, z, dt: float, alpha: float, mu: float):
 # ---------------------------------------------------------------------------
 
 def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integrands):
-    """Step one regime from clock 0 to clock_end; see the module docstring."""
+    """Step one regime from clock 0 to clock_end; see the module docstring.
+
+    online_integrands(field, alpha) gives ledger integrands, integrated in time here.
+    """
+    if spec.n_cells < 3:
+        raise InvalidParams("SolverSpec needs n_cells >= 3 (three interior nodes)")
     thermo = regime == THERMO_REGIME
+    if not thermo and profile.delta != params.delta:
+        raise InvalidParams("profile and expansion parameters must share delta")
     f, v, *rest = (np.array(a, dtype=float) for a in initial)
     z = rest[0] if thermo else None          # (a) the temperature state
     bg = sample_background(profile, np.linspace(0.0, profile.R0, spec.n_cells + 1))
@@ -530,10 +517,8 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
     online_series: dict[str, list[float]] = {}
 
     def mk_field(acc, z_rate):
-        """(c) The current state as the regime's field, uncopied: no step writes in place."""
-        if not thermo:
-            return PerturbationField(grid.x, f, v, acc, clock, regime, background=bg)
-        return ThermoPerturbationField(grid.x, f, v, acc, z, z_rate, clock, background=bg)
+        """The current state as a field, uncopied: no step writes an array in place."""
+        return PerturbationField(grid.x, f, v, acc, clock, regime, z, z_rate, background=bg)
 
     def record(field):
         """Emit a snapshot with the online ledger integrals accumulated so far."""
@@ -541,7 +526,7 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
         for k in online_series:
             online_series[k].append(online[k])
 
-    track_energy = regime == SELF_SIMILAR_REGIME   # (d) the E/D/W probe
+    track_energy = regime == SELF_SIMILAR_REGIME   # (c) the E/D/W probe
     if track_energy:
         rho4, rho43 = grid.x**4 * grid.rho, grid.xm**2 * grid.rho43_m
 
@@ -557,7 +542,7 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
     field = mk_field(acc, z_rate)
     record(field)
     if online_integrands is not None:
-        prev_online_vals = online_integrands(field)
+        prev_online_vals = online_integrands(field, alpha_clock.alpha(clock))
         online = dict.fromkeys(prev_online_vals, 0.0)
         online_series = {k: [0.0] for k in prev_online_vals}
 
@@ -598,11 +583,11 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
         else:
             stop = RunEvent("step-failure", clock, "no acceptable step")
         if stop is None and (geom := grid.check_geometry(f_new)) <= 0.0:
-            stop = RunEvent("jacobian-degenerate", clock_new, f"min(1+f, J) = {geom:.3e}")
+            stop = RunEvent("jacobian-degenerate", clock, f"min(1+f, J) = {geom:.3e}")
         if stop is None and thermo:           # (b) the absolute temperature stays positive
             temp_abs = z_new[1:-1] + grid.theta_b[1:-1]
             if np.any(temp_abs <= 0.0):
-                stop = RunEvent("temperature-negative", clock_new, f"min = {temp_abs.min():.3e}")
+                stop = RunEvent("temperature-negative", clock, f"min = {temp_abs.min():.3e}")
         if stop is not None:
             events.append(stop)
             completed = False
@@ -623,7 +608,7 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
             D_series.append(D)
         field = mk_field(acc, z_rate)
         if online is not None:
-            vals = online_integrands(field)
+            vals = online_integrands(field, alpha_clock.alpha(clock))
             for k, val in vals.items():
                 online[k] += 0.5 * dt * (val + prev_online_vals[k])
             prev_online_vals = vals
@@ -655,15 +640,14 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
         energy=energy, dissipation=dissipation, visc_work=visc_work,
         dissipation_online={k: np.asarray(vs) for k, vs in online_series.items()}
         if online is not None else None,
-        background=bg, params=params, spec=spec, completed=completed)
+        background=bg, alpha_clock=alpha_clock, params=params, spec=spec,
+        completed=completed)
 
 
 def evolve_self_similar(profile, params: ExpansionParams, initial, s_end: float,
                         spec: SolverSpec | None = None, mu: float = 1.0,
                         online_integrands=None) -> RunResult:
     """Evolve a perturbation of the self-similarly expanding star to s_end."""
-    if profile.delta != params.delta:
-        raise InvalidParams("profile and expansion parameters must share delta")
     return _evolve(profile, params, initial, s_end, spec or SolverSpec(), mu,
                    SELF_SIMILAR_REGIME, online_integrands)
 
@@ -672,8 +656,6 @@ def evolve_linear_isentropic(profile, params: ExpansionParams, initial, tau_end:
                              spec: SolverSpec | None = None, mu: float = 1.0,
                              online_integrands=None) -> RunResult:
     """Evolve a perturbation of the linearly expanding isentropic star to tau_end."""
-    if profile.delta != params.delta:
-        raise InvalidParams("profile and expansion parameters must share delta")
     if params.classification == LINEAR and params.delta <= -params.a0 * params.a1**2 / 8.0:
         warnings.warn("delta <= -a0 a1^2/8: outside the proven stability range",
                       stacklevel=2)
@@ -707,17 +689,16 @@ def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: flo
 # ---------------------------------------------------------------------------
 
 def initial_second_derivatives(background: Background, params: ExpansionParams, initial,
-                               regime: str, mu: float = 1.0, limit_form: bool = True):
+                               regime: str, mu: float = 1.0):
     """Initial second clock derivatives implied by the equations of motion.
 
     `initial` lives on the background's grid (InvalidParams otherwise).
 
     Solves the same semi-discrete identities that the evolution operators
     step, inverting the rho-weighted mass only where it is positive; the
-    center and vacuum nodes are filled with one-sided quadratic limits
-    (disable with limit_form=False to get DegenerateWeight instead).
+    center and vacuum nodes are filled with one-sided quadratic limits.
     Returns theta2 for the isentropic regimes, (xi2, zeta1) for the
-    thermodynamic one.
+    thermodynamic one.  A run's first snapshot carries the same values.
 
     Pointwise values lose accuracy inside the vacuum boundary layer, where
     the division amplifies the O(dx^2) force residual by 1/rho; every
@@ -730,8 +711,6 @@ def initial_second_derivatives(background: Background, params: ExpansionParams, 
                             "grid of its initial data")
     alpha_clock = _AlphaClock(params, regime, 1.0)
     stepper = _MomentumStepper(grid, params, regime, mu)
-    if not limit_form:
-        raise DegenerateWeight("vacuum node has no pointwise identity; use the limit form")
     if regime == THERMO_REGIME:
         xi0, xi1, zeta0 = (np.asarray(a, dtype=float) for a in initial)
         xi2 = stepper.acceleration(xi0, xi1, 0.0, alpha_clock, zeta=zeta0)
@@ -759,12 +738,10 @@ def reconstruct_eulerian(field, params: ExpansionParams) -> EulerianSnapshot:
     if bg is None:
         raise InvalidParams("field carries no background; cannot reconstruct the density")
     bg.require_grid(x)
-    thermo = isinstance(field, ThermoPerturbationField)
-    regime = THERMO_REGIME if thermo else field.regime
     f, v = field.theta, field.theta_t
-    alpha_clock = _AlphaClock(params, regime, field.clock)
+    alpha_clock = _AlphaClock(params, field.regime, field.clock)
     alpha = alpha_clock.alpha(field.clock)
-    v_scale = alpha**-0.5 if regime == SELF_SIMILAR_REGIME else 1.0
+    v_scale = alpha**-0.5 if field.regime == SELF_SIMILAR_REGIME else 1.0
     u = alpha_clock.alpha_prime(field.clock) * x * (1.0 + f) + v_scale * x * v
 
     H = 1.0 + f
@@ -776,7 +753,7 @@ def reconstruct_eulerian(field, params: ExpansionParams) -> EulerianSnapshot:
     if np.any(np.diff(r) <= 0.0):
         raise DomainViolation("r is not strictly increasing in x")
 
-    theta_abs = (field.zeta + bg.theta) / alpha if thermo else None
+    theta_abs = (field.zeta + bg.theta) / alpha if field.regime == THERMO_REGIME else None
 
     # rho = x^2 rho_bar / (r^2 r_x) = alpha^-3 rho_bar / (H^2 J)
     rho_b = bg.rho

@@ -12,8 +12,7 @@ from starlab.cli import run_scenario
 from starlab.config import validate_config
 from starlab.errors import InvalidParams
 from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, PerturbationField,
-                                ThermoPerturbationField, initial_second_derivatives,
-                                reconstruct_eulerian)
+                                initial_second_derivatives, reconstruct_eulerian)
 from starlab.profiles import IsentropicProfile, ThermoProfile, sample_background
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -89,7 +88,7 @@ class TestGridMismatch:
         x = grid(thermo14)
         z = 0 * x
         bg = sample_background(thermo14, x[::2])
-        f = ThermoPerturbationField(x, z, z, z, z, z, 0.0, background=bg)
+        f = PerturbationField(x, z, z, z, 0.0, THERMO_REGIME, z, z, background=bg)
         with pytest.raises(InvalidParams):
             F.ledger_terms_thermo(f, bg, F.WeightSpec(), 20.0)
         with pytest.raises(InvalidParams):

@@ -152,22 +152,26 @@ class TestScenarios:
         assert np.max(np.abs(snap[:, 1:])) == 0.0
 
     def test_evolve_linear_writes_reports(self, tmp_path):
-        cfg = validate_config({
-            "scenario": "evolve-linear",
-            "model": {"delta": 0.0, "a0": 1.0, "a1": 1.0},
-            "solver": {"n_cells": 48},
-            "initial": {"family": "bump", "amplitude": 1e-4},
-            "time": {"end": 0.5, "n_emit": 6},
-            "out_dir": str(tmp_path),
-        })
-        report = run_scenario(cfg)
-        assert report.status == 0
-        names = os.listdir(tmp_path)
-        assert "energy_reports.csv" in names and "energy_schema.json" in names
-        schema = json.load(open(tmp_path / "energy_schema.json"))
-        header = open(tmp_path / "energy_reports.csv").readline().strip().split(",")
-        assert header == schema["columns"]
-        assert "manifest.json" in names and "eulerian.csv" in names
+        # the second model is a general linear path (delta != 0)
+        for i, model in enumerate(({"delta": 0.0, "a0": 1.0, "a1": 1.0},
+                                   {"delta": -1e-3, "a1": 0.1})):
+            out = tmp_path / str(i)
+            cfg = validate_config({
+                "scenario": "evolve-linear",
+                "model": model,
+                "solver": {"n_cells": 48},
+                "initial": {"family": "bump", "amplitude": 1e-4},
+                "time": {"end": 0.5, "n_emit": 6},
+                "out_dir": str(out),
+            })
+            report = run_scenario(cfg)
+            assert report.status == 0
+            names = os.listdir(out)
+            assert "energy_reports.csv" in names and "energy_schema.json" in names
+            schema = json.load(open(out / "energy_schema.json"))
+            header = open(out / "energy_reports.csv").readline().strip().split(",")
+            assert header == schema["columns"]
+            assert "manifest.json" in names and "eulerian.csv" in names
 
     @pytest.mark.parametrize("scenario, model, extra", [
         ("evolve-ss", {"delta": -1e-3, "a1": None}, {"amplitude.svg", "energy.svg"}),

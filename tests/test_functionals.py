@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 import starlab.functionals as F
 from starlab import classify_expansion
 from starlab.errors import DomainViolation, KEqualsOne, MissingDerivative, WeightViolation
-from starlab.lagrangian import (LINEAR_REGIME, PerturbationField, SolverSpec,
-                                ThermoPerturbationField, evolve_self_similar)
+from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, PerturbationField, SolverSpec,
+                                evolve_self_similar)
 from starlab.profiles import sample_background
 
 
@@ -158,7 +158,7 @@ class TestAmplitude:
         R0 = x[-1]
         g = 0.5 + 0.4 * np.cos(np.pi * x / R0)
         zeta = (R0 - x) * g
-        f = ThermoPerturbationField(x, 0 * x, 0 * x, None, zeta, None, 0.0, None)
+        f = PerturbationField(x, 0 * x, 0 * x, None, 0.0, THERMO_REGIME, zeta)
         assert F.amplitude(f) == pytest.approx(np.max(np.abs(g)), rel=1e-2)
 
 

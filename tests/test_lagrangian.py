@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from starlab import classify_expansion, integrate_alpha, integrate_phase, PhaseState
-from starlab.errors import DegenerateWeight, InvalidParams, WrongClassification
+from starlab.errors import InvalidParams, WrongClassification
 from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, SolverSpec,
                                 evolve_linear_isentropic, evolve_linear_thermo,
                                 evolve_self_similar, initial_second_derivatives,
@@ -47,7 +47,7 @@ class TestExactSolutionPreservation:
         z = np.zeros(N + 1)
         run = evolve_linear_thermo(thermo14, parst, (z, z, z), 0.5,
                                    SolverSpec(n_cells=N, n_emit=5))
-        assert max(np.max(np.abs(s.xi)) for s in run.snapshots) <= 1e-12
+        assert max(np.max(np.abs(s.theta)) for s in run.snapshots) <= 1e-12
         assert max(np.max(np.abs(s.zeta)) for s in run.snapshots) <= 1e-12
 
 
@@ -98,6 +98,15 @@ class TestInvariants:
             warnings.simplefilter("always")
             evolve_linear_isentropic(prof, pars, (z, z), 0.05, SolverSpec(n_cells=48, n_emit=2))
         assert any("stability" in str(w.message) for w in caught)
+
+    def test_too_few_cells_named(self, iso0, pars0):
+        # the massless end nodes are extrapolated from three interior nodes
+        z = np.zeros(3)
+        with pytest.raises(InvalidParams, match="n_cells >= 3"):
+            evolve_linear_isentropic(iso0, pars0, (z, z), 0.1, SolverSpec(n_cells=2))
+        z = np.zeros(4)
+        run = evolve_linear_isentropic(iso0, pars0, (z, z), 0.1, SolverSpec(n_cells=3))
+        assert run.completed
 
 
 class TestEnergyIdentity:
@@ -155,12 +164,6 @@ class TestInitialSecondDerivatives:
         assert zeta1[-1] == 0.0
         assert np.all(np.isfinite(xi2)) and np.all(np.isfinite(zeta1))
 
-    def test_degenerate_weight_without_limit(self, iso0, pars0):
-        z = np.zeros(N + 1)
-        with pytest.raises(DegenerateWeight):
-            initial_second_derivatives(background(iso0), pars0, (z, z), LINEAR_REGIME,
-                                       limit_form=False)
-
 
 class TestThermoRun:
     def test_dirichlet_and_heating(self, thermo14, parst):
@@ -176,7 +179,7 @@ class TestThermoRun:
         from starlab.lagrangian import _Grid, _thermo_aux
         grid = _Grid(background(thermo14))
         for s in run.snapshots:
-            assert np.min(_thermo_aux(grid, s.xi, s.xi_t)[3]) >= 0.0
+            assert np.min(_thermo_aux(grid, s.theta, s.theta_t)[3]) >= 0.0
         # absolute temperature positive in the interior
         for s in run.snapshots:
             assert np.all(s.zeta[1:-1] + grid.theta_b[1:-1] > 0)

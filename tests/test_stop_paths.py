@@ -63,7 +63,7 @@ class TestIsentropic:
         run = run_isentropic(regime, iso0, iso_ss, pars_ss, compression(5.0),
                              SolverSpec(**NO_LIMITS))
         assert_stopped(run, "jacobian-degenerate")
-        assert run.events[0].clock > run.times[-1]
+        assert run.events[0].clock == run.times[-1]
         assert run.events[0].detail.startswith("min(1+f, J) = ")
 
     def test_step_failure(self, regime, iso0, iso_ss, pars_ss):
@@ -86,7 +86,7 @@ class TestThermo:
                                    thermo_initial(-5.0), 0.5,
                                    SolverSpec(**NO_LIMITS))
         assert_stopped(run, "jacobian-degenerate")
-        assert run.events[0].clock > run.times[-1]
+        assert run.events[0].clock == run.times[-1]
         assert run.events[0].detail.startswith("min(1+f, J) = ")
 
     def test_temperature_negative(self, thermo14):
@@ -96,7 +96,7 @@ class TestThermo:
                                    thermo_initial(-5.0), 0.5,
                                    SolverSpec(**NO_LIMITS))
         assert_stopped(run, "temperature-negative")
-        assert run.events[0].clock > run.times[-1]
+        assert run.events[0].clock == run.times[-1]
         assert np.all(run.final.zeta[1:-1] + run.background.theta[1:-1] > 0.0)
 
     def test_step_failure(self, thermo14):
