@@ -522,9 +522,8 @@ def c12_conservation_sweep() -> dict:
 
     # mass conservation of the Eulerian reconstruction
     worst_ident = 0.0
-    for field in (run_p.final, run_th.final):
-        snap = reconstruct_eulerian(field, run_p.params
-                                    if field is run_p.final else paramst)
+    for run in (run_p, run_th):
+        snap = reconstruct_eulerian(run.final, run.alpha_clock)
         worst_ident = max(worst_ident, snap.mass_identity_residual)
     details["mass_identity_residual"] = worst_ident
     assert worst_ident < 1e-8

@@ -211,7 +211,7 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
                  online_integrands=integrands if ledger else None)
     files = [artifacts.write_snapshot_csv(out_dir, idx, snap)
              for idx, snap in enumerate(run.snapshots)]
-    eul = reconstruct_eulerian(run.final, run.params)
+    eul = reconstruct_eulerian(run.final, run.alpha_clock)
     files.append(artifacts.write_eulerian_csv(out_dir, eul))
     if ledger:
         s0 = run.snapshots[0]
@@ -227,7 +227,7 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
             a1=params.a1, dissipation_online=run.dissipation_online)
         for rep, snap in zip(reports, run.snapshots):
             phys = functionals.physical_energy(
-                reconstruct_eulerian(snap, run.params), "thermo" if thermo else "isentropic",
+                reconstruct_eulerian(snap, run.alpha_clock), "thermo" if thermo else "isentropic",
                 mu=m.mu, c_nu=m.c_nu, epsilon=m.epsilon)
             rep.E_phys, rep.D_phys = phys.E, phys.D
         files.extend(artifacts.write_energy_reports(out_dir, reports))

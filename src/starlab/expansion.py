@@ -69,9 +69,6 @@ class ExpansionPath:
     def s_at(self, t):
         return self._sol.sol(np.asarray(t, dtype=float))[2]
 
-    def tau_at(self, t):
-        return self._sol.sol(np.asarray(t, dtype=float))[3]
-
     @property
     def t_end(self) -> float:
         return float(self._sol.t[-1])

@@ -21,12 +21,41 @@ import numpy as np
 from .errors import DomainViolation, KEqualsOne, MissingDerivative, WeightViolation
 
 
-def _gradient(f, x):
-    return np.gradient(f, x, edge_order=2)
+def gradient_stencil(x) -> tuple:
+    """np.gradient(u, x, edge_order=2)'s coefficients on x as (center, first, last).
+
+    center is 2 dx on an exactly uniform grid (numpy's branch for it), else the
+    (a, b, c) arrays of the central rows; first and last are the (a, b, c) of the
+    one-sided end rows.  Numpy's formulas and order: `gradient` gives its bits.
+    """
+    dx = np.diff(np.asarray(x, dtype=float))
+    if (dx == dx[0]).all():
+        h = dx[0]
+        return 2.0 * h, (-1.5 / h, 2.0 / h, -0.5 / h), (0.5 / h, -2.0 / h, 1.5 / h)
+    d1, d2 = dx[:-1], dx[1:]
+    center = (-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2)))
+    (d1, d2), (e1, e2) = dx[:2], dx[-2:]
+    return (center,
+            (-(2.0 * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2), -d1 / (d2 * (d1 + d2))),
+            (e2 / (e1 * (e1 + e2)), -(e2 + e1) / (e1 * e2), (2.0 * e2 + e1) / (e2 * (e1 + e2))))
+
+
+def gradient(u, stencil):
+    """du/dx on the grid of `stencil` (from gradient_stencil), as np.gradient gives it."""
+    center, (a0, b0, c0), (a1, b1, c1) = stencil
+    out = np.empty(u.shape)
+    if isinstance(center, tuple):
+        a, b, c = center
+        out[1:-1] = a * u[:-2] + b * u[1:-1] + c * u[2:]
+    else:
+        out[1:-1] = (u[2:] - u[:-2]) / center
+    out[0] = a0 * u[0] + b0 * u[1] + c0 * u[2]
+    out[-1] = a1 * u[-3] + b1 * u[-2] + c1 * u[-1]
+    return out
 
 
 def _trapz(f, x):
-    return float(np.trapezoid(f, x))
+    return float(((x[1:] - x[:-1]) * (f[1:] + f[:-1]) / 2.0).sum())   # np.trapezoid's sum
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +152,7 @@ def physical_energy(snapshot, model: str = "isentropic", mu: float = 1.0,
     mass_cum = np.concatenate([[0.0], np.cumsum(0.5 * (r[1:] - r[:-1])
                                                 * (r[1:]**2 * rho[1:] + r[:-1]**2 * rho[:-1]))])
     grav = _trapz(r * rho * mass_cum, r)
-    u_r = _gradient(u, r)
+    u_r = gradient(u, gradient_stencil(r))
     D = (4.0 * mu / 3.0) * _trapz((r * u_r - u) ** 2, r)
     if model == "isentropic":
         internal = 3.0 * _trapz(r**2 * rho ** (4.0 / 3.0), r)
@@ -179,7 +208,7 @@ def perturbation_energy_ss(x, phi, phi_s, rho4_nodes, rho43_edges, a0: float,
 
     dx = x[1] - x[0]
     Hm = 0.5 * (one[:-1] + one[1:])
-    dphi = np.diff(phi) / dx
+    dphi = (phi[1:] - phi[:-1]) / dx
     xm = 0.5 * (x[:-1] + x[1:])
     Jm = Hm + xm * dphi
     if np.any(Jm <= 0.0):
@@ -188,7 +217,7 @@ def perturbation_energy_ss(x, phi, phi_s, rho4_nodes, rho43_edges, a0: float,
     grad_term = 3.0 * (Hm * Hm * Jm) ** (-1.0 / 3.0) - 3.0 / Hm + qm / Hm**2
     E2 = float(np.sum(dx * rho43_edges * grad_term))
 
-    dv = np.diff(phi_s) / dx
+    dv = (phi_s[1:] - phi_s[:-1]) / dx
     vm = 0.5 * (phi_s[:-1] + phi_s[1:])
     Q = xm * (Hm * dv - vm * dphi)
     D = (4.0 * mu / 3.0) * float(np.sum(dx * xm**2 * Q**2 / Jm))
@@ -203,10 +232,10 @@ def relative_entropy(x, h, h_x=None, h_xx=None):
     """log[(1+h)^2 (1+h+x h_x)] and its x-derivative on the grid."""
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
-    if h_x is None:
-        h_x = _gradient(h, x)
-    if h_xx is None:
-        h_xx = _gradient(h_x, x)
+    if h_x is None or h_xx is None:
+        st = gradient_stencil(x)
+        h_x = gradient(h, st) if h_x is None else h_x
+        h_xx = gradient(h_x, st) if h_xx is None else h_xx
     one = 1.0 + h
     J = one + x * h_x
     if np.any(one <= 0.0) or np.any(J <= 0.0):
@@ -225,10 +254,10 @@ def frak_A_inequality(x, h, h_x=None, h_xx=None) -> tuple[float, float]:
     from scipy.integrate import simpson
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
-    if h_x is None:
-        h_x = _gradient(h, x)
-    if h_xx is None:
-        h_xx = _gradient(h_x, x)
+    if h_x is None or h_xx is None:
+        st = gradient_stencil(x)
+        h_x = gradient(h, st) if h_x is None else h_x
+        h_xx = gradient(h_x, st) if h_xx is None else h_xx
     lhs = float(simpson((4.0 * h_x + x * h_xx) ** 2, x=x))
     rhs = float(12.0 * simpson(h_x**2, x=x) + simpson(x**2 * h_xx**2, x=x))
     return lhs, rhs
@@ -247,8 +276,9 @@ def amplitude(field) -> float:
     x = np.asarray(field.x_nodes, dtype=float)
     th = np.asarray(field.theta, dtype=float)
     th_t = np.asarray(field.theta_t, dtype=float)
-    vals = [np.max(np.abs(th)), np.max(np.abs(x * _gradient(th, x))),
-            np.max(np.abs(th_t)), np.max(np.abs(x * _gradient(th_t, x)))]
+    st = gradient_stencil(x) if field.background is None else field.background.require_grid(x)
+    vals = [np.max(np.abs(th)), np.max(np.abs(x * gradient(th, st))),
+            np.max(np.abs(th_t)), np.max(np.abs(x * gradient(th_t, st)))]
     if field.zeta is not None:
         zeta = np.asarray(field.zeta, dtype=float)
         sigma = x[-1] - x
@@ -276,7 +306,7 @@ def hardy_check(k: float, g, s=None) -> tuple[float, float, float]:
         s = np.linspace(0.0, 1.0, 4001)
     s = np.asarray(s, dtype=float)
     g_arr = g(s) if callable(g) else np.asarray(g, dtype=float)
-    gp = _gradient(g_arr, s)
+    gp = gradient(g_arr, gradient_stencil(s))
     with np.errstate(divide="ignore", invalid="ignore"):
         if k > 1.0:
             lhs_int = np.where(s > 0, s ** (k - 2.0) * g_arr**2, 0.0)
@@ -307,18 +337,9 @@ class EnergyReport:
     D_phys: float | None = None
 
 
-def _entropy_grad_pair(x, th, th_t):
-    """(G_x, G_xt) for G = log[(1+th)^2 (1+th+x th_x)]."""
-    h_x = _gradient(th, x)
-    h_xx = _gradient(h_x, x)
-    one = 1.0 + th
-    J = one + x * h_x
-    G_x = 2.0 * h_x / one + (2.0 * h_x + x * h_xx) / J
-    # G_t = 2 th_t/(1+th) + (th_t + x th_xt)/J; differentiate in x.
-    v_x = _gradient(th_t, x)
-    G_t = 2.0 * th_t / one + (th_t + x * v_x) / J
-    G_xt = _gradient(G_t, x)
-    return G_x, G_xt
+def _entropy_grad(x, th, th_x, th_xx):
+    """G_x for G = log[(1+th)^2 (1+th+x th_x)]."""
+    return 2.0 * th_x / (1.0 + th) + (2.0 * th_x + x * th_xx) / (1.0 + th + x * th_x)
 
 
 def ledger_terms_isentropic(field, background, weights: WeightSpec, alpha: float) -> dict:
@@ -328,12 +349,14 @@ def ledger_terms_isentropic(field, background, weights: WeightSpec, alpha: float
     x = np.asarray(field.x_nodes, dtype=float)
     th, v, acc = field.theta, field.theta_t, field.theta_tt
     a = weights.a
-    background.require_grid(x)
+    g = background.require_grid(x)
     rho, rho43, chi = background.rho, background.rho43, background.chi
-    th_x = _gradient(th, x)
-    v_x = _gradient(v, x)
-    th_xx = _gradient(th_x, x)
-    G_x, G_xt = _entropy_grad_pair(x, th, v)
+    th_x = gradient(th, g)
+    v_x = gradient(v, g)
+    th_xx = gradient(th_x, g)
+    G_x = _entropy_grad(x, th, th_x, th_xx)
+    # G_t = 2 th_t/(1+th) + (th_t + x th_xt)/J; differentiate in x.
+    G_xt = gradient(2.0 * v / (1.0 + th) + (v + x * v_x) / (1.0 + th + x * th_x), g)
     al = alpha
     return {
         "E_vel": (al + al ** (1 + a)) * _trapz(x**4 * rho * v**2, x),
@@ -350,7 +373,7 @@ def ledger_terms_isentropic(field, background, weights: WeightSpec, alpha: float
         "E_elliptic_grad": _trapz(th_x**2, x),
         "E_elliptic_xx": _trapz(x**2 * th_xx**2, x),
         "E_elliptic_grad_t": al ** (a - 1) * _trapz(v_x**2, x),
-        "E_elliptic_xx_t": al ** (a - 1) * _trapz(x**2 * _gradient(v_x, x) ** 2, x),
+        "E_elliptic_xx_t": al ** (a - 1) * _trapz(x**2 * gradient(v_x, g) ** 2, x),
     }
 
 
@@ -362,14 +385,14 @@ def dissipation_integrands_isentropic(field, background, weights: WeightSpec,
     x = np.asarray(field.x_nodes, dtype=float)
     th, v, acc = field.theta, field.theta_t, field.theta_tt
     a = weights.a
-    background.require_grid(x)
+    g = background.require_grid(x)
     rho, rho43, chi = background.rho, background.rho43, background.chi
-    th_x = _gradient(th, x)
-    v_x = _gradient(v, x)
-    acc_x = _gradient(acc, x)
+    th_x = gradient(th, g)
+    v_x = gradient(v, g)
+    acc_x = gradient(acc, g)
     pair_v = (1.0 + th) * x * v_x - x * th_x * v
     pair_acc = (1.0 + th) * x * acc_x - x * th_x * acc
-    G_x, _ = _entropy_grad_pair(x, th, v)
+    G_x = _entropy_grad(x, th, th_x, gradient(th_x, g))
     al = alpha
     return {
         "D_vel": (al + al ** (1 + a)) * _trapz(x**4 * rho * v**2, x),
@@ -386,10 +409,10 @@ def dissipation_integrands_isentropic(field, background, weights: WeightSpec,
 def initial_energy_isentropic(x, th0, th1, th2, background, weights: WeightSpec) -> float:
     """The initial total energy of the linearly expanding isentropic ledger."""
     x = np.asarray(x, dtype=float)
-    background.require_grid(x)
+    g = background.require_grid(x)
     rho, rho43, chi = background.rho, background.rho43, background.chi
-    th0_x = _gradient(th0, x)
-    th0_xx = _gradient(th0_x, x)
+    th0_x = gradient(th0, g)
+    th0_xx = gradient(th0_x, g)
     return float(
         _trapz(x**4 * rho * th1**2, x)
         + _trapz(x**4 * rho * th0**2, x)
@@ -410,13 +433,13 @@ def ledger_terms_thermo(field, background, weights: WeightSpec, a1: float) -> di
     zeta, zeta_t = field.zeta, field.zeta_t
     w = weights
     tau = field.clock
-    background.require_grid(x)
+    g = background.require_grid(x)
     rho, chi = background.rho, background.chi
-    xi_x = _gradient(xi, x)
-    v_x = _gradient(v, x)
-    xi_xx = _gradient(xi_x, x)
-    zeta_x = _gradient(zeta, x)
-    zeta_xx = _gradient(zeta_x, x)
+    xi_x = gradient(xi, g)
+    v_x = gradient(v, g)
+    xi_xx = gradient(xi_x, g)
+    zeta_x = gradient(zeta, g)
+    zeta_xx = gradient(zeta_x, g)
     pair_v = (1.0 + xi) * x * v_x - x * xi_x * v
     e = lambda p: math.exp(p * a1 * tau)
     return {
@@ -435,7 +458,7 @@ def ledger_terms_thermo(field, background, weights: WeightSpec, a1: float) -> di
         "E_elliptic_grad": _trapz(xi_x**2, x),
         "E_elliptic_xx": _trapz(x**2 * xi_xx**2, x),
         "E_zeta_grad": _trapz(zeta_x**2, x),
-        "E_elliptic_t": e(w.r3 + 2) * _trapz(v_x**2 + x**2 * _gradient(v_x, x) ** 2, x),
+        "E_elliptic_t": e(w.r3 + 2) * _trapz(v_x**2 + x**2 * gradient(v_x, g) ** 2, x),
         "E_zeta_xx": _trapz(x**2 * zeta_xx**2, x),
     }
 
@@ -448,13 +471,13 @@ def dissipation_integrands_thermo(field, background, weights: WeightSpec, a1: fl
     zeta, zeta_t = field.zeta, field.zeta_t
     w = weights
     tau = field.clock
-    background.require_grid(x)
+    g = background.require_grid(x)
     rho, chi = background.rho, background.chi
-    xi_x = _gradient(xi, x)
-    v_x = _gradient(v, x)
-    acc_x = _gradient(acc, x)
-    zeta_x = _gradient(zeta, x)
-    zeta_tx = _gradient(zeta_t, x)
+    xi_x = gradient(xi, g)
+    v_x = gradient(v, g)
+    acc_x = gradient(acc, g)
+    zeta_x = gradient(zeta, g)
+    zeta_tx = gradient(zeta_t, g)
     pair_v = (1.0 + xi) * x * v_x - x * xi_x * v
     pair_acc = (1.0 + xi) * x * acc_x - x * xi_x * acc
     e = lambda p: math.exp(p * a1 * tau)
@@ -474,10 +497,10 @@ def dissipation_integrands_thermo(field, background, weights: WeightSpec, a1: fl
 def initial_energy_thermo(x, xi0, xi1, xi2, zeta0, zeta1, background,
                           weights: WeightSpec) -> float:
     x = np.asarray(x, dtype=float)
-    background.require_grid(x)
+    g = background.require_grid(x)
     rho, chi = background.rho, background.chi
-    xi0_x = _gradient(xi0, x)
-    xi0_xx = _gradient(xi0_x, x)
+    xi0_x = gradient(xi0, g)
+    xi0_xx = gradient(xi0_x, g)
     return float(
         _trapz(x**4 * rho * xi1**2, x)
         + _trapz(x**2 * rho * zeta0**2, x)

@@ -44,14 +44,19 @@ RunResult.  Only three parts depend on the regime:
   (c) the self-similar probe of energy E, dissipation D and viscous work W.
 
 Every regime emits `PerturbationField`, tagged with its regime; thermodynamic
-fields also carry zeta and zeta_t.  One `_AlphaClock` gives alpha(clock) to the
-driver, the online ledger integrands, the caller's post-run ledger
-(`RunResult.alpha_clock`) and `reconstruct_eulerian`.
+fields also carry zeta and zeta_t.  One `_AlphaClock` per run gives alpha(clock)
+to the driver, the online ledger integrands, and through `RunResult.alpha_clock`
+to the caller's post-run ledger and `reconstruct_eulerian`.
 
 One background per grid: each run samples its profile once
-(`profiles.sample_background`) on the solver grid.  The step kernel, every
-emitted field, the RunResult, `initial_second_derivatives` and
-`reconstruct_eulerian` read the static star from that Background only.
+(`profiles.sample_background`) on the solver grid, with its gradient stencil.
+The step kernel, every emitted field, the RunResult, `initial_second_derivatives`
+and `reconstruct_eulerian` read the static star from that Background only.
+
+The step kernel computes the edge geometry (Hm, df, Jm) of each new state once;
+the temperature step, the geometry check and, once accepted, the next step's CFL
+limit, viscous matrix and pressure/gravity rows use it.  The order-2 midpoint
+state and each Picard iterate have their own.  Tridiagonal solves call dgtsv.
 """
 
 from __future__ import annotations
@@ -62,16 +67,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from . import functionals
-from .errors import (
-    DomainViolation,
-    InvalidParams,
-    NewtonDivergence,
-    StepFailure,
-    WrongClassification,
-)
+from .functionals import gradient
+from .errors import (DomainViolation, InvalidParams, NewtonDivergence, StepFailure,
+                     WrongClassification)
 from .expansion import LINEAR, SELF_SIMILAR, ExpansionParams
 from .profiles import Background, sample_background
 
@@ -142,8 +144,7 @@ class RunResult:
     visc_work: np.ndarray | None   # cumulative int alpha^{3/2} D ds (ss only)
     dissipation_online: dict | None  # ledger integrals at emission times
     background: Background
-    alpha_clock: _AlphaClock
-    params: ExpansionParams
+    alpha_clock: _AlphaClock       # carries the expansion parameters
     spec: SolverSpec
     completed: bool
 
@@ -163,10 +164,11 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 class _Grid:
-    """Background data and static weights on the node/edge layout."""
+    """Background data and static weights; `geom` is the (Hm, df, Jm) of edge_geometry."""
 
     def __init__(self, bg: Background):
         self.x, self.xm = bg.x, bg.xm
+        self.grad = bg.grad
         self.n = self.x.size - 1
         self.dx = self.x[1] - self.x[0]
         self.wq = np.full(self.n + 1, self.dx)
@@ -186,82 +188,79 @@ class _Grid:
             self.mass_z = self.wq * 3.0 * self.K * self.x**2 * self.rho
         else:
             self.rho43_m = bg.rho43_m        # rho^{4/3} at edges
+            self.rho13_m = self.rho_m ** (1.0 / 3.0)
+        self.div_b = np.diff(bg.ptheta_m if self.thermo else bg.rho43_m, prepend=0.0, append=0.0)
 
     def edge_geometry(self, f):
         Hm = 1.0 + 0.5 * (f[:-1] + f[1:])
-        df = np.diff(f) / self.dx
+        df = (f[1:] - f[:-1]) / self.dx
         Jm = Hm + self.xm * df
         return Hm, df, Jm
 
-    def viscous_matrix(self, f, mu: float):
-        """Banded (tridiagonal) Gram matrix K with T(v, w) = -w^T K v."""
-        Hm, df, Jm = self.edge_geometry(f)
+    def viscous_matrix(self, geom, mu: float):
+        """Gram matrix K with T(v, w) = -w^T K v as (diag, off): K[i, i+1] = K[i+1, i] = off[i]."""
+        Hm, df, Jm = geom
         g = (4.0 * mu / 3.0) * self.dx * self.xm**2 / Jm
         a = self.xm * (Hm / self.dx - 0.5 * df)      # coefficient of v_{i+1}
         b = -self.xm * (Hm / self.dx + 0.5 * df)     # coefficient of v_i
-        n = self.n + 1
-        diag = np.zeros(n)
-        upper = np.zeros(n)
-        lower = np.zeros(n)
+        diag = np.zeros(self.n + 1)
         diag[:-1] += g * b * b
         diag[1:] += g * a * a
-        upper[1:] = g * a * b      # K[i, i+1] stored at upper[i+1]
-        lower[:-1] = g * a * b     # K[i+1, i] stored at lower[i]
-        return np.vstack([upper, diag, lower])
+        return diag, g * a * b
 
-    def apply_viscous(self, Kb, v):
-        upper, diag, lower = Kb
+    def apply_viscous(self, K, v):
+        diag, off = K
         out = diag * v
-        out[:-1] += upper[1:] * v[1:]
-        out[1:] += lower[:-1] * v[:-1]
+        out[:-1] += off * v[1:]
+        out[1:] += off * v[:-1]
         return out
 
-    def pressure_gravity(self, f, delta: float, zeta=None):
+    def pressure_gravity(self, f, geom, delta: float, zeta=None):
         """Weak rows of the pressure + gravity terms (already Delta-x scaled).
 
         Fluxes at the outer boundary are zero: the background pressure
         vanishes at the vacuum. The background gradient is differenced with
         the same midpoint fluxes, so the rows vanish identically at f = 0.
         """
-        x, dx = self.x, self.dx
+        x = self.x
         H = 1.0 + f
-        Hm, df, Jm = self.edge_geometry(f)
+        Hm, _, Jm = geom
         if self.thermo:
             Gm = 1.0 / (Hm * Hm * Jm)
             zm = 0.5 * (zeta[:-1] + zeta[1:])
             flux = (self.ptheta_m + self.K * self.rho_m * zm) * Gm
-            bg = self.ptheta_m
         else:
             Gm = (Hm * Hm * Jm) ** (-4.0 / 3.0)
             flux = self.rho43_m * Gm
-            bg = self.rho43_m
-        fp = np.concatenate([flux, [0.0]])
-        fm = np.concatenate([[0.0], flux])
-        bp = np.concatenate([bg, [0.0]])
-        bm = np.concatenate([[0.0], bg])
-        rows = x**3 * (H**2 * (fp - fm) - (bp - bm) / H**2)
+        rows = x**3 * (H**2 * np.diff(flux, prepend=0.0, append=0.0) - self.div_b / H**2)
         if not self.thermo and delta != 0.0:
             rows = rows + self.wq * delta * x**4 * self.rho * (H - 1.0 / H**2)
         return rows
 
-    def check_geometry(self, f):
-        H = 1.0 + f
-        _, _, Jm = self.edge_geometry(f)
-        return float(min(H.min(), Jm.min()))
+    def check_geometry(self, f, geom):
+        return float(min((1.0 + f).min(), geom[2].min()))
 
-    def wave_speed(self, f, inertia: float, zeta=None):
-        Hm, df, Jm = self.edge_geometry(f)
+    def wave_speed(self, geom, inertia: float, zeta=None):
+        Hm, _, Jm = geom
         if self.thermo:
             zm = 0.5 * (zeta[:-1] + zeta[1:])
             c2 = self.K * np.max(np.abs(self.theta_m + zm) * Hm**2 / Jm**2) / inertia
         else:
-            c2 = (4.0 / 3.0) * np.max(self.rho_m ** (1.0 / 3.0)
+            c2 = (4.0 / 3.0) * np.max(self.rho13_m
                                       * Hm**4 * (Hm * Hm * Jm) ** (-7.0 / 3.0)) / inertia
         return math.sqrt(max(c2, 1e-30))
 
 
 def _solve_tridiag(diag, upper, lower, rhs):
-    return solve_banded((1, 1), np.array([upper, diag, lower]), rhs)
+    """LAPACK dgtsv, as solve_banded calls it: A[i, i+1] = upper[i], A[i+1, i] = lower[i]."""
+    if not all(np.isfinite(arr).all() for arr in (diag, upper, lower, rhs)):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dgtsv(lower, diag, upper, rhs)[3:]     # copies: the inputs stay intact
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
 
 
 _OVERDAMPED_RATIO = 1e12
@@ -356,8 +355,8 @@ class _MomentumStepper:
             return 1.0, 0.5 * self.params.b, al ** 2.5
         return al, alpha_clock.alpha_tau(clock), al ** 3
 
-    def solve_velocity(self, f, v_old, dt, clock, alpha_clock, zeta=None, weight=1.0):
-        """One implicit viscosity+damping solve at frozen geometry f.
+    def solve_velocity(self, f, geom, v_old, dt, clock, alpha_clock, zeta=None, weight=1.0):
+        """One implicit viscosity+damping solve at frozen geometry f (edge geometry geom).
 
         weight is the implicit share of damping and viscosity: 1 for IMEX
         Euler, 1/2 for the midpoint rule, whose explicit half (at v_old)
@@ -365,19 +364,20 @@ class _MomentumStepper:
         """
         grid = self.grid
         inertia, damping, visc = self.coefficients(clock, alpha_clock)
-        Kb = grid.viscous_matrix(f, self.mu)
-        rows = grid.pressure_gravity(f, self.params.delta, zeta=zeta)
+        K = grid.viscous_matrix(geom, self.mu)
+        rows = grid.pressure_gravity(f, geom, self.params.delta, zeta=zeta)
         mass_term = (inertia / dt + weight * damping) * grid.mass
-        visc = _cap_overdamped(weight * visc, mass_term, Kb[1])
-        diag = mass_term + visc * Kb[1]
+        visc = _cap_overdamped(weight * visc, mass_term, K[0])
+        diag = mass_term + visc * K[0]
         explicit = 1.0 - weight
         rhs = (inertia / dt - explicit * damping) * grid.mass * v_old
         if explicit:
-            rhs -= visc * grid.apply_viscous(Kb, v_old)
+            rhs -= visc * grid.apply_viscous(K, v_old)
         rhs -= rows
-        return _solve_tridiag(diag, visc * Kb[0], visc * Kb[2], rhs)
+        off = visc * K[1]
+        return _solve_tridiag(diag, off, off, rhs)
 
-    def acceleration(self, f, v, clock, alpha_clock, zeta=None):
+    def acceleration(self, f, geom, v, clock, alpha_clock, zeta=None):
         """Pointwise clock-acceleration from the semi-discrete equations.
 
         Valid where the lumped mass is positive; the massless end nodes are
@@ -385,9 +385,9 @@ class _MomentumStepper:
         """
         grid = self.grid
         inertia, damping, visc = self.coefficients(clock, alpha_clock)
-        Kb = grid.viscous_matrix(f, self.mu)
-        rows = grid.pressure_gravity(f, self.params.delta, zeta=zeta)
-        num = visc * (-grid.apply_viscous(Kb, v)) - rows - damping * grid.mass * v
+        K = grid.viscous_matrix(geom, self.mu)
+        rows = grid.pressure_gravity(f, geom, self.params.delta, zeta=zeta)
+        num = visc * (-grid.apply_viscous(K, v)) - rows - damping * grid.mass * v
         acc = np.zeros_like(f)
         inner = grid.mass > 0
         acc[inner] = num[inner] / (inertia * grid.mass[inner])
@@ -408,7 +408,8 @@ def _picard_correct(stepper, f, v, dt, clock_new, alpha_clock, v_guess, spec, ev
     v_new = v_guess
     for _ in range(spec.max_newton):
         f_mid = f + 0.5 * dt * v_new
-        trial = stepper.solve_velocity(f_mid, v, dt, clock_new, alpha_clock)
+        trial = stepper.solve_velocity(f_mid, stepper.grid.edge_geometry(f_mid), v, dt,
+                                       clock_new, alpha_clock)
         if np.max(np.abs(trial - v_new)) <= spec.newton_tol * max(1.0, np.max(np.abs(trial))):
             return trial
         v_new = trial
@@ -420,16 +421,16 @@ def _thermo_aux(grid: _Grid, f, v):
     """Nodal advection bracket, Jacobian, and viscous-heating rate."""
     x = grid.x
     H = 1.0 + f
-    f_x = np.gradient(f, x, edge_order=2)
-    v_x = np.gradient(v, x, edge_order=2)
+    f_x = gradient(f, grid.grad)
+    v_x = gradient(v, grid.grad)
     J = H + x * f_x
     prod = x**3 * H**2 * v
-    dprod = np.gradient(prod, x, edge_order=2)
+    dprod = gradient(prod, grid.grad)
     frakF = (4.0 / 3.0) * ((v + x * v_x) / J - v / H) ** 2
     return H, J, dprod, frakF
 
 
-def _zeta_terms(grid: _Grid, f, v, z, alpha: float, mu: float):
+def _zeta_terms(grid: _Grid, f, geom, v, z, alpha: float, mu: float):
     """Terms of the temperature equation, unsummed so each caller keeps its order.
 
     Returns the nodal advection and viscous heating, and at the edges the
@@ -439,17 +440,17 @@ def _zeta_terms(grid: _Grid, f, v, z, alpha: float, mu: float):
     H, J, dprod, frakF = _thermo_aux(grid, f, v)
     adv = grid.K * grid.rho * (z + grid.theta_b) * dprod / (H**2 * J)
     heat = alpha * x**2 * H**2 * J * mu * frakF
-    Hm, _, Jm = grid.edge_geometry(f)
+    Hm, _, Jm = geom
     cdiff = xm**2 * Hm**2 / Jm
     bgflux = (Hm**2 / Jm - 1.0) * xm**2 * grid.thetap_m
     return adv, heat, cdiff, bgflux
 
 
-def _zeta_rate(grid: _Grid, f, v, z, alpha: float, mu: float):
+def _zeta_rate(grid: _Grid, f, geom, v, z, alpha: float, mu: float):
     """Pointwise zeta_tau from the semi-discrete temperature equation."""
-    adv, heat, cdiff, bgflux = _zeta_terms(grid, f, v, z, alpha, mu)
+    adv, heat, cdiff, bgflux = _zeta_terms(grid, f, geom, v, z, alpha, mu)
     Fz = cdiff * np.diff(z) / grid.dx + bgflux
-    div = np.concatenate([Fz, [0.0]]) - np.concatenate([[0.0], Fz])
+    div = np.diff(Fz, prepend=0.0, append=0.0)
     num = -grid.wq * adv + grid.wq * heat + alpha**2 * div
     rate = np.zeros_like(z)
     inner = grid.mass_z > 0
@@ -459,25 +460,21 @@ def _zeta_rate(grid: _Grid, f, v, z, alpha: float, mu: float):
     return rate
 
 
-def _temperature_step(grid: _Grid, f, v, z, dt: float, alpha: float, mu: float):
+def _temperature_step(grid: _Grid, f, geom, v, z, dt: float, alpha: float, mu: float):
     """zeta after one step: implicit diffusion, explicit advection and heating."""
-    adv, heat, cdiff, bgflux = _zeta_terms(grid, f, v, z, alpha, mu)
+    adv, heat, cdiff, bgflux = _zeta_terms(grid, f, geom, v, z, alpha, mu)
     dx = grid.dx
-    bdiv = np.concatenate([bgflux, [0.0]]) - np.concatenate([[0.0], bgflux])
-    # tridiagonal diffusion operator (zero natural flux at the center)
+    bdiv = np.diff(bgflux, prepend=0.0, append=0.0)
+    # symmetric tridiagonal diffusion operator (zero natural flux at the center)
     diag = grid.mass_z / dt + alpha**2 * (
         np.concatenate([cdiff, [0.0]]) + np.concatenate([[0.0], cdiff])) / dx
-    upper = np.zeros_like(diag)
-    lower = np.zeros_like(diag)
-    upper[1:] = -alpha**2 * cdiff / dx
-    lower[:-1] = -alpha**2 * cdiff / dx
+    off = -alpha**2 * cdiff / dx
     rhs = (grid.mass_z / dt) * z - grid.wq * adv + grid.wq * heat + alpha**2 * bdiv
     # Dirichlet zeta(R0) = 0: identity row, decoupled from zeta_{N-1}
     diag[-1] = 1.0
-    lower[-2] = 0.0
-    upper[-1] = 0.0
+    off[-1] = 0.0
     rhs[-1] = 0.0
-    return _solve_tridiag(diag, upper, lower, rhs)
+    return _solve_tridiag(diag, off, off, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +499,8 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
         raise InvalidParams(f"initial fields must live on {grid.n + 1} nodes")
     if thermo and abs(z[-1]) > 0.0:
         raise InvalidParams("zeta(R0) must be 0 initially")
-    if grid.check_geometry(f) <= 0.0:
+    geom = grid.edge_geometry(f)              # the edge geometry of the current state
+    if grid.check_geometry(f, geom) <= 0.0:
         raise DomainViolation("initial data degenerates the flow map")
     if thermo and np.any(z[1:-1] + grid.theta_b[1:-1] <= 0.0):
         raise InvalidParams("initial absolute temperature must stay positive")
@@ -537,8 +535,8 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
         E, D = energy_now()
         E_series, D_series, W_series = [E], [D], [0.0]
 
-    acc = stepper.acceleration(f, v, 0.0, alpha_clock, zeta=z)
-    z_rate = _zeta_rate(grid, f, v, z, params.a0, mu) if thermo else None
+    acc = stepper.acceleration(f, geom, v, 0.0, alpha_clock, zeta=z)
+    z_rate = _zeta_rate(grid, f, geom, v, z, params.a0, mu) if thermo else None
     field = mk_field(acc, z_rate)
     record(field)
     if online_integrands is not None:
@@ -552,7 +550,7 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
         if clock >= clock_end * (1.0 - 1e-14):
             break
         inertia = stepper.coefficients(clock, alpha_clock)[0]
-        dt_cfl = spec.cfl * grid.dx / grid.wave_speed(f, inertia, zeta=z)
+        dt_cfl = spec.cfl * grid.dx / grid.wave_speed(geom, inertia, zeta=z)
         dt = min(dt * 1.25, dt_cfl, spec.dt_max or np.inf, clock_end - clock)
         if emit_idx < emit.size:
             dt = min(dt, emit[emit_idx] - clock + 1e-15)
@@ -560,17 +558,19 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
         for _retry in range(40):
             clock_new = clock + dt
             if spec.order == 2:
-                v_new = stepper.solve_velocity(f + 0.5 * dt * v, v, dt, clock + 0.5 * dt,
-                                               alpha_clock, weight=0.5)
+                f_mid = f + 0.5 * dt * v
+                v_new = stepper.solve_velocity(f_mid, grid.edge_geometry(f_mid), v, dt,
+                                               clock + 0.5 * dt, alpha_clock, weight=0.5)
                 f_new = f + 0.5 * dt * (v + v_new)
             else:
-                v_new = stepper.solve_velocity(f, v, dt, clock_new, alpha_clock, zeta=z)
+                v_new = stepper.solve_velocity(f, geom, v, dt, clock_new, alpha_clock, zeta=z)
                 if spec.fully_implicit:
                     v_new = _picard_correct(stepper, f, v, dt, clock_new, alpha_clock,
                                             v_new, spec, events)
                 f_new = f + dt * v_new
+            geom_new = grid.edge_geometry(f_new)
             if thermo:
-                z_new = _temperature_step(grid, f_new, v_new, z, dt,
+                z_new = _temperature_step(grid, f_new, geom_new, v_new, z, dt,
                                           alpha_clock.alpha(clock_new), mu)
             change = np.max(np.abs(f_new - f)) / max(1.0, np.max(np.abs(1.0 + f)))
             if change <= spec.max_rel_change and np.all(np.isfinite(f_new)) \
@@ -582,8 +582,8 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
                 break
         else:
             stop = RunEvent("step-failure", clock, "no acceptable step")
-        if stop is None and (geom := grid.check_geometry(f_new)) <= 0.0:
-            stop = RunEvent("jacobian-degenerate", clock, f"min(1+f, J) = {geom:.3e}")
+        if stop is None and (low := grid.check_geometry(f_new, geom_new)) <= 0.0:
+            stop = RunEvent("jacobian-degenerate", clock, f"min(1+f, J) = {low:.3e}")
         if stop is None and thermo:           # (b) the absolute temperature stays positive
             temp_abs = z_new[1:-1] + grid.theta_b[1:-1]
             if np.any(temp_abs <= 0.0):
@@ -597,7 +597,7 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
         if thermo:
             z_rate = (z_new - z) / dt
             z = z_new
-        f, v, clock = f_new, v_new, clock_new
+        f, v, geom, clock = f_new, v_new, geom_new, clock_new
         times.append(clock)
         if track_energy:
             E, D = energy_now()
@@ -640,7 +640,7 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
         energy=energy, dissipation=dissipation, visc_work=visc_work,
         dissipation_online={k: np.asarray(vs) for k, vs in online_series.items()}
         if online is not None else None,
-        background=bg, alpha_clock=alpha_clock, params=params, spec=spec,
+        background=bg, alpha_clock=alpha_clock, spec=spec,
         completed=completed)
 
 
@@ -655,12 +655,20 @@ def evolve_self_similar(profile, params: ExpansionParams, initial, s_end: float,
 def evolve_linear_isentropic(profile, params: ExpansionParams, initial, tau_end: float,
                              spec: SolverSpec | None = None, mu: float = 1.0,
                              online_integrands=None) -> RunResult:
-    """Evolve a perturbation of the linearly expanding isentropic star to tau_end."""
-    if params.classification == LINEAR and params.delta <= -params.a0 * params.a1**2 / 8.0:
-        warnings.warn("delta <= -a0 a1^2/8: outside the proven stability range",
-                      stacklevel=2)
-    return _evolve(profile, params, initial, tau_end, spec or SolverSpec(), mu,
-                   LINEAR_REGIME, online_integrands)
+    """Evolve a perturbation of the linearly expanding isentropic star to tau_end.
+
+    Outside the proven stability range, delta <= -a0 a1^2/8, this warns and the
+    run carries a non-stop `outside-stability-range` event.
+    """
+    notice = "delta <= -a0 a1^2/8: outside the proven stability range"
+    outside = params.classification == LINEAR and params.delta <= -params.a0 * params.a1**2 / 8.0
+    if outside:
+        warnings.warn(notice, stacklevel=2)
+    run = _evolve(profile, params, initial, tau_end, spec or SolverSpec(), mu,
+                  LINEAR_REGIME, online_integrands)
+    if outside:
+        run.events.insert(0, RunEvent("outside-stability-range", 0.0, notice))
+    return run
 
 
 def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: float,
@@ -711,41 +719,40 @@ def initial_second_derivatives(background: Background, params: ExpansionParams, 
                             "grid of its initial data")
     alpha_clock = _AlphaClock(params, regime, 1.0)
     stepper = _MomentumStepper(grid, params, regime, mu)
-    if regime == THERMO_REGIME:
-        xi0, xi1, zeta0 = (np.asarray(a, dtype=float) for a in initial)
-        xi2 = stepper.acceleration(xi0, xi1, 0.0, alpha_clock, zeta=zeta0)
-        return xi2, _zeta_rate(grid, xi0, xi1, zeta0, params.a0, mu)
-    theta0, theta1 = (np.asarray(a, dtype=float) for a in initial)
-    return stepper.acceleration(theta0, theta1, 0.0, alpha_clock)
+    f, v, *rest = (np.asarray(a, dtype=float) for a in initial)
+    z = rest[0] if grid.thermo else None
+    geom = grid.edge_geometry(f)
+    acc = stepper.acceleration(f, geom, v, 0.0, alpha_clock, zeta=z)
+    return (acc, _zeta_rate(grid, f, geom, v, z, params.a0, mu)) if grid.thermo else acc
 
 
 # ---------------------------------------------------------------------------
 # Eulerian reconstruction
 # ---------------------------------------------------------------------------
 
-def reconstruct_eulerian(field, params: ExpansionParams) -> EulerianSnapshot:
+def reconstruct_eulerian(field, alpha_clock: _AlphaClock) -> EulerianSnapshot:
     """Map a Lagrangian perturbation field to Eulerian (r, rho, u[, theta]).
 
     r = alpha x (1 + f), rho = x^2 rho_bar / (r^2 r_x), u = r_t through the
-    chain rule of the field's clock, with alpha and alpha'(t) from the same
-    alpha clock the solver steps with.  The mass identity uses the same
-    discrete r_x that built rho, so its residual isolates wiring errors from
-    quadrature error (which is reported separately against the integrated
-    profile mass).
+    chain rule of the field's clock, with alpha and alpha'(t) from the clock
+    the run stepped with (`RunResult.alpha_clock`).  The mass identity uses the
+    same discrete r_x that built rho, so its residual isolates wiring errors
+    from quadrature error (reported separately against the profile mass).
     """
     x = np.asarray(field.x_nodes, dtype=float)
     bg = field.background
     if bg is None:
         raise InvalidParams("field carries no background; cannot reconstruct the density")
-    bg.require_grid(x)
+    stencil = bg.require_grid(x)
+    if alpha_clock.regime != field.regime:
+        raise InvalidParams(f"a {field.regime} field needs the alpha clock of its run")
     f, v = field.theta, field.theta_t
-    alpha_clock = _AlphaClock(params, field.regime, field.clock)
     alpha = alpha_clock.alpha(field.clock)
     v_scale = alpha**-0.5 if field.regime == SELF_SIMILAR_REGIME else 1.0
     u = alpha_clock.alpha_prime(field.clock) * x * (1.0 + f) + v_scale * x * v
 
     H = 1.0 + f
-    f_x = np.gradient(f, x, edge_order=2)
+    f_x = gradient(f, stencil)
     J = H + x * f_x
     if np.any(J <= 0.0) or np.any(H <= 0.0):
         raise DomainViolation("flow map degenerate; cannot reconstruct")

@@ -41,7 +41,7 @@ from .errors import (
     ToleranceNotMet,
     ZerosDoNotCoincide,
 )
-from .functionals import chi_cutoff
+from .functionals import chi_cutoff, gradient_stencil
 
 # Ballpark radius of the delta = 0 star; used only to place the series start
 # and to cap step sizes so the dense output stays as accurate as the steps.
@@ -216,6 +216,7 @@ class Background:
     rho: np.ndarray
     rho_m: np.ndarray
     chi: np.ndarray                     # ledger interior cut-off at the nodes
+    grad: tuple                         # gradient_stencil(x)
     rho43: np.ndarray | None = None     # isentropic: rho^{4/3}
     rho43_m: np.ndarray | None = None
     K: float | None = None              # thermo: pressure constant
@@ -224,11 +225,12 @@ class Background:
     thetap_m: np.ndarray | None = None  # d theta / dy at the midpoints
     ptheta_m: np.ndarray | None = None  # K rho theta at the midpoints
 
-    def require_grid(self, x) -> None:
-        """Raise InvalidParams unless x is the grid this background was sampled on."""
+    def require_grid(self, x) -> tuple:
+        """The gradient stencil of x; InvalidParams unless this background was sampled on x."""
         if x is not self.x and not np.array_equal(x, self.x):
             raise InvalidParams(f"background sampled on {self.x.size} nodes over "
                                 f"[0, {self.R0:.6g}] does not match the field grid")
+        return self.grad
 
 
 def sample_background(profile, x) -> Background:
@@ -246,7 +248,8 @@ def sample_background(profile, x) -> Background:
         arrays.update(rho43=profile.rho43_at(x), rho43_m=profile.rho43_at(xm))
     for arr in arrays.values():
         arr.setflags(write=False)
-    return Background(R0=profile.R0, K=profile.K if thermo else None, **arrays)
+    return Background(R0=profile.R0, K=profile.K if thermo else None,
+                      grad=gradient_stencil(x), **arrays)
 
 
 def solve_isentropic_profile(delta: float, grid_spec: GridSpec | None = None) -> IsentropicProfile:

@@ -11,7 +11,7 @@ from starlab import classify_expansion
 from starlab.cli import run_scenario
 from starlab.config import validate_config
 from starlab.errors import InvalidParams
-from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, PerturbationField,
+from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, PerturbationField, _AlphaClock,
                                 initial_second_derivatives, reconstruct_eulerian)
 from starlab.profiles import IsentropicProfile, ThermoProfile, sample_background
 
@@ -79,7 +79,7 @@ class TestGridMismatch:
                 F.total_energy_ledger([f], bg, F.WeightSpec(), LINEAR_REGIME,
                                       np.exp, 0.0)
             with pytest.raises(InvalidParams):
-                reconstruct_eulerian(f, pars)
+                reconstruct_eulerian(f, _AlphaClock(pars, LINEAR_REGIME, 1.0))
         with pytest.raises(InvalidParams):
             initial_second_derivatives(sample_background(iso0, x[::2]), pars, (z, z),
                                        LINEAR_REGIME)
@@ -101,7 +101,8 @@ class TestGridMismatch:
         x = grid(iso0)
         f = PerturbationField(x, 0 * x, 0 * x, None, 0.0, LINEAR_REGIME)
         with pytest.raises(InvalidParams):
-            reconstruct_eulerian(f, classify_expansion(0.0, 1.0, 1.0))
+            reconstruct_eulerian(f, _AlphaClock(classify_expansion(0.0, 1.0, 1.0),
+                                                LINEAR_REGIME, 1.0))
 
 
 @pytest.mark.parametrize("config, cls, method", [

@@ -4,12 +4,20 @@ import os
 import numpy as np
 import pytest
 
+from starlab import classify_expansion, lagrangian, solve_isentropic_profile
 from starlab.cli import main, run_scenario
 from starlab.config import (InitialSpec, build_initial, family_shape,
                             validate_config)
 from starlab.errors import ConfigInvalid
+from starlab.lagrangian import SolverSpec, evolve_linear_isentropic
 
 DEFAULTS = os.path.join(os.path.dirname(__file__), "..", "configs", "defaults.json")
+STABILITY_LINEAR = os.path.join(os.path.dirname(DEFAULTS), "stability_linear.json")
+
+
+@pytest.fixture(scope="module")
+def iso_unstable():
+    return solve_isentropic_profile(-1.5e-3)
 
 
 class TestValidation:
@@ -207,6 +215,24 @@ class TestScenarios:
             # theta shares the scale the zeta term set: A R0 / 100, not A
             assert np.allclose(theta, 1e-6 * x[-1], rtol=1e-12, atol=0.0)
 
+    def test_one_alpha_integration_per_run(self, tmp_path, monkeypatch):
+        # a general linear path integrates alpha(tau) once: the ledger's
+        # physical energies and the final reconstruction use the run's clock
+        calls = []
+        integrate = lagrangian.solve_ivp
+        monkeypatch.setattr(lagrangian, "solve_ivp",
+                            lambda *a, **kw: calls.append(a[1]) or integrate(*a, **kw))
+        with open(STABILITY_LINEAR) as fh:
+            raw = json.load(fh)
+        raw["model"].update(delta=-1e-3, a1=0.1)
+        raw["out_dir"] = str(tmp_path)
+        cfg = validate_config(raw)
+        assert (cfg.solver.n_cells, cfg.time.end, cfg.time.n_emit) == (128, 10.0, 81)
+        report = run_scenario(cfg)
+        assert report.status == 0 and report.summary["completed"]
+        assert "energy_reports.csv" in os.listdir(tmp_path)
+        assert len(calls) == 1
+
     def test_determinism(self, tmp_path):
         raw = {
             "scenario": "evolve-linear",
@@ -258,6 +284,27 @@ class TestMain:
         code = main(["evolve-linear", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 0
         assert (tmp_path / "o" / "eulerian.csv").exists()
+
+    def test_stability_range_event(self, tmp_path, iso_unstable):
+        # delta <= -a0 a1^2/8: a non-stop event in the run and in manifest.json
+        pars = classify_expansion(-1.5e-3, 1.0, 0.1)
+        z = np.zeros(49)
+        with pytest.warns(UserWarning, match="stability range"):
+            run = evolve_linear_isentropic(iso_unstable, pars, (z, z), 0.05,
+                                           SolverSpec(n_cells=48, n_emit=2))
+        assert run.completed
+        assert [(e.kind, e.clock) for e in run.events] == [("outside-stability-range", 0.0)]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": {"delta": -1.5e-3, "a1": 0.1},
+                                   "solver": {"n_cells": 48}, "time": {"end": 0.05}}))
+        for flags, expected in (([], 0), (["--verify"], 2)):
+            out = tmp_path / f"o{len(flags)}"
+            with pytest.warns(UserWarning, match="stability range"):
+                code = main(["evolve-linear", "--config", str(cfg), "--out", str(out)] + flags)
+            assert code == expected
+            with open(out / "manifest.json") as fh:
+                events = json.load(fh)["events"]
+            assert [(e["kind"], e["clock"]) for e in events] == [("outside-stability-range", 0.0)]
 
     def test_profile_scenario(self, tmp_path, capsys):
         code = main(["profile", "--out", str(tmp_path / "o")])

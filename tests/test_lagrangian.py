@@ -254,7 +254,7 @@ class TestEulerian:
     def test_exact_solution(self, iso_ss, pars_ss):
         z = np.zeros(N + 1)
         run = evolve_self_similar(iso_ss, pars_ss, (z, z), 0.5, SolverSpec(n_cells=N, n_emit=3))
-        snap = reconstruct_eulerian(run.final, pars_ss)
+        snap = reconstruct_eulerian(run.final, run.alpha_clock)
         s = run.final.clock
         alpha = pars_ss.a0 * np.exp(pars_ss.b * s)
         x = run.final.x_nodes
@@ -269,7 +269,7 @@ class TestEulerian:
         phi0 = bump(x, iso_ss.R0, 1e-2)
         run = evolve_self_similar(iso_ss, pars_ss, (phi0, np.zeros_like(phi0)), 0.5,
                                   SolverSpec(n_cells=N, n_emit=3, growth_threshold=1.0))
-        snap = reconstruct_eulerian(run.final, pars_ss)
+        snap = reconstruct_eulerian(run.final, run.alpha_clock)
         assert np.all(np.diff(snap.r) > 0)
         assert snap.mass_identity_residual < 1e-12
         assert snap.mass_quadrature_residual < 1e-4
@@ -281,7 +281,7 @@ class TestEulerian:
         th0 = bump(x, iso_ss.R0, 1e-3)
         run = evolve_linear_isentropic(iso_ss, pars, (th0, 0 * th0), 0.5,
                                        SolverSpec(n_cells=N, n_emit=3))
-        snap = reconstruct_eulerian(run.final, pars)
+        snap = reconstruct_eulerian(run.final, run.alpha_clock)
         f, v, tau = run.final.theta, run.final.theta_t, run.final.clock
         # independent oracle: alpha(t) integrated in t, t inverted from tau(t)
         path = integrate_alpha(pars, 2.0)
