@@ -22,7 +22,7 @@ from .errors import DomainViolation, KEqualsOne, MissingDerivative, WeightViolat
 
 
 def gradient_stencil(x) -> tuple:
-    """np.gradient(u, x, edge_order=2)'s coefficients on x as (center, first, last).
+    """numpy.gradient's coefficients on x (edge_order=2) as (center, first, last).
 
     center is 2 dx on an exactly uniform grid (numpy's branch for it), else the
     (a, b, c) arrays of the central rows; first and last are the (a, b, c) of the
@@ -41,7 +41,7 @@ def gradient_stencil(x) -> tuple:
 
 
 def gradient(u, stencil):
-    """du/dx on the grid of `stencil` (from gradient_stencil), as np.gradient gives it."""
+    """du/dx on the grid of `stencil` (from gradient_stencil), as numpy.gradient gives it."""
     center, (a0, b0, c0), (a1, b1, c1) = stencil
     out = np.empty(u.shape)
     if isinstance(center, tuple):

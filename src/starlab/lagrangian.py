@@ -252,7 +252,7 @@ class _Grid:
 
 
 def _solve_tridiag(diag, upper, lower, rhs):
-    """LAPACK dgtsv, as solve_banded calls it: A[i, i+1] = upper[i], A[i+1, i] = lower[i]."""
+    """dgtsv on upper[i] = A[i, i+1], lower[i] = A[i+1, i], with scipy's banded checks."""
     if not all(np.isfinite(arr).all() for arr in (diag, upper, lower, rhs)):
         raise ValueError("array must not contain infs or NaNs")
     x, info = dgtsv(lower, diag, upper, rhs)[3:]     # copies: the inputs stay intact
