@@ -4,7 +4,6 @@ from .profiles import (
     GridSpec,
     IsentropicProfile,
     ThermoProfile,
-    profile_mass_moments,
     solve_isentropic_profile,
     solve_thermo_profile,
 )
@@ -13,10 +12,6 @@ from .expansion import (
     ExpansionPath,
     classify_expansion,
     integrate_alpha,
-    linear_clock,
-    linear_clock_inverse,
-    self_similar_clock,
-    thermo_expansion_gate,
 )
 from .homogeneous import (
     PhaseState,
@@ -24,7 +19,6 @@ from .homogeneous import (
     curve_phi_s,
     energy_homogeneous,
     integrate_phase,
-    phase_rhs,
 )
 
 __version__ = "0.1.0"

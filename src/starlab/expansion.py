@@ -66,29 +66,9 @@ class ExpansionPath:
     def alpha_prime_at(self, t):
         return self._sol.sol(np.asarray(t, dtype=float))[1]
 
-    def s_at(self, t):
-        return self._sol.sol(np.asarray(t, dtype=float))[2]
-
     @property
     def t_end(self) -> float:
         return float(self._sol.t[-1])
-
-    def t_of_clock(self, value: float, kind: str) -> float:
-        """Invert s(t) or tau(t) by bisection on the dense output."""
-        idx = 2 if kind == "s" else 3
-        lo, hi = self._sol.t[0], self._sol.t[-1]
-        f = lambda t: float(self._sol.sol(t)[idx]) - value
-        if f(hi) < 0 or f(lo) > 0:
-            raise StepFailure(f"clock value {value} outside the integrated span")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14 * max(1.0, abs(hi)):
-                break
-        return 0.5 * (lo + hi)
 
 
 def classify_expansion(delta: float, a0: float, a1: float,
@@ -205,45 +185,6 @@ def integrate_to_collapse(params: ExpansionParams, **kwargs) -> ExpansionPath:
         return exc.path
 
 
-def self_similar_clock(path: ExpansionPath) -> np.ndarray:
-    """Samples of s(t) = int alpha^{-3/2}; requires the SelfSimilar branch.
-
-    For that branch s has the closed form (ln alpha - ln a0)/sqrt(2|delta|),
-    and alpha expressed in s is a0 * exp(sqrt(2|delta|) s).
-    """
-    if path.params.classification != SELF_SIMILAR:
-        raise WrongClassification("self-similar clock requires the SelfSimilar branch")
-    return np.asarray(path.s_samples)
-
-
-def self_similar_alpha_of_s(params: ExpansionParams, s):
-    if params.classification != SELF_SIMILAR:
-        raise WrongClassification("requires the SelfSimilar branch")
-    return params.a0 * np.exp(params.b * np.asarray(s, dtype=float))
-
-
-def linear_clock(a0: float, a1: float, t):
-    """tau(t) = int_0^t dt/alpha for the delta = 0 path alpha = a0 + a1 t."""
-    t = np.asarray(t, dtype=float)
-    if a1 == 0.0:
-        return t / a0
-    return np.log1p(a1 * t / a0) / a1
-
-
-def linear_clock_inverse(a0: float, a1: float, tau):
-    tau = np.asarray(tau, dtype=float)
-    if a1 == 0.0:
-        return a0 * tau
-    return a0 * np.expm1(a1 * tau) / a1
-
-
-def thermo_expansion_gate(K: float, c_nu: float, rel_tol: float = 1e-9) -> bool:
-    """True iff 3K = c_nu, the existence condition for thermodynamic expansion."""
-    if K <= 0 or c_nu <= 0:
-        raise InvalidParams("K and c_nu must be positive")
-    return abs(3.0 * K - c_nu) <= rel_tol * max(3.0 * K, c_nu)
-
-
 def fit_collapse_exponent(path: ExpansionPath, decades: float = 1.0, n_fit: int = 200) -> float:
     """Least-squares slope of log alpha vs log(T - t) over the final decade(s)."""
     if path.T_collapse is None:
@@ -257,20 +198,3 @@ def fit_collapse_exponent(path: ExpansionPath, decades: float = 1.0, n_fit: int 
     slope, _ = np.polyfit(np.log(T - t_fit), np.log(a_fit), 1)
     return float(slope)
 
-
-def linear_growth_bounds_ok(path: ExpansionPath, slack: float = 1e-8) -> bool:
-    """Check a0 e^{beta1 tau} <= alpha <= a0 e^{beta2 tau} and the alpha_tau bounds.
-
-    alpha_tau = alpha * alpha' by the chain rule through tau.
-    """
-    p = path.params
-    if p.classification not in (LINEAR, POSITIVE_DELTA):
-        raise WrongClassification("growth bounds apply to linearly expanding paths")
-    a, ap, tau = path.alpha, path.alpha_prime, path.tau_samples
-    lo = p.a0 * np.exp(p.beta1 * tau)
-    hi = p.a0 * np.exp(p.beta2 * tau)
-    alpha_tau = a * ap
-    ok_alpha = np.all(a >= lo * (1 - slack)) and np.all(a <= hi * (1 + slack))
-    ok_rate = (np.all(alpha_tau >= p.beta1 * a * (1 - slack) - slack)
-               and np.all(alpha_tau <= p.beta2 * a * (1 + slack) + slack))
-    return bool(ok_alpha and ok_rate)

@@ -73,13 +73,6 @@ def chi_cutoff(x, R0: float):
     return 1.0 - t * t * (3.0 - 2.0 * t)
 
 
-def chi_cutoff_prime(x, R0: float):
-    x = np.asarray(x, dtype=float)
-    t = (x - 0.5 * R0) / (0.25 * R0)
-    inside = (t > 0.0) & (t < 1.0)
-    return np.where(inside, -6.0 * t * (1.0 - t) / (0.25 * R0), 0.0)
-
-
 @dataclass(frozen=True)
 class WeightSpec:
     """Decay exponents of the total-energy ledgers.
@@ -171,16 +164,6 @@ def physical_energy(snapshot, model: str = "isentropic", mu: float = 1.0,
     raise ValueError(f"unknown model {model!r}")
 
 
-def exact_expansion_energy(params, fourth_moment: float) -> float:
-    """Energy of the unperturbed expanding star: (a1^2 + 2 delta/a0)/2 * int s^4 rho.
-
-    Constant in time by the first integral of alpha and the profile virial
-    identity 3 int y^2 rho^{4/3} - int y rho M = delta int y^4 rho; vanishes
-    exactly on the self-similar branch.
-    """
-    return 0.5 * (params.a1**2 + 2.0 * params.delta / params.a0) * fourth_moment
-
-
 # ---------------------------------------------------------------------------
 # perturbation energy and dissipation (self-similar clock)
 # ---------------------------------------------------------------------------
@@ -225,25 +208,8 @@ def perturbation_energy_ss(x, phi, phi_s, rho4_nodes, rho43_edges, a0: float,
 
 
 # ---------------------------------------------------------------------------
-# relative entropy
+# frak-A inequality probe
 # ---------------------------------------------------------------------------
-
-def relative_entropy(x, h, h_x=None, h_xx=None):
-    """log[(1+h)^2 (1+h+x h_x)] and its x-derivative on the grid."""
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if h_x is None or h_xx is None:
-        st = gradient_stencil(x)
-        h_x = gradient(h, st) if h_x is None else h_x
-        h_xx = gradient(h_x, st) if h_xx is None else h_xx
-    one = 1.0 + h
-    J = one + x * h_x
-    if np.any(one <= 0.0) or np.any(J <= 0.0):
-        raise DomainViolation("relative entropy outside its domain")
-    H = np.log(one**2 * J)
-    H_x = 2.0 * h_x / one + (2.0 * h_x + x * h_xx) / J
-    return H, H_x
-
 
 def frak_A_inequality(x, h, h_x=None, h_xx=None) -> tuple[float, float]:
     """(lhs, rhs) of int (4 h_x + x h_xx)^2 >= 12 int h_x^2 + int x^2 h_xx^2.

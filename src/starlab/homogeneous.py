@@ -69,19 +69,6 @@ class PhaseTrajectory:
     _sol: object = field(repr=False, default=None)
 
 
-def phase_rhs(state: PhaseState) -> tuple[float, float]:
-    """(d phi/ds, d phi_s/ds) of the uniform-perturbation ODE."""
-    return _rhs(state.phi, state.phi_s, state.delta)
-
-
-def _rhs(phi, phi_s, delta):
-    one = 1.0 + phi
-    if np.any(np.asarray(one) <= 0.0):
-        raise DomainViolation("phi <= -1")
-    b = math.sqrt(2.0 * abs(delta))
-    return phi_s, -0.5 * b * phi_s - abs(delta) * (one**-2 - one)
-
-
 def curve_phi_s(phi, delta):
     """phi_s on the zero-energy curve through the origin."""
     if delta >= 0:

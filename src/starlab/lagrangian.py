@@ -50,8 +50,14 @@ to the caller's post-run ledger and `reconstruct_eulerian`.
 
 One background per grid: each run samples its profile once
 (`profiles.sample_background`) on the solver grid, with its gradient stencil.
-The step kernel, every emitted field, the RunResult, `initial_second_derivatives`
-and `reconstruct_eulerian` read the static star from that Background only.
+The step kernel, every emitted field, the RunResult and `reconstruct_eulerian`
+read the static star from that Background only.
+
+The first snapshot carries the initial second clock derivatives that the
+equations of motion imply: theta_tt, and zeta_t in the thermodynamic regime.
+They invert the rho-weighted mass only where it is positive (the end nodes
+are one-sided quadratic limits), so pointwise values lose accuracy inside the
+vacuum boundary layer; every ledger use is rho-weighted.
 
 The step kernel computes the edge geometry (Hm, df, Jm) of each new state once;
 the temperature step, the geometry check and, once accepted, the next step's CFL
@@ -119,9 +125,7 @@ class EulerianSnapshot:
     r: np.ndarray
     rho: np.ndarray
     u: np.ndarray
-    R_t: float
     theta_abs: np.ndarray | None = None
-    x_nodes: np.ndarray | None = None
     mass_identity_residual: float = 0.0
     mass_quadrature_residual: float = 0.0
 
@@ -403,7 +407,7 @@ def _quad_extrap(x, vals, idx):
     return float(np.polyval(c, x[idx]))
 
 
-def _picard_correct(stepper, f, v, dt, clock_new, alpha_clock, v_guess, spec, events):
+def _picard_correct(stepper, f, v, dt, clock_new, alpha_clock, v_guess, spec):
     """Fixed-point correction re-freezing geometry at the midpoint state."""
     v_new = v_guess
     for _ in range(spec.max_newton):
@@ -413,7 +417,6 @@ def _picard_correct(stepper, f, v, dt, clock_new, alpha_clock, v_guess, spec, ev
         if np.max(np.abs(trial - v_new)) <= spec.newton_tol * max(1.0, np.max(np.abs(trial))):
             return trial
         v_new = trial
-    events.append(RunEvent("newton-divergence", clock_new, "picard stalled"))
     raise NewtonDivergence("fully implicit corrector failed to converge")
 
 
@@ -566,7 +569,7 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
                 v_new = stepper.solve_velocity(f, geom, v, dt, clock_new, alpha_clock, zeta=z)
                 if spec.fully_implicit:
                     v_new = _picard_correct(stepper, f, v, dt, clock_new, alpha_clock,
-                                            v_new, spec, events)
+                                            v_new, spec)
                 f_new = f + dt * v_new
             geom_new = grid.edge_geometry(f_new)
             if thermo:
@@ -693,40 +696,6 @@ def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: flo
 
 
 # ---------------------------------------------------------------------------
-# initial second clock derivatives
-# ---------------------------------------------------------------------------
-
-def initial_second_derivatives(background: Background, params: ExpansionParams, initial,
-                               regime: str, mu: float = 1.0):
-    """Initial second clock derivatives implied by the equations of motion.
-
-    `initial` lives on the background's grid (InvalidParams otherwise).
-
-    Solves the same semi-discrete identities that the evolution operators
-    step, inverting the rho-weighted mass only where it is positive; the
-    center and vacuum nodes are filled with one-sided quadratic limits.
-    Returns theta2 for the isentropic regimes, (xi2, zeta1) for the
-    thermodynamic one.  A run's first snapshot carries the same values.
-
-    Pointwise values lose accuracy inside the vacuum boundary layer, where
-    the division amplifies the O(dx^2) force residual by 1/rho; every
-    downstream use is rho-weighted, and in those norms the fields converge
-    under refinement.
-    """
-    grid = _Grid(background)
-    if np.size(initial[0]) != grid.n + 1 or grid.thermo != (regime == THERMO_REGIME):
-        raise InvalidParams(f"a {regime} run needs its background sampled on the "
-                            "grid of its initial data")
-    alpha_clock = _AlphaClock(params, regime, 1.0)
-    stepper = _MomentumStepper(grid, params, regime, mu)
-    f, v, *rest = (np.asarray(a, dtype=float) for a in initial)
-    z = rest[0] if grid.thermo else None
-    geom = grid.edge_geometry(f)
-    acc = stepper.acceleration(f, geom, v, 0.0, alpha_clock, zeta=z)
-    return (acc, _zeta_rate(grid, f, geom, v, z, params.a0, mu)) if grid.thermo else acc
-
-
-# ---------------------------------------------------------------------------
 # Eulerian reconstruction
 # ---------------------------------------------------------------------------
 
@@ -773,10 +742,9 @@ def reconstruct_eulerian(field, alpha_clock: _AlphaClock) -> EulerianSnapshot:
     mass_ident = float(np.max(np.abs(ident)) / scale)
     euler_mass = np.concatenate([[0.0], np.cumsum(
         0.5 * np.diff(r) * (r[1:]**2 * rho[1:] + r[:-1]**2 * rho[:-1]))])
-    lag_mass = np.concatenate([[0.0], np.cumsum(
-        0.5 * np.diff(x) * (x[1:]**2 * rho_b[1:] + x[:-1]**2 * rho_b[:-1]))])
+    lag_mass = bg.cum_mass                   # the same trapezoid over the background
     mass_quad = float(np.max(np.abs(euler_mass - lag_mass)) / max(lag_mass[-1], 1e-300))
 
-    return EulerianSnapshot(r=r, rho=rho, u=u, R_t=float(r[-1]), theta_abs=theta_abs,
-                            x_nodes=x, mass_identity_residual=mass_ident,
+    return EulerianSnapshot(r=r, rho=rho, u=u, theta_abs=theta_abs,
+                            mass_identity_residual=mass_ident,
                             mass_quadrature_residual=mass_quad)

@@ -120,10 +120,6 @@ class IsentropicProfile:
     def rho43_at(self, y):
         return np.clip(self.w_at(y), 0.0, None) ** 4
 
-    def cumulative_mass_at(self, y):
-        c2 = -(1.0 + 3.0 * self.delta) / 24.0
-        return self._blend(y, lambda t: t**3 / 3.0 + 3.0 * c2 * t**5 / 5.0, 2)
-
 
 @dataclass
 class ThermoProfile:
@@ -216,6 +212,7 @@ class Background:
     rho: np.ndarray
     rho_m: np.ndarray
     chi: np.ndarray                     # ledger interior cut-off at the nodes
+    cum_mass: np.ndarray                # trapezoid int_0^x y^2 rho dy at the nodes
     grad: tuple                         # gradient_stencil(x)
     rho43: np.ndarray | None = None     # isentropic: rho^{4/3}
     rho43_m: np.ndarray | None = None
@@ -237,8 +234,11 @@ def sample_background(profile, x) -> Background:
     """Sample a solved profile once on the node grid x and its cell midpoints."""
     x = np.array(x, dtype=float)
     xm = 0.5 * (x[:-1] + x[1:])
-    arrays = {"x": x, "xm": xm, "rho": profile.rho_at(x), "rho_m": profile.rho_at(xm),
-              "chi": chi_cutoff(x, profile.R0)}
+    rho = profile.rho_at(x)
+    cum_mass = np.concatenate([[0.0], np.cumsum(
+        0.5 * np.diff(x) * (x[1:]**2 * rho[1:] + x[:-1]**2 * rho[:-1]))])
+    arrays = {"x": x, "xm": xm, "rho": rho, "rho_m": profile.rho_at(xm),
+              "chi": chi_cutoff(x, profile.R0), "cum_mass": cum_mass}
     thermo = isinstance(profile, ThermoProfile)
     if thermo:
         arrays.update(theta=profile.theta_at(x), theta_m=profile.theta_at(xm),
@@ -442,25 +442,6 @@ def solve_thermo_profile(K: float, epsilon: float, grid_spec: GridSpec | None = 
     if np.any(profile.rho_bar[1:-1] <= 0.0) or np.any(profile.theta_bar[1:-1] <= 0.0):
         raise ToleranceNotMet("interior positivity lost before the located zero")
     return profile
-
-
-def profile_mass_moments(profile) -> tuple[np.ndarray, float]:
-    """Cumulative mass samples and the fourth moment of a solved profile."""
-    return profile.mass_moments.cumulative, profile.mass_moments.fourth_moment
-
-
-def delta_is_solvable(delta: float, grid_spec: GridSpec | None = None) -> bool:
-    """Empirical solvability probe for the isentropic family.
-
-    The model guarantees a first zero for delta above some negative
-    threshold it never quantifies; this reports whether the construction
-    succeeds at the given delta instead of guessing the threshold.
-    """
-    try:
-        solve_isentropic_profile(delta, grid_spec)
-        return True
-    except (NoFirstZero, NonPhysicalVacuum):
-        return False
 
 
 def isentropic_ode_residual(profile: IsentropicProfile, h: float = 1e-5) -> np.ndarray:

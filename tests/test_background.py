@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 import starlab.functionals as F
 from starlab import classify_expansion
@@ -12,7 +13,7 @@ from starlab.cli import run_scenario
 from starlab.config import validate_config
 from starlab.errors import InvalidParams
 from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, PerturbationField, _AlphaClock,
-                                initial_second_derivatives, reconstruct_eulerian)
+                                reconstruct_eulerian)
 from starlab.profiles import IsentropicProfile, ThermoProfile, sample_background
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -53,11 +54,21 @@ class TestSampling:
         assert np.array_equal(bg.chi, F.chi_cutoff(x, p.R0))
         assert bg.K == p.K and bg.rho43 is None
 
+    def test_cumulative_mass_is_the_trapezoid_of_the_samples(self, iso0, thermo14):
+        for prof in (iso0, thermo14):
+            x = grid(prof)
+            bg = sample_background(prof, x)
+            oracle = cumulative_trapezoid(x**2 * bg.rho, x, initial=0.0)
+            assert bg.cum_mass[0] == 0.0
+            assert np.allclose(bg.cum_mass, oracle, rtol=1e-13, atol=0.0)
+
     def test_arrays_are_read_only_and_private(self, iso0):
         x = grid(iso0)
         bg = sample_background(iso0, x)
         with pytest.raises(ValueError):
             bg.rho[0] = 0.0
+        with pytest.raises(ValueError):
+            bg.cum_mass[-1] = 0.0
         assert bg.x is not x and x.flags.writeable
 
 
@@ -80,9 +91,6 @@ class TestGridMismatch:
                                       np.exp, 0.0)
             with pytest.raises(InvalidParams):
                 reconstruct_eulerian(f, _AlphaClock(pars, LINEAR_REGIME, 1.0))
-        with pytest.raises(InvalidParams):
-            initial_second_derivatives(sample_background(iso0, x[::2]), pars, (z, z),
-                                       LINEAR_REGIME)
 
     def test_thermo_consumers_reject_another_grid(self, thermo14):
         x = grid(thermo14)
@@ -93,9 +101,6 @@ class TestGridMismatch:
             F.ledger_terms_thermo(f, bg, F.WeightSpec(), 20.0)
         with pytest.raises(InvalidParams):
             F.dissipation_integrands_thermo(f, bg, F.WeightSpec(), 20.0)
-        with pytest.raises(InvalidParams):
-            initial_second_derivatives(bg, classify_expansion(0.0, 1.0, 20.0), (z, z, z),
-                                       THERMO_REGIME)
 
     def test_field_without_background_cannot_be_reconstructed(self, iso0):
         x = grid(iso0)

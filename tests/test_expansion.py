@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from starlab import classify_expansion, integrate_alpha, linear_clock, linear_clock_inverse
-from starlab.errors import CollapseReached, InvalidParams, WrongClassification
+from starlab import classify_expansion, integrate_alpha
+from starlab.config import validate_config
+from starlab.errors import CollapseReached, ConfigInvalid, InvalidParams
 from starlab.expansion import (COLLAPSE, LINEAR, POSITIVE_DELTA, SELF_SIMILAR,
                                alpha_closed_form, fit_collapse_exponent,
-                               integrate_to_collapse, linear_growth_bounds_ok,
-                               self_similar_alpha_of_s, thermo_expansion_gate)
+                               integrate_to_collapse)
 
 
 class TestClassification:
@@ -71,8 +71,15 @@ class TestIntegration:
             assert np.all(np.diff(tail) > 0)
 
     def test_linear_growth_bounds(self):
+        # a0 e^{beta1 tau} <= alpha <= a0 e^{beta2 tau}, and alpha_tau = alpha alpha'
+        # between beta1 alpha and beta2 alpha
         path = integrate_alpha(classify_expansion(-0.5, 1.0, 1.5), 8.0)
-        assert linear_growth_bounds_ok(path)
+        p, a, tau, slack = path.params, path.alpha, path.tau_samples, 1e-8
+        assert np.all(a >= p.a0 * np.exp(p.beta1 * tau) * (1 - slack))
+        assert np.all(a <= p.a0 * np.exp(p.beta2 * tau) * (1 + slack))
+        alpha_tau = a * path.alpha_prime
+        assert np.all(alpha_tau >= p.beta1 * a * (1 - slack) - slack)
+        assert np.all(alpha_tau <= p.beta2 * a * (1 + slack) + slack)
 
     def test_collapse(self):
         p = classify_expansion(-0.5, 1.0, 0.5)
@@ -91,44 +98,45 @@ class TestIntegration:
 class TestClocks:
     def test_self_similar_clock_closed_form(self):
         p = classify_expansion(-0.5, 1.0, 1.0)
+        assert integrate_alpha(p, 1.0).s_samples[-1] == pytest.approx(
+            (2.0 / 3.0) * np.log(2.5), abs=1e-9)
         path = integrate_alpha(p, 10.0)
-        assert path.s_at(0.0) == 0.0
-        assert path.s_at(1.0) == pytest.approx((2.0 / 3.0) * np.log(2.5), abs=1e-9)
+        assert path.s_samples[0] == 0.0
         b = np.sqrt(2 * 0.5)
-        s = path.s_at(path.t_samples)
+        s = path.s_samples
         closed = (np.log(path.alpha) - np.log(1.0)) / b
         assert np.max(np.abs(s - closed)) < 1e-9
-        # round trip: alpha_bar(s(t)) = alpha(t)
-        assert np.max(np.abs(self_similar_alpha_of_s(p, s) - path.alpha)
-                      / path.alpha) < 1e-10
-
-    def test_self_similar_clock_requires_branch(self, iso0):
-        from starlab import self_similar_clock
-        path = integrate_alpha(classify_expansion(0.0, 1.0, 1.0), 1.0)
-        with pytest.raises(WrongClassification):
-            self_similar_clock(path)
+        # round trip: alpha_bar(s(t)) = a0 e^{b s(t)} = alpha(t)
+        assert np.max(np.abs(p.a0 * np.exp(p.b * s) - path.alpha) / path.alpha) < 1e-10
 
     def test_linear_clock(self):
-        assert linear_clock(1.0, 2.0, 0.0) == 0.0
-        assert linear_clock(1.0, 2.0, 1.0) == pytest.approx(np.log(3.0) / 2.0, rel=1e-12)
-        t = np.linspace(0.0, 7.0, 40)
-        assert np.max(np.abs(linear_clock_inverse(1.0, 2.0, linear_clock(1.0, 2.0, t))
-                             - t)) < 1e-12 * 7
-        # a1 = 0 limit
-        assert linear_clock(2.0, 0.0, 3.0) == pytest.approx(1.5)
+        # delta = 0: tau(t) = log(1 + a1 t/a0)/a1, inverted by t = a0 expm1(a1 tau)/a1
+        path = integrate_alpha(classify_expansion(0.0, 1.0, 2.0), 7.0)
+        assert path.tau_samples[0] == 0.0
+        assert np.max(np.abs(np.expm1(2.0 * path.tau_samples) / 2.0
+                             - path.t_samples)) < 1e-12 * 7 * 10
+        # a1 = 0 limit: tau = t / a0
+        assert integrate_alpha(classify_expansion(0.0, 2.0, 0.0), 3.0).tau_samples[-1] \
+            == pytest.approx(1.5)
 
     def test_numerical_tau_matches_closed_form(self):
+        # delta = 0: tau(t) = int_0^t dt/(a0 + a1 t) = log(1 + a1 t/a0)/a1
         path = integrate_alpha(classify_expansion(0.0, 1.0, 2.0), 3.0)
         assert np.max(np.abs(path.tau_samples
-                             - linear_clock(1.0, 2.0, path.t_samples))) < 1e-10
+                             - np.log1p(2.0 * path.t_samples) / 2.0)) < 1e-10
 
 
 class TestGate:
     def test_gate(self):
-        assert thermo_expansion_gate(1.0, 3.0)
-        assert not thermo_expansion_gate(1.0, 2.9)
-        assert thermo_expansion_gate(0.5, 1.5)
+        # thermodynamic expansion exists iff 3K = c_nu; the config enforces it
+        def gate_errors(K, c_nu):
+            try:
+                validate_config({"scenario": "evolve-thermo",
+                                 "model": {"K": K, "c_nu": c_nu, "epsilon": 0.5 / K}})
+            except ConfigInvalid as exc:
+                return exc.errors
+            return []
 
-    def test_gate_invalid(self):
-        with pytest.raises(InvalidParams):
-            thermo_expansion_gate(-1.0, 3.0)
+        assert "3K - c_nu = 0" not in gate_errors(1.0, 3.0)
+        assert "3K - c_nu = 0" in gate_errors(1.0, 2.9)
+        assert "3K - c_nu = 0" not in gate_errors(0.5, 1.5)

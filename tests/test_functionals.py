@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 import starlab.functionals as F
 from starlab import classify_expansion
-from starlab.errors import DomainViolation, KEqualsOne, MissingDerivative, WeightViolation
+from starlab.errors import KEqualsOne, MissingDerivative, WeightViolation
 from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, PerturbationField, SolverSpec,
                                 evolve_self_similar)
 from starlab.profiles import sample_background
@@ -42,7 +42,8 @@ class TestPhysicalEnergy:
         # constant in t via the profile virial identity
         pars = classify_expansion(0.0, 1.0, 1.0)
         x = iso0.y_nodes
-        expected = F.exact_expansion_energy(pars, iso0.mass_moments.fourth_moment)
+        expected = 0.5 * (pars.a1**2 + 2.0 * pars.delta / pars.a0) \
+            * iso0.mass_moments.fourth_moment
         for t in (0.0, 1.0, 3.0):
             alpha = 1.0 + t
 
@@ -110,23 +111,26 @@ class TestPerturbationEnergy:
 
 
 class TestRelativeEntropy:
+    """G_x for G = log[(1+h)^2 (1+h+x h_x)], as the isentropic ledger computes it."""
+
     def test_zero(self):
         x = np.linspace(0.0, 1.0, 101)
-        H, H_x = F.relative_entropy(x, np.zeros_like(x))
-        assert np.max(np.abs(H)) == 0.0
-        assert np.max(np.abs(H_x)) == 0.0
+        z = np.zeros_like(x)
+        assert np.max(np.abs(F._entropy_grad(x, z, z, z))) == 0.0
 
     def test_constant(self):
+        # G = 3 ln(1 + h) is constant in x
         x = np.linspace(0.0, 1.0, 101)
-        H, _ = F.relative_entropy(x, np.full_like(x, 0.1))
-        # log[(1.1)^2 (1.1)] = 3 ln 1.1 = 0.2859306...
-        assert np.max(np.abs(H - 3.0 * np.log(1.1))) < 1e-12
-        assert H[0] == pytest.approx(0.2859306, abs=1e-6)
+        z = np.zeros_like(x)
+        assert np.max(np.abs(F._entropy_grad(x, np.full_like(x, 0.1), z, z))) == 0.0
 
-    def test_domain(self):
-        x = np.linspace(0.0, 1.0, 101)
-        with pytest.raises(DomainViolation):
-            F.relative_entropy(x, np.full_like(x, -1.5))
+    def test_derivative_of_the_entropy(self):
+        # h = 0.1 + 0.05 x^2: G_x against a central difference of G itself
+        x = np.linspace(0.0, 1.0, 2001)
+        h, h_x, h_xx = 0.1 + 0.05 * x**2, 0.1 * x, np.full_like(x, 0.1)
+        G = np.log((1.0 + h) ** 2 * (1.0 + h + x * h_x))
+        fd = (G[2:] - G[:-2]) / (x[2:] - x[:-2])
+        assert np.max(np.abs(F._entropy_grad(x, h, h_x, h_xx)[1:-1] - fd)) < 1e-6
 
     @given(coefs=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=6))
     def test_frak_A_identity(self, coefs):
@@ -227,7 +231,7 @@ class TestWeights:
         chi = F.chi_cutoff(x, R0)
         assert np.all(chi[x <= R0 / 2] == 1.0)
         assert np.all(chi[x >= 3 * R0 / 4] == 0.0)
-        chip = F.chi_cutoff_prime(x, R0)
+        chip = np.diff(chi) / np.diff(x)      # chi' on each cell
         assert np.all(chip <= 0.0)
         assert np.all(chip >= -4.0)
 
@@ -263,8 +267,7 @@ class TestLedger:
     def test_amplitude_bounded_by_ledger(self, iso0):
         # omega^2 <= C (ledger total + E0) along a stable run, with the
         # fitted C stable under grid refinement
-        from starlab.lagrangian import (evolve_linear_isentropic,
-                                        initial_second_derivatives)
+        from starlab.lagrangian import evolve_linear_isentropic
         pars = classify_expansion(0.0, 1.0, 1.0)
         weights = F.WeightSpec()
         Cs = []
@@ -274,10 +277,9 @@ class TestLedger:
             th1 = 0 * x
             run = evolve_linear_isentropic(iso0, pars, (th0, th1), 3.0,
                                            SolverSpec(n_cells=n, n_emit=13))
-            bg = sample_background(iso0, x)
-            th2 = initial_second_derivatives(bg, pars, (th0, th1),
-                                             LINEAR_REGIME)
-            E0 = F.initial_energy_isentropic(x, th0, th1, th2, bg, weights)
+            bg = run.background
+            E0 = F.initial_energy_isentropic(x, th0, th1, run.snapshots[0].theta_tt, bg,
+                                             weights)
             reports = F.total_energy_ledger(
                 run.snapshots, bg, weights, LINEAR_REGIME,
                 lambda t: np.exp(t), E0,

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from starlab import classify_expansion, integrate_alpha, integrate_phase, PhaseState
 from starlab.errors import InvalidParams, WrongClassification
 from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, SolverSpec,
                                 evolve_linear_isentropic, evolve_linear_thermo,
-                                evolve_self_similar, initial_second_derivatives,
-                                reconstruct_eulerian)
+                                evolve_self_similar, reconstruct_eulerian)
 from starlab.profiles import sample_background
 
 N = 96
@@ -125,15 +126,22 @@ class TestEnergyIdentity:
         assert residuals[1] < 0.6 * residuals[0]
 
 
+def first_snapshot(evolve, prof, pars, initial):
+    """The run's first snapshot: the initial data with its implied clock derivatives."""
+    h = 1e-6
+    run = evolve(prof, pars, initial, h, SolverSpec(n_cells=N, dt_init=h, n_emit=2))
+    return run.snapshots[0]
+
+
 class TestInitialSecondDerivatives:
     def test_zero_data(self, iso0, pars0):
         z = np.zeros(N + 1)
-        th2 = initial_second_derivatives(background(iso0), pars0, (z, z), LINEAR_REGIME)
+        th2 = first_snapshot(evolve_linear_isentropic, iso0, pars0, (z, z)).theta_tt
         assert np.max(np.abs(th2)) == 0.0
 
     def test_x_independent_matches_reduced_ode(self, iso0, pars0):
         c = 1e-3 * np.ones(N + 1)
-        th2 = initial_second_derivatives(background(iso0), pars0, (c, 0.5 * c), LINEAR_REGIME)
+        th2 = first_snapshot(evolve_linear_isentropic, iso0, pars0, (c, 0.5 * c)).theta_tt
         # delta = 0 reduction: a0 th2 + a0 a1 th1 = 0 (end nodes extrapolated)
         assert np.max(np.abs(th2 + 0.5e-3)) < 1e-9
 
@@ -141,7 +149,7 @@ class TestInitialSecondDerivatives:
         x = np.linspace(0.0, iso0.R0, N + 1)
         th0 = 1e-3 * (0.7 + 0.3 * np.cos(np.pi * x / iso0.R0))
         th1 = 0.5e-3 * np.ones_like(th0)
-        th2 = initial_second_derivatives(background(iso0), pars0, (th0, th1), LINEAR_REGIME)
+        th2 = first_snapshot(evolve_linear_isentropic, iso0, pars0, (th0, th1)).theta_tt
         w = x**4 * iso0.rho_at(x)
         core = x <= 0.8 * iso0.R0
         errs = []
@@ -158,9 +166,9 @@ class TestInitialSecondDerivatives:
         x = np.linspace(0.0, thermo14.R0, N + 1)
         xi0 = 1e-3 * (0.7 + 0.3 * np.cos(np.pi * x / thermo14.R0))
         zeta0 = xi0 * (thermo14.R0 - x) / thermo14.R0
-        xi2, zeta1 = initial_second_derivatives(background(thermo14), parst,
-                                                (xi0, np.zeros_like(xi0), zeta0),
-                                                THERMO_REGIME)
+        snap = first_snapshot(evolve_linear_thermo, thermo14, parst,
+                              (xi0, np.zeros_like(xi0), zeta0))
+        xi2, zeta1 = snap.theta_tt, snap.zeta_t
         assert zeta1[-1] == 0.0
         assert np.all(np.isfinite(xi2)) and np.all(np.isfinite(zeta1))
 
@@ -283,9 +291,12 @@ class TestEulerian:
                                        SolverSpec(n_cells=N, n_emit=3))
         snap = reconstruct_eulerian(run.final, run.alpha_clock)
         f, v, tau = run.final.theta, run.final.theta_t, run.final.clock
-        # independent oracle: alpha(t) integrated in t, t inverted from tau(t)
+        # independent oracle: alpha(t) integrated in t, t inverted from
+        # tau(t) = int_0^t dt'/alpha(t') by quadrature on its dense output
         path = integrate_alpha(pars, 2.0)
-        t = path.t_of_clock(tau, "tau")
+        tau_of = lambda t: quad(lambda u: 1.0 / float(path.alpha_at(u)), 0.0, t,
+                                epsabs=1e-13, epsrel=1e-13)[0]
+        t = brentq(lambda t: tau_of(t) - tau, 0.0, 2.0, xtol=1e-14)
         alpha, alpha_p = float(path.alpha_at(t)), float(path.alpha_prime_at(t))
         used = snap.r[1:] / (x[1:] * (1.0 + f[1:]))
         assert np.max(np.abs(used / alpha - 1.0)) < 1e-9

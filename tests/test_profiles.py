@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from starlab import solve_isentropic_profile, solve_thermo_profile, profile_mass_moments
+from starlab import solve_isentropic_profile, solve_thermo_profile
 from starlab.acceptance import lane_emden_first_zero
-from starlab.errors import NoFirstZero, OutOfRange
+from starlab.errors import NoFirstZero, NonPhysicalVacuum, OutOfRange
 from starlab.profiles import (GridSpec, boundary_slope_fd, isentropic_ode_residual,
                               thermo_ode_residual)
 
@@ -63,7 +63,7 @@ class TestIsentropic:
         assert abs(s_f - fine.boundary_slope) / abs(fine.boundary_slope) < 1e-3
 
     def test_mass_moments(self, iso0):
-        cum, q4 = profile_mass_moments(iso0)
+        cum, q4 = iso0.mass_moments.cumulative, iso0.mass_moments.fourth_moment
         assert cum[0] == 0.0
         assert np.all(np.diff(cum) >= 0)
         assert q4 > 0
@@ -81,11 +81,10 @@ class TestIsentropic:
             solve_isentropic_profile(-0.1)
 
     def test_solvable_window_probe(self):
-        from starlab.profiles import delta_is_solvable
-        assert delta_is_solvable(-2e-3, GridSpec(y_max=400.0))
-        assert not delta_is_solvable(-3e-3, GridSpec(y_max=400.0))
         prof = solve_isentropic_profile(-2e-3, GridSpec(y_max=400.0))
         assert prof.boundary_slope < 0
+        with pytest.raises((NoFirstZero, NonPhysicalVacuum)):
+            solve_isentropic_profile(-3e-3, GridSpec(y_max=400.0))
 
 
 class TestThermo:
