@@ -10,6 +10,7 @@ caps the parallelism of phase-portrait sweeps.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import dataclass
@@ -22,10 +23,9 @@ from .errors import CollapseReached, ConfigInvalid, StarlabError
 from .expansion import classify_expansion, integrate_alpha
 from .homogeneous import PhaseState, curve_phi_s, integrate_phase
 from .lagrangian import (LINEAR_REGIME, SELF_SIMILAR_REGIME, THERMO_REGIME,
-                         PerturbationField, RunEvent, SolverSpec,
-                         evolve_linear_isentropic, evolve_linear_thermo,
-                         evolve_self_similar, reconstruct_eulerian)
-from .profiles import GridSpec, solve_isentropic_profile, solve_thermo_profile
+                         PerturbationField, RunEvent, evolve_linear_isentropic,
+                         evolve_linear_thermo, evolve_self_similar, reconstruct_eulerian)
+from .profiles import solve_isentropic_profile, solve_thermo_profile
 
 
 @dataclass
@@ -34,20 +34,6 @@ class ExitReport:
     summary: dict
     events: list
     artifacts: list
-
-
-def _solver_spec(cfg: ScenarioConfig, n_emit: int) -> SolverSpec:
-    s = cfg.solver
-    return SolverSpec(n_cells=s.n_cells, cfl=s.cfl, order=s.order,
-                      max_rel_change=s.max_rel_change,
-                      growth_threshold=s.growth_threshold,
-                      fully_implicit=s.fully_implicit, dt_max=s.dt_max,
-                      n_emit=n_emit)
-
-
-def _grid_spec(cfg: ScenarioConfig) -> GridSpec:
-    g = cfg.grid
-    return GridSpec(n_cells=g.n_cells, rtol=g.rtol, atol=g.atol, y_max=g.y_max)
 
 
 def _manifest(cfg: ScenarioConfig, out_dir: str, events, extra: dict) -> str:
@@ -77,7 +63,7 @@ def run_scenario(cfg: ScenarioConfig) -> ExitReport:
 
 
 def _run_profile(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
-    gs = _grid_spec(cfg)
+    gs = cfg.grid
     thermo = cfg.model.kind == "thermo"
     if thermo:
         prof = solve_thermo_profile(cfg.model.K, cfg.model.epsilon, gs)
@@ -169,9 +155,7 @@ def _run_phase(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
 
 
 def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
-    m = cfg.model
-    gs = _grid_spec(cfg)
-    spec = _solver_spec(cfg, cfg.time.n_emit)
+    m, gs, spec = cfg.model, cfg.grid, cfg.solver
 
     thermo = cfg.scenario == "evolve-thermo"
     a1 = m.a1
@@ -257,7 +241,6 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
             abs(run.energy[-1] - run.energy[0] + run.visc_work[-1]))
     files.append(_manifest(cfg, out_dir, run.events,
                            {"summary": summary,
-                            "dt_policy": run.dt_policy,
                             "grid": {"n_cells": spec.n_cells, "R0": prof.R0}}))
     return ExitReport(0, summary, run.events, files)
 
@@ -286,18 +269,25 @@ def main(argv=None) -> int:
                         help="treat runtime events as failures (exit 2)")
     args = parser.parse_args(argv)
 
-    raw: dict
+    raw = {}
     if args.config:
-        with open(args.config) as fh:
-            raw = __import__("json").load(fh)
-    else:
-        raw = {}
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
+            return 1
+        if not isinstance(raw, dict):
+            print(f"config error: {args.config} holds a {type(raw).__name__}, "
+                  "not a JSON object", file=sys.stderr)
+            return 1
     raw["scenario"] = args.scenario
     if args.out:
         raw["out_dir"] = args.out
     if args.seed is not None:
         raw["seed"] = args.seed
-        raw.setdefault("initial", {})["seed"] = args.seed
+        if isinstance(raw.setdefault("initial", {}), dict):   # else validate_config names it
+            raw["initial"]["seed"] = args.seed
 
     try:
         cfg = validate_config(raw)

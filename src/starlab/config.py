@@ -1,20 +1,34 @@
-"""Scenario configuration: parsing, validation, initial-perturbation families."""
+"""Scenario configuration: parsing, validation, initial-perturbation families.
+
+The grid and solver blocks are `profiles.GridSpec` and `lagrangian.SolverSpec`
+themselves.  Each checks its own table of named constraints when built, so
+the library and `validate_config` report the same texts.
+"""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .errors import ConfigInvalid
 from .functionals import WeightSpec
+from .lagrangian import SolverSpec
+from .profiles import GridSpec
 
 SCENARIOS = ("profile", "expansion", "phase", "evolve-ss", "evolve-linear",
              "evolve-thermo", "verify")
 
 FAMILIES = ("constant", "bump", "random-smooth")
+
+# The JSON keys of the grid and solver blocks; the specs' other fields keep
+# their defaults.  The solver's n_emit is read from time.n_emit.
+GRID_KEYS = ("n_cells", "rtol", "atol", "y_max")
+SOLVER_KEYS = ("n_cells", "cfl", "order", "max_rel_change", "growth_threshold",
+               "fully_implicit", "dt_max")
 
 
 @dataclass(frozen=True)
@@ -27,25 +41,6 @@ class ModelParams:
     epsilon: float = 0.25
     c_nu: float = 3.0
     mu: float = 1.0
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    n_cells: int = 512
-    rtol: float = 1e-10
-    atol: float = 1e-10
-    y_max: float = 200.0
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    n_cells: int = 192
-    cfl: float = 0.4
-    order: int = 1
-    max_rel_change: float = 1e-3
-    growth_threshold: float = 0.1
-    fully_implicit: bool = False
-    dt_max: float | None = None
 
 
 @dataclass(frozen=True)
@@ -63,15 +58,14 @@ class InitialSpec:
 @dataclass(frozen=True)
 class TimeConfig:
     end: float = 1.0
-    n_emit: int = 41
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
     model: ModelParams = ModelParams()
-    grid: GridConfig = GridConfig()
-    solver: SolverConfig = SolverConfig()
+    grid: GridSpec = GridSpec()
+    solver: SolverSpec = SolverSpec()
     initial: InitialSpec = InitialSpec()
     weights: WeightSpec = WeightSpec()
     time: TimeConfig = TimeConfig()
@@ -80,7 +74,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
+        """Every field, in the JSON layout validate_config reads (n_emit under time)."""
         d = asdict(self)
+        d["time"]["n_emit"] = d["solver"].pop("n_emit")
         d["phase_grid"] = [list(p) for p in self.phase_grid]
         return d
 
@@ -123,28 +119,57 @@ def build_initial(x: np.ndarray, R0: float, spec: InitialSpec,
     return f0, f1, z0
 
 
-def _get(d: dict, key: str, default):
-    return d.get(key, default) if isinstance(d, dict) else default
+def _section(errors: list, raw: dict, name: str) -> dict:
+    """raw[name], which must be a JSON object; anything else is named and read as {}."""
+    d = raw.get(name, {})
+    if isinstance(d, dict):
+        return d
+    errors.append(f"{name} must be an object, got {d!r}")
+    return {}
 
 
-def _num(errors: list, d: dict, name: str, default, conv=float, optional=False):
-    """Field `name` ("section.key") of d converted by conv; a bad value is recorded."""
-    val = _get(d, name.rpartition(".")[2], default)
-    if optional and val is None:
-        return None
+def _read(errors: list, d: dict, cls, section: str, keys=None, **defaults) -> dict:
+    """The fields `keys` (all by default) of dataclass cls from d, by their annotations.
+
+    A missing key takes defaults[key] or the dataclass default; a value that
+    is not a number where one is needed is recorded as "section.key must be a number".
+    """
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        if keys is not None and f.name not in keys:
+            continue
+        val, kind = d.get(f.name, defaults.get(f.name, f.default)), hints[f.name]
+        if kind is bool:
+            out[f.name] = bool(val)
+        elif kind is str or (val is None and type(None) in get_args(kind)):
+            out[f.name] = val
+        else:
+            try:
+                out[f.name] = (int if kind is int else float)(val)
+            except (TypeError, ValueError, OverflowError):
+                name = f"{section}.{f.name}" if section else f.name
+                errors.append(f"{name} must be a number, got {val!r}")
+                out[f.name] = f.default
+    return out
+
+
+def _spec(errors: list, cls, kw: dict):
+    """cls(**kw); if that violates cls's constraints, they are recorded and cls() stands in."""
     try:
-        return conv(val)
-    except (TypeError, ValueError):
-        errors.append(f"{name} must be a number, got {val!r}")
-        return default
+        return cls(**kw)
+    except ConfigInvalid as exc:
+        errors.extend(exc.errors)
+        return cls()
 
 
 def validate_config(raw) -> ScenarioConfig:
     """Parse and validate a scenario configuration.
 
     Accepts a JSON string, a path-free dict, or a ScenarioConfig.  Collects
-    every violated constraint (named as in the model) and raises
-    ConfigInvalid with the full list; never returns a partial config.
+    every violated constraint (named as in the model; the solver and grid
+    texts are those of SolverSpec and GridSpec) and raises ConfigInvalid with
+    the full list; never returns a partial config.
     """
     if isinstance(raw, ScenarioConfig):
         cfg_dict = raw.to_dict()
@@ -153,97 +178,49 @@ def validate_config(raw) -> ScenarioConfig:
             cfg_dict = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ConfigInvalid([f"not valid JSON: {exc}"]) from exc
-    elif isinstance(raw, dict):
-        cfg_dict = raw
     else:
-        raise ConfigInvalid([f"unsupported config input {type(raw).__name__}"])
+        cfg_dict = raw
+    if not isinstance(cfg_dict, dict):
+        raise ConfigInvalid([f"a config is a JSON object, got {type(cfg_dict).__name__}"])
 
     errors: list[str] = []
     scenario = cfg_dict.get("scenario")
-    seed = _num(errors, cfg_dict, "seed", 0, int)
+    seed = _read(errors, cfg_dict, ScenarioConfig, "", ("seed",))["seed"]
     if scenario not in SCENARIOS:
         errors.append(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+    md, gd, sd, idd, wd, td = (_section(errors, cfg_dict, name) for name in
+                               ("model", "grid", "solver", "initial", "weights", "time"))
 
-    md = cfg_dict.get("model", {})
-    model = ModelParams(
-        kind=_get(md, "kind", "isentropic"),
-        delta=_num(errors, md, "model.delta", 0.0),
-        a0=_num(errors, md, "model.a0", 1.0),
-        a1=_num(errors, md, "model.a1", 1.0, optional=True),
-        K=_num(errors, md, "model.K", 1.0),
-        epsilon=_num(errors, md, "model.epsilon", 0.25),
-        c_nu=_num(errors, md, "model.c_nu", 3.0),
-        mu=_num(errors, md, "model.mu", 1.0),
-    )
+    model = ModelParams(**_read(errors, md, ModelParams, "model"))
     if model.kind not in ("isentropic", "thermo"):
         errors.append("model.kind must be 'isentropic' or 'thermo'")
     if model.a0 <= 0:
         errors.append("a0 > 0")
     if model.mu <= 0:
         errors.append("mu > 0")
+    if model.a1 is None and scenario != "evolve-ss":
+        errors.append("model.a1 = null only on evolve-ss")
 
-    gd = cfg_dict.get("grid", {})
-    grid = GridConfig(n_cells=_num(errors, gd, "grid.n_cells", 512, int),
-                      rtol=_num(errors, gd, "grid.rtol", 1e-10),
-                      atol=_num(errors, gd, "grid.atol", 1e-10),
-                      y_max=_num(errors, gd, "grid.y_max", 200.0))
-    if grid.n_cells < 8:
-        errors.append("grid.n_cells >= 8")
-    if grid.rtol <= 0 or grid.atol <= 0:
-        errors.append("grid tolerances > 0")
-    if not grid.y_max > 0:
-        errors.append("grid.y_max > 0")
+    grid = _spec(errors, GridSpec, _read(errors, gd, GridSpec, "grid", GRID_KEYS))
+    solver = _spec(errors, SolverSpec, {**_read(errors, sd, SolverSpec, "solver", SOLVER_KEYS),
+                                        **_read(errors, td, SolverSpec, "time", ("n_emit",))})
 
-    sd = cfg_dict.get("solver", {})
-    solver = SolverConfig(n_cells=_num(errors, sd, "solver.n_cells", 192, int),
-                          cfl=_num(errors, sd, "solver.cfl", 0.4),
-                          order=_num(errors, sd, "solver.order", 1, int),
-                          max_rel_change=_num(errors, sd, "solver.max_rel_change", 1e-3),
-                          growth_threshold=_num(errors, sd, "solver.growth_threshold", 0.1),
-                          fully_implicit=bool(_get(sd, "fully_implicit", False)),
-                          dt_max=_num(errors, sd, "solver.dt_max", None, optional=True))
-    if solver.order not in (1, 2):
-        errors.append("solver.order in {1, 2}")
-    if not (0 < solver.cfl <= 1):
-        errors.append("0 < solver.cfl <= 1")
-    if solver.n_cells < 8:
-        errors.append("solver.n_cells >= 8")
-    if not solver.max_rel_change > 0:
-        errors.append("solver.max_rel_change > 0")
-    if solver.dt_max is not None and not solver.dt_max > 0:
-        errors.append("solver.dt_max > 0 when set")
-
-    idd = cfg_dict.get("initial", {})
-    initial = InitialSpec(family=_get(idd, "family", "bump"),
-                          amplitude=_num(errors, idd, "initial.amplitude", 1e-3),
-                          amplitude_t=_num(errors, idd, "initial.amplitude_t", 0.0),
-                          center=_num(errors, idd, "initial.center", 0.45),
-                          width=_num(errors, idd, "initial.width", 0.25),
-                          modes=_num(errors, idd, "initial.modes", 6, int),
-                          seed=_num(errors, idd, "initial.seed", seed, int),
-                          normalize_omega=bool(_get(idd, "normalize_omega", False)))
+    initial = InitialSpec(**_read(errors, idd, InitialSpec, "initial", seed=seed))
     if initial.family not in FAMILIES:
         errors.append(f"initial.family in {FAMILIES}")
     if initial.amplitude < 0:
         errors.append("initial.amplitude >= 0")
+    if initial.modes < 1:
+        errors.append("initial.modes >= 1")
+    if initial.seed < 0:
+        errors.append("initial.seed >= 0")
 
-    wd = cfg_dict.get("weights", {})
-    weights = WeightSpec(a=_num(errors, wd, "weights.a", 0.5),
-                         r1=_num(errors, wd, "weights.r1", 0.5),
-                         l1=_num(errors, wd, "weights.l1", -2.5),
-                         r2=_num(errors, wd, "weights.r2", -0.5),
-                         l2=_num(errors, wd, "weights.l2", -2.0),
-                         frak_r=_num(errors, wd, "weights.frak_r", -1.5),
-                         r3=_num(errors, wd, "weights.r3", -2.5))
+    weights = WeightSpec(**_read(errors, wd, WeightSpec, "weights"))
     errors.extend(weights.violations())
 
-    td = cfg_dict.get("time", {})
-    time = TimeConfig(end=_num(errors, td, "time.end", 1.0),
-                      n_emit=_num(errors, td, "time.n_emit", 41, int))
+    time = TimeConfig(**_read(errors, td, TimeConfig, "time"))
     if time.end <= 0:
         errors.append("time.end > 0")
-    if time.n_emit < 2:
-        errors.append("time.n_emit >= 2")
 
     try:
         phase_grid = tuple(tuple(float(v) for v in p)
@@ -262,14 +239,11 @@ def validate_config(raw) -> ScenarioConfig:
             errors.append("3K - c_nu = 0")
         if model.delta != 0.0:
             errors.append("delta = 0 for the thermodynamic expansion")
-        if solver.order != 1:
-            errors.append("solver.order = 1 for evolve-thermo")
-        if solver.fully_implicit:
-            errors.append("solver.fully_implicit = false for evolve-thermo")
+        errors.extend(solver.violations(thermo=True))
     if scenario == "evolve-ss":
         if model.delta >= 0:
             errors.append("delta < 0 for the self-similar branch")
-        elif model.a1 is not None:
+        elif model.a1 is not None and model.a0 > 0:
             a1_star = math.sqrt(2.0 * abs(model.delta) / model.a0)
             if abs(model.a1 - a1_star) > 1e-12 * a1_star:
                 errors.append("a1 = sqrt(2|delta|/a0) on the self-similar branch "

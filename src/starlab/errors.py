@@ -82,10 +82,10 @@ class KEqualsOne(StarlabError):
     """Hardy inequality excludes k = 1."""
 
 
-# -- CLI ----------------------------------------------------------------------
+# -- configuration -------------------------------------------------------------
 
-class ConfigInvalid(StarlabError):
-    """Scenario configuration failed validation.  Carries all messages."""
+class ConfigInvalid(InvalidParams):
+    """Named constraints violated by a configuration, SolverSpec or GridSpec.  Carries all."""
 
     def __init__(self, errors):
         super().__init__("; ".join(errors))

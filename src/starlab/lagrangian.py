@@ -78,8 +78,8 @@ from scipy.linalg.lapack import dgtsv
 
 from . import functionals
 from .functionals import gradient
-from .errors import (DomainViolation, InvalidParams, NewtonDivergence, StepFailure,
-                     WrongClassification)
+from .errors import (ConfigInvalid, DomainViolation, InvalidParams, NewtonDivergence,
+                     StepFailure, WrongClassification)
 from .expansion import LINEAR, SELF_SIMILAR, ExpansionParams
 from .profiles import Background, sample_background
 
@@ -102,7 +102,25 @@ class SolverSpec:
     fully_implicit: bool = False
     growth_threshold: float = 0.1
     stop_on_growth: bool = True
-    n_emit: int = 81
+    n_emit: int = 41               # snapshots, both ends included
+
+    def __post_init__(self):
+        if bad := self.violations():
+            raise ConfigInvalid(bad)
+
+    def violations(self, thermo: bool = False) -> list[str]:
+        """Named constraints this spec breaks (none once built); thermo adds its regime's."""
+        rows = [(self.order in (1, 2), "solver.order in {1, 2}"),
+                (0 < self.cfl <= 1, "0 < solver.cfl <= 1"),
+                (self.n_cells >= 8, "solver.n_cells >= 8"),
+                (self.max_rel_change > 0, "solver.max_rel_change > 0"),
+                (self.dt_max is None or self.dt_max > 0, "solver.dt_max > 0 when set"),
+                (self.dt_init is None or self.dt_init > 0, "solver.dt_init > 0 when set"),
+                (self.n_emit >= 2, "time.n_emit >= 2")]
+        if thermo:
+            rows += [(self.order == 1, "solver.order = 1 for evolve-thermo"),
+                     (not self.fully_implicit, "solver.fully_implicit = false for evolve-thermo")]
+        return [text for ok, text in rows if not ok]
 
 
 @dataclass
@@ -127,7 +145,6 @@ class EulerianSnapshot:
     u: np.ndarray
     theta_abs: np.ndarray | None = None
     mass_identity_residual: float = 0.0
-    mass_quadrature_residual: float = 0.0
 
 
 @dataclass
@@ -149,18 +166,11 @@ class RunResult:
     dissipation_online: dict | None  # ledger integrals at emission times
     background: Background
     alpha_clock: _AlphaClock       # carries the expansion parameters
-    spec: SolverSpec
     completed: bool
 
     @property
     def final(self):
         return self.snapshots[-1]
-
-    @property
-    def dt_policy(self) -> dict:
-        s = self.spec
-        return {"cfl": s.cfl, "order": s.order, "max_rel_change": s.max_rel_change,
-                "fully_implicit": s.fully_implicit, "newton_tol": s.newton_tol}
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +499,9 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
 
     online_integrands(field, alpha) gives ledger integrands, integrated in time here.
     """
-    if spec.n_cells < 3:
-        raise InvalidParams("SolverSpec needs n_cells >= 3 (three interior nodes)")
     thermo = regime == THERMO_REGIME
+    if bad := spec.violations(thermo):
+        raise ConfigInvalid(bad)
     if not thermo and profile.delta != params.delta:
         raise InvalidParams("profile and expansion parameters must share delta")
     f, v, *rest = (np.array(a, dtype=float) for a in initial)
@@ -643,8 +653,7 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
         energy=energy, dissipation=dissipation, visc_work=visc_work,
         dissipation_online={k: np.asarray(vs) for k, vs in online_series.items()}
         if online is not None else None,
-        background=bg, alpha_clock=alpha_clock, spec=spec,
-        completed=completed)
+        background=bg, alpha_clock=alpha_clock, completed=completed)
 
 
 def evolve_self_similar(profile, params: ExpansionParams, initial, s_end: float,
@@ -683,15 +692,11 @@ def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: flo
     delta = 0.  zeta(R0) = 0 is a hard Dirichlet row; the viscous heating is
     assembled in its squared form so it is nonnegative at every node.  Only
     IMEX Euler is implemented here: order 2 and the fully implicit mode
-    raise InvalidParams.
+    raise ConfigInvalid.
     """
-    spec = spec or SolverSpec()
     if params.delta != 0.0 or params.classification != LINEAR:
         raise WrongClassification("thermodynamic expansion requires delta = 0 Linear parameters")
-    if spec.order != 1 or spec.fully_implicit:
-        raise InvalidParams("the thermodynamic regime needs order = 1 and "
-                            "fully_implicit = False")
-    return _evolve(profile, params, initial, tau_end, spec, mu, THERMO_REGIME,
+    return _evolve(profile, params, initial, tau_end, spec or SolverSpec(), mu, THERMO_REGIME,
                    online_integrands)
 
 
@@ -706,7 +711,7 @@ def reconstruct_eulerian(field, alpha_clock: _AlphaClock) -> EulerianSnapshot:
     chain rule of the field's clock, with alpha and alpha'(t) from the clock
     the run stepped with (`RunResult.alpha_clock`).  The mass identity uses the
     same discrete r_x that built rho, so its residual isolates wiring errors
-    from quadrature error (reported separately against the profile mass).
+    from quadrature error.
     """
     x = np.asarray(field.x_nodes, dtype=float)
     bg = field.background
@@ -735,16 +740,11 @@ def reconstruct_eulerian(field, alpha_clock: _AlphaClock) -> EulerianSnapshot:
     rho_b = bg.rho
     rho = alpha**-3 * rho_b / (H**2 * J)
 
-    # mass checks: r^2 rho r_x == x^2 rho_bar nodewise by construction
+    # mass check: r^2 rho r_x == x^2 rho_bar nodewise by construction
     r_x = alpha * J
     ident = r**2 * rho * r_x - x**2 * rho_b
     scale = max(np.max(x**2 * rho_b), 1e-300)
     mass_ident = float(np.max(np.abs(ident)) / scale)
-    euler_mass = np.concatenate([[0.0], np.cumsum(
-        0.5 * np.diff(r) * (r[1:]**2 * rho[1:] + r[:-1]**2 * rho[:-1]))])
-    lag_mass = bg.cum_mass                   # the same trapezoid over the background
-    mass_quad = float(np.max(np.abs(euler_mass - lag_mass)) / max(lag_mass[-1], 1e-300))
 
     return EulerianSnapshot(r=r, rho=rho, u=u, theta_abs=theta_abs,
-                            mass_identity_residual=mass_ident,
-                            mass_quadrature_residual=mass_quad)
+                            mass_identity_residual=mass_ident)

@@ -34,6 +34,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (
+    ConfigInvalid,
     InvalidParams,
     NoFirstZero,
     NonPhysicalVacuum,
@@ -69,8 +70,15 @@ class GridSpec:
     theta_cut: float = 1e-9        # thermo: stop when theta falls to this
 
     def __post_init__(self):
-        if self.n_cells < 8 or self.rtol <= 0 or self.atol <= 0:
-            raise ToleranceNotMet("grid spec requires n_cells >= 8 and positive tolerances")
+        if bad := self.violations():
+            raise ConfigInvalid(bad)
+
+    def violations(self) -> list[str]:
+        """Named constraints this spec breaks (none once built)."""
+        rows = [(self.n_cells >= 8, "grid.n_cells >= 8"),
+                (self.rtol > 0 and self.atol > 0, "grid tolerances > 0"),
+                (self.y_max > 0, "grid.y_max > 0")]
+        return [text for ok, text in rows if not ok]
 
     @property
     def tol_eff(self) -> float:
@@ -79,9 +87,8 @@ class GridSpec:
 
 @dataclass
 class MassMoments:
-    """Cumulative second moment and the scalar fourth moment of the density."""
+    """The fourth moment of the density."""
 
-    cumulative: np.ndarray        # int_0^y s^2 rho(s) ds at the grid nodes
     fourth_moment: float          # int_0^{R0} s^4 rho(s) ds
 
 
@@ -212,7 +219,6 @@ class Background:
     rho: np.ndarray
     rho_m: np.ndarray
     chi: np.ndarray                     # ledger interior cut-off at the nodes
-    cum_mass: np.ndarray                # trapezoid int_0^x y^2 rho dy at the nodes
     grad: tuple                         # gradient_stencil(x)
     rho43: np.ndarray | None = None     # isentropic: rho^{4/3}
     rho43_m: np.ndarray | None = None
@@ -234,11 +240,8 @@ def sample_background(profile, x) -> Background:
     """Sample a solved profile once on the node grid x and its cell midpoints."""
     x = np.array(x, dtype=float)
     xm = 0.5 * (x[:-1] + x[1:])
-    rho = profile.rho_at(x)
-    cum_mass = np.concatenate([[0.0], np.cumsum(
-        0.5 * np.diff(x) * (x[1:]**2 * rho[1:] + x[:-1]**2 * rho[:-1]))])
-    arrays = {"x": x, "xm": xm, "rho": rho, "rho_m": profile.rho_at(xm),
-              "chi": chi_cutoff(x, profile.R0), "cum_mass": cum_mass}
+    arrays = {"x": x, "xm": xm, "rho": profile.rho_at(x), "rho_m": profile.rho_at(xm),
+              "chi": chi_cutoff(x, profile.R0)}
     thermo = isinstance(profile, ThermoProfile)
     if thermo:
         arrays.update(theta=profile.theta_at(x), theta_m=profile.theta_at(xm),
@@ -287,7 +290,7 @@ def solve_isentropic_profile(delta: float, grid_spec: GridSpec | None = None) ->
             "delta may be below the solvable range or y_max too small")
 
     R0 = float(sol.t_events[0][0])
-    w_R0, slope, m2_R0, q4_R0 = sol.sol(R0)
+    w_R0, slope, _, q4_R0 = sol.sol(R0)
     if abs(w_R0) > gs.root_tol:
         raise ToleranceNotMet(f"|w(R0)| = {abs(w_R0):.3e} above root tolerance {gs.root_tol}")
     if not np.isfinite(slope) or abs(slope) > gs.slope_cap:
@@ -299,14 +302,9 @@ def solve_isentropic_profile(delta: float, grid_spec: GridSpec | None = None) ->
     y_nodes = np.linspace(0.0, R0, gs.n_cells + 1)
     inner = y_nodes >= y0
     w = np.empty_like(y_nodes)
-    m2 = np.empty_like(y_nodes)
     w[~inner] = 1.0 + c2 * y_nodes[~inner] ** 2
-    m2[~inner] = y_nodes[~inner] ** 3 / 3.0 + 3.0 * c2 * y_nodes[~inner] ** 5 / 5.0
-    dense = sol.sol(y_nodes[inner])
-    w[inner] = dense[0]
-    m2[inner] = dense[2]
+    w[inner] = sol.sol(y_nodes[inner])[0]
     w[0] = 1.0
-    m2[0] = 0.0
     w[-1] = max(w[-1], 0.0)
     if np.any(w[1:-1] <= 0.0):
         raise ToleranceNotMet("interior density lost positivity before the located zero")
@@ -317,7 +315,7 @@ def solve_isentropic_profile(delta: float, grid_spec: GridSpec | None = None) ->
         y_nodes=y_nodes,
         w=w,
         rho_bar=w**3,
-        mass_moments=MassMoments(cumulative=m2, fourth_moment=float(q4_R0)),
+        mass_moments=MassMoments(fourth_moment=float(q4_R0)),
         boundary_slope=float(slope),
         _sol=sol,
         _y_series=y0,
@@ -409,11 +407,9 @@ def solve_thermo_profile(K: float, epsilon: float, grid_spec: GridSpec | None = 
     if not np.isfinite(rho_pow_slope) or rho_pow_slope >= 0:
         raise NonPhysicalVacuum("rho^(eps K/(1-eps K)) boundary slope not strictly negative")
 
-    # Close the moment integrals over the sliver [y_cut, R0] analytically
+    # Close the fourth moment over the sliver [y_cut, R0] analytically
     # (rho ~ rho_c ((R0-y)/(R0-y_cut))^m there).
-    sliver = R0 - y_cut
-    m2_R0 = M_c + y_cut**2 * rho_c * sliver / (m + 1.0)
-    q4_R0 = q4_c + y_cut**4 * rho_c * sliver / (m + 1.0)
+    q4_R0 = q4_c + y_cut**4 * rho_c * (R0 - y_cut) / (m + 1.0)
 
     y_nodes = np.linspace(0.0, R0, gs.n_cells + 1)
     profile = ThermoProfile(
@@ -425,7 +421,7 @@ def solve_thermo_profile(K: float, epsilon: float, grid_spec: GridSpec | None = 
         rho_bar=np.zeros_like(y_nodes),
         theta_bar=np.zeros_like(y_nodes),
         reduction_constant=A,
-        mass_moments=MassMoments(cumulative=np.zeros_like(y_nodes), fourth_moment=float(q4_R0)),
+        mass_moments=MassMoments(fourth_moment=float(q4_R0)),
         theta_boundary_slope=float(theta_slope),
         rho_pow_boundary_slope=float(rho_pow_slope),
         zero_gap=float(abs(R0_rho - R0)),
@@ -436,7 +432,6 @@ def solve_thermo_profile(K: float, epsilon: float, grid_spec: GridSpec | None = 
     mid = sol.sol(np.clip(y_nodes, y0, y_cut))   # one dense evaluation for the nodes
     profile.rho_bar = profile._eval(y_nodes, "rho", mid)
     profile.theta_bar = profile._eval(y_nodes, "theta", mid)
-    profile.mass_moments.cumulative = profile._eval(y_nodes, "mass", mid)
     profile.rho_bar[-1] = 0.0
     profile.theta_bar[-1] = 0.0
     if np.any(profile.rho_bar[1:-1] <= 0.0) or np.any(profile.theta_bar[1:-1] <= 0.0):

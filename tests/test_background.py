@@ -5,7 +5,6 @@ import os
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
 
 import starlab.functionals as F
 from starlab import classify_expansion
@@ -54,21 +53,11 @@ class TestSampling:
         assert np.array_equal(bg.chi, F.chi_cutoff(x, p.R0))
         assert bg.K == p.K and bg.rho43 is None
 
-    def test_cumulative_mass_is_the_trapezoid_of_the_samples(self, iso0, thermo14):
-        for prof in (iso0, thermo14):
-            x = grid(prof)
-            bg = sample_background(prof, x)
-            oracle = cumulative_trapezoid(x**2 * bg.rho, x, initial=0.0)
-            assert bg.cum_mass[0] == 0.0
-            assert np.allclose(bg.cum_mass, oracle, rtol=1e-13, atol=0.0)
-
     def test_arrays_are_read_only_and_private(self, iso0):
         x = grid(iso0)
         bg = sample_background(iso0, x)
         with pytest.raises(ValueError):
             bg.rho[0] = 0.0
-        with pytest.raises(ValueError):
-            bg.cum_mass[-1] = 0.0
         assert bg.x is not x and x.flags.writeable
 
 

@@ -227,7 +227,7 @@ class TestScenarios:
         raw["model"].update(delta=-1e-3, a1=0.1)
         raw["out_dir"] = str(tmp_path)
         cfg = validate_config(raw)
-        assert (cfg.solver.n_cells, cfg.time.end, cfg.time.n_emit) == (128, 10.0, 81)
+        assert (cfg.solver.n_cells, cfg.time.end, cfg.solver.n_emit) == (128, 10.0, 81)
         report = run_scenario(cfg)
         assert report.status == 0 and report.summary["completed"]
         assert "energy_reports.csv" in os.listdir(tmp_path)
@@ -267,6 +267,23 @@ class TestMain:
         code = main(["evolve-linear", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 1
         assert "model.delta must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read"),
+        ("{not json", "cannot read"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"initial": {"family": "random-smooth", "modes": 0}}', "initial.modes >= 1"),
+        ('{"model": {"a1": null}}', "model.a1 = null only on evolve-ss"),
+        ('{"solver": [1]}', "solver must be an object"),
+    ])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, content, message):
+        path = tmp_path / "c.json"
+        if content is not None:
+            path.write_text(content)
+        code = main(["evolve-linear", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: ") and message in err
 
     def test_thermo_order_two_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 from scipy.optimize import brentq
 
 from starlab import classify_expansion, integrate_alpha, integrate_phase, PhaseState
@@ -101,13 +101,17 @@ class TestInvariants:
         assert any("stability" in str(w.message) for w in caught)
 
     def test_too_few_cells_named(self, iso0, pars0):
-        # the massless end nodes are extrapolated from three interior nodes
-        z = np.zeros(3)
-        with pytest.raises(InvalidParams, match="n_cells >= 3"):
-            evolve_linear_isentropic(iso0, pars0, (z, z), 0.1, SolverSpec(n_cells=2))
-        z = np.zeros(4)
-        run = evolve_linear_isentropic(iso0, pars0, (z, z), 0.1, SolverSpec(n_cells=3))
+        # the config's floor: the massless end nodes need interior neighbours
+        with pytest.raises(InvalidParams, match="solver.n_cells >= 8"):
+            SolverSpec(n_cells=7)
+        z = np.zeros(9)
+        run = evolve_linear_isentropic(iso0, pars0, (z, z), 0.1, SolverSpec(n_cells=8))
         assert run.completed
+
+    def test_negative_first_step_named(self):
+        # no config key sets dt_init; a negative one made a singular velocity solve
+        with pytest.raises(InvalidParams, match="solver.dt_init > 0 when set"):
+            SolverSpec(dt_init=-1e-3)
 
 
 class TestEnergyIdentity:
@@ -208,7 +212,7 @@ class TestThermoRun:
     @pytest.mark.parametrize("scheme", [dict(order=2), dict(fully_implicit=True)])
     def test_rejects_schemes_it_does_not_step(self, thermo14, parst, scheme):
         z = np.zeros(N + 1)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="for evolve-thermo"):
             evolve_linear_thermo(thermo14, parst, (z, z, z), 0.1,
                                  SolverSpec(n_cells=N, **scheme))
 
@@ -280,7 +284,11 @@ class TestEulerian:
         snap = reconstruct_eulerian(run.final, run.alpha_clock)
         assert np.all(np.diff(snap.r) > 0)
         assert snap.mass_identity_residual < 1e-12
-        assert snap.mass_quadrature_residual < 1e-4
+        # the Eulerian trapezoid mass against the Lagrangian one of the background
+        r, rho, bg = snap.r, snap.rho, run.final.background
+        euler = cumulative_trapezoid(r**2 * rho, r, initial=0.0)
+        lag = cumulative_trapezoid(x**2 * bg.rho, x, initial=0.0)
+        assert np.max(np.abs(euler - lag)) / lag[-1] < 1e-4
 
     def test_general_linear_path_matches_integrated_alpha(self, iso_ss):
         # delta != 0 on the linear branch: alpha(tau) has no closed form
