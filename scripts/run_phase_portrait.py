@@ -2,7 +2,7 @@
 """Phase portrait of uniform perturbations on a grid of initial conditions.
 
 Writes one trajectory CSV per initial condition, a fate summary, and the
-portrait SVG.  STARLAB_THREADS > 1 parallelizes the sweep.
+portrait SVG.
 """
 
 import argparse

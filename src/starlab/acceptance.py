@@ -440,10 +440,9 @@ def c11_lemma_layer() -> dict:
     P = np.polynomial.polynomial
     for _ in range(200):
         coef = rng.uniform(-1.0, 1.0, 6)
-        h = P.polyval(x, coef)
         h_x = P.polyval(x, P.polyder(coef))
         h_xx = P.polyval(x, P.polyder(coef, 2))
-        lhs, rhs = F.frak_A_inequality(x, h, h_x=h_x, h_xx=h_xx)
+        lhs, rhs = F.frak_A_inequality(x, h_x, h_xx)
         margin = lhs - rhs
         worst = min(worst, margin)
         bdry = 4.0 * 1.0 * h_x[-1] ** 2

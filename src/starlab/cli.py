@@ -3,8 +3,7 @@
     starlab <scenario> --config file.json [--out DIR] [--seed N] [--verify]
 
 Exit codes: 0 success (all criteria pass under verify), 1 configuration
-error, 2 runtime event treated as failure in verify mode.  STARLAB_THREADS
-caps the parallelism of phase-portrait sweeps.
+error, 2 runtime event treated as failure in verify mode.
 """
 
 from __future__ import annotations
@@ -105,12 +104,6 @@ def _run_expansion(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
     return ExitReport(0, summary, events, files)
 
 
-def _phase_one(args):
-    idx, phi0, phi1, delta, s_end = args
-    traj = integrate_phase(PhaseState(phi0, phi1, delta), s_end)
-    return idx, traj
-
-
 def _run_phase(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
     delta = cfg.model.delta
     if cfg.phase_grid:
@@ -118,21 +111,13 @@ def _run_phase(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
     else:
         vals = (-0.05, 0.0, 0.05)
         grid = [(p, q) for p in vals for q in vals]
-    jobs = [(i, p, q, delta, cfg.time.end) for i, (p, q) in enumerate(grid)]
-    threads = int(os.environ.get("STARLAB_THREADS", "1"))
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = sorted(pool.map(_phase_one, jobs), key=lambda r: r[0])
-    else:
-        results = [_phase_one(j) for j in jobs]
-
     files = []
     fates = []
     series = []
-    for idx, traj in results:
+    for idx, (phi0, phi1) in enumerate(grid):
+        traj = integrate_phase(PhaseState(phi0, phi1, delta), cfg.time.end)
         files.append(artifacts.write_trajectory_csv(out_dir, f"trajectory_{idx:03d}.csv", traj))
-        fates.append({"phi0": grid[idx][0], "phi1": grid[idx][1], "fate": traj.fate,
+        fates.append({"phi0": phi0, "phi1": phi1, "fate": traj.fate,
                       "first_escape_s": traj.first_escape_s})
         series.append((f"ic{idx}", traj.phi, traj.phi_s))
     phis = np.linspace(-0.6, 1.0, 200)
@@ -181,34 +166,15 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
             scale = cfg.initial.amplitude / om
             initial = tuple(a * scale for a in initial)
 
-    weights = cfg.weights
-    ledger = regime != SELF_SIMILAR_REGIME   # every linearly expanding run has one
-
-    def integrands(field, alpha):
-        if thermo:
-            return functionals.dissipation_integrands_thermo(field, field.background,
-                                                             weights, params.a1)
-        return functionals.dissipation_integrands_isentropic(field, field.background,
-                                                             weights, alpha)
-
-    run = evolve(prof, params, initial, cfg.time.end, spec, mu=m.mu,
-                 online_integrands=integrands if ledger else None)
+    # every linearly expanding run keeps an energy ledger
+    ledger = {} if regime == SELF_SIMILAR_REGIME else {"weights": cfg.weights}
+    run = evolve(prof, params, initial, cfg.time.end, spec, mu=m.mu, **ledger)
     files = [artifacts.write_snapshot_csv(out_dir, idx, snap)
              for idx, snap in enumerate(run.snapshots)]
     eul = reconstruct_eulerian(run.final, run.alpha_clock)
     files.append(artifacts.write_eulerian_csv(out_dir, eul))
-    if ledger:
-        s0 = run.snapshots[0]
-        if thermo:
-            E0 = functionals.initial_energy_thermo(s0.x_nodes, s0.theta, s0.theta_t,
-                                                   s0.theta_tt, s0.zeta, s0.zeta_t,
-                                                   run.background, weights)
-        else:
-            E0 = functionals.initial_energy_isentropic(s0.x_nodes, s0.theta, s0.theta_t,
-                                                       s0.theta_tt, run.background, weights)
-        reports = functionals.total_energy_ledger(
-            run.snapshots, run.background, weights, regime, run.alpha_clock.alpha, E0,
-            a1=params.a1, dissipation_online=run.dissipation_online)
+    if run.weights is not None:
+        reports = functionals.total_energy_ledger(run)
         for rep, snap in zip(reports, run.snapshots):
             phys = functionals.physical_energy(
                 reconstruct_eulerian(snap, run.alpha_clock), "thermo" if thermo else "isentropic",

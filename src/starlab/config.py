@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .errors import ConfigInvalid
+from .expansion import LINEAR, classify_expansion
 from .functionals import WeightSpec
 from .lagrangian import SolverSpec
 from .profiles import GridSpec
@@ -29,6 +31,10 @@ FAMILIES = ("constant", "bump", "random-smooth")
 GRID_KEYS = ("n_cells", "rtol", "atol", "y_max")
 SOLVER_KEYS = ("n_cells", "cfl", "order", "max_rel_change", "growth_threshold",
                "fully_implicit", "dt_max")
+
+# On the Linear branch alpha(tau) <= a0 e^{a1 tau}, and the ledger weights are
+# powers of alpha below 4: alpha^4 must stay finite up to time.end.
+_LEDGER_EXP_MAX = math.log(sys.float_info.max) / 4.0
 
 
 @dataclass(frozen=True)
@@ -240,6 +246,14 @@ def validate_config(raw) -> ScenarioConfig:
         if model.delta != 0.0:
             errors.append("delta = 0 for the thermodynamic expansion")
         errors.extend(solver.violations(thermo=True))
+    if scenario in ("evolve-linear", "evolve-thermo") and model.a0 > 0 and model.a1 is not None:
+        cls = classify_expansion(model.delta if scenario == "evolve-linear" else 0.0,
+                                 model.a0, model.a1).classification
+        if cls != LINEAR:
+            errors.append(f"{scenario} needs a Linear expansion of (delta, a0, a1), got {cls}")
+        elif not model.a1 * time.end + math.log(max(model.a0, 1.0)) < _LEDGER_EXP_MAX:
+            errors.append("a1 * time.end + ln max(a0, 1) < 177.4 "
+                          "(the ledger's alpha^4 overflows beyond)")
     if scenario == "evolve-ss":
         if model.delta >= 0:
             errors.append("delta < 0 for the self-similar branch")

@@ -32,6 +32,12 @@ POSITIVE_DELTA = "PositiveDelta"
 #: so callers must opt in by hitting the threshold almost exactly.
 A1_STAR_REL_TOL = 1e-12
 
+_N_SAMPLES = 512          # samples of an integrated path
+_TOL = 1e-12              # rtol and atol of the alpha integration
+_ALPHA_MIN_FRAC = 1e-6    # a collapsing path stops at this fraction of a0
+_FIT_DECADES = 1.0        # the collapse exponent is fitted over the last decade
+_N_FIT = 200
+
 
 @dataclass(frozen=True)
 class ExpansionParams:
@@ -71,8 +77,7 @@ class ExpansionPath:
         return float(self._sol.t[-1])
 
 
-def classify_expansion(delta: float, a0: float, a1: float,
-                       rel_tol: float = A1_STAR_REL_TOL) -> ExpansionParams:
+def classify_expansion(delta: float, a0: float, a1: float) -> ExpansionParams:
     """Classify the expansion branch from (delta, a0, a1)."""
     if a0 <= 0:
         raise InvalidParams(f"a0 must be positive, got {a0}")
@@ -84,7 +89,7 @@ def classify_expansion(delta: float, a0: float, a1: float,
         a1_star = 0.0
     else:
         a1_star = math.sqrt(2.0 * abs(delta) / a0)
-        if abs(a1 - a1_star) <= rel_tol * a1_star:
+        if abs(a1 - a1_star) <= A1_STAR_REL_TOL * a1_star:
             cls = SELF_SIMILAR
         elif a1 > a1_star:
             cls = LINEAR
@@ -113,12 +118,10 @@ def alpha_closed_form(params: ExpansionParams, t):
     raise WrongClassification("no closed form for this branch")
 
 
-def integrate_alpha(params: ExpansionParams, t_end: float, n_samples: int = 512,
-                    rtol: float = 1e-12, atol: float = 1e-12,
-                    alpha_min_frac: float = 1e-6) -> ExpansionPath:
+def integrate_alpha(params: ExpansionParams, t_end: float) -> ExpansionPath:
     """Integrate alpha and both rescaled clocks up to t_end.
 
-    Collapsing paths stop at alpha = alpha_min_frac * a0; if that happens
+    Collapsing paths stop at alpha = 1e-6 a0; if that happens
     before t_end a CollapseReached is raised carrying the truncated path and
     the blow-down time T (event time plus the exact quadrature remainder of
     dt = d alpha / |alpha'|, which beats Richardson extrapolation here).
@@ -131,7 +134,7 @@ def integrate_alpha(params: ExpansionParams, t_end: float, n_samples: int = 512,
         a = u[0]
         return (u[1], delta / (a * a), a**-1.5, 1.0 / a)
 
-    alpha_min = alpha_min_frac * a0
+    alpha_min = _ALPHA_MIN_FRAC * a0
 
     def hit_floor(t, u):
         return u[0] - alpha_min
@@ -140,13 +143,13 @@ def integrate_alpha(params: ExpansionParams, t_end: float, n_samples: int = 512,
     hit_floor.direction = -1
 
     sol = solve_ivp(rhs, (0.0, t_end), [a0, a1, 0.0, 0.0], method="DOP853",
-                    rtol=rtol, atol=atol, events=hit_floor, dense_output=True)
+                    rtol=_TOL, atol=_TOL, events=hit_floor, dense_output=True)
     if not sol.success and sol.t_events[0].size == 0:
         raise StepFailure(f"alpha integration failed: {sol.message}")
 
     collapsed = sol.t_events[0].size > 0
     t_reach = float(sol.t[-1])
-    t_samples = np.linspace(0.0, t_reach, n_samples)
+    t_samples = np.linspace(0.0, t_reach, _N_SAMPLES)
     states = sol.sol(t_samples)
 
     T_collapse = None
@@ -173,25 +176,25 @@ def integrate_alpha(params: ExpansionParams, t_end: float, n_samples: int = 512,
     return path
 
 
-def integrate_to_collapse(params: ExpansionParams, **kwargs) -> ExpansionPath:
+def integrate_to_collapse(params: ExpansionParams) -> ExpansionPath:
     """Convenience wrapper returning the truncated path of a collapsing branch."""
     if params.classification != COLLAPSE:
         raise WrongClassification("parameters do not collapse")
     try:
         # Upper bound on T: the floor event always fires first.
         t_cap = 10.0 * (params.a0 / max(params.a1_star - params.a1, 1e-12) + params.a0)
-        return integrate_alpha(params, t_cap, **kwargs)
+        return integrate_alpha(params, t_cap)
     except CollapseReached as exc:
         return exc.path
 
 
-def fit_collapse_exponent(path: ExpansionPath, decades: float = 1.0, n_fit: int = 200) -> float:
-    """Least-squares slope of log alpha vs log(T - t) over the final decade(s)."""
+def fit_collapse_exponent(path: ExpansionPath) -> float:
+    """Least-squares slope of log alpha vs log(T - t) over the final decade."""
     if path.T_collapse is None:
         raise WrongClassification("path did not collapse")
     T = path.T_collapse
     gap_end = T - path.t_end
-    gaps = np.geomspace(gap_end * 10.0**decades, gap_end, n_fit)
+    gaps = np.geomspace(gap_end * 10.0**_FIT_DECADES, gap_end, _N_FIT)
     t_fit = T - gaps
     t_fit = t_fit[t_fit >= 0.0]
     a_fit = path.alpha_at(t_fit)

@@ -211,19 +211,15 @@ def perturbation_energy_ss(x, phi, phi_s, rho4_nodes, rho43_edges, a0: float,
 # frak-A inequality probe
 # ---------------------------------------------------------------------------
 
-def frak_A_inequality(x, h, h_x=None, h_xx=None) -> tuple[float, float]:
+def frak_A_inequality(x, h_x, h_xx) -> tuple[float, float]:
     """(lhs, rhs) of int (4 h_x + x h_xx)^2 >= 12 int h_x^2 + int x^2 h_xx^2.
 
     An algebraic identity plus the nonnegative boundary term 4 R0 h_x(R0)^2,
-    so lhs - rhs >= 0 up to quadrature error.
+    so lhs - rhs >= 0 up to quadrature error.  h_x and h_xx are h's analytic
+    derivatives on x.
     """
     from scipy.integrate import simpson
     x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if h_x is None or h_xx is None:
-        st = gradient_stencil(x)
-        h_x = gradient(h, st) if h_x is None else h_x
-        h_xx = gradient(h_x, st) if h_xx is None else h_xx
     lhs = float(simpson((4.0 * h_x + x * h_xx) ** 2, x=x))
     rhs = float(12.0 * simpson(h_x**2, x=x) + simpson(x**2 * h_xx**2, x=x))
     return lhs, rhs
@@ -479,46 +475,52 @@ def initial_energy_thermo(x, xi0, xi1, xi2, zeta0, zeta1, background,
         + _trapz(xi0_x**2 + x**2 * xi0_xx**2, x))
 
 
-def total_energy_ledger(series, background, weights: WeightSpec, regime: str,
-                        alpha_of_clock, E0: float, a1: float | None = None,
-                        dissipation_online: dict | None = None) -> list[EnergyReport]:
-    """EnergyReport per emission time for a field series.
+def _ledger(field, alpha_clock):
+    """(terms, integrands, coefficient) of a linearly expanding field's ledger.
 
-    `series` must carry second clock derivatives (theta_tt, and zeta_t for thermo).
-    Time-integral (dissipation) terms use the solver's online accumulators
-    when given, otherwise the trapezoid rule over the emitted series.
+    The coefficient is alpha at the field's clock (isentropic) or a1 (thermo).
     """
-    weights.validate(background.R0)
-    pairs = {"linear-isentropic": (ledger_terms_isentropic, dissipation_integrands_isentropic),
-             "linear-thermo": (ledger_terms_thermo, dissipation_integrands_thermo)}
-    if regime not in pairs:
-        raise ValueError(f"no total-energy ledger for regime {regime!r}")
-    terms_fn, integrands_fn = pairs[regime]
+    if field.regime == "linear-thermo":
+        return ledger_terms_thermo, dissipation_integrands_thermo, alpha_clock.params.a1
+    return (ledger_terms_isentropic, dissipation_integrands_isentropic,
+            alpha_clock.alpha(field.clock))
+
+
+def ledger_integrands(field, weights: WeightSpec, alpha_clock) -> dict:
+    """Dissipation-ledger integrands (per unit tau) of a linearly expanding field."""
+    _, integrands, coef = _ledger(field, alpha_clock)
+    return integrands(field, field.background, weights, coef)
+
+
+def total_energy_ledger(run) -> list[EnergyReport]:
+    """EnergyReport per snapshot of a linearly expanding run made with weights.
+
+    Every snapshot must carry second clock derivatives (theta_tt, and zeta_t
+    for thermo).  The dissipation terms are the run's online integrals, and
+    E0 is the initial energy of its first snapshot.
+    """
+    weights, bg, online = run.weights, run.background, run.dissipation_online
+    if weights is None:
+        raise MissingDerivative("the ledger needs a run made with weights")
+    s0 = run.snapshots[0]
+    if run.regime == "linear-thermo":
+        E0 = initial_energy_thermo(s0.x_nodes, s0.theta, s0.theta_t, s0.theta_tt, s0.zeta,
+                                   s0.zeta_t, bg, weights)
+    else:
+        E0 = initial_energy_isentropic(s0.x_nodes, s0.theta, s0.theta_t, s0.theta_tt, bg,
+                                       weights)
     reports = []
-    acc_diss: dict[str, float] = {}
-    prev_clock = None
-    prev_integrands = None
-    for idx, f in enumerate(series):
-        clock = f.clock
-        coef = alpha_of_clock(clock) if regime == "linear-isentropic" else a1
-        terms = terms_fn(f, background, weights, coef)
-        if dissipation_online is not None:
-            acc_diss = {k: vals[idx] for k, vals in dissipation_online.items()}
-        else:
-            integrands = integrands_fn(f, background, weights, coef)
-            acc_diss = {k: 0.0 if prev_clock is None else acc_diss[k]
-                        + 0.5 * (clock - prev_clock) * (val + prev_integrands[k])
-                        for k, val in integrands.items()}
-            prev_integrands = integrands
-        ledger = dict(terms)
-        ledger.update(acc_diss)
+    for idx, f in enumerate(run.snapshots):
+        terms_fn, _, coef = _ledger(f, run.alpha_clock)
+        terms = terms_fn(f, bg, weights, coef)
+        acc_diss = {k: vals[idx] for k, vals in online.items()}
+        ledger = {**terms, **acc_diss}
         bad = [k for k, v in ledger.items() if not np.isfinite(v)]
         if bad:
             raise WeightViolation([f"non-finite ledger term {k}" for k in bad])
         reports.append(EnergyReport(
-            clock=clock, ledger=ledger,
+            clock=f.clock, ledger=ledger,
             total_E=float(sum(terms.values())),
             total_D=float(sum(acc_diss.values())),
             E0=E0, omega=amplitude(f)))
-        prev_clock = clock
     return reports

@@ -36,6 +36,8 @@ COLLAPSE = "Collapse"
 
 _PHI_FLOOR_GAP = 1e-6   # stop at phi = -1 + gap to avoid the singularity
 _PHI_CAP = 1e3          # stop runaway expansion before overflow
+_ESCAPE = 0.5           # |phi| at which a trajectory has escaped
+_ON_CURVE_TOL = 1e-8    # |B| bound of a trajectory that stays on the curve
 
 
 @dataclass(frozen=True)
@@ -104,14 +106,13 @@ def bracket(phi, phi_s, delta):
 
 
 def integrate_phase(initial: PhaseState, s_end: float, rtol: float = 1e-10,
-                    atol: float = 1e-10, escape: float = 0.5,
-                    n_samples: int = 1000, on_curve_tol: float = 1e-8) -> PhaseTrajectory:
+                    atol: float = 1e-10, n_samples: int = 1000) -> PhaseTrajectory:
     """Integrate a uniform perturbation and classify its fate.
 
     Fates: Stationary for the exact steady point; OnCurve when the state
-    starts on the zero-energy curve and stays within on_curve_tol of it;
+    starts on the zero-energy curve and stays within 1e-8 of it;
     otherwise Expand/Collapse by the side of the curve, with
-    first_escape_s the first s where |phi| crosses `escape`.  Collapsing
+    first_escape_s the first s where |phi| crosses 0.5.  Collapsing
     runs stop just above phi = -1 and runaway expansions at a large cap;
     either stop is a label, not an error.
     """
@@ -136,10 +137,10 @@ def integrate_phase(initial: PhaseState, s_end: float, rtol: float = 1e-10,
         return (phi_s, dphi_s, 0.5 * b * (1.0 + one**-1.5))
 
     def hit_up(s, u):
-        return u[0] - escape
+        return u[0] - _ESCAPE
 
     def hit_down(s, u):
-        return u[0] + escape
+        return u[0] + _ESCAPE
 
     def hit_floor(s, u):
         return u[0] + 1.0 - _PHI_FLOOR_GAP
@@ -175,7 +176,7 @@ def integrate_phase(initial: PhaseState, s_end: float, rtol: float = 1e-10,
         escapes.append(float(sol.t_events[1][0]))
     first_escape = min(escapes) if escapes else None
 
-    if abs(B0) <= 1e-10 and np.max(np.abs(B)) <= on_curve_tol:
+    if abs(B0) <= 1e-10 and np.max(np.abs(B)) <= _ON_CURVE_TOL:
         fate = ON_CURVE
     elif B0 > 0:
         fate = EXPAND

@@ -36,8 +36,8 @@ implicit mode are available for the isentropic regimes.
 One driver steps all three regimes (`_evolve`).  It owns the dt choice (CFL,
 the 1.25 growth factor, dt_max, emission times, the end time), retry by
 halving with the cfl-floor and step-failure events, the geometry check,
-growth detection, snapshot emission, the online ledger accumulation and the
-RunResult.  Only three parts depend on the regime:
+growth detection (a growth event stops the run), snapshot emission, the online
+ledger accumulation and the RunResult.  Only three parts depend on the regime:
 
   (a) the thermodynamic state zeta and its implicit temperature step;
   (b) the thermodynamic stop when the absolute temperature turns <= 0;
@@ -45,8 +45,13 @@ RunResult.  Only three parts depend on the regime:
 
 Every regime emits `PerturbationField`, tagged with its regime; thermodynamic
 fields also carry zeta and zeta_t.  One `_AlphaClock` per run gives alpha(clock)
-to the driver, the online ledger integrands, and through `RunResult.alpha_clock`
-to the caller's post-run ledger and `reconstruct_eulerian`.
+to the driver, the ledger and, through `RunResult.alpha_clock`, to
+`reconstruct_eulerian`.
+
+A linearly expanding run made with `weights` owns its energy ledger: the driver
+checks them against R0, integrates `functionals.ledger_integrands` over every
+step and keeps the weights and the integrals at each emission on the RunResult
+for `functionals.total_energy_ledger(run)`.
 
 One background per grid: each run samples its profile once
 (`profiles.sample_background`) on the solver grid, with its gradient stencil.
@@ -77,7 +82,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
 from . import functionals
-from .functionals import gradient
+from .functionals import WeightSpec, gradient
 from .errors import (ConfigInvalid, DomainViolation, InvalidParams, NewtonDivergence,
                      StepFailure, WrongClassification)
 from .expansion import LINEAR, SELF_SIMILAR, ExpansionParams
@@ -86,6 +91,8 @@ from .profiles import Background, sample_background
 SELF_SIMILAR_REGIME = "self-similar"
 LINEAR_REGIME = "linear-isentropic"
 THERMO_REGIME = "linear-thermo"
+
+_NEWTON_TOL = 1e-10    # relative convergence of the Picard corrector
 
 
 @dataclass(frozen=True)
@@ -97,11 +104,9 @@ class SolverSpec:
     dt_max: float | None = None
     dt_floor: float = 1e-11
     max_rel_change: float = 1e-3   # per-step change of the flow map 1 + theta
-    newton_tol: float = 1e-10
     max_newton: int = 25
     fully_implicit: bool = False
-    growth_threshold: float = 0.1
-    stop_on_growth: bool = True
+    growth_threshold: float = 0.1  # a growth event stops the run
     n_emit: int = 41               # snapshots, both ends included
 
     def __post_init__(self):
@@ -164,6 +169,7 @@ class RunResult:
     dissipation: np.ndarray | None  # D(s) per step (ss only)
     visc_work: np.ndarray | None   # cumulative int alpha^{3/2} D ds (ss only)
     dissipation_online: dict | None  # ledger integrals at emission times
+    weights: WeightSpec | None     # the ledger's weights (linear runs that keep one)
     background: Background
     alpha_clock: _AlphaClock       # carries the expansion parameters
     completed: bool
@@ -424,7 +430,7 @@ def _picard_correct(stepper, f, v, dt, clock_new, alpha_clock, v_guess, spec):
         f_mid = f + 0.5 * dt * v_new
         trial = stepper.solve_velocity(f_mid, stepper.grid.edge_geometry(f_mid), v, dt,
                                        clock_new, alpha_clock)
-        if np.max(np.abs(trial - v_new)) <= spec.newton_tol * max(1.0, np.max(np.abs(trial))):
+        if np.max(np.abs(trial - v_new)) <= _NEWTON_TOL * max(1.0, np.max(np.abs(trial))):
             return trial
         v_new = trial
     raise NewtonDivergence("fully implicit corrector failed to converge")
@@ -494,14 +500,16 @@ def _temperature_step(grid: _Grid, f, geom, v, z, dt: float, alpha: float, mu: f
 # the stepping driver
 # ---------------------------------------------------------------------------
 
-def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integrands):
+def _evolve(profile, params, initial, clock_end, spec, mu, regime, weights=None):
     """Step one regime from clock 0 to clock_end; see the module docstring.
 
-    online_integrands(field, alpha) gives ledger integrands, integrated in time here.
+    With weights, the dissipation-ledger integrands are integrated in time here.
     """
     thermo = regime == THERMO_REGIME
     if bad := spec.violations(thermo):
         raise ConfigInvalid(bad)
+    if weights is not None:
+        weights.validate(profile.R0)
     if not thermo and profile.delta != params.delta:
         raise InvalidParams("profile and expansion parameters must share delta")
     f, v, *rest = (np.array(a, dtype=float) for a in initial)
@@ -552,8 +560,8 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
     z_rate = _zeta_rate(grid, f, geom, v, z, params.a0, mu) if thermo else None
     field = mk_field(acc, z_rate)
     record(field)
-    if online_integrands is not None:
-        prev_online_vals = online_integrands(field, alpha_clock.alpha(clock))
+    if weights is not None:
+        prev_online_vals = functionals.ledger_integrands(field, weights, alpha_clock)
         online = dict.fromkeys(prev_online_vals, 0.0)
         online_series = {k: [0.0] for k in prev_online_vals}
 
@@ -620,20 +628,18 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
             E_series.append(E)
             D_series.append(D)
         field = mk_field(acc, z_rate)
-        if online is not None:
-            vals = online_integrands(field, alpha_clock.alpha(clock))
+        if weights is not None:
+            vals = functionals.ledger_integrands(field, weights, alpha_clock)
             for k, val in vals.items():
                 online[k] += 0.5 * dt * (val + prev_online_vals[k])
             prev_online_vals = vals
 
         omega = functionals.amplitude(field)
         if omega > spec.growth_threshold:
-            if not any(e.kind == "growth" for e in events):
-                events.append(RunEvent("growth", clock, f"amplitude = {omega:.3e}"))
-            if spec.stop_on_growth:
-                record(field)
-                completed = False
-                break
+            events.append(RunEvent("growth", clock, f"amplitude = {omega:.3e}"))
+            record(field)
+            completed = False
+            break
 
         if emit_idx < emit.size and clock >= emit[emit_idx] - 1e-12:
             record(field)
@@ -652,32 +658,32 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, online_integr
         regime=regime, snapshots=snapshots, events=events, times=np.asarray(times),
         energy=energy, dissipation=dissipation, visc_work=visc_work,
         dissipation_online={k: np.asarray(vs) for k, vs in online_series.items()}
-        if online is not None else None,
-        background=bg, alpha_clock=alpha_clock, completed=completed)
+        if weights is not None else None,
+        weights=weights, background=bg, alpha_clock=alpha_clock, completed=completed)
 
 
 def evolve_self_similar(profile, params: ExpansionParams, initial, s_end: float,
-                        spec: SolverSpec | None = None, mu: float = 1.0,
-                        online_integrands=None) -> RunResult:
+                        spec: SolverSpec | None = None, mu: float = 1.0) -> RunResult:
     """Evolve a perturbation of the self-similarly expanding star to s_end."""
     return _evolve(profile, params, initial, s_end, spec or SolverSpec(), mu,
-                   SELF_SIMILAR_REGIME, online_integrands)
+                   SELF_SIMILAR_REGIME)
 
 
 def evolve_linear_isentropic(profile, params: ExpansionParams, initial, tau_end: float,
                              spec: SolverSpec | None = None, mu: float = 1.0,
-                             online_integrands=None) -> RunResult:
+                             weights: WeightSpec | None = None) -> RunResult:
     """Evolve a perturbation of the linearly expanding isentropic star to tau_end.
 
-    Outside the proven stability range, delta <= -a0 a1^2/8, this warns and the
-    run carries a non-stop `outside-stability-range` event.
+    With weights the run keeps its energy ledger (see the module docstring).
+    Outside the proven stability range, delta <= -a0 a1^2/8, this warns and
+    the run carries a non-stop `outside-stability-range` event.
     """
     notice = "delta <= -a0 a1^2/8: outside the proven stability range"
     outside = params.classification == LINEAR and params.delta <= -params.a0 * params.a1**2 / 8.0
     if outside:
         warnings.warn(notice, stacklevel=2)
     run = _evolve(profile, params, initial, tau_end, spec or SolverSpec(), mu,
-                  LINEAR_REGIME, online_integrands)
+                  LINEAR_REGIME, weights)
     if outside:
         run.events.insert(0, RunEvent("outside-stability-range", 0.0, notice))
     return run
@@ -685,19 +691,19 @@ def evolve_linear_isentropic(profile, params: ExpansionParams, initial, tau_end:
 
 def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: float,
                          spec: SolverSpec | None = None, mu: float = 1.0,
-                         online_integrands=None) -> RunResult:
+                         weights: WeightSpec | None = None) -> RunResult:
     """Evolve (xi, zeta) for the linearly expanding thermodynamic star.
 
     alpha = a0 + a1 t exactly (delta-free); requires params built with
     delta = 0.  zeta(R0) = 0 is a hard Dirichlet row; the viscous heating is
     assembled in its squared form so it is nonnegative at every node.  Only
     IMEX Euler is implemented here: order 2 and the fully implicit mode
-    raise ConfigInvalid.
+    raise ConfigInvalid.  weights act as in `evolve_linear_isentropic`.
     """
     if params.delta != 0.0 or params.classification != LINEAR:
         raise WrongClassification("thermodynamic expansion requires delta = 0 Linear parameters")
     return _evolve(profile, params, initial, tau_end, spec or SolverSpec(), mu, THERMO_REGIME,
-                   online_integrands)
+                   weights)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,12 @@ _R0_SCALE_GUESS = 13.8
 _TOL_SAFETY = 1e-3
 _TOL_FLOOR = 1e-14
 
+_ROOT_TOL = 1e-12       # |w(R0)| / w(0) allowed at the located zero
+_SERIES_FRAC = 1e-3     # series start at this fraction of the radius guess
+_SLOPE_FLOOR = 1e-6     # a physical-vacuum slope must exceed this in magnitude
+_SLOPE_CAP = 1e6
+_THETA_CUT = 1e-9       # thermo: stop when theta falls to this
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -62,12 +68,7 @@ class GridSpec:
     n_cells: int = 512
     rtol: float = 1e-10
     atol: float = 1e-10
-    root_tol: float = 1e-12        # |w(R0)| / w(0) allowed at the located zero
     y_max: float = 200.0           # abort if no zero before this radius
-    series_frac: float = 1e-3      # series start at series_frac * radius guess
-    slope_floor: float = 1e-6      # physical-vacuum slope must exceed this
-    slope_cap: float = 1e6
-    theta_cut: float = 1e-9        # thermo: stop when theta falls to this
 
     def __post_init__(self):
         if bad := self.violations():
@@ -259,7 +260,7 @@ def solve_isentropic_profile(delta: float, grid_spec: GridSpec | None = None) ->
     """Integrate the isentropic profile ODE out to its first density zero."""
     gs = grid_spec or GridSpec()
     c2 = -(1.0 + 3.0 * delta) / 24.0
-    y0 = gs.series_frac * _R0_SCALE_GUESS
+    y0 = _SERIES_FRAC * _R0_SCALE_GUESS
     state0 = [
         1.0 + c2 * y0**2,                      # w
         2.0 * c2 * y0,                         # w'
@@ -291,11 +292,11 @@ def solve_isentropic_profile(delta: float, grid_spec: GridSpec | None = None) ->
 
     R0 = float(sol.t_events[0][0])
     w_R0, slope, _, q4_R0 = sol.sol(R0)
-    if abs(w_R0) > gs.root_tol:
-        raise ToleranceNotMet(f"|w(R0)| = {abs(w_R0):.3e} above root tolerance {gs.root_tol}")
-    if not np.isfinite(slope) or abs(slope) > gs.slope_cap:
+    if abs(w_R0) > _ROOT_TOL:
+        raise ToleranceNotMet(f"|w(R0)| = {abs(w_R0):.3e} above root tolerance {_ROOT_TOL}")
+    if not np.isfinite(slope) or abs(slope) > _SLOPE_CAP:
         raise NonPhysicalVacuum(f"boundary slope {slope} diverged")
-    if slope > -gs.slope_floor:
+    if slope > -_SLOPE_FLOOR:
         raise NonPhysicalVacuum(
             f"boundary slope {slope:.3e} is not strictly negative; vacuum is not physical")
 
@@ -343,7 +344,7 @@ def solve_thermo_profile(K: float, epsilon: float, grid_spec: GridSpec | None = 
 
     # Lane-Emden scaling of the reduced equation sets the radius scale.
     r0_guess = _R0_SCALE_GUESS / 2.0 / np.sqrt(epsilon * A)
-    y0 = gs.series_frac * r0_guess
+    y0 = _SERIES_FRAC * r0_guess
     t2 = -epsilon * A / 6.0
     state0 = [
         A * (1.0 + m * t2 * y0**2),                 # rho
@@ -360,10 +361,8 @@ def solve_thermo_profile(K: float, epsilon: float, grid_spec: GridSpec | None = 
         rho_p = -rho * (M / (K * y2) + theta_p) / theta
         return (rho_p, theta_p, -epsilon * y2 * rho, y2 * rho, y2 * y2 * rho)
 
-    theta_cut = gs.theta_cut
-
     def hit_cut(y, u):
-        return u[1] - theta_cut
+        return u[1] - _THETA_CUT
 
     hit_cut.terminal = True
     hit_cut.direction = -1
@@ -392,7 +391,7 @@ def solve_thermo_profile(K: float, epsilon: float, grid_spec: GridSpec | None = 
     R0 = y_cut + d
     theta_slope = theta_p + theta_pp * d
 
-    if not np.isfinite(theta_slope) or theta_slope > -gs.slope_floor:
+    if not np.isfinite(theta_slope) or theta_slope > -_SLOPE_FLOOR:
         raise NonPhysicalVacuum(f"theta boundary slope {theta_slope:.3e} not strictly negative")
 
     # rho^{1/m} vanishes linearly; its implied zero must match R0.

@@ -5,11 +5,20 @@ dataclass field of a public class, must be read somewhere in src/, scripts/
 or perfbench/: loaded as a name or an attribute, or named by a string (as
 perfbench's tracer names what it patches).  A definition, an assignment, the
 package's re-exports and constructor keywords do not read a name.
+
+Every field of the config objects `SolverSpec` and `GridSpec` must also be
+settable by someone: a config JSON key, or a keyword at a call site in src/,
+scripts/ or perfbench/.  A value nobody sets is a module constant.
 """
 
 import ast
+import dataclasses
 import pathlib
 import re
+
+from starlab.config import GRID_KEYS, SOLVER_KEYS
+from starlab.lagrangian import SolverSpec
+from starlab.profiles import GridSpec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "starlab"
@@ -22,6 +31,10 @@ ALLOWED = {
     "ExpansionPath.alpha_prime_at": "oracle: alpha'(t) of the integrated path, against the "
                                     "clock a run steps with",
 }
+
+# Solver fields only the tests set: their one way into the cfl-floor and
+# step-failure stops and the Newton divergence.
+TEST_HOOKS = {"dt_floor", "max_newton"}
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
@@ -47,21 +60,35 @@ def _public_definitions():
                     yield f"{node.name}.{name}", path.name
 
 
-def _read_names():
-    read = set()
+def _searched_nodes():
     for top in SEARCHED:
         for path in top.rglob("*.py"):
-            if path.name.startswith("test_"):
-                continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    read.add(node.attr)
-                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                      and _IDENTIFIER.fullmatch(node.value)):
-                    read.add(node.value)
+            if not path.name.startswith("test_"):
+                yield from ast.walk(ast.parse(path.read_text()))
+
+
+def _read_names():
+    read = set()
+    for node in _searched_nodes():
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _IDENTIFIER.fullmatch(node.value)):
+            read.add(node.value)
     return read
+
+
+def _keywords_set(cls_name):
+    """Keywords passed to cls_name(...) at the call sites outside the tests."""
+    out = set()
+    for node in _searched_nodes():
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == cls_name or getattr(func, "attr", None) == cls_name:
+                out.update(k.arg for k in node.keywords if k.arg)
+    return out
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -75,3 +102,12 @@ def test_allowlist_names_existing_uncalled_definitions():
     defined = {name for name, _ in _public_definitions()}
     assert set(ALLOWED) <= defined
     assert not {name.rpartition(".")[2] for name in ALLOWED} & _read_names()
+
+
+def test_every_config_field_has_a_setter():
+    # the solver's n_emit is the config's time.n_emit
+    keys = {SolverSpec: set(SOLVER_KEYS) | {"n_emit"} | TEST_HOOKS, GridSpec: set(GRID_KEYS)}
+    unset = sorted(f"{cls.__name__}.{f.name}" for cls, known in keys.items()
+                   for f in dataclasses.fields(cls)
+                   if f.name not in known | _keywords_set(cls.__name__))
+    assert unset == []

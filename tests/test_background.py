@@ -76,9 +76,6 @@ class TestGridMismatch:
             with pytest.raises(InvalidParams):
                 F.initial_energy_isentropic(x, z, z, z, bg, F.WeightSpec())
             with pytest.raises(InvalidParams):
-                F.total_energy_ledger([f], bg, F.WeightSpec(), LINEAR_REGIME,
-                                      np.exp, 0.0)
-            with pytest.raises(InvalidParams):
                 reconstruct_eulerian(f, _AlphaClock(pars, LINEAR_REGIME, 1.0))
 
     def test_thermo_consumers_reject_another_grid(self, thermo14):

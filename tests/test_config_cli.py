@@ -275,6 +275,10 @@ class TestMain:
         ('{"initial": {"family": "random-smooth", "modes": 0}}', "initial.modes >= 1"),
         ('{"model": {"a1": null}}', "model.a1 = null only on evolve-ss"),
         ('{"solver": [1]}', "solver must be an object"),
+        ('{"model": {"delta": -1e-3, "a1": 0.01}}',
+         "evolve-linear needs a Linear expansion of (delta, a0, a1), got Collapse"),
+        ('{"model": {"delta": 0.5}}',
+         "evolve-linear needs a Linear expansion of (delta, a0, a1), got PositiveDelta"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, content, message):
         path = tmp_path / "c.json"
@@ -284,6 +288,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("scenario, model, end", [
+        ("evolve-linear", {"a1": 10.0}, 21.0),
+        ("evolve-thermo", {"kind": "thermo", "a1": 20.0}, 40.0),
+    ])
+    def test_ledger_overflow_named(self, tmp_path, capsys, scenario, model, end):
+        # alpha^4 = e^{4 a1 time.end} overflows; these ended in a bare OverflowError
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"model": model, "solver": {"n_cells": 16},
+                                    "time": {"end": end}}))
+        code = main([scenario, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == ("config error: a1 * time.end + ln max(a0, 1) < 177.4 "
+                                           "(the ledger's alpha^4 overflows beyond)\n")
 
     def test_thermo_order_two_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -51,9 +51,13 @@ positive = st.floats(min_value=1e-9, max_value=1e3)
 def valid_configs(draw):
     scenario = draw(st.sampled_from(sorted(MODELS)))
     thermo = scenario == "evolve-thermo"
+    a0, end = draw(positive), draw(positive)
+    if scenario in ("evolve-linear", "evolve-thermo"):
+        # the ledger's alpha^4 stays finite: a1 * time.end + ln max(a0, 1) < 177.4
+        end = min(end, (177.0 - math.log(max(a0, 1.0))) / MODELS[scenario]["a1"])
     return {
         "scenario": scenario,
-        "model": {**MODELS[scenario], "a0": draw(positive), "mu": draw(positive)},
+        "model": {**MODELS[scenario], "a0": a0, "mu": draw(positive)},
         "grid": {"n_cells": draw(st.integers(8, 4096)), "rtol": draw(positive),
                  "atol": draw(positive), "y_max": draw(positive)},
         "solver": {"n_cells": draw(st.integers(8, 4096)),
@@ -70,7 +74,7 @@ def valid_configs(draw):
                     "modes": draw(st.integers(1, 64)), "seed": draw(st.integers(0, 2**32)),
                     "normalize_omega": draw(st.booleans())},
         "weights": {"a": draw(st.floats(0.01, 0.99))},
-        "time": {"end": draw(positive), "n_emit": draw(st.integers(2, 1000))},
+        "time": {"end": end, "n_emit": draw(st.integers(2, 1000))},
         "phase_grid": draw(st.lists(st.lists(st.floats(-0.9, 1.0), min_size=2, max_size=2),
                                     max_size=3)),
         "out_dir": draw(st.sampled_from(["out", "out/run 1"])),

@@ -6,7 +6,7 @@ import starlab.functionals as F
 from starlab import classify_expansion
 from starlab.errors import KEqualsOne, MissingDerivative, WeightViolation
 from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, PerturbationField, SolverSpec,
-                                evolve_self_similar)
+                                evolve_linear_isentropic, evolve_self_similar)
 from starlab.profiles import sample_background
 
 
@@ -138,10 +138,9 @@ class TestRelativeEntropy:
         x = np.linspace(0.0, 1.0, 2001)
         P = np.polynomial.polynomial
         c = np.array(coefs)
-        h = P.polyval(x, c)
         h_x = P.polyval(x, P.polyder(c))
         h_xx = P.polyval(x, P.polyder(c, 2))
-        lhs, rhs = F.frak_A_inequality(x, h, h_x=h_x, h_xx=h_xx)
+        lhs, rhs = F.frak_A_inequality(x, h_x, h_xx)
         assert lhs >= rhs - 1e-10
         assert lhs - rhs == pytest.approx(4.0 * h_x[-1] ** 2, abs=1e-8)
 
@@ -238,15 +237,29 @@ class TestWeights:
 
 class TestLedger:
     def test_zero_series(self, iso0):
-        x = iso0.y_nodes[::4]
-        z = 0 * x
-        fields = [PerturbationField(x, z, z, z, tau, LINEAR_REGIME)
-                  for tau in (0.0, 0.5, 1.0)]
-        reports = F.total_energy_ledger(fields, sample_background(iso0, x), F.WeightSpec(),
-                                        LINEAR_REGIME, lambda t: np.exp(t), 0.0)
+        # the unperturbed star stays exactly unperturbed, and so does its ledger
+        z = np.zeros(33)
+        run = evolve_linear_isentropic(iso0, classify_expansion(0.0, 1.0, 1.0), (z, z), 1.0,
+                                       SolverSpec(n_cells=32, n_emit=3), weights=F.WeightSpec())
+        reports = F.total_energy_ledger(run)
+        assert [rep.clock for rep in reports] == pytest.approx([0.0, 0.5, 1.0])
         for rep in reports:
             assert all(v == 0.0 for v in rep.ledger.values())
-            assert rep.total_E == 0.0 and rep.total_D == 0.0
+            assert rep.total_E == 0.0 and rep.total_D == 0.0 and rep.E0 == 0.0
+
+    def test_run_without_weights_has_no_ledger(self, iso0):
+        z = np.zeros(33)
+        run = evolve_linear_isentropic(iso0, classify_expansion(0.0, 1.0, 1.0), (z, z), 0.1,
+                                       SolverSpec(n_cells=32, n_emit=2))
+        assert run.weights is None and run.dissipation_online is None
+        with pytest.raises(MissingDerivative, match="weights"):
+            F.total_energy_ledger(run)
+
+    def test_weights_checked_before_the_first_step(self, iso0):
+        z = np.zeros(33)
+        with pytest.raises(WeightViolation, match="0 < a < 1"):
+            evolve_linear_isentropic(iso0, classify_expansion(0.0, 1.0, 1.0), (z, z), 0.1,
+                                     SolverSpec(n_cells=32), weights=F.WeightSpec(a=1.5))
 
     def test_missing_derivative(self, iso0):
         x = iso0.y_nodes[::4]
@@ -267,7 +280,6 @@ class TestLedger:
     def test_amplitude_bounded_by_ledger(self, iso0):
         # omega^2 <= C (ledger total + E0) along a stable run, with the
         # fitted C stable under grid refinement
-        from starlab.lagrangian import evolve_linear_isentropic
         pars = classify_expansion(0.0, 1.0, 1.0)
         weights = F.WeightSpec()
         Cs = []
@@ -276,13 +288,7 @@ class TestLedger:
             th0 = 1e-3 * (0.5 + 0.5 * np.cos(np.pi * x / iso0.R0))
             th1 = 0 * x
             run = evolve_linear_isentropic(iso0, pars, (th0, th1), 3.0,
-                                           SolverSpec(n_cells=n, n_emit=13))
-            bg = run.background
-            E0 = F.initial_energy_isentropic(x, th0, th1, run.snapshots[0].theta_tt, bg,
-                                             weights)
-            reports = F.total_energy_ledger(
-                run.snapshots, bg, weights, LINEAR_REGIME,
-                lambda t: np.exp(t), E0,
-                dissipation_online=run.dissipation_online)
+                                           SolverSpec(n_cells=n, n_emit=13), weights=weights)
+            reports = F.total_energy_ledger(run)
             Cs.append(max(r.omega**2 / (r.total_E + r.E0) for r in reports))
         assert Cs[1] == pytest.approx(Cs[0], rel=0.5)

@@ -15,8 +15,7 @@ from starlab.lagrangian import (SolverSpec, evolve_linear_isentropic, evolve_lin
 
 N = 48
 # growth never stops these runs and the flow-map bound never rejects a step
-NO_LIMITS = dict(n_cells=N, n_emit=5, max_rel_change=1e6, stop_on_growth=False,
-                 growth_threshold=1e9)
+NO_LIMITS = dict(n_cells=N, n_emit=5, max_rel_change=1e6, growth_threshold=1e9)
 # steps grow by 1.25 until the flow-map bound halves one below the floor
 FLOOR = dict(n_cells=N, n_emit=5, dt_init=1e-4, max_rel_change=1e-4, dt_floor=1e-2)
 
