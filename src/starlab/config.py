@@ -252,7 +252,7 @@ def validate_config(raw) -> ScenarioConfig:
         if cls != LINEAR:
             errors.append(f"{scenario} needs a Linear expansion of (delta, a0, a1), got {cls}")
         elif not model.a1 * time.end + math.log(max(model.a0, 1.0)) < _LEDGER_EXP_MAX:
-            errors.append("a1 * time.end + ln max(a0, 1) < 177.4 "
+            errors.append(f"a1 * time.end + ln max(a0, 1) < {_LEDGER_EXP_MAX:.1f} "
                           "(the ledger's alpha^4 overflows beyond)")
     if scenario == "evolve-ss":
         if model.delta >= 0:

@@ -35,8 +35,7 @@ A1_STAR_REL_TOL = 1e-12
 _N_SAMPLES = 512          # samples of an integrated path
 _TOL = 1e-12              # rtol and atol of the alpha integration
 _ALPHA_MIN_FRAC = 1e-6    # a collapsing path stops at this fraction of a0
-_FIT_DECADES = 1.0        # the collapse exponent is fitted over the last decade
-_N_FIT = 200
+_N_FIT = 200              # points of the collapse-exponent fit
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ def fit_collapse_exponent(path: ExpansionPath) -> float:
         raise WrongClassification("path did not collapse")
     T = path.T_collapse
     gap_end = T - path.t_end
-    gaps = np.geomspace(gap_end * 10.0**_FIT_DECADES, gap_end, _N_FIT)
+    gaps = np.geomspace(gap_end * 10.0, gap_end, _N_FIT)
     t_fit = T - gaps
     t_fit = t_fit[t_fit >= 0.0]
     a_fit = path.alpha_at(t_fit)
