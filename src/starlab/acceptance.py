@@ -36,10 +36,10 @@ SS_DELTA = -1e-3
 _cache: dict = {}
 
 
-def _isentropic_profile(delta, **kw):
-    key = ("iso", delta, tuple(sorted(kw.items())))
+def _isentropic_profile(delta):
+    key = ("iso", delta)
     if key not in _cache:
-        _cache[key] = solve_isentropic_profile(delta, GridSpec(**kw) if kw else None)
+        _cache[key] = solve_isentropic_profile(delta)
     return _cache[key]
 
 
@@ -413,12 +413,12 @@ def c10_stability_thermo() -> dict:
     assert abs(omegas[0] - 1e-3) < 1e-9
     assert omegas.max() <= 2e-3, "thermo amplitude left the stability envelope"
 
-    from .lagrangian import _Grid, _thermo_aux
-    grid = _Grid(run.background)
+    from .lagrangian import _Kernel
+    kernel = _Kernel(run.background, run.alpha_clock, 1.0)
     min_frakF = math.inf
     for s in run.snapshots:
         assert s.zeta[-1] == 0.0, "zeta(R0) not exactly zero"
-        _, _, _, frakF = _thermo_aux(grid, s.theta, s.theta_t)
+        _, _, _, frakF = kernel.thermo_aux(s.theta, s.theta_t)
         min_frakF = min(min_frakF, float(np.min(frakF)))
     details["min_viscous_heating"] = min_frakF
     assert min_frakF >= 0.0, "viscous heating lost positivity"

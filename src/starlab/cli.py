@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, artifacts, functionals, svgplot
 from .config import ScenarioConfig, build_initial, validate_config
-from .errors import CollapseReached, ConfigInvalid, StarlabError
+from .errors import ConfigInvalid, StarlabError
 from .expansion import classify_expansion, integrate_alpha
 from .homogeneous import PhaseState, curve_phi_s, integrate_phase
 from .lagrangian import (LINEAR_REGIME, SELF_SIMILAR_REGIME, THERMO_REGIME,
@@ -85,11 +85,9 @@ def _run_profile(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
 def _run_expansion(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
     m = cfg.model
     params = classify_expansion(m.delta, m.a0, m.a1)
-    try:
-        path = integrate_alpha(params, cfg.time.end)
-        events = []
-    except CollapseReached as exc:
-        path = exc.path
+    path = integrate_alpha(params, cfg.time.end)
+    events = []
+    if path.t_end < cfg.time.end:          # a collapse ended the path early
         events = [RunEvent("collapse-reached", path.t_end, f"T ~ {path.T_collapse:.6g}")]
     files = list(artifacts.write_expansion_csv(out_dir, path))
     files.append(svgplot.line_chart(
@@ -176,9 +174,8 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
     if run.weights is not None:
         reports = functionals.total_energy_ledger(run)
         for rep, snap in zip(reports, run.snapshots):
-            phys = functionals.physical_energy(
-                reconstruct_eulerian(snap, run.alpha_clock), "thermo" if thermo else "isentropic",
-                mu=m.mu, c_nu=m.c_nu, epsilon=m.epsilon)
+            phys = functionals.physical_energy(reconstruct_eulerian(snap, run.alpha_clock),
+                                               mu=m.mu, c_nu=m.c_nu)
             rep.E_phys, rep.D_phys = phys.E, phys.D
         files.extend(artifacts.write_energy_reports(out_dir, reports))
 

@@ -7,7 +7,6 @@ the library and `validate_config` report the same texts.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -35,6 +34,9 @@ SOLVER_KEYS = ("n_cells", "cfl", "order", "max_rel_change", "growth_threshold",
 # On the Linear branch alpha(tau) <= a0 e^{a1 tau}, and the ledger weights are
 # powers of alpha below 4: alpha^4 must stay finite up to time.end.
 _LEDGER_EXP_MAX = math.log(sys.float_info.max) / 4.0
+# On the self-similar branch alpha(s) = a0 e^{sqrt(2|delta|) s}, and the momentum
+# step's viscosity is alpha^(5/2): it must stay finite up to time.end.
+_SS_EXP_MAX = math.log(sys.float_info.max) / 2.5
 
 
 @dataclass(frozen=True)
@@ -170,31 +172,21 @@ def _spec(errors: list, cls, kw: dict):
 
 
 def validate_config(raw) -> ScenarioConfig:
-    """Parse and validate a scenario configuration.
+    """Validate a scenario configuration, a dict as parsed from its JSON.
 
-    Accepts a JSON string, a path-free dict, or a ScenarioConfig.  Collects
-    every violated constraint (named as in the model; the solver and grid
-    texts are those of SolverSpec and GridSpec) and raises ConfigInvalid with
-    the full list; never returns a partial config.
+    Collects every violated constraint (named as in the model; the solver and
+    grid texts are those of SolverSpec and GridSpec) and raises ConfigInvalid
+    with the full list; never returns a partial config.
     """
-    if isinstance(raw, ScenarioConfig):
-        cfg_dict = raw.to_dict()
-    elif isinstance(raw, str):
-        try:
-            cfg_dict = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid([f"not valid JSON: {exc}"]) from exc
-    else:
-        cfg_dict = raw
-    if not isinstance(cfg_dict, dict):
-        raise ConfigInvalid([f"a config is a JSON object, got {type(cfg_dict).__name__}"])
+    if not isinstance(raw, dict):
+        raise ConfigInvalid([f"a config is a JSON object, got {type(raw).__name__}"])
 
     errors: list[str] = []
-    scenario = cfg_dict.get("scenario")
-    seed = _read(errors, cfg_dict, ScenarioConfig, "", ("seed",))["seed"]
+    scenario = raw.get("scenario")
+    seed = _read(errors, raw, ScenarioConfig, "", ("seed",))["seed"]
     if scenario not in SCENARIOS:
         errors.append(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    md, gd, sd, idd, wd, td = (_section(errors, cfg_dict, name) for name in
+    md, gd, sd, idd, wd, td = (_section(errors, raw, name) for name in
                                ("model", "grid", "solver", "initial", "weights", "time"))
 
     model = ModelParams(**_read(errors, md, ModelParams, "model"))
@@ -230,7 +222,7 @@ def validate_config(raw) -> ScenarioConfig:
 
     try:
         phase_grid = tuple(tuple(float(v) for v in p)
-                           for p in cfg_dict.get("phase_grid", ()))
+                           for p in raw.get("phase_grid", ()))
     except (TypeError, ValueError):
         errors.append("phase_grid entries are [phi, phi_s] number pairs")
         phase_grid = ()
@@ -257,11 +249,15 @@ def validate_config(raw) -> ScenarioConfig:
     if scenario == "evolve-ss":
         if model.delta >= 0:
             errors.append("delta < 0 for the self-similar branch")
-        elif model.a1 is not None and model.a0 > 0:
+        elif model.a0 > 0:
             a1_star = math.sqrt(2.0 * abs(model.delta) / model.a0)
-            if abs(model.a1 - a1_star) > 1e-12 * a1_star:
+            if model.a1 is not None and abs(model.a1 - a1_star) > 1e-12 * a1_star:
                 errors.append("a1 = sqrt(2|delta|/a0) on the self-similar branch "
                               "(set a1 to null to select it)")
+            if not (math.sqrt(2.0 * abs(model.delta)) * time.end
+                    + math.log(max(model.a0, 1.0)) < _SS_EXP_MAX):
+                errors.append(f"sqrt(2|delta|) * time.end + ln max(a0, 1) < {_SS_EXP_MAX:.1f} "
+                              "(the step's alpha^(5/2) overflows beyond)")
     if scenario == "phase":
         if model.delta >= 0:
             errors.append("delta < 0 for the phase scenario")
@@ -279,4 +275,4 @@ def validate_config(raw) -> ScenarioConfig:
     return ScenarioConfig(
         scenario=scenario, model=model, grid=grid, solver=solver,
         initial=initial, weights=weights, time=time, phase_grid=phase_grid,
-        out_dir=str(cfg_dict.get("out_dir", "out")), seed=seed)
+        out_dir=str(raw.get("out_dir", "out")), seed=seed)

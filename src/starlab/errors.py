@@ -33,19 +33,6 @@ class InvalidParams(StarlabError):
     """Parameters or inputs violate a precondition (e.g. a0 <= 0, mismatched grids)."""
 
 
-class CollapseReached(StarlabError):
-    """alpha hit the collapse floor before the requested end time.
-
-    Carries the truncated path and the extrapolated blow-down time so the
-    caller can still study the collapse asymptotics.
-    """
-
-    def __init__(self, message, path=None, t_collapse=None):
-        super().__init__(message)
-        self.path = path
-        self.t_collapse = t_collapse
-
-
 class WrongClassification(StarlabError):
     """Operation requires a different expansion classification."""
 

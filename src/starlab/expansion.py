@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .errors import CollapseReached, InvalidParams, StepFailure, WrongClassification
+from .errors import InvalidParams, StepFailure, WrongClassification
 
 SELF_SIMILAR = "SelfSimilar"
 LINEAR = "Linear"
@@ -84,7 +84,7 @@ def classify_expansion(delta: float, a0: float, a1: float) -> ExpansionParams:
         cls = POSITIVE_DELTA
         a1_star = 0.0
     elif delta == 0:
-        cls = LINEAR
+        cls = LINEAR if a1 >= 0 else COLLAPSE    # alpha = a0 + a1 t reaches 0 when a1 < 0
         a1_star = 0.0
     else:
         a1_star = math.sqrt(2.0 * abs(delta) / a0)
@@ -120,10 +120,10 @@ def alpha_closed_form(params: ExpansionParams, t):
 def integrate_alpha(params: ExpansionParams, t_end: float) -> ExpansionPath:
     """Integrate alpha and both rescaled clocks up to t_end.
 
-    Collapsing paths stop at alpha = 1e-6 a0; if that happens
-    before t_end a CollapseReached is raised carrying the truncated path and
-    the blow-down time T (event time plus the exact quadrature remainder of
-    dt = d alpha / |alpha'|, which beats Richardson extrapolation here).
+    Collapsing paths stop at alpha = 1e-6 a0: the path returned then ends
+    short of t_end and carries the blow-down time T_collapse (event time plus
+    the exact quadrature remainder of dt = d alpha / |alpha'|, which beats
+    Richardson extrapolation here).
     """
     if t_end <= 0:
         raise InvalidParams("t_end must be positive")
@@ -158,7 +158,7 @@ def integrate_alpha(params: ExpansionParams, t_end: float) -> ExpansionPath:
         remainder, _ = quad(lambda a: 1.0 / math.sqrt(rad - 2.0 * delta / a), 0.0, alpha_min)
         T_collapse = t_ev + remainder
 
-    path = ExpansionPath(
+    return ExpansionPath(
         params=params,
         t_samples=t_samples,
         alpha=states[0],
@@ -168,23 +168,15 @@ def integrate_alpha(params: ExpansionParams, t_end: float) -> ExpansionPath:
         T_collapse=T_collapse,
         _sol=sol,
     )
-    if collapsed and t_reach < t_end:
-        raise CollapseReached(
-            f"alpha reached its floor at t = {t_reach:.6g} (T ~ {T_collapse:.6g}) "
-            f"before t_end = {t_end}", path=path, t_collapse=T_collapse)
-    return path
 
 
 def integrate_to_collapse(params: ExpansionParams) -> ExpansionPath:
     """Convenience wrapper returning the truncated path of a collapsing branch."""
     if params.classification != COLLAPSE:
         raise WrongClassification("parameters do not collapse")
-    try:
-        # Upper bound on T: the floor event always fires first.
-        t_cap = 10.0 * (params.a0 / max(params.a1_star - params.a1, 1e-12) + params.a0)
-        return integrate_alpha(params, t_cap)
-    except CollapseReached as exc:
-        return exc.path
+    # Upper bound on T: the floor event always fires first.
+    t_cap = 10.0 * (params.a0 / max(params.a1_star - params.a1, 1e-12) + params.a0)
+    return integrate_alpha(params, t_cap)
 
 
 def fit_collapse_exponent(path: ExpansionPath) -> float:

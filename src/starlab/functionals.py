@@ -128,17 +128,14 @@ class WeightSpec:
 class PhysicalEnergy:
     E: float
     D: float
-    sources: dict | None = None   # thermo: named dE/dt source terms
 
 
-def physical_energy(snapshot, model: str = "isentropic", mu: float = 1.0,
-                    c_nu: float | None = None, epsilon: float | None = None) -> PhysicalEnergy:
+def physical_energy(snapshot, mu: float = 1.0, c_nu: float | None = None) -> PhysicalEnergy:
     """Total energy and viscous dissipation of an Eulerian snapshot.
 
     Isentropic: E = 1/2 int r^2 rho u^2 + 3 int r^2 rho^{4/3} - int r rho M(r);
-    E is non-increasing, dE/dt = -D.  Thermodynamic: the internal term is
-    c_nu int r^2 rho theta and dE/dt instead carries the boundary heat flux
-    and the heating source, returned in `sources`.
+    E is non-increasing, dE/dt = -D.  A snapshot with an absolute temperature
+    theta_abs is thermodynamic: the internal term is c_nu int r^2 rho theta.
     """
     r, rho, u = np.asarray(snapshot.r), np.asarray(snapshot.rho), np.asarray(snapshot.u)
     kinetic = 0.5 * _trapz(r**2 * rho * u**2, r)
@@ -147,21 +144,14 @@ def physical_energy(snapshot, model: str = "isentropic", mu: float = 1.0,
     grav = _trapz(r * rho * mass_cum, r)
     u_r = gradient(u, gradient_stencil(r))
     D = (4.0 * mu / 3.0) * _trapz((r * u_r - u) ** 2, r)
-    if model == "isentropic":
+    theta = getattr(snapshot, "theta_abs", None)
+    if theta is None:
         internal = 3.0 * _trapz(r**2 * rho ** (4.0 / 3.0), r)
-        return PhysicalEnergy(E=kinetic + internal - grav, D=D)
-    if model == "thermo":
-        if c_nu is None or epsilon is None:
-            raise MissingDerivative("thermo physical energy needs c_nu and epsilon")
-        theta = np.asarray(snapshot.theta_abs)
-        internal = c_nu * _trapz(r**2 * rho * theta, r)
-        theta_r_R = (3.0 * theta[-1] - 4.0 * theta[-2] + theta[-3]) / (2.0 * (r[-1] - r[-2]))
-        sources = {
-            "boundary_heat_flux": float(r[-1] ** 2 * theta_r_R),
-            "heating": float(epsilon * _trapz(r**2 * rho, r)),
-        }
-        return PhysicalEnergy(E=kinetic + internal - grav, D=D, sources=sources)
-    raise ValueError(f"unknown model {model!r}")
+    elif c_nu is None:
+        raise MissingDerivative("thermo physical energy needs c_nu")
+    else:
+        internal = c_nu * _trapz(r**2 * rho * np.asarray(theta), r)
+    return PhysicalEnergy(E=kinetic + internal - grav, D=D)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +244,8 @@ def amplitude(field) -> float:
 # Hardy inequality probe
 # ---------------------------------------------------------------------------
 
-def hardy_check(k: float, g, s=None) -> tuple[float, float, float]:
-    """Both sides of the Hardy inequality on (0, 1) for exponent k != 1.
+def hardy_check(k: float, g, s) -> tuple[float, float, float]:
+    """Both sides of the Hardy inequality on (0, 1) for exponent k != 1, g sampled on s.
 
     k > 1: (int s^{k-2} g^2, int s^k (g^2 + g'^2)).
     k < 1: (int s^{k-2} (g - g(0))^2, int s^k g'^2), g(0) by trace.
@@ -264,10 +254,8 @@ def hardy_check(k: float, g, s=None) -> tuple[float, float, float]:
     from scipy.integrate import simpson
     if k == 1.0:
         raise KEqualsOne("Hardy inequality excludes k = 1")
-    if s is None:
-        s = np.linspace(0.0, 1.0, 4001)
     s = np.asarray(s, dtype=float)
-    g_arr = g(s) if callable(g) else np.asarray(g, dtype=float)
+    g_arr = np.asarray(g, dtype=float)
     gp = gradient(g_arr, gradient_stencil(s))
     with np.errstate(divide="ignore", invalid="ignore"):
         if k > 1.0:

@@ -38,6 +38,7 @@ _PHI_FLOOR_GAP = 1e-6   # stop at phi = -1 + gap to avoid the singularity
 _PHI_CAP = 1e3          # stop runaway expansion before overflow
 _ESCAPE = 0.5           # |phi| at which a trajectory has escaped
 _ON_CURVE_TOL = 1e-8    # |B| bound of a trajectory that stays on the curve
+_N_SAMPLES = 1000       # samples of a trajectory
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def bracket(phi, phi_s, delta):
 
 
 def integrate_phase(initial: PhaseState, s_end: float, rtol: float = 1e-10,
-                    atol: float = 1e-10, n_samples: int = 1000) -> PhaseTrajectory:
+                    atol: float = 1e-10) -> PhaseTrajectory:
     """Integrate a uniform perturbation and classify its fate.
 
     Fates: Stationary for the exact steady point; OnCurve when the state
@@ -122,7 +123,7 @@ def integrate_phase(initial: PhaseState, s_end: float, rtol: float = 1e-10,
     b = initial.b
 
     if initial.phi == 0.0 and initial.phi_s == 0.0:
-        s = np.linspace(0.0, s_end, n_samples)
+        s = np.linspace(0.0, s_end, _N_SAMPLES)
         z = np.zeros_like(s)
         return PhaseTrajectory(s_samples=s, phi=z, phi_s=z.copy(), fate=STATIONARY,
                                first_escape_s=None, energy=z.copy(),
@@ -162,7 +163,7 @@ def integrate_phase(initial: PhaseState, s_end: float, rtol: float = 1e-10,
         raise StepFailure(f"phase integration failed: {sol.message}")
 
     s_reach = float(sol.t[-1])
-    s = np.linspace(0.0, s_reach, n_samples)
+    s = np.linspace(0.0, s_reach, _N_SAMPLES)
     phi, phi_s, I = sol.sol(s)
 
     B = bracket(phi, phi_s, delta)

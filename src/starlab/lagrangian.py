@@ -46,7 +46,8 @@ ledger accumulation and the RunResult.  Only three parts depend on the regime:
 Every regime emits `PerturbationField`, tagged with its regime; thermodynamic
 fields also carry zeta and zeta_t.  One `_AlphaClock` per run gives alpha(clock)
 to the driver, the ledger and, through `RunResult.alpha_clock`, to
-`reconstruct_eulerian`.
+`reconstruct_eulerian`; its `coefficients(clock)` is the one regime switch for
+the momentum equation's (inertia, damping, viscosity).
 
 A linearly expanding run made with `weights` owns its energy ledger: the driver
 checks them against R0, integrates `functionals.ledger_integrands` over every
@@ -64,8 +65,11 @@ They invert the rho-weighted mass only where it is positive (the end nodes
 are one-sided quadratic limits), so pointwise values lose accuracy inside the
 vacuum boundary layer; every ledger use is rho-weighted.
 
-The step kernel computes the edge geometry (Hm, df, Jm) of each new state once;
-the temperature step, the geometry check and, once accepted, the next step's CFL
+One step kernel per run, `_Kernel(bg, clock, mu)`, built after the clock: it
+keeps the static weights it derives from the Background and holds the operators,
+the velocity solve, the acceleration, the Picard corrector and the temperature
+step.  It computes the edge geometry (Hm, df, Jm) of each new state once; the
+temperature step, the geometry check and, once accepted, the next step's CFL
 limit, viscous matrix and pressure/gravity rows use it.  The order-2 midpoint
 state and each Picard iterate have their own.  Tridiagonal solves call dgtsv.
 """
@@ -121,7 +125,9 @@ class SolverSpec:
                 (self.max_rel_change > 0, "solver.max_rel_change > 0"),
                 (self.dt_max is None or self.dt_max > 0, "solver.dt_max > 0 when set"),
                 (self.dt_init is None or self.dt_init > 0, "solver.dt_init > 0 when set"),
-                (self.n_emit >= 2, "time.n_emit >= 2")]
+                (self.n_emit >= 2, "time.n_emit >= 2"),
+                (self.order == 1 or not self.fully_implicit,
+                 "solver.fully_implicit = false when solver.order = 2")]
         if thermo:
             rows += [(self.order == 1, "solver.order = 1 for evolve-thermo"),
                      (not self.fully_implicit, "solver.fully_implicit = false for evolve-thermo")]
@@ -179,98 +185,6 @@ class RunResult:
         return self.snapshots[-1]
 
 
-# ---------------------------------------------------------------------------
-# spatial assembly
-# ---------------------------------------------------------------------------
-
-class _Grid:
-    """Background data and static weights; `geom` is the (Hm, df, Jm) of edge_geometry."""
-
-    def __init__(self, bg: Background):
-        self.x, self.xm = bg.x, bg.xm
-        self.grad = bg.grad
-        self.n = self.x.size - 1
-        self.dx = self.x[1] - self.x[0]
-        self.wq = np.full(self.n + 1, self.dx)
-        self.wq[0] = self.wq[-1] = 0.5 * self.dx
-        self.rho = bg.rho.copy()             # the vacuum node is exactly massless
-        self.rho[-1] = 0.0
-        self.rho_m = bg.rho_m
-        self.mass = self.wq * self.x**4 * self.rho
-        self.thermo = bg.theta is not None
-        if self.thermo:
-            self.ptheta_m = bg.ptheta_m      # K rho theta at edges
-            self.K = bg.K
-            self.theta_b = bg.theta.copy()
-            self.theta_b[-1] = 0.0
-            self.theta_m = bg.theta_m
-            self.thetap_m = bg.thetap_m
-            self.mass_z = self.wq * 3.0 * self.K * self.x**2 * self.rho
-        else:
-            self.rho43_m = bg.rho43_m        # rho^{4/3} at edges
-            self.rho13_m = self.rho_m ** (1.0 / 3.0)
-        self.div_b = np.diff(bg.ptheta_m if self.thermo else bg.rho43_m, prepend=0.0, append=0.0)
-
-    def edge_geometry(self, f):
-        Hm = 1.0 + 0.5 * (f[:-1] + f[1:])
-        df = (f[1:] - f[:-1]) / self.dx
-        Jm = Hm + self.xm * df
-        return Hm, df, Jm
-
-    def viscous_matrix(self, geom, mu: float):
-        """Gram matrix K with T(v, w) = -w^T K v as (diag, off): K[i, i+1] = K[i+1, i] = off[i]."""
-        Hm, df, Jm = geom
-        g = (4.0 * mu / 3.0) * self.dx * self.xm**2 / Jm
-        a = self.xm * (Hm / self.dx - 0.5 * df)      # coefficient of v_{i+1}
-        b = -self.xm * (Hm / self.dx + 0.5 * df)     # coefficient of v_i
-        diag = np.zeros(self.n + 1)
-        diag[:-1] += g * b * b
-        diag[1:] += g * a * a
-        return diag, g * a * b
-
-    def apply_viscous(self, K, v):
-        diag, off = K
-        out = diag * v
-        out[:-1] += off * v[1:]
-        out[1:] += off * v[:-1]
-        return out
-
-    def pressure_gravity(self, f, geom, delta: float, zeta=None):
-        """Weak rows of the pressure + gravity terms (already Delta-x scaled).
-
-        Fluxes at the outer boundary are zero: the background pressure
-        vanishes at the vacuum. The background gradient is differenced with
-        the same midpoint fluxes, so the rows vanish identically at f = 0.
-        """
-        x = self.x
-        H = 1.0 + f
-        Hm, _, Jm = geom
-        if self.thermo:
-            Gm = 1.0 / (Hm * Hm * Jm)
-            zm = 0.5 * (zeta[:-1] + zeta[1:])
-            flux = (self.ptheta_m + self.K * self.rho_m * zm) * Gm
-        else:
-            Gm = (Hm * Hm * Jm) ** (-4.0 / 3.0)
-            flux = self.rho43_m * Gm
-        rows = x**3 * (H**2 * np.diff(flux, prepend=0.0, append=0.0) - self.div_b / H**2)
-        if not self.thermo and delta != 0.0:
-            rows = rows + self.wq * delta * x**4 * self.rho * (H - 1.0 / H**2)
-        return rows
-
-    def check_geometry(self, f, geom):
-        return float(min((1.0 + f).min(), geom[2].min()))
-
-    def wave_speed(self, geom, inertia: float, zeta=None):
-        Hm, _, Jm = geom
-        if self.thermo:
-            zm = 0.5 * (zeta[:-1] + zeta[1:])
-            c2 = self.K * np.max(np.abs(self.theta_m + zm) * Hm**2 / Jm**2) / inertia
-        else:
-            c2 = (4.0 / 3.0) * np.max(self.rho13_m
-                                      * Hm**4 * (Hm * Hm * Jm) ** (-7.0 / 3.0)) / inertia
-        return math.sqrt(max(c2, 1e-30))
-
-
 def _solve_tridiag(diag, upper, lower, rhs):
     """dgtsv on upper[i] = A[i, i+1], lower[i] = A[i+1, i], with scipy's banded checks."""
     if not all(np.isfinite(arr).all() for arr in (diag, upper, lower, rhs)):
@@ -301,12 +215,19 @@ def _cap_overdamped(visc, mass_term, K_diag):
     return visc
 
 
+def _quad_extrap(x, vals, idx):
+    """Quadratic extrapolation of vals to node idx from its 3 nearest interior nodes."""
+    js = [1, 2, 3] if idx == 0 else [idx - 1, idx - 2, idx - 3]
+    c = np.polyfit(x[js], vals[js], 2)
+    return float(np.polyval(c, x[idx]))
+
+
 # ---------------------------------------------------------------------------
-# regime coefficients
+# the alpha clock
 # ---------------------------------------------------------------------------
 
 class _AlphaClock:
-    """alpha, alpha_tau and alpha'(t) as functions of the rescaled clock."""
+    """alpha, alpha_tau, alpha'(t) and the momentum coefficients of the rescaled clock."""
 
     def __init__(self, params: ExpansionParams, regime: str, clock_end: float):
         self.params = params
@@ -356,144 +277,215 @@ class _AlphaClock:
             return p.a1
         return self.alpha_tau(clock) / self.alpha(clock)
 
-
-# ---------------------------------------------------------------------------
-# momentum and temperature steps
-# ---------------------------------------------------------------------------
-
-class _MomentumStepper:
-    def __init__(self, grid: _Grid, params: ExpansionParams, regime: str, mu: float):
-        self.grid = grid
-        self.params = params
-        self.regime = regime
-        self.mu = mu
-
-    def coefficients(self, clock: float, alpha_clock: _AlphaClock):
+    def coefficients(self, clock: float):
         """(inertia, damping, viscosity) of the momentum equation at the clock."""
-        al = alpha_clock.alpha(clock)
+        al = self.alpha(clock)
         if self.regime == SELF_SIMILAR_REGIME:
             return 1.0, 0.5 * self.params.b, al ** 2.5
-        return al, alpha_clock.alpha_tau(clock), al ** 3
+        return al, self.alpha_tau(clock), al ** 3
 
-    def solve_velocity(self, f, geom, v_old, dt, clock, alpha_clock, zeta=None, weight=1.0):
+
+# ---------------------------------------------------------------------------
+# the step kernel
+# ---------------------------------------------------------------------------
+
+class _Kernel:
+    """The IMEX step of one run: its static weights, operators, momentum and temperature steps.
+
+    Static arrays come from the Background `bg`; the kernel keeps only those it
+    derives.  `geom` is the (Hm, df, Jm) of edge_geometry.
+    """
+
+    def __init__(self, bg: Background, clock: _AlphaClock, mu: float):
+        self.bg, self.clock, self.mu = bg, clock, mu
+        self.delta = clock.params.delta
+        x = bg.x
+        self.dx = x[1] - x[0]
+        self.wq = np.full(x.size, self.dx)
+        self.wq[0] = self.wq[-1] = 0.5 * self.dx
+        self.rho = bg.rho.copy()             # the vacuum node is exactly massless
+        self.rho[-1] = 0.0
+        self.mass = self.wq * x**4 * self.rho
+        self.thermo = bg.theta is not None
+        if self.thermo:
+            self.theta_b = bg.theta.copy()
+            self.theta_b[-1] = 0.0
+            self.mass_z = self.wq * 3.0 * bg.K * x**2 * self.rho
+        else:
+            self.rho13_m = bg.rho_m ** (1.0 / 3.0)
+        self.div_b = np.diff(bg.ptheta_m if self.thermo else bg.rho43_m, prepend=0.0, append=0.0)
+
+    def edge_geometry(self, f):
+        Hm = 1.0 + 0.5 * (f[:-1] + f[1:])
+        df = (f[1:] - f[:-1]) / self.dx
+        Jm = Hm + self.bg.xm * df
+        return Hm, df, Jm
+
+    def viscous_matrix(self, geom):
+        """Gram matrix K with T(v, w) = -w^T K v as (diag, off): K[i, i+1] = K[i+1, i] = off[i]."""
+        Hm, df, Jm = geom
+        xm = self.bg.xm
+        g = (4.0 * self.mu / 3.0) * self.dx * xm**2 / Jm
+        a = xm * (Hm / self.dx - 0.5 * df)      # coefficient of v_{i+1}
+        b = -xm * (Hm / self.dx + 0.5 * df)     # coefficient of v_i
+        diag = np.zeros(xm.size + 1)
+        diag[:-1] += g * b * b
+        diag[1:] += g * a * a
+        return diag, g * a * b
+
+    def apply_viscous(self, K, v):
+        diag, off = K
+        out = diag * v
+        out[:-1] += off * v[1:]
+        out[1:] += off * v[:-1]
+        return out
+
+    def pressure_gravity(self, f, geom, zeta=None):
+        """Weak rows of the pressure + gravity terms (already Delta-x scaled).
+
+        Fluxes at the outer boundary are zero: the background pressure
+        vanishes at the vacuum. The background gradient is differenced with
+        the same midpoint fluxes, so the rows vanish identically at f = 0.
+        """
+        bg = self.bg
+        x = bg.x
+        H = 1.0 + f
+        Hm, _, Jm = geom
+        if self.thermo:
+            Gm = 1.0 / (Hm * Hm * Jm)
+            zm = 0.5 * (zeta[:-1] + zeta[1:])
+            flux = (bg.ptheta_m + bg.K * bg.rho_m * zm) * Gm
+        else:
+            Gm = (Hm * Hm * Jm) ** (-4.0 / 3.0)
+            flux = bg.rho43_m * Gm
+        rows = x**3 * (H**2 * np.diff(flux, prepend=0.0, append=0.0) - self.div_b / H**2)
+        if not self.thermo and self.delta != 0.0:
+            rows = rows + self.wq * self.delta * x**4 * self.rho * (H - 1.0 / H**2)
+        return rows
+
+    def check_geometry(self, f, geom):
+        return float(min((1.0 + f).min(), geom[2].min()))
+
+    def wave_speed(self, geom, inertia: float, zeta=None):
+        Hm, _, Jm = geom
+        if self.thermo:
+            zm = 0.5 * (zeta[:-1] + zeta[1:])
+            c2 = self.bg.K * np.max(np.abs(self.bg.theta_m + zm) * Hm**2 / Jm**2) / inertia
+        else:
+            c2 = (4.0 / 3.0) * np.max(self.rho13_m
+                                      * Hm**4 * (Hm * Hm * Jm) ** (-7.0 / 3.0)) / inertia
+        return math.sqrt(max(c2, 1e-30))
+
+    # -- momentum --------------------------------------------------------------
+
+    def solve_velocity(self, f, geom, v_old, dt, clock, zeta=None, weight=1.0):
         """One implicit viscosity+damping solve at frozen geometry f (edge geometry geom).
 
         weight is the implicit share of damping and viscosity: 1 for IMEX
         Euler, 1/2 for the midpoint rule, whose explicit half (at v_old)
         then equals its implicit half.
         """
-        grid = self.grid
-        inertia, damping, visc = self.coefficients(clock, alpha_clock)
-        K = grid.viscous_matrix(geom, self.mu)
-        rows = grid.pressure_gravity(f, geom, self.params.delta, zeta=zeta)
-        mass_term = (inertia / dt + weight * damping) * grid.mass
+        inertia, damping, visc = self.clock.coefficients(clock)
+        K = self.viscous_matrix(geom)
+        rows = self.pressure_gravity(f, geom, zeta=zeta)
+        mass_term = (inertia / dt + weight * damping) * self.mass
         visc = _cap_overdamped(weight * visc, mass_term, K[0])
         diag = mass_term + visc * K[0]
         explicit = 1.0 - weight
-        rhs = (inertia / dt - explicit * damping) * grid.mass * v_old
+        rhs = (inertia / dt - explicit * damping) * self.mass * v_old
         if explicit:
-            rhs -= visc * grid.apply_viscous(K, v_old)
+            rhs -= visc * self.apply_viscous(K, v_old)
         rhs -= rows
         off = visc * K[1]
         return _solve_tridiag(diag, off, off, rhs)
 
-    def acceleration(self, f, geom, v, clock, alpha_clock, zeta=None):
+    def acceleration(self, f, geom, v, clock, zeta=None):
         """Pointwise clock-acceleration from the semi-discrete equations.
 
         Valid where the lumped mass is positive; the massless end nodes are
         filled by quadratic extrapolation (their rows are force balances).
         """
-        grid = self.grid
-        inertia, damping, visc = self.coefficients(clock, alpha_clock)
-        K = grid.viscous_matrix(geom, self.mu)
-        rows = grid.pressure_gravity(f, geom, self.params.delta, zeta=zeta)
-        num = visc * (-grid.apply_viscous(K, v)) - rows - damping * grid.mass * v
+        inertia, damping, visc = self.clock.coefficients(clock)
+        K = self.viscous_matrix(geom)
+        rows = self.pressure_gravity(f, geom, zeta=zeta)
+        num = visc * (-self.apply_viscous(K, v)) - rows - damping * self.mass * v
         acc = np.zeros_like(f)
-        inner = grid.mass > 0
-        acc[inner] = num[inner] / (inertia * grid.mass[inner])
-        acc[0] = _quad_extrap(grid.x, acc, 0)
-        acc[-1] = _quad_extrap(grid.x, acc, grid.n)
+        inner = self.mass > 0
+        acc[inner] = num[inner] / (inertia * self.mass[inner])
+        acc[0] = _quad_extrap(self.bg.x, acc, 0)
+        acc[-1] = _quad_extrap(self.bg.x, acc, acc.size - 1)
         return acc
 
+    def picard_correct(self, f, v, dt, clock_new, v_guess, max_newton: int):
+        """Fixed-point correction re-freezing geometry at the midpoint state."""
+        v_new = v_guess
+        for _ in range(max_newton):
+            f_mid = f + 0.5 * dt * v_new
+            trial = self.solve_velocity(f_mid, self.edge_geometry(f_mid), v, dt, clock_new)
+            if np.max(np.abs(trial - v_new)) <= _NEWTON_TOL * max(1.0, np.max(np.abs(trial))):
+                return trial
+            v_new = trial
+        raise NewtonDivergence("fully implicit corrector failed to converge")
 
-def _quad_extrap(x, vals, idx):
-    """Quadratic extrapolation of vals to node idx from its 3 nearest interior nodes."""
-    js = [1, 2, 3] if idx == 0 else [idx - 1, idx - 2, idx - 3]
-    c = np.polyfit(x[js], vals[js], 2)
-    return float(np.polyval(c, x[idx]))
+    # -- temperature -----------------------------------------------------------
 
+    def thermo_aux(self, f, v):
+        """Nodal advection bracket, Jacobian, and viscous-heating rate."""
+        x, grad = self.bg.x, self.bg.grad
+        H = 1.0 + f
+        f_x = gradient(f, grad)
+        v_x = gradient(v, grad)
+        J = H + x * f_x
+        prod = x**3 * H**2 * v
+        dprod = gradient(prod, grad)
+        frakF = (4.0 / 3.0) * ((v + x * v_x) / J - v / H) ** 2
+        return H, J, dprod, frakF
 
-def _picard_correct(stepper, f, v, dt, clock_new, alpha_clock, v_guess, spec):
-    """Fixed-point correction re-freezing geometry at the midpoint state."""
-    v_new = v_guess
-    for _ in range(spec.max_newton):
-        f_mid = f + 0.5 * dt * v_new
-        trial = stepper.solve_velocity(f_mid, stepper.grid.edge_geometry(f_mid), v, dt,
-                                       clock_new, alpha_clock)
-        if np.max(np.abs(trial - v_new)) <= _NEWTON_TOL * max(1.0, np.max(np.abs(trial))):
-            return trial
-        v_new = trial
-    raise NewtonDivergence("fully implicit corrector failed to converge")
+    def zeta_terms(self, f, geom, v, z, alpha: float):
+        """Terms of the temperature equation, unsummed so each caller keeps its order.
 
+        Returns the nodal advection and viscous heating, and at the edges the
+        diffusion coefficient and the flux of the background temperature.
+        """
+        x, xm = self.bg.x, self.bg.xm
+        H, J, dprod, frakF = self.thermo_aux(f, v)
+        adv = self.bg.K * self.rho * (z + self.theta_b) * dprod / (H**2 * J)
+        heat = alpha * x**2 * H**2 * J * self.mu * frakF
+        Hm, _, Jm = geom
+        cdiff = xm**2 * Hm**2 / Jm
+        bgflux = (Hm**2 / Jm - 1.0) * xm**2 * self.bg.thetap_m
+        return adv, heat, cdiff, bgflux
 
-def _thermo_aux(grid: _Grid, f, v):
-    """Nodal advection bracket, Jacobian, and viscous-heating rate."""
-    x = grid.x
-    H = 1.0 + f
-    f_x = gradient(f, grid.grad)
-    v_x = gradient(v, grid.grad)
-    J = H + x * f_x
-    prod = x**3 * H**2 * v
-    dprod = gradient(prod, grid.grad)
-    frakF = (4.0 / 3.0) * ((v + x * v_x) / J - v / H) ** 2
-    return H, J, dprod, frakF
+    def zeta_rate(self, f, geom, v, z, clock: float):
+        """Pointwise zeta_tau from the semi-discrete temperature equation."""
+        alpha = self.clock.alpha(clock)
+        adv, heat, cdiff, bgflux = self.zeta_terms(f, geom, v, z, alpha)
+        Fz = cdiff * np.diff(z) / self.dx + bgflux
+        div = np.diff(Fz, prepend=0.0, append=0.0)
+        num = -self.wq * adv + self.wq * heat + alpha**2 * div
+        rate = np.zeros_like(z)
+        inner = self.mass_z > 0
+        rate[inner] = num[inner] / self.mass_z[inner]
+        rate[0] = _quad_extrap(self.bg.x, rate, 0)
+        rate[-1] = 0.0
+        return rate
 
-
-def _zeta_terms(grid: _Grid, f, geom, v, z, alpha: float, mu: float):
-    """Terms of the temperature equation, unsummed so each caller keeps its order.
-
-    Returns the nodal advection and viscous heating, and at the edges the
-    diffusion coefficient and the flux of the background temperature.
-    """
-    x, xm = grid.x, grid.xm
-    H, J, dprod, frakF = _thermo_aux(grid, f, v)
-    adv = grid.K * grid.rho * (z + grid.theta_b) * dprod / (H**2 * J)
-    heat = alpha * x**2 * H**2 * J * mu * frakF
-    Hm, _, Jm = geom
-    cdiff = xm**2 * Hm**2 / Jm
-    bgflux = (Hm**2 / Jm - 1.0) * xm**2 * grid.thetap_m
-    return adv, heat, cdiff, bgflux
-
-
-def _zeta_rate(grid: _Grid, f, geom, v, z, alpha: float, mu: float):
-    """Pointwise zeta_tau from the semi-discrete temperature equation."""
-    adv, heat, cdiff, bgflux = _zeta_terms(grid, f, geom, v, z, alpha, mu)
-    Fz = cdiff * np.diff(z) / grid.dx + bgflux
-    div = np.diff(Fz, prepend=0.0, append=0.0)
-    num = -grid.wq * adv + grid.wq * heat + alpha**2 * div
-    rate = np.zeros_like(z)
-    inner = grid.mass_z > 0
-    rate[inner] = num[inner] / grid.mass_z[inner]
-    rate[0] = _quad_extrap(grid.x, rate, 0)
-    rate[-1] = 0.0
-    return rate
-
-
-def _temperature_step(grid: _Grid, f, geom, v, z, dt: float, alpha: float, mu: float):
-    """zeta after one step: implicit diffusion, explicit advection and heating."""
-    adv, heat, cdiff, bgflux = _zeta_terms(grid, f, geom, v, z, alpha, mu)
-    dx = grid.dx
-    bdiv = np.diff(bgflux, prepend=0.0, append=0.0)
-    # symmetric tridiagonal diffusion operator (zero natural flux at the center)
-    diag = grid.mass_z / dt + alpha**2 * (
-        np.concatenate([cdiff, [0.0]]) + np.concatenate([[0.0], cdiff])) / dx
-    off = -alpha**2 * cdiff / dx
-    rhs = (grid.mass_z / dt) * z - grid.wq * adv + grid.wq * heat + alpha**2 * bdiv
-    # Dirichlet zeta(R0) = 0: identity row, decoupled from zeta_{N-1}
-    diag[-1] = 1.0
-    off[-1] = 0.0
-    rhs[-1] = 0.0
-    return _solve_tridiag(diag, off, off, rhs)
+    def temperature_step(self, f, geom, v, z, dt: float, clock: float):
+        """zeta after one step to the clock: implicit diffusion, explicit advection and heating."""
+        alpha = self.clock.alpha(clock)
+        adv, heat, cdiff, bgflux = self.zeta_terms(f, geom, v, z, alpha)
+        dx = self.dx
+        bdiv = np.diff(bgflux, prepend=0.0, append=0.0)
+        # symmetric tridiagonal diffusion operator (zero natural flux at the center)
+        diag = self.mass_z / dt + alpha**2 * (
+            np.concatenate([cdiff, [0.0]]) + np.concatenate([[0.0], cdiff])) / dx
+        off = -alpha**2 * cdiff / dx
+        rhs = (self.mass_z / dt) * z - self.wq * adv + self.wq * heat + alpha**2 * bdiv
+        # Dirichlet zeta(R0) = 0: identity row, decoupled from zeta_{N-1}
+        diag[-1] = 1.0
+        off[-1] = 0.0
+        rhs[-1] = 0.0
+        return _solve_tridiag(diag, off, off, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +507,17 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, weights=None)
     f, v, *rest = (np.array(a, dtype=float) for a in initial)
     z = rest[0] if thermo else None          # (a) the temperature state
     bg = sample_background(profile, np.linspace(0.0, profile.R0, spec.n_cells + 1))
-    grid = _Grid(bg)
-    if f.size != grid.n + 1:
-        raise InvalidParams(f"initial fields must live on {grid.n + 1} nodes")
+    if f.size != bg.x.size:
+        raise InvalidParams(f"initial fields must live on {bg.x.size} nodes")
     if thermo and abs(z[-1]) > 0.0:
         raise InvalidParams("zeta(R0) must be 0 initially")
-    geom = grid.edge_geometry(f)              # the edge geometry of the current state
-    if grid.check_geometry(f, geom) <= 0.0:
-        raise DomainViolation("initial data degenerates the flow map")
-    if thermo and np.any(z[1:-1] + grid.theta_b[1:-1] <= 0.0):
-        raise InvalidParams("initial absolute temperature must stay positive")
     alpha_clock = _AlphaClock(params, regime, clock_end)
-    stepper = _MomentumStepper(grid, params, regime, mu)
+    kernel = _Kernel(bg, alpha_clock, mu)
+    geom = kernel.edge_geometry(f)            # the edge geometry of the current state
+    if kernel.check_geometry(f, geom) <= 0.0:
+        raise DomainViolation("initial data degenerates the flow map")
+    if thermo and np.any(z[1:-1] + kernel.theta_b[1:-1] <= 0.0):
+        raise InvalidParams("initial absolute temperature must stay positive")
 
     clock = 0.0
     emit = np.linspace(0.0, clock_end, spec.n_emit)
@@ -537,7 +528,7 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, weights=None)
 
     def mk_field(acc, z_rate):
         """The current state as a field, uncopied: no step writes an array in place."""
-        return PerturbationField(grid.x, f, v, acc, clock, regime, z, z_rate, background=bg)
+        return PerturbationField(bg.x, f, v, acc, clock, regime, z, z_rate, background=bg)
 
     def record(field):
         """Emit a snapshot with the online ledger integrals accumulated so far."""
@@ -547,17 +538,17 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, weights=None)
 
     track_energy = regime == SELF_SIMILAR_REGIME   # (c) the E/D/W probe
     if track_energy:
-        rho4, rho43 = grid.x**4 * grid.rho, grid.xm**2 * grid.rho43_m
+        rho4, rho43 = bg.x**4 * kernel.rho, bg.xm**2 * bg.rho43_m
 
         def energy_now():
-            return functionals.perturbation_energy_ss(grid.x, f, v, rho4, rho43, params.a0,
+            return functionals.perturbation_energy_ss(bg.x, f, v, rho4, rho43, params.a0,
                                                       params.delta, clock, mu)
 
         E, D = energy_now()
         E_series, D_series, W_series = [E], [D], [0.0]
 
-    acc = stepper.acceleration(f, geom, v, 0.0, alpha_clock, zeta=z)
-    z_rate = _zeta_rate(grid, f, geom, v, z, params.a0, mu) if thermo else None
+    acc = kernel.acceleration(f, geom, v, 0.0, zeta=z)
+    z_rate = kernel.zeta_rate(f, geom, v, z, 0.0) if thermo else None
     field = mk_field(acc, z_rate)
     record(field)
     if weights is not None:
@@ -570,8 +561,8 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, weights=None)
     for _ in range(2_000_000):
         if clock >= clock_end * (1.0 - 1e-14):
             break
-        inertia = stepper.coefficients(clock, alpha_clock)[0]
-        dt_cfl = spec.cfl * grid.dx / grid.wave_speed(geom, inertia, zeta=z)
+        inertia = alpha_clock.coefficients(clock)[0]
+        dt_cfl = spec.cfl * kernel.dx / kernel.wave_speed(geom, inertia, zeta=z)
         dt = min(dt * 1.25, dt_cfl, spec.dt_max or np.inf, clock_end - clock)
         if emit_idx < emit.size:
             dt = min(dt, emit[emit_idx] - clock + 1e-15)
@@ -580,19 +571,17 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, weights=None)
             clock_new = clock + dt
             if spec.order == 2:
                 f_mid = f + 0.5 * dt * v
-                v_new = stepper.solve_velocity(f_mid, grid.edge_geometry(f_mid), v, dt,
-                                               clock + 0.5 * dt, alpha_clock, weight=0.5)
+                v_new = kernel.solve_velocity(f_mid, kernel.edge_geometry(f_mid), v, dt,
+                                              clock + 0.5 * dt, weight=0.5)
                 f_new = f + 0.5 * dt * (v + v_new)
             else:
-                v_new = stepper.solve_velocity(f, geom, v, dt, clock_new, alpha_clock, zeta=z)
+                v_new = kernel.solve_velocity(f, geom, v, dt, clock_new, zeta=z)
                 if spec.fully_implicit:
-                    v_new = _picard_correct(stepper, f, v, dt, clock_new, alpha_clock,
-                                            v_new, spec)
+                    v_new = kernel.picard_correct(f, v, dt, clock_new, v_new, spec.max_newton)
                 f_new = f + dt * v_new
-            geom_new = grid.edge_geometry(f_new)
+            geom_new = kernel.edge_geometry(f_new)
             if thermo:
-                z_new = _temperature_step(grid, f_new, geom_new, v_new, z, dt,
-                                          alpha_clock.alpha(clock_new), mu)
+                z_new = kernel.temperature_step(f_new, geom_new, v_new, z, dt, clock_new)
             change = np.max(np.abs(f_new - f)) / max(1.0, np.max(np.abs(1.0 + f)))
             if change <= spec.max_rel_change and np.all(np.isfinite(f_new)) \
                     and (not thermo or np.all(np.isfinite(z_new))):
@@ -603,10 +592,10 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, weights=None)
                 break
         else:
             stop = RunEvent("step-failure", clock, "no acceptable step")
-        if stop is None and (low := grid.check_geometry(f_new, geom_new)) <= 0.0:
+        if stop is None and (low := kernel.check_geometry(f_new, geom_new)) <= 0.0:
             stop = RunEvent("jacobian-degenerate", clock, f"min(1+f, J) = {low:.3e}")
         if stop is None and thermo:           # (b) the absolute temperature stays positive
-            temp_abs = z_new[1:-1] + grid.theta_b[1:-1]
+            temp_abs = z_new[1:-1] + kernel.theta_b[1:-1]
             if np.any(temp_abs <= 0.0):
                 stop = RunEvent("temperature-negative", clock, f"min = {temp_abs.min():.3e}")
         if stop is not None:

@@ -17,13 +17,14 @@ coupled hydrostatic/temperature system
     K y^2 (rho*theta)' + rho * M(y) = 0,      M' = y^2 rho,
     -(y^2 theta')' = epsilon y^2 rho,
 
-with theta(0) = 1, rho(0) = A.  Exact solutions satisfy rho = A*theta^m,
-m = (1 - eps*K)/(eps*K); the solver integrates the coupled system and the
-power-law relation is kept as an independent consistency oracle, never used
-in the construction.  Because rho vanishes like theta^m, its equation is
-integrated under relative error control (vanishing absolute tolerance) and
-the run stops at a small positive temperature cut; the remaining sliver up
-to the true zero is closed with a Taylor step, which costs O(theta_cut^2).
+with theta(0) = 1, rho(0) = A (the solver takes A = 1).  Exact solutions
+satisfy rho = A*theta^m, m = (1 - eps*K)/(eps*K); the solver integrates the
+coupled system and the power-law relation is kept as an independent
+consistency oracle, never used in the construction.  Because rho vanishes
+like theta^m, its equation is integrated under relative error control
+(vanishing absolute tolerance) and the run stops at a small positive
+temperature cut; the remaining sliver up to the true zero is closed with a
+Taylor step, which costs O(theta_cut^2).
 """
 
 from __future__ import annotations
@@ -323,11 +324,11 @@ def solve_isentropic_profile(delta: float, grid_spec: GridSpec | None = None) ->
     )
 
 
-def solve_thermo_profile(K: float, epsilon: float, grid_spec: GridSpec | None = None,
-                         rho0: float = 1.0) -> ThermoProfile:
+def solve_thermo_profile(K: float, epsilon: float,
+                         grid_spec: GridSpec | None = None) -> ThermoProfile:
     """Integrate the coupled thermodynamic equilibrium out to the common zero.
 
-    theta(0) is normalized to 1 and rho(0) = rho0 selects the branch of the
+    theta(0) and rho(0) are normalized to 1, which selects one branch of the
     one-parameter equilibrium family.  rho and theta must vanish together:
     the implied zeros of theta (Taylor-extended) and of the linearly
     vanishing variable rho^{1/m} are compared and ZerosDoNotCoincide is
@@ -337,21 +338,18 @@ def solve_thermo_profile(K: float, epsilon: float, grid_spec: GridSpec | None = 
     ek = epsilon * K
     if not (1.0 / 6.0 < ek < 1.0):
         raise OutOfRange(f"epsilon*K = {ek} outside (1/6, 1)")
-    A = float(rho0)
-    if A <= 0:
-        raise OutOfRange("rho(0) must be positive")
     m = (1.0 - ek) / ek
 
     # Lane-Emden scaling of the reduced equation sets the radius scale.
-    r0_guess = _R0_SCALE_GUESS / 2.0 / np.sqrt(epsilon * A)
+    r0_guess = _R0_SCALE_GUESS / 2.0 / np.sqrt(epsilon)
     y0 = _SERIES_FRAC * r0_guess
-    t2 = -epsilon * A / 6.0
+    t2 = -epsilon / 6.0
     state0 = [
-        A * (1.0 + m * t2 * y0**2),                 # rho
+        1.0 + m * t2 * y0**2,                       # rho
         1.0 + t2 * y0**2,                           # theta
         2.0 * t2 * y0**3,                           # g = y^2 theta'
-        A * (y0**3 / 3.0 + m * t2 * y0**5 / 5.0),   # M = int s^2 rho
-        A * (y0**5 / 5.0 + m * t2 * y0**7 / 7.0),   # int s^4 rho
+        y0**3 / 3.0 + m * t2 * y0**5 / 5.0,         # M = int s^2 rho
+        y0**5 / 5.0 + m * t2 * y0**7 / 7.0,         # int s^4 rho
     ]
 
     def rhs(y, u):
@@ -419,7 +417,7 @@ def solve_thermo_profile(K: float, epsilon: float, grid_spec: GridSpec | None = 
         y_nodes=y_nodes,
         rho_bar=np.zeros_like(y_nodes),
         theta_bar=np.zeros_like(y_nodes),
-        reduction_constant=A,
+        reduction_constant=1.0,
         mass_moments=MassMoments(fourth_moment=float(q4_R0)),
         theta_boundary_slope=float(theta_slope),
         rho_pow_boundary_slope=float(rho_pow_slope),

@@ -23,7 +23,7 @@ def iso_unstable():
 class TestValidation:
     def test_defaults_file_valid(self):
         with open(DEFAULTS) as fh:
-            cfg = validate_config(fh.read())
+            cfg = validate_config(json.load(fh))
         w = cfg.weights
         assert (w.r1, w.r2, w.l1, w.l2, w.frak_r, w.r3) == (0.5, -0.5, -2.5, -2.0, -1.5, -2.5)
 
@@ -94,12 +94,16 @@ class TestValidation:
 
     def test_isentropic_schemes_accepted(self):
         cfg = validate_config({"scenario": "evolve-linear",
-                               "solver": {"order": 2, "fully_implicit": True, "dt_max": 0.1}})
-        assert cfg.solver.order == 2 and cfg.solver.fully_implicit
+                               "solver": {"order": 2, "dt_max": 0.1}})
+        assert cfg.solver.order == 2
+        cfg = validate_config({"scenario": "evolve-linear", "solver": {"fully_implicit": True}})
+        assert cfg.solver.fully_implicit
 
     def test_bad_json(self):
-        with pytest.raises(ConfigInvalid):
+        # JSON text is the CLI's to parse; validate_config takes the parsed object
+        with pytest.raises(ConfigInvalid) as exc:
             validate_config("{not json")
+        assert exc.value.errors == ["a config is a JSON object, got str"]
 
 
 class TestFamilies:
@@ -279,6 +283,10 @@ class TestMain:
          "evolve-linear needs a Linear expansion of (delta, a0, a1), got Collapse"),
         ('{"model": {"delta": 0.5}}',
          "evolve-linear needs a Linear expansion of (delta, a0, a1), got PositiveDelta"),
+        ('{"model": {"delta": 0, "a1": -1}}',
+         "evolve-linear needs a Linear expansion of (delta, a0, a1), got Collapse"),
+        ('{"solver": {"order": 2, "fully_implicit": true}}',
+         "solver.fully_implicit = false when solver.order = 2"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, content, message):
         path = tmp_path / "c.json"
@@ -302,6 +310,18 @@ class TestMain:
         assert code == 1
         assert capsys.readouterr().err == ("config error: a1 * time.end + ln max(a0, 1) < 177.4 "
                                            "(the ledger's alpha^4 overflows beyond)\n")
+
+    def test_self_similar_overflow_named(self, tmp_path, capsys):
+        # alpha^(5/2) = e^{2.5 sqrt(2|delta|) s} overflows; this ended in a bare OverflowError
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"model": {"delta": -1e-3, "a1": None},
+                                    "solver": {"n_cells": 16}, "initial": {"amplitude": 0},
+                                    "time": {"end": 16000, "n_emit": 3}}))
+        code = main(["evolve-ss", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == ("config error: sqrt(2|delta|) * time.end "
+                                           "+ ln max(a0, 1) < 283.9 "
+                                           "(the step's alpha^(5/2) overflows beyond)\n")
 
     def test_thermo_order_two_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

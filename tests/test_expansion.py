@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from starlab import classify_expansion, integrate_alpha
 from starlab.config import validate_config
-from starlab.errors import CollapseReached, ConfigInvalid, InvalidParams
+from starlab.errors import ConfigInvalid, InvalidParams
 from starlab.expansion import (COLLAPSE, LINEAR, POSITIVE_DELTA, SELF_SIMILAR,
                                alpha_closed_form, fit_collapse_exponent,
                                integrate_to_collapse)
@@ -22,6 +22,13 @@ class TestClassification:
 
     def test_below_escape_collapses(self):
         assert classify_expansion(-0.5, 1.0, 0.5).classification == COLLAPSE
+
+    def test_zero_delta_contracting_collapses(self):
+        # alpha = a0 + a1 t reaches 0 at t = a0/|a1|; a1 = 0 is the static star
+        p = classify_expansion(0.0, 2.0, -0.5)
+        assert p.classification == COLLAPSE
+        assert integrate_to_collapse(p).T_collapse == pytest.approx(4.0, rel=1e-9)
+        assert classify_expansion(0.0, 1.0, 0.0).classification == LINEAR
 
     def test_positive_delta(self):
         assert classify_expansion(1.0, 1.0, 0.0).classification == POSITIVE_DELTA
@@ -88,11 +95,11 @@ class TestIntegration:
         assert abs(fit_collapse_exponent(path) - 2.0 / 3.0) < 0.02
 
     def test_collapse_reached_carries_path(self):
+        # a collapse is a result: the path ends short of the request and carries T
         p = classify_expansion(-0.5, 1.0, 0.5)
-        with pytest.raises(CollapseReached) as exc:
-            integrate_alpha(p, 1e6)
-        assert exc.value.path is not None
-        assert exc.value.t_collapse == pytest.approx(exc.value.path.T_collapse)
+        path = integrate_alpha(p, 1e6)
+        assert path.T_collapse is not None and path.t_end < path.T_collapse < 1e6
+        assert path.t_samples[-1] == path.t_end
 
 
 class TestClocks:

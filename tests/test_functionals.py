@@ -28,13 +28,13 @@ class TestPhysicalEnergy:
 
             return Snap
 
-        res = F.physical_energy(snap(4097), "isentropic")
+        res = F.physical_energy(snap(4097))
         kinetic = 0.5 * alpha_p**2 * iso_ss.mass_moments.fourth_moment
         assert abs(res.D) < 1e-12 * max(kinetic, 1.0)
         # self-similar branch: E vanishes, to the tolerance of the quadrature
         # (three O(alpha^-1 * 10) terms cancel); refining must shrink it
         assert abs(res.E) < 1e-5 * (kinetic / alpha_p**2)
-        coarse = F.physical_energy(snap(1025), "isentropic")
+        coarse = F.physical_energy(snap(1025))
         assert abs(res.E) < 0.3 * abs(coarse.E)
 
     def test_energy_constant_matches_first_integral(self, iso0):
@@ -52,7 +52,7 @@ class TestPhysicalEnergy:
                 rho = alpha**-3 * iso0.rho_bar
                 u = 1.0 * x
 
-            res = F.physical_energy(Snap, "isentropic")
+            res = F.physical_energy(Snap)
             assert res.E == pytest.approx(expected, rel=2e-4)
 
     def test_thermo_sources(self, thermo14):
@@ -65,10 +65,12 @@ class TestPhysicalEnergy:
             u = 20.0 * x
             theta_abs = thermo14.theta_bar / alpha
 
-        res = F.physical_energy(Snap, "thermo", c_nu=3.0, epsilon=0.25)
+        res = F.physical_energy(Snap, c_nu=3.0)
         assert res.D < 1e-10
-        assert res.sources["boundary_heat_flux"] < 0  # heat leaves through R(t)
-        assert res.sources["heating"] > 0
+        # theta_abs makes the snapshot thermodynamic: the internal term is c_nu int r^2 rho theta
+        internal = res.E - F.physical_energy(Snap, c_nu=0.0).E
+        assert internal == pytest.approx(
+            3.0 * np.trapezoid(Snap.r**2 * Snap.rho * Snap.theta_abs, Snap.r), rel=1e-9)
 
 
 class TestPerturbationEnergy:
@@ -187,7 +189,7 @@ class TestScalingProperties:
 
 class TestHardy:
     def test_zero(self):
-        assert F.hardy_check(2.0, np.zeros(4001)) == (0.0, 0.0, 0.0)
+        assert F.hardy_check(2.0, np.zeros(4001), np.linspace(0.0, 1.0, 4001)) == (0.0, 0.0, 0.0)
 
     def test_linear_closed_form(self):
         s = np.linspace(0.0, 1.0, 4001)
@@ -206,7 +208,7 @@ class TestHardy:
 
     def test_k_equals_one(self):
         with pytest.raises(KEqualsOne):
-            F.hardy_check(1.0, np.zeros(11))
+            F.hardy_check(1.0, np.zeros(11), np.linspace(0.0, 1.0, 11))
 
 
 class TestWeights:

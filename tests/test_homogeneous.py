@@ -9,7 +9,7 @@ from starlab.homogeneous import bracket
 
 def initial_slopes(state):
     """(d phi/ds, d phi_s/ds) at s = 0 of the integrated trajectory, by a one-sided FD."""
-    traj = integrate_phase(state, 2e-3, n_samples=3)
+    traj = integrate_phase(state, 2e-3)
     h = traj.s_samples[1]
     fd = lambda y: (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
     return fd(traj.phi), fd(traj.phi_s)

@@ -188,13 +188,13 @@ class TestThermoRun:
         for s in run.snapshots:
             assert s.zeta[-1] == 0.0
         # viscous heating is a square
-        from starlab.lagrangian import _Grid, _thermo_aux
-        grid = _Grid(background(thermo14))
+        from starlab.lagrangian import _Kernel
+        kernel = _Kernel(background(thermo14), run.alpha_clock, 1.0)
         for s in run.snapshots:
-            assert np.min(_thermo_aux(grid, s.theta, s.theta_t)[3]) >= 0.0
+            assert np.min(kernel.thermo_aux(s.theta, s.theta_t)[3]) >= 0.0
         # absolute temperature positive in the interior
         for s in run.snapshots:
-            assert np.all(s.zeta[1:-1] + grid.theta_b[1:-1] > 0)
+            assert np.all(s.zeta[1:-1] + kernel.theta_b[1:-1] > 0)
 
     def test_rejects_incompatible_zeta(self, thermo14, parst):
         x = np.linspace(0.0, thermo14.R0, N + 1)
