@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, artifacts, functionals, svgplot
-from .config import ScenarioConfig, build_initial, validate_config
+from .config import SCENARIOS, ScenarioConfig, build_initial, validate_config
 from .errors import ConfigInvalid, StarlabError
 from .expansion import classify_expansion, integrate_alpha
 from .homogeneous import PhaseState, curve_phi_s, integrate_phase
@@ -222,9 +222,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="starlab",
         description="Numerical laboratory for expanding radiation gaseous stars")
-    parser.add_argument("scenario", choices=("profile", "expansion", "phase",
-                                             "evolve-ss", "evolve-linear",
-                                             "evolve-thermo", "verify"))
+    parser.add_argument("scenario", choices=SCENARIOS)
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="seed override")

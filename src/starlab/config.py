@@ -34,9 +34,10 @@ SOLVER_KEYS = ("n_cells", "cfl", "order", "max_rel_change", "growth_threshold",
 # On the Linear branch alpha(tau) <= a0 e^{a1 tau}, and the ledger weights are
 # powers of alpha below 4: alpha^4 must stay finite up to time.end.
 _LEDGER_EXP_MAX = math.log(sys.float_info.max) / 4.0
-# On the self-similar branch alpha(s) = a0 e^{sqrt(2|delta|) s}, and the momentum
-# step's viscosity is alpha^(5/2): it must stay finite up to time.end.
-_SS_EXP_MAX = math.log(sys.float_info.max) / 2.5
+# On the self-similar branch alpha(s) = a0 e^{sqrt(2|delta|) s}, and the Eulerian
+# reconstruction's density carries alpha^-3: it must stay a normal float up to
+# time.end (which also keeps the step's viscosity alpha^(5/2) finite).
+_SS_EXP_MAX = -math.log(sys.float_info.min) / 3.0
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,7 @@ def validate_config(raw) -> ScenarioConfig:
             if not (math.sqrt(2.0 * abs(model.delta)) * time.end
                     + math.log(max(model.a0, 1.0)) < _SS_EXP_MAX):
                 errors.append(f"sqrt(2|delta|) * time.end + ln max(a0, 1) < {_SS_EXP_MAX:.1f} "
-                              "(the step's alpha^(5/2) overflows beyond)")
+                              "(the reconstruction's alpha^-3 underflows beyond)")
     if scenario == "phase":
         if model.delta >= 0:
             errors.append("delta < 0 for the phase scenario")

@@ -41,16 +41,16 @@ def gradient_stencil(x) -> tuple:
 
 
 def gradient(u, stencil):
-    """du/dx on the grid of `stencil` (from gradient_stencil), as numpy.gradient gives it."""
+    """du/dx along the last axis on the grid of `stencil`, as numpy.gradient gives it."""
     center, (a0, b0, c0), (a1, b1, c1) = stencil
     out = np.empty(u.shape)
     if isinstance(center, tuple):
         a, b, c = center
-        out[1:-1] = a * u[:-2] + b * u[1:-1] + c * u[2:]
+        out[..., 1:-1] = a * u[..., :-2] + b * u[..., 1:-1] + c * u[..., 2:]
     else:
-        out[1:-1] = (u[2:] - u[:-2]) / center
-    out[0] = a0 * u[0] + b0 * u[1] + c0 * u[2]
-    out[-1] = a1 * u[-3] + b1 * u[-2] + c1 * u[-1]
+        out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / center
+    out[..., 0] = a0 * u[..., 0] + b0 * u[..., 1] + c0 * u[..., 2]
+    out[..., -1] = a1 * u[..., -3] + b1 * u[..., -2] + c1 * u[..., -1]
     return out
 
 
@@ -91,32 +91,21 @@ class WeightSpec:
     r3: float = -2.5
 
     def violations(self, R0: float | None = None) -> list[str]:
-        out = []
-        if not (0.0 < self.a < 1.0):
-            out.append("0 < a < 1")
-        if not (-1.0 < self.r1 < 1.0):
-            out.append("-1 < r1 < 1")
-        if not (self.r1 - 3.0 <= self.l1 < -2.0):
-            out.append("r1 - 3 <= l1 < -2")
-        if not (self.r2 <= self.r1 - 1.0):
-            out.append("r2 <= r1 - 1")
-        if not (self.l2 + 2.0 <= 0.0):
-            out.append("l2 + 2 <= 0")
-        if not (0.0 <= self.r2 - self.l2 <= 2.0):
-            out.append("0 <= r2 - l2 <= 2")
-        if not (-3.0 < self.frak_r <= self.r2 - 1.0):
-            out.append("-3 < frak_r <= r2 - 1")
-        if not (self.r3 <= self.r2 - 2.0):
-            out.append("r3 <= r2 - 2")
-        if not (self.l2 + 2.0 >= 0.0):
-            out.append("l2 + 2 >= 0")
-        if R0 is not None and 6.0 / R0 > 4.0:
-            out.append("-4 <= chi' <= 0 (star too small for the cubic ramp)")
-        return out
+        rows = [(0.0 < self.a < 1.0, "0 < a < 1"),
+                (-1.0 < self.r1 < 1.0, "-1 < r1 < 1"),
+                (self.r1 - 3.0 <= self.l1 < -2.0, "r1 - 3 <= l1 < -2"),
+                (self.r2 <= self.r1 - 1.0, "r2 <= r1 - 1"),
+                (self.l2 + 2.0 <= 0.0, "l2 + 2 <= 0"),
+                (0.0 <= self.r2 - self.l2 <= 2.0, "0 <= r2 - l2 <= 2"),
+                (-3.0 < self.frak_r <= self.r2 - 1.0, "-3 < frak_r <= r2 - 1"),
+                (self.r3 <= self.r2 - 2.0, "r3 <= r2 - 2"),
+                (self.l2 + 2.0 >= 0.0, "l2 + 2 >= 0"),
+                (R0 is None or not 6.0 / R0 > 4.0,
+                 "-4 <= chi' <= 0 (star too small for the cubic ramp)")]
+        return [text for ok, text in rows if not ok]
 
     def validate(self, R0: float | None = None) -> None:
-        bad = self.violations(R0)
-        if bad:
+        if bad := self.violations(R0):
             raise WeightViolation(bad)
 
 
@@ -165,36 +154,44 @@ def perturbation_energy_ss(x, phi, phi_s, rho4_nodes, rho43_edges, a0: float,
     rho4_nodes = x^4 rho at the nodes; rho43_edges = x^2 rho^{4/3} at cell
     midpoints (where the gradient part is evaluated).  D's integrand is the
     weighted square x^2 ((1+phi) x phi_xs - x phi_x phi_s)^2 / (1+phi+x phi_x)
-    on the edges, matching the solver's summation-by-parts form.
+    on the edges, matching the solver's summation-by-parts form: it is the
+    solver's own per-step formula (`_energy_ss`) on the solver's edge geometry.
     """
-    x = np.asarray(x, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    phi_s = np.asarray(phi_s, dtype=float)
-    b = math.sqrt(2.0 * abs(delta))
-    one = 1.0 + phi
-    if np.any(one <= 0.0):
+    x, phi, phi_s = (np.asarray(a, dtype=float) for a in (x, phi, phi_s))
+    if np.any(1.0 + phi <= 0.0):
         raise DomainViolation("1 + phi <= 0")
-    alpha_bar = a0 * math.exp(b * s)
-
-    kin = 0.5 * phi_s**2 + b * one * phi_s - delta * one**2 + delta / one
-    E1 = _trapz(rho4_nodes * kin, x)
-
-    dx = x[1] - x[0]
-    Hm = 0.5 * (one[:-1] + one[1:])
-    dphi = (phi[1:] - phi[:-1]) / dx
-    xm = 0.5 * (x[:-1] + x[1:])
-    Jm = Hm + xm * dphi
-    if np.any(Jm <= 0.0):
+    dx, xm = x[1] - x[0], 0.5 * (x[:-1] + x[1:])
+    Hm = 1.0 + 0.5 * (phi[:-1] + phi[1:])
+    df = (phi[1:] - phi[:-1]) / dx
+    geom = (Hm, df, Hm + xm * df)
+    if np.any(geom[2] <= 0.0):
         raise DomainViolation("1 + phi + x phi_x <= 0")
-    qm = xm * dphi
-    grad_term = 3.0 * (Hm * Hm * Jm) ** (-1.0 / 3.0) - 3.0 / Hm + qm / Hm**2
-    E2 = float(np.sum(dx * rho43_edges * grad_term))
+    b = math.sqrt(2.0 * abs(delta))
+    gram = _gram_factors(geom, xm, dx, (4.0 * mu / 3.0) * dx * xm**2)
+    E, D = _energy_ss(x, xm, phi, phi_s, geom, gram, rho4_nodes, rho43_edges, b, delta)
+    return E / (a0 * math.exp(b * s)), D
 
-    dv = (phi_s[1:] - phi_s[:-1]) / dx
-    vm = 0.5 * (phi_s[:-1] + phi_s[1:])
-    Q = xm * (Hm * dv - vm * dphi)
-    D = (4.0 * mu / 3.0) * float(np.sum(dx * xm**2 * Q**2 / Jm))
-    return (E1 + E2) / alpha_bar, D
+
+def _gram_factors(geom, xm, dx, gw):
+    """(g, a, b) of K at geom: edge i adds g_i (a_i v_{i+1} + b_i v_i)^2 to v^T K v."""
+    Hm, df, Jm = geom
+    return gw / Jm, xm * (Hm / dx - 0.5 * df), -xm * (Hm / dx + 0.5 * df)
+
+
+def _energy_ss(x, xm, f, v, geom, gram, rho4, rho43, b, delta):
+    """(alpha E, D) of the self-similar state (f, v) at edge geometry geom = (Hm, df, Jm).
+
+    gram = (g, a, c) are K's Gram factors, so D = v^T K v >= 0 by construction.  The
+    solver calls this on every accepted state; its geometry check stands in for the
+    domain checks of `perturbation_energy_ss`.
+    """
+    H = 1.0 + f
+    kin = 0.5 * v**2 + b * H * v - delta * H**2 + delta / H
+    Hm, df, Jm = geom
+    grad_term = 3.0 * (Hm * Hm * Jm) ** (-1.0 / 3.0) - 3.0 / Hm + xm * df / Hm**2
+    g, a, c = gram
+    D = float(g @ (a * v[1:] + c * v[:-1]) ** 2)
+    return _trapz(rho4 * kin, x) + float(((x[1] - x[0]) * rho43) @ grad_term), D
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +220,19 @@ def amplitude(field) -> float:
     """Perturbation amplitude: max sup-norm of {theta, x theta_x, theta_t, x theta_xt}.
 
     Thermo fields additionally contribute sup |zeta / (R0 - x)|, with the
-    boundary node evaluated by the one-sided limit using zeta(R0) = 0.
+    boundary node evaluated by the one-sided limit using zeta(R0) = 0.  One
+    max over every term, so a NaN anywhere in them gives NaN.
     """
     x = np.asarray(field.x_nodes, dtype=float)
-    th = np.asarray(field.theta, dtype=float)
-    th_t = np.asarray(field.theta_t, dtype=float)
+    u = np.array([field.theta, field.theta_t], dtype=float)
     st = gradient_stencil(x) if field.background is None else field.background.require_grid(x)
-    vals = [np.max(np.abs(th)), np.max(np.abs(x * gradient(th, st))),
-            np.max(np.abs(th_t)), np.max(np.abs(x * gradient(th_t, st)))]
+    omega = np.abs(np.concatenate([u, x * gradient(u, st)])).max()
     if field.zeta is not None:
         zeta = np.asarray(field.zeta, dtype=float)
-        sigma = x[-1] - x
-        ratio = np.abs(zeta[:-1]) / sigma[:-1]
+        ratio = np.abs(zeta[:-1]) / (x[-1] - x)[:-1]
         boundary = abs(zeta[-1] - zeta[-2]) / (x[-1] - x[-2])
-        vals.append(max(float(np.max(ratio)), float(boundary)))
-    return float(max(vals))
+        omega = np.max([omega, np.max(ratio), boundary])
+    return float(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +296,8 @@ def ledger_terms_isentropic(field, background, weights: WeightSpec, alpha: float
     a = weights.a
     g = background.require_grid(x)
     rho, rho43, chi = background.rho, background.rho43, background.chi
-    th_x = gradient(th, g)
-    v_x = gradient(v, g)
-    th_xx = gradient(th_x, g)
+    th_x, v_x = gradient(np.array([th, v]), g)
+    th_xx, v_xx = gradient(np.array([th_x, v_x]), g)
     G_x = _entropy_grad(x, th, th_x, th_xx)
     # G_t = 2 th_t/(1+th) + (th_t + x th_xt)/J; differentiate in x.
     G_xt = gradient(2.0 * v / (1.0 + th) + (v + x * v_x) / (1.0 + th + x * th_x), g)
@@ -323,7 +317,7 @@ def ledger_terms_isentropic(field, background, weights: WeightSpec, alpha: float
         "E_elliptic_grad": _trapz(th_x**2, x),
         "E_elliptic_xx": _trapz(x**2 * th_xx**2, x),
         "E_elliptic_grad_t": al ** (a - 1) * _trapz(v_x**2, x),
-        "E_elliptic_xx_t": al ** (a - 1) * _trapz(x**2 * gradient(v_x, g) ** 2, x),
+        "E_elliptic_xx_t": al ** (a - 1) * _trapz(x**2 * v_xx**2, x),
     }
 
 
@@ -337,9 +331,7 @@ def dissipation_integrands_isentropic(field, background, weights: WeightSpec,
     a = weights.a
     g = background.require_grid(x)
     rho, rho43, chi = background.rho, background.rho43, background.chi
-    th_x = gradient(th, g)
-    v_x = gradient(v, g)
-    acc_x = gradient(acc, g)
+    th_x, v_x, acc_x = gradient(np.array([th, v, acc]), g)
     pair_v = (1.0 + th) * x * v_x - x * th_x * v
     pair_acc = (1.0 + th) * x * acc_x - x * th_x * acc
     G_x = _entropy_grad(x, th, th_x, gradient(th_x, g))
@@ -385,11 +377,8 @@ def ledger_terms_thermo(field, background, weights: WeightSpec, a1: float) -> di
     tau = field.clock
     g = background.require_grid(x)
     rho, chi = background.rho, background.chi
-    xi_x = gradient(xi, g)
-    v_x = gradient(v, g)
-    xi_xx = gradient(xi_x, g)
-    zeta_x = gradient(zeta, g)
-    zeta_xx = gradient(zeta_x, g)
+    xi_x, v_x, zeta_x = gradient(np.array([xi, v, zeta]), g)
+    xi_xx, v_xx, zeta_xx = gradient(np.array([xi_x, v_x, zeta_x]), g)
     pair_v = (1.0 + xi) * x * v_x - x * xi_x * v
     e = lambda p: math.exp(p * a1 * tau)
     return {
@@ -408,7 +397,7 @@ def ledger_terms_thermo(field, background, weights: WeightSpec, a1: float) -> di
         "E_elliptic_grad": _trapz(xi_x**2, x),
         "E_elliptic_xx": _trapz(x**2 * xi_xx**2, x),
         "E_zeta_grad": _trapz(zeta_x**2, x),
-        "E_elliptic_t": e(w.r3 + 2) * _trapz(v_x**2 + x**2 * gradient(v_x, g) ** 2, x),
+        "E_elliptic_t": e(w.r3 + 2) * _trapz(v_x**2 + x**2 * v_xx**2, x),
         "E_zeta_xx": _trapz(x**2 * zeta_xx**2, x),
     }
 
@@ -423,11 +412,7 @@ def dissipation_integrands_thermo(field, background, weights: WeightSpec, a1: fl
     tau = field.clock
     g = background.require_grid(x)
     rho, chi = background.rho, background.chi
-    xi_x = gradient(xi, g)
-    v_x = gradient(v, g)
-    acc_x = gradient(acc, g)
-    zeta_x = gradient(zeta, g)
-    zeta_tx = gradient(zeta_t, g)
+    xi_x, v_x, acc_x, zeta_x, zeta_tx = gradient(np.array([xi, v, acc, zeta, zeta_t]), g)
     pair_v = (1.0 + xi) * x * v_x - x * xi_x * v
     pair_acc = (1.0 + xi) * x * acc_x - x * xi_x * acc
     e = lambda p: math.exp(p * a1 * tau)

@@ -41,7 +41,8 @@ ledger accumulation and the RunResult.  Only three parts depend on the regime:
 
   (a) the thermodynamic state zeta and its implicit temperature step;
   (b) the thermodynamic stop when the absolute temperature turns <= 0;
-  (c) the self-similar probe of energy E, dissipation D and viscous work W.
+  (c) the self-similar probe of energy E, dissipation D and viscous work W, from
+      the kernel's edge geometry and Gram factors of each accepted state.
 
 Every regime emits `PerturbationField`, tagged with its regime; thermodynamic
 fields also carry zeta and zeta_t.  One `_AlphaClock` per run gives alpha(clock)
@@ -66,12 +67,12 @@ are one-sided quadratic limits), so pointwise values lose accuracy inside the
 vacuum boundary layer; every ledger use is rho-weighted.
 
 One step kernel per run, `_Kernel(bg, clock, mu)`, built after the clock: it
-keeps the static weights it derives from the Background and holds the operators,
-the velocity solve, the acceleration, the Picard corrector and the temperature
-step.  It computes the edge geometry (Hm, df, Jm) of each new state once; the
-temperature step, the geometry check and, once accepted, the next step's CFL
-limit, viscous matrix and pressure/gravity rows use it.  The order-2 midpoint
-state and each Picard iterate have their own.  Tridiagonal solves call dgtsv.
+builds the static row weights once and holds the operators, the velocity solve,
+the acceleration, the Picard corrector and the temperature step.  It computes
+the edge geometry (Hm, df, Jm) of each new state once; the temperature step,
+the geometry check and, once accepted, E and D, the next step's CFL limit,
+viscous matrix and pressure/gravity rows use it.  The order-2 midpoint state
+and each Picard iterate have their own.  Tridiagonal solves call dgtsv.
 """
 
 from __future__ import annotations
@@ -208,11 +209,20 @@ def _cap_overdamped(visc, mass_term, K_diag):
     the conditioning of the semidefinite K against the lumped mass; the
     capped solve agrees with the uncapped one to O(1e-12).
     """
-    scale_m = float(np.max(mass_term))
-    scale_k = float(visc * np.max(K_diag))
-    if scale_k > _OVERDAMPED_RATIO * scale_m > 0.0:
-        return _OVERDAMPED_RATIO * scale_m / float(np.max(K_diag))
+    scale_m = float(mass_term.max())
+    k_max = float(K_diag.max())
+    if visc * k_max > _OVERDAMPED_RATIO * scale_m > 0.0:
+        return _OVERDAMPED_RATIO * scale_m / k_max
     return visc
+
+
+def _flux_div(flux):
+    """Node differences of edge fluxes with zero flux beyond both ends (np.diff's bits)."""
+    out = np.empty(flux.size + 1)
+    out[0] = flux[0] - 0.0
+    out[1:-1] = flux[1:] - flux[:-1]
+    out[-1] = 0.0 - flux[-1]
+    return out
 
 
 def _quad_extrap(x, vals, idx):
@@ -306,6 +316,8 @@ class _Kernel:
         self.rho = bg.rho.copy()             # the vacuum node is exactly massless
         self.rho[-1] = 0.0
         self.mass = self.wq * x**4 * self.rho
+        self.x3 = x**3
+        self.gw = (4.0 * mu / 3.0) * self.dx * bg.xm**2      # the Gram factor g times Jm
         self.thermo = bg.theta is not None
         if self.thermo:
             self.theta_b = bg.theta.copy()
@@ -313,7 +325,8 @@ class _Kernel:
             self.mass_z = self.wq * 3.0 * bg.K * x**2 * self.rho
         else:
             self.rho13_m = bg.rho_m ** (1.0 / 3.0)
-        self.div_b = np.diff(bg.ptheta_m if self.thermo else bg.rho43_m, prepend=0.0, append=0.0)
+            self.grav_w = self.wq * self.delta * x**4 * self.rho
+        self.div_b = _flux_div(bg.ptheta_m if self.thermo else bg.rho43_m)
 
     def edge_geometry(self, f):
         Hm = 1.0 + 0.5 * (f[:-1] + f[1:])
@@ -323,12 +336,8 @@ class _Kernel:
 
     def viscous_matrix(self, geom):
         """Gram matrix K with T(v, w) = -w^T K v as (diag, off): K[i, i+1] = K[i+1, i] = off[i]."""
-        Hm, df, Jm = geom
-        xm = self.bg.xm
-        g = (4.0 * self.mu / 3.0) * self.dx * xm**2 / Jm
-        a = xm * (Hm / self.dx - 0.5 * df)      # coefficient of v_{i+1}
-        b = -xm * (Hm / self.dx + 0.5 * df)     # coefficient of v_i
-        diag = np.zeros(xm.size + 1)
+        g, a, b = functionals._gram_factors(geom, self.bg.xm, self.dx, self.gw)
+        diag = np.zeros(a.size + 1)
         diag[:-1] += g * b * b
         diag[1:] += g * a * a
         return diag, g * a * b
@@ -348,8 +357,8 @@ class _Kernel:
         the same midpoint fluxes, so the rows vanish identically at f = 0.
         """
         bg = self.bg
-        x = bg.x
         H = 1.0 + f
+        H2 = H**2
         Hm, _, Jm = geom
         if self.thermo:
             Gm = 1.0 / (Hm * Hm * Jm)
@@ -358,9 +367,9 @@ class _Kernel:
         else:
             Gm = (Hm * Hm * Jm) ** (-4.0 / 3.0)
             flux = bg.rho43_m * Gm
-        rows = x**3 * (H**2 * np.diff(flux, prepend=0.0, append=0.0) - self.div_b / H**2)
+        rows = self.x3 * (H2 * _flux_div(flux) - self.div_b / H2)
         if not self.thermo and self.delta != 0.0:
-            rows = rows + self.wq * self.delta * x**4 * self.rho * (H - 1.0 / H**2)
+            rows = rows + self.grav_w * (H - 1.0 / H2)
         return rows
 
     def check_geometry(self, f, geom):
@@ -461,7 +470,7 @@ class _Kernel:
         alpha = self.clock.alpha(clock)
         adv, heat, cdiff, bgflux = self.zeta_terms(f, geom, v, z, alpha)
         Fz = cdiff * np.diff(z) / self.dx + bgflux
-        div = np.diff(Fz, prepend=0.0, append=0.0)
+        div = _flux_div(Fz)
         num = -self.wq * adv + self.wq * heat + alpha**2 * div
         rate = np.zeros_like(z)
         inner = self.mass_z > 0
@@ -475,7 +484,7 @@ class _Kernel:
         alpha = self.clock.alpha(clock)
         adv, heat, cdiff, bgflux = self.zeta_terms(f, geom, v, z, alpha)
         dx = self.dx
-        bdiv = np.diff(bgflux, prepend=0.0, append=0.0)
+        bdiv = _flux_div(bgflux)
         # symmetric tridiagonal diffusion operator (zero natural flux at the center)
         diag = self.mass_z / dt + alpha**2 * (
             np.concatenate([cdiff, [0.0]]) + np.concatenate([[0.0], cdiff])) / dx
@@ -540,11 +549,14 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, weights=None)
     if track_energy:
         rho4, rho43 = bg.x**4 * kernel.rho, bg.xm**2 * bg.rho43_m
 
-        def energy_now():
-            return functionals.perturbation_energy_ss(bg.x, f, v, rho4, rho43, params.a0,
-                                                      params.delta, clock, mu)
+        def energy_now(alpha):
+            gram = functionals._gram_factors(geom, bg.xm, kernel.dx, kernel.gw)
+            aE, D = functionals._energy_ss(bg.x, bg.xm, f, v, geom, gram, rho4, rho43,
+                                           params.b, params.delta)
+            return aE / alpha, D
 
-        E, D = energy_now()
+        ab32 = alpha_clock.alpha(0.0) ** 1.5     # alpha^(3/2) of the last accepted state
+        E, D = energy_now(alpha_clock.alpha(0.0))
         E_series, D_series, W_series = [E], [D], [0.0]
 
     acc = kernel.acceleration(f, geom, v, 0.0, zeta=z)
@@ -582,7 +594,7 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, weights=None)
             geom_new = kernel.edge_geometry(f_new)
             if thermo:
                 z_new = kernel.temperature_step(f_new, geom_new, v_new, z, dt, clock_new)
-            change = np.max(np.abs(f_new - f)) / max(1.0, np.max(np.abs(1.0 + f)))
+            change = np.abs(f_new - f).max() / max(1.0, np.abs(1.0 + f).max())
             if change <= spec.max_rel_change and np.all(np.isfinite(f_new)) \
                     and (not thermo or np.all(np.isfinite(z_new))):
                 break
@@ -610,9 +622,9 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, weights=None)
         f, v, geom, clock = f_new, v_new, geom_new, clock_new
         times.append(clock)
         if track_energy:
-            E, D = energy_now()
-            ab32 = alpha_clock.alpha(clock) ** 1.5
-            ab32_prev = alpha_clock.alpha(times[-2]) ** 1.5
+            alpha = alpha_clock.alpha(clock)
+            E, D = energy_now(alpha)
+            ab32_prev, ab32 = ab32, alpha ** 1.5
             W_series.append(W_series[-1] + 0.5 * dt * (ab32 * D + ab32_prev * D_series[-1]))
             E_series.append(E)
             D_series.append(D)

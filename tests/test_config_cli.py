@@ -312,16 +312,19 @@ class TestMain:
                                            "(the ledger's alpha^4 overflows beyond)\n")
 
     def test_self_similar_overflow_named(self, tmp_path, capsys):
-        # alpha^(5/2) = e^{2.5 sqrt(2|delta|) s} overflows; this ended in a bare OverflowError
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"model": {"delta": -1e-3, "a1": None},
-                                    "solver": {"n_cells": 16}, "initial": {"amplitude": 0},
-                                    "time": {"end": 16000, "n_emit": 3}}))
-        code = main(["evolve-ss", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert capsys.readouterr().err == ("config error: sqrt(2|delta|) * time.end "
-                                           "+ ln max(a0, 1) < 283.9 "
-                                           "(the step's alpha^(5/2) overflows beyond)\n")
+        # alpha^(5/2) = e^{2.5 sqrt(2|delta|) s} overflows at time.end = 16000, which
+        # ended in a bare OverflowError; at 6347 alpha^-3 underflows and the run
+        # exited 0 with a mass identity residual of 1
+        for end in (16000, 6347):
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps({"model": {"delta": -1e-3, "a1": None},
+                                        "solver": {"n_cells": 16}, "initial": {"amplitude": 0},
+                                        "time": {"end": end, "n_emit": 3}}))
+            code = main(["evolve-ss", "--config", str(path), "--out", str(tmp_path / "o")])
+            assert code == 1
+            assert capsys.readouterr().err == ("config error: sqrt(2|delta|) * time.end "
+                                               "+ ln max(a0, 1) < 236.1 (the reconstruction's "
+                                               "alpha^-3 underflows beyond)\n")
 
     def test_thermo_order_two_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

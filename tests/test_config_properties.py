@@ -33,6 +33,8 @@ MODELS = {
     "profile": {"delta": 0.0},
     "expansion": {"delta": -0.5, "a1": 1.0},
     "phase": {"delta": -0.5},
+    # time.end <= 1e3 and a0 <= 1e3 keep evolve-ss inside its bound: the
+    # reconstruction's alpha^-3 stays normal, sqrt(2|delta|) * time.end + ln max(a0, 1) < 236.1
     "evolve-ss": {"delta": -1e-3, "a1": None},
     "evolve-linear": {"delta": 0.0, "a1": 1.0},
     "evolve-thermo": {"kind": "thermo", "a1": 20.0, "K": 1.0, "epsilon": 0.25, "c_nu": 3.0},

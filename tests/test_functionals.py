@@ -6,7 +6,8 @@ import starlab.functionals as F
 from starlab import classify_expansion
 from starlab.errors import KEqualsOne, MissingDerivative, WeightViolation
 from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, PerturbationField, SolverSpec,
-                                evolve_linear_isentropic, evolve_self_similar)
+                                evolve_linear_isentropic, evolve_linear_thermo,
+                                evolve_self_similar)
 from starlab.profiles import sample_background
 
 
@@ -165,6 +166,66 @@ class TestAmplitude:
         zeta = (R0 - x) * g
         f = PerturbationField(x, 0 * x, 0 * x, None, 0.0, THERMO_REGIME, zeta)
         assert F.amplitude(f) == pytest.approx(np.max(np.abs(g)), rel=1e-2)
+
+
+def four_term_amplitude(field):
+    """The amplitude as four separate sup-norms and a Python max, the form it replaced."""
+    x = field.x_nodes
+    th, th_t = field.theta, field.theta_t
+    st = F.gradient_stencil(x) if field.background is None else field.background.require_grid(x)
+    vals = [np.max(np.abs(th)), np.max(np.abs(x * F.gradient(th, st))),
+            np.max(np.abs(th_t)), np.max(np.abs(x * F.gradient(th_t, st)))]
+    if field.zeta is not None:
+        ratio = np.abs(field.zeta[:-1]) / (x[-1] - x)[:-1]
+        boundary = abs(field.zeta[-1] - field.zeta[-2]) / (x[-1] - x[-2])
+        vals.append(max(float(np.max(ratio)), float(boundary)))
+    return float(max(vals))
+
+
+class TestAmplitudeOnePass:
+    """One max over the stacked (theta, theta_t) gives the four-term value bit for bit."""
+
+    def fields(self, x, regime=LINEAR_REGIME):
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            th, th_t = 1e-2 * rng.standard_normal((2, x.size))
+            zeta = 1e-3 * rng.standard_normal(x.size) if regime == THERMO_REGIME else None
+            if zeta is not None:
+                zeta[-1] = 0.0
+            yield PerturbationField(x, th, th_t, None, 0.0, regime, zeta)
+
+    def test_exactly_uniform_grid(self):
+        x = np.linspace(0.0, 1.0, 65)
+        assert not isinstance(F.gradient_stencil(x)[0], tuple)
+        for f in self.fields(x):
+            assert F.amplitude(f) == four_term_amplitude(f)
+
+    def test_non_uniform_grid(self, iso_ss):
+        x = np.linspace(0.0, iso_ss.R0, 193)
+        assert isinstance(F.gradient_stencil(x)[0], tuple)
+        for f in self.fields(x):
+            assert F.amplitude(f) == four_term_amplitude(f)
+
+    def test_thermo_field_with_zeta(self, thermo14):
+        x = np.linspace(0.0, thermo14.R0, 65)
+        for f in self.fields(x, THERMO_REGIME):
+            assert F.amplitude(f) == four_term_amplitude(f)
+        xi0 = 1e-3 * (0.7 + 0.3 * np.cos(np.pi * x / thermo14.R0))
+        zeta0 = 1e-3 * (thermo14.R0 - x) * x / thermo14.R0**2
+        run = evolve_linear_thermo(thermo14, classify_expansion(0.0, 1.0, 20.0),
+                                   (xi0, 0.1 * xi0, zeta0), 0.2, SolverSpec(n_cells=64, n_emit=3))
+        for snap in run.snapshots:
+            assert snap.background is not None
+            assert F.amplitude(snap) == four_term_amplitude(snap)
+
+    def test_nan_propagates(self):
+        # the four-term Python max returned the finite theta term here
+        x = np.linspace(0.0, 1.0, 65)
+        th_t = np.zeros_like(x)
+        th_t[7] = np.nan
+        f = PerturbationField(x, np.full_like(x, 0.2), th_t, None, 0.0, LINEAR_REGIME)
+        assert four_term_amplitude(f) == 0.2
+        assert np.isnan(F.amplitude(f))
 
 
 class TestScalingProperties:

@@ -2,15 +2,18 @@
 
 The gradient stencil must reproduce `np.gradient(u, x, edge_order=2)` and the
 tridiagonal solve `scipy.linalg.solve_banded` bit for bit, since the solver's
-outputs are pinned to the bits those routines produced.
+outputs are pinned to the bits those routines produced.  The kernel's own
+energy and dissipation probe is checked against the viscous matrix it solves
+with and against `functionals.perturbation_energy_ss`.
 """
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
-from starlab.functionals import gradient, gradient_stencil
-from starlab.lagrangian import SolverSpec, _solve_tridiag, evolve_self_similar
+from starlab.functionals import (_gram_factors, gradient, gradient_stencil,
+                                 perturbation_energy_ss)
+from starlab.lagrangian import SolverSpec, _Kernel, _solve_tridiag, evolve_self_similar
 from starlab.profiles import sample_background
 
 
@@ -97,3 +100,47 @@ class TestSolveTridiag:
         for a, b in zip(args, before):
             assert np.array_equal(a, b)
         assert not any(np.shares_memory(x, a) for a in args)
+
+
+@pytest.fixture(scope="module")
+def growth_run(iso_ss, pars_ss):
+    """c09's seed-7 run to its growth event, with its initial data."""
+    from starlab.acceptance import negative_energy_data
+    x = np.linspace(0.0, iso_ss.R0, 193)
+    initial = negative_energy_data(iso_ss, pars_ss.delta, x, 1e-3, 7)
+    spec = SolverSpec(n_cells=192, n_emit=40, growth_threshold=0.1)
+    return initial, evolve_self_similar(iso_ss, pars_ss, initial, 600.0, spec)
+
+
+class TestKernelEnergy:
+    def test_dissipation_nonnegative_at_every_step(self, growth_run):
+        _, run = growth_run
+        assert run.dissipation.size == run.times.size
+        assert np.min(run.dissipation) >= 0.0
+
+    def test_dissipation_is_the_quadratic_form_of_K(self, growth_run):
+        # v^T K v sums terms of size g (a v)^2 that cancel as the motion turns
+        # uniform; the run's Gram-factor sum does not, so the two agree to
+        # 1e-12 of that size (and of D itself on the inhomogeneous initial data)
+        _, run = growth_run
+        kernel = _Kernel(run.background, run.alpha_clock, 1.0)
+        index = {t: i for i, t in enumerate(run.times)}
+        for snap in run.snapshots:
+            geom = kernel.edge_geometry(snap.theta)
+            v = snap.theta_t
+            quad = v @ kernel.apply_viscous(kernel.viscous_matrix(geom), v)
+            g, a, b = _gram_factors(geom, kernel.bg.xm, kernel.dx, kernel.gw)
+            size = float(g @ (np.abs(a * v[1:]) + np.abs(b * v[:-1])) ** 2)
+            D = run.dissipation[index[snap.clock]]
+            assert abs(D - quad) <= 1e-12 * size
+            if snap.clock == 0.0:
+                assert D == pytest.approx(quad, rel=1e-12, abs=0.0)
+
+    def test_initial_energy_is_the_public_formula(self, growth_run):
+        (phi0, phi1), run = growth_run
+        bg, p = run.background, run.alpha_clock.params
+        E0, D0 = perturbation_energy_ss(bg.x, phi0, phi1, bg.x**4 * bg.rho,
+                                        bg.xm**2 * bg.rho43_m, p.a0, p.delta, 0.0)
+        assert E0 < 0.0 < D0
+        assert run.energy[0] == pytest.approx(E0, rel=1e-12, abs=0.0)
+        assert run.dissipation[0] == pytest.approx(D0, rel=1e-12, abs=0.0)

@@ -24,7 +24,10 @@ from starlab.lagrangian import (SolverSpec, evolve_linear_thermo,
 GROWTH_S = 67.16553603285477
 STEPS = 2643
 OMEGA_END = 0.10005204608891712
-EDW_SHA = "e74f98d320adb1b8ac180e15ec969070e63eab357d967dd4fa40aa661516f1d0"
+# E and D come from the step's own edge geometry and Gram factors; they feed
+# neither dt nor growth, so only this pin moved when they stopped being
+# recomputed (by at most 8e-14 relative in E, 4e-15 of the series max in D and W)
+EDW_SHA = "353f1278a56d6181efde80b78cd2b0dbf7f6f17c6db7631ddf620ff3bbd7e02c"
 SCHEME_SHA = {
     "order2": "50ca4f0c869595a1f6db19fb3bfdadd80a447016e36e1cb0b84d5c6767da5e22",
     "picard": "bd36e9a4d4d9f3c859c4cca0be1f177600ff27f7955425e10346db95e12fa831",
