@@ -374,18 +374,21 @@ def c09_instability_self_similar() -> dict:
     bg = sample_background(prof, x)
     rho4 = x**4 * bg.rho
     rho43 = bg.xm**2 * bg.rho43_m
-    events_s = []
+    # IMEX midpoint at CFL 1 locates each crossing to within 6e-5 of its CFL-0.1
+    # value, in 40% of the steps IMEX Euler takes at CFL 0.4
+    spec = SolverSpec(n_cells=n, order=2, cfl=1.0, n_emit=40, growth_threshold=0.1)
+    events_s, crossings_s = [], []
     for seed in (7, 11, 13):
         phi0, phi1 = negative_energy_data(prof, d, x, 1e-3, seed)
         E0, D0 = F.perturbation_energy_ss(x, phi0, phi1, rho4, rho43, 1.0, d, 0.0)
         assert E0 < 0, f"seed {seed}: constructed energy {E0} not negative"
         assert D0 > 0, "data must be genuinely inhomogeneous"
-        spec = SolverSpec(n_cells=n, n_emit=40, growth_threshold=0.1)
         run = evolve_self_similar(prof, params, (phi0, phi1), 600.0, spec)
         growth = [e for e in run.events if e.kind == "growth"]
         assert growth, f"seed {seed}: no growth event"
         events_s.append(float(growth[0].clock))
-    details = {"growth_event_s": events_s}
+        crossings_s.append(float(growth[0].crossing))
+    details = {"growth_event_s": events_s, "growth_crossing_s": crossings_s}
     _check_runtime(time.perf_counter() - t0, 120.0, details)
     return details
 
@@ -451,26 +454,23 @@ def c11_lemma_layer() -> dict:
     assert worst > -1e-10, "frak-A inequality violated"
     assert worst_ident < 1e-8, "frak-A boundary-term identity violated"
 
-    # Hardy ratios: finite, and the family sup stable under doubling
+    # Hardy ratios: finite, and the family sup stable under doubling.  Each
+    # family is evaluated in blocks of 2 functions: that amortises the per-call
+    # cost, and larger blocks raise the verify process's peak memory (a whole
+    # (400, 4001) family nearly doubled it).
     s = np.linspace(0.0, 1.0, 4001)
     rng = np.random.default_rng(41)
-    polys = []
-    for _ in range(400):
-        c = rng.uniform(-1.0, 1.0, 6)
-        polys.append(c)
+    polys = np.array([rng.uniform(-1.0, 1.0, 6) for _ in range(400)])
     sups = {}
     for k in (2.0, 3.0, 0.5, -1.0):
-        ratios = []
-        for c in polys:
-            cc = c.copy()
-            if k < 1.0:
-                cc[1] = 0.0      # g'(0) = 0 keeps int s^k g'^2 finite for k <= -1
-            g = np.polynomial.polynomial.polyval(s, cc)
-            _, _, ratio = F.hardy_check(k, g, s)
-            assert np.isfinite(ratio)
-            ratios.append(ratio)
-        sup200 = max(ratios[:200])
-        sup400 = max(ratios)
+        coef = polys.copy()
+        if k < 1.0:
+            coef[:, 1] = 0.0     # g'(0) = 0 keeps int s^k g'^2 finite for k <= -1
+        ratios = np.concatenate([F.hardy_check(k, P.polyval(s, block.T), s)[2]
+                                 for block in np.split(coef, 200)])
+        assert np.all(np.isfinite(ratios))
+        sup200 = float(ratios[:200].max())
+        sup400 = float(ratios.max())
         sups[k] = (sup200, sup400)
         change = abs(sup400 - sup200) / sup200
         assert change < 0.05, f"Hardy sup ratio for k={k} moved {change:.3f} on doubling"

@@ -40,6 +40,7 @@ def _manifest(cfg: ScenarioConfig, out_dir: str, events, extra: dict) -> str:
         "version": __version__,
         "config": cfg.to_dict(),
         "events": [{"kind": e.kind, "clock": e.clock, "detail": e.detail}
+                   | ({} if e.crossing is None else {"crossing": e.crossing})
                    for e in events],
     }
     payload.update(extra)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -48,9 +49,9 @@ class ExpansionParams:
     beta2: float
     classification: str
 
-    @property
+    @cached_property
     def b(self) -> float:
-        """sqrt(2|delta|), the self-similar growth rate in the s clock."""
+        """sqrt(2|delta|), the self-similar growth rate in the s clock (computed once)."""
         return math.sqrt(2.0 * abs(self.delta))
 
 

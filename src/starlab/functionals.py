@@ -239,12 +239,14 @@ def amplitude(field) -> float:
 # Hardy inequality probe
 # ---------------------------------------------------------------------------
 
-def hardy_check(k: float, g, s) -> tuple[float, float, float]:
+def hardy_check(k: float, g, s):
     """Both sides of the Hardy inequality on (0, 1) for exponent k != 1, g sampled on s.
 
     k > 1: (int s^{k-2} g^2, int s^k (g^2 + g'^2)).
     k < 1: (int s^{k-2} (g - g(0))^2, int s^k g'^2), g(0) by trace.
     Returns (lhs, rhs, ratio); the ratio is reported as 0 when both vanish.
+    g may hold a family of functions along its last axis: the three are then
+    arrays over the family, and floats for a single function.
     """
     from scipy.integrate import simpson
     if k == 1.0:
@@ -257,12 +259,14 @@ def hardy_check(k: float, g, s) -> tuple[float, float, float]:
             lhs_int = np.where(s > 0, s ** (k - 2.0) * g_arr**2, 0.0)
             rhs_int = s**k * (g_arr**2 + gp**2)
         else:
-            diff = g_arr - g_arr[0]
+            diff = g_arr - g_arr[..., :1]
             lhs_int = np.where(s > 0, s ** (k - 2.0) * diff**2, 0.0)
             rhs_int = np.where(s > 0, s**k * gp**2, 0.0)
-    lhs = float(simpson(lhs_int, x=s))
-    rhs = float(simpson(rhs_int, x=s))
-    ratio = 0.0 if lhs == 0.0 else lhs / max(rhs, 1e-300)
+    lhs = simpson(lhs_int, x=s)
+    rhs = simpson(rhs_int, x=s)
+    ratio = np.where(lhs == 0.0, 0.0, lhs / np.maximum(rhs, 1e-300))
+    if g_arr.ndim == 1:
+        return float(lhs), float(rhs), float(ratio)
     return lhs, rhs, ratio
 
 

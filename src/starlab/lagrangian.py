@@ -36,8 +36,9 @@ implicit mode are available for the isentropic regimes.
 One driver steps all three regimes (`_evolve`).  It owns the dt choice (CFL,
 the 1.25 growth factor, dt_max, emission times, the end time), retry by
 halving with the cfl-floor and step-failure events, the geometry check,
-growth detection (a growth event stops the run), snapshot emission, the online
-ledger accumulation and the RunResult.  Only three parts depend on the regime:
+growth detection (a growth event stops the run and carries the located
+crossing), snapshot emission, the online ledger accumulation and the
+RunResult.  Only three parts depend on the regime:
 
   (a) the thermodynamic state zeta and its implicit temperature step;
   (b) the thermodynamic stop when the absolute temperature turns <= 0;
@@ -127,6 +128,7 @@ class SolverSpec:
                 (self.dt_max is None or self.dt_max > 0, "solver.dt_max > 0 when set"),
                 (self.dt_init is None or self.dt_init > 0, "solver.dt_init > 0 when set"),
                 (self.n_emit >= 2, "time.n_emit >= 2"),
+                (self.growth_threshold > 0, "solver.growth_threshold > 0"),
                 (self.order == 1 or not self.fully_implicit,
                  "solver.fully_implicit = false when solver.order = 2")]
         if thermo:
@@ -164,6 +166,7 @@ class RunEvent:
     kind: str
     clock: float                       # a stop carries the last accepted clock
     detail: str = ""
+    crossing: float | None = None      # growth: the located threshold crossing
 
 
 @dataclass
@@ -223,6 +226,20 @@ def _flux_div(flux):
     out[1:-1] = flux[1:] - flux[:-1]
     out[-1] = 0.0 - flux[-1]
     return out
+
+
+def _located_crossing(t0, t1, omega0, omega1, threshold):
+    """Clock at which ln omega, linear between two accepted steps, crosses ln threshold.
+
+    Event location between accepted steps (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.6).  A zero previous amplitude has no logarithm: the crossing is
+    then the accepted clock t1.
+    """
+    if not omega0 > 0.0:
+        return t1
+    if omega0 >= threshold:            # initial data already at the threshold
+        return t0
+    return t0 + (t1 - t0) * math.log(threshold / omega0) / math.log(omega1 / omega0)
 
 
 def _quad_extrap(x, vals, idx):
@@ -563,6 +580,7 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, weights=None)
     z_rate = kernel.zeta_rate(f, geom, v, z, 0.0) if thermo else None
     field = mk_field(acc, z_rate)
     record(field)
+    omega = functionals.amplitude(field)     # of the last accepted state
     if weights is not None:
         prev_online_vals = functionals.ledger_integrands(field, weights, alpha_clock)
         online = dict.fromkeys(prev_online_vals, 0.0)
@@ -635,9 +653,11 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, weights=None)
                 online[k] += 0.5 * dt * (val + prev_online_vals[k])
             prev_online_vals = vals
 
-        omega = functionals.amplitude(field)
+        omega_prev, omega = omega, functionals.amplitude(field)
         if omega > spec.growth_threshold:
-            events.append(RunEvent("growth", clock, f"amplitude = {omega:.3e}"))
+            crossing = _located_crossing(times[-2], clock, omega_prev, omega,
+                                         spec.growth_threshold)
+            events.append(RunEvent("growth", clock, f"amplitude = {omega:.3e}", crossing))
             record(field)
             completed = False
             break

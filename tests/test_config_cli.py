@@ -326,6 +326,20 @@ class TestMain:
                                                "+ ln max(a0, 1) < 236.1 (the reconstruction's "
                                                "alpha^-3 underflows beyond)\n")
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+    def test_growth_threshold_named(self, tmp_path, capsys, threshold):
+        # 0 and -1 stopped evolve-ss after its first step with exit 0; NaN never fired
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"model": {"delta": -1e-3, "a1": None},
+                                    "solver": {"n_cells": 16, "growth_threshold": threshold},
+                                    "time": {"end": 1.0, "n_emit": 3}}))
+        code = main(["evolve-ss", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: solver.growth_threshold > 0\n"
+        with pytest.raises(ConfigInvalid) as exc:
+            SolverSpec(growth_threshold=threshold)
+        assert exc.value.errors == ["solver.growth_threshold > 0"]
+
     def test_thermo_order_two_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"solver": {"order": 2}}))
@@ -389,6 +403,7 @@ class TestMain:
         with open(tmp_path / "e" / "manifest.json") as fh:
             events = json.load(fh)["events"]
         assert [e["kind"] for e in events] == ["collapse-reached"]
+        assert "crossing" not in events[0]
         assert events[0]["detail"].startswith("T ~ ")
 
     def test_runtime_event_fails_under_verify(self, tmp_path):
@@ -402,6 +417,11 @@ class TestMain:
         }))
         code = main(["evolve-ss", "--config", str(cfg), "--out", str(tmp_path / "g")])
         assert code == 0
+        # the growth event carries its located crossing, at or before its clock
+        with open(tmp_path / "g" / "manifest.json") as fh:
+            events = json.load(fh)["events"]
+        assert [e["kind"] for e in events] == ["growth"]
+        assert 0.0 < events[0]["crossing"] <= events[0]["clock"]
         code = main(["evolve-ss", "--config", str(cfg), "--out", str(tmp_path / "g2"),
                      "--verify"])
         assert code == 2

@@ -67,7 +67,7 @@ def valid_configs(draw):
                    "cfl": draw(st.floats(min_value=1e-9, max_value=1.0)),
                    "order": order,
                    "max_rel_change": draw(positive),
-                   "growth_threshold": draw(st.floats(-1e3, 1e3)),
+                   "growth_threshold": draw(positive),
                    # the Picard corrector steps order 1 only
                    "fully_implicit": order == 1 and not thermo and draw(st.booleans()),
                    "dt_max": draw(st.none() | positive)},
@@ -105,6 +105,7 @@ BAD_FIELDS = st.one_of(
               st.integers().filter(lambda o: o not in (1, 2))),
     st.tuples(st.just("solver"), st.just("max_rel_change"), non_positive),
     st.tuples(st.just("solver"), st.just("dt_max"), non_positive),
+    st.tuples(st.just("solver"), st.just("growth_threshold"), non_positive),
     st.tuples(st.just("time"), st.just("n_emit"), st.integers(max_value=1)),
     st.tuples(st.just("grid"), st.just("n_cells"), st.integers(max_value=7)),
     st.tuples(st.just("grid"), st.sampled_from(["rtol", "atol", "y_max"]), non_positive),
@@ -121,6 +122,11 @@ BAD_FIELDS = st.one_of(
 @example(field=("solver", "max_rel_change", 0.0))
 @example(field=("time", "n_emit", 0))
 @example(field=("grid", "y_max", -5.0))
+# A threshold of 0 or -1 stopped evolve-ss after its first step with exit 0,
+# and a NaN threshold never fired.
+@example(field=("solver", "growth_threshold", 0.0))
+@example(field=("solver", "growth_threshold", -1.0))
+@example(field=("solver", "growth_threshold", math.nan))
 @given(field=BAD_FIELDS)
 def test_one_bad_field_gives_one_text_from_both_entry_points(field):
     section, key, value = field
@@ -150,7 +156,7 @@ FIELD_VALUES = {
     ("solver", "max_rel_change"): (1e-3, 1e-8, 0.0),
     ("solver", "fully_implicit"): (False, True),
     ("solver", "dt_max"): (None, 1e-4, -1.0),
-    ("solver", "growth_threshold"): (0.1, 1e-9),
+    ("solver", "growth_threshold"): (0.1, 1e-9, 0.0, -1.0, math.nan),
     ("initial", "family"): FAMILIES + ("other",),
     ("initial", "amplitude"): (1e-3, 0.0, -1.0, 0.3),
     ("initial", "amplitude_t"): (0.0, 0.5),

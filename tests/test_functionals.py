@@ -267,6 +267,16 @@ class TestHardy:
         assert lhs == pytest.approx(2.0 / 7.0, abs=1e-6)
         assert rhs == pytest.approx(8.0 / 7.0, abs=1e-6)
 
+    @pytest.mark.parametrize("k", [2.0, 0.5, -1.0])
+    def test_family_along_last_axis_matches_each_function(self, k):
+        s = np.linspace(0.0, 1.0, 401)
+        coef = np.random.default_rng(3).uniform(-1.0, 1.0, (7, 6))
+        coef[:, 1] = 0.0
+        coef[0] = 0.0                    # a zero function: ratio 0
+        family = np.polynomial.polynomial.polyval(s, coef.T)
+        lhs, rhs, ratio = F.hardy_check(k, family, s)
+        assert [F.hardy_check(k, g, s) for g in family] == list(zip(lhs, rhs, ratio))
+
     def test_k_equals_one(self):
         with pytest.raises(KEqualsOne):
             F.hardy_check(1.0, np.zeros(11), np.linspace(0.0, 1.0, 11))

@@ -1,0 +1,79 @@
+"""Observed time order of both isentropic schemes, from the located growth crossing.
+
+The run is criterion 9's at seed 7: negative-energy data on the self-similar
+star, stepped until the amplitude passes 0.1.  The growth event keeps the last
+accepted clock and carries the located crossing: the clock at which ln omega,
+linear between the last two accepted steps, crosses ln 0.1.  The crossing has
+no forcing term and no event quantization, so it converges cleanly in dt.
+Halving the CFL number halves dt, and successive differences of the crossing
+shrink by 2^p at observed order p.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+
+from starlab.acceptance import negative_energy_data
+from starlab.lagrangian import SolverSpec, _located_crossing, evolve_self_similar
+
+THRESHOLD = 0.1
+
+
+@pytest.fixture(scope="module")
+def growth(iso_ss, pars_ss):
+    @functools.cache
+    def run(order, n_cells, cfl):
+        x = np.linspace(0.0, iso_ss.R0, n_cells + 1)
+        phi0, phi1 = negative_energy_data(iso_ss, pars_ss.delta, x, 1e-3, 7)
+        spec = SolverSpec(n_cells=n_cells, order=order, cfl=cfl, n_emit=40,
+                          growth_threshold=THRESHOLD)
+        return evolve_self_similar(iso_ss, pars_ss, (phi0, phi1), 600.0, spec)
+    return run
+
+
+def crossing(run) -> float:
+    (event,) = run.events
+    assert event.kind == "growth"
+    return event.crossing
+
+
+def observed_orders(crossings):
+    diffs = np.abs(np.diff(crossings))
+    return np.log2(diffs[:-1] / diffs[1:])
+
+
+@pytest.mark.parametrize("cfl", [1.0, 0.25])
+def test_crossing_lies_between_the_last_two_steps(growth, cfl):
+    run = growth(2, 192, cfl)
+    (event,) = run.events
+    assert event.clock == run.times[-1]          # a stop keeps the last accepted clock
+    assert run.times[-2] <= event.crossing <= run.times[-1]
+
+
+def test_crossing_agrees_across_cfl(growth):
+    # measured 67.14198 at CFL 1 and 67.14187 at CFL 0.25
+    assert abs(crossing(growth(2, 192, 1.0)) - crossing(growth(2, 192, 0.25))) < 1e-3
+
+
+def test_imex_euler_is_first_order(growth):
+    # N = 48 over CFL 1 .. 1/8: measured 1.08 and 0.99
+    orders = observed_orders([crossing(growth(1, 48, cfl)) for cfl in (1.0, 0.5, 0.25, 0.125)])
+    assert np.all((0.9 <= orders) & (orders <= 1.2)), orders
+
+
+def test_imex_midpoint_is_second_order(growth):
+    # N = 192 over CFL 1 .. 1/4: measured 1.98; below CFL 1/4 the differences
+    # reach a floor near 1e-5, so only the coarse pairs measure the order
+    (order,) = observed_orders([crossing(growth(2, 192, cfl)) for cfl in (1.0, 0.5, 0.25)])
+    assert order >= 1.7
+
+
+def test_crossing_interpolates_ln_omega():
+    assert _located_crossing(2.0, 4.0, 0.01, 1.0, 0.1) == pytest.approx(3.0, rel=1e-15)
+    # zero previous amplitude has no logarithm: the accepted clock
+    assert _located_crossing(2.0, 4.0, 0.0, 1.0, 0.1) == 4.0
+    # data already past the threshold crossed it at or before the previous step
+    assert _located_crossing(2.0, 4.0, 0.2, 1.0, 0.1) == 2.0
+    assert _located_crossing(2.0, 4.0, 0.05, math.inf, 0.1) == 2.0
