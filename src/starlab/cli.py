@@ -268,7 +268,8 @@ def main(argv=None) -> int:
         print(f"{key}: {val}")
     if report.events:
         for e in report.events:
-            print(f"event: {e.kind} at clock {e.clock:.6g} {e.detail}")
+            crossing = "" if e.crossing is None else f" crossing {e.crossing:.6g}"
+            print(f"event: {e.kind} at clock {e.clock:.6g} {e.detail}{crossing}")
         if args.verify and cfg.scenario != "verify":
             return 2
     return report.status

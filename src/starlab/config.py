@@ -8,6 +8,7 @@ the library and `validate_config` report the same texts.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import get_args, get_type_hints
@@ -28,8 +29,7 @@ FAMILIES = ("constant", "bump", "random-smooth")
 # The JSON keys of the grid and solver blocks; the specs' other fields keep
 # their defaults.  The solver's n_emit is read from time.n_emit.
 GRID_KEYS = ("n_cells", "rtol", "atol", "y_max")
-SOLVER_KEYS = ("n_cells", "cfl", "order", "max_rel_change", "growth_threshold",
-               "fully_implicit", "dt_max")
+SOLVER_KEYS = ("n_cells", "cfl", "order", "max_rel_change", "growth_threshold", "dt_max")
 
 # On the Linear branch alpha(tau) <= a0 e^{a1 tau}, and the ledger weights are
 # powers of alpha below 4: alpha^4 must stay finite up to time.end.
@@ -140,8 +140,11 @@ def _section(errors: list, raw: dict, name: str) -> dict:
 def _read(errors: list, d: dict, cls, section: str, keys=None, **defaults) -> dict:
     """The fields `keys` (all by default) of dataclass cls from d, by their annotations.
 
-    A missing key takes defaults[key] or the dataclass default; a value that
-    is not a number where one is needed is recorded as "section.key must be a number".
+    A missing key takes defaults[key] or the dataclass default.  A value of
+    the wrong JSON type is recorded by name and its field takes the default:
+    "section.key must be true or false" for a boolean, "section.key must be a
+    number" (JSON true and false are not numbers) and "section.key is an
+    integer" for a number with a fractional part where an integer is needed.
     """
     hints = get_type_hints(cls)
     out = {}
@@ -149,17 +152,27 @@ def _read(errors: list, d: dict, cls, section: str, keys=None, **defaults) -> di
         if keys is not None and f.name not in keys:
             continue
         val, kind = d.get(f.name, defaults.get(f.name, f.default)), hints[f.name]
+        name = f"{section}.{f.name}" if section else f.name
+        out[f.name] = f.default
         if kind is bool:
-            out[f.name] = bool(val)
+            if isinstance(val, bool):
+                out[f.name] = val
+            else:
+                errors.append(f"{name} must be true or false, got {val!r}")
         elif kind is str or (val is None and type(None) in get_args(kind)):
             out[f.name] = val
+        elif isinstance(val, bool) or not isinstance(val, numbers.Real):
+            errors.append(f"{name} must be a number, got {val!r}")
+        elif kind is int:
+            if isinstance(val, numbers.Integral) or float(val).is_integer():
+                out[f.name] = int(val)
+            else:
+                errors.append(f"{name} is an integer")
         else:
             try:
-                out[f.name] = (int if kind is int else float)(val)
-            except (TypeError, ValueError, OverflowError):
-                name = f"{section}.{f.name}" if section else f.name
+                out[f.name] = float(val)
+            except OverflowError:              # an integer beyond the float range
                 errors.append(f"{name} must be a number, got {val!r}")
-                out[f.name] = f.default
     return out
 
 
@@ -177,26 +190,31 @@ def validate_config(raw) -> ScenarioConfig:
 
     Collects every violated constraint (named as in the model; the solver and
     grid texts are those of SolverSpec and GridSpec) and raises ConfigInvalid
-    with the full list; never returns a partial config.
+    with the full list; never returns a partial config.  A key that `to_dict`
+    does not write, in any section, is named as "section.key is not a key".
     """
     if not isinstance(raw, dict):
         raise ConfigInvalid([f"a config is a JSON object, got {type(raw).__name__}"])
 
-    errors: list[str] = []
+    known = ScenarioConfig("").to_dict()    # the keys a manifest writes
+    errors = [f"{key} is not a key" for key in raw if key not in known]
     scenario = raw.get("scenario")
     seed = _read(errors, raw, ScenarioConfig, "", ("seed",))["seed"]
     if scenario not in SCENARIOS:
         errors.append(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    md, gd, sd, idd, wd, td = (_section(errors, raw, name) for name in
-                               ("model", "grid", "solver", "initial", "weights", "time"))
+    sections = {name: _section(errors, raw, name)
+                for name in ("model", "grid", "solver", "initial", "weights", "time")}
+    for name, d in sections.items():
+        errors.extend(f"{name}.{key} is not a key" for key in d if key not in known[name])
+    md, gd, sd, idd, wd, td = sections.values()
 
     model = ModelParams(**_read(errors, md, ModelParams, "model"))
     if model.kind not in ("isentropic", "thermo"):
         errors.append("model.kind must be 'isentropic' or 'thermo'")
     if model.a0 <= 0:
         errors.append("a0 > 0")
-    if model.mu <= 0:
-        errors.append("mu > 0")
+    if not 0 < model.mu < math.inf:        # the library's own check and text
+        errors.append("0 < mu < inf")
     if model.a1 is None and scenario != "evolve-ss":
         errors.append("model.a1 = null only on evolve-ss")
 

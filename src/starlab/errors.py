@@ -47,10 +47,6 @@ class StepFailure(StarlabError):
     """Time stepper failed to produce an acceptable step."""
 
 
-class NewtonDivergence(StarlabError):
-    """Implicit corrector iteration failed to converge."""
-
-
 # -- functionals ------------------------------------------------------------
 
 class MissingDerivative(StarlabError):

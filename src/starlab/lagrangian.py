@@ -30,8 +30,7 @@ Time stepping is first-order IMEX: implicit in viscosity and damping
 (linear in the new velocity at frozen geometry), explicit in pressure and
 gravity, with step control on the CFL of the explicit part and on the
 per-step change of the flow map.  An optional midpoint variant (order = 2,
-implicit weight 1/2 in the same velocity solve) and a Picard-corrected fully
-implicit mode are available for the isentropic regimes.
+implicit weight 1/2 in the same velocity solve) serves the isentropic regimes.
 
 One driver steps all three regimes (`_evolve`).  It owns the dt choice (CFL,
 the 1.25 growth factor, dt_max, emission times, the end time), retry by
@@ -69,16 +68,17 @@ vacuum boundary layer; every ledger use is rho-weighted.
 
 One step kernel per run, `_Kernel(bg, clock, mu)`, built after the clock: it
 builds the static row weights once and holds the operators, the velocity solve,
-the acceleration, the Picard corrector and the temperature step.  It computes
-the edge geometry (Hm, df, Jm) of each new state once; the temperature step,
-the geometry check and, once accepted, E and D, the next step's CFL limit,
-viscous matrix and pressure/gravity rows use it.  The order-2 midpoint state
-and each Picard iterate have their own.  Tridiagonal solves call dgtsv.
+the acceleration and the temperature step.  It computes the edge geometry
+(Hm, df, Jm) of each new state once; the temperature step, the geometry check
+and, once accepted, E and D, the next step's CFL limit, viscous matrix and
+pressure/gravity rows use it.  The order-2 midpoint state has its own.
+Tridiagonal solves call dgtsv.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -89,16 +89,14 @@ from scipy.linalg.lapack import dgtsv
 
 from . import functionals
 from .functionals import WeightSpec, gradient
-from .errors import (ConfigInvalid, DomainViolation, InvalidParams, NewtonDivergence,
-                     StepFailure, WrongClassification)
+from .errors import (ConfigInvalid, DomainViolation, InvalidParams, StepFailure,
+                     WrongClassification)
 from .expansion import LINEAR, SELF_SIMILAR, ExpansionParams
 from .profiles import Background, sample_background
 
 SELF_SIMILAR_REGIME = "self-similar"
 LINEAR_REGIME = "linear-isentropic"
 THERMO_REGIME = "linear-thermo"
-
-_NEWTON_TOL = 1e-10    # relative convergence of the Picard corrector
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,6 @@ class SolverSpec:
     dt_max: float | None = None
     dt_floor: float = 1e-11
     max_rel_change: float = 1e-3   # per-step change of the flow map 1 + theta
-    max_newton: int = 25
-    fully_implicit: bool = False
     growth_threshold: float = 0.1  # a growth event stops the run
     n_emit: int = 41               # snapshots, both ends included
 
@@ -123,17 +119,15 @@ class SolverSpec:
         """Named constraints this spec breaks (none once built); thermo adds its regime's."""
         rows = [(self.order in (1, 2), "solver.order in {1, 2}"),
                 (0 < self.cfl <= 1, "0 < solver.cfl <= 1"),
+                (isinstance(self.n_cells, numbers.Integral), "solver.n_cells is an integer"),
                 (self.n_cells >= 8, "solver.n_cells >= 8"),
                 (self.max_rel_change > 0, "solver.max_rel_change > 0"),
                 (self.dt_max is None or self.dt_max > 0, "solver.dt_max > 0 when set"),
                 (self.dt_init is None or self.dt_init > 0, "solver.dt_init > 0 when set"),
                 (self.n_emit >= 2, "time.n_emit >= 2"),
-                (self.growth_threshold > 0, "solver.growth_threshold > 0"),
-                (self.order == 1 or not self.fully_implicit,
-                 "solver.fully_implicit = false when solver.order = 2")]
+                (self.growth_threshold > 0, "solver.growth_threshold > 0")]
         if thermo:
-            rows += [(self.order == 1, "solver.order = 1 for evolve-thermo"),
-                     (not self.fully_implicit, "solver.fully_implicit = false for evolve-thermo")]
+            rows += [(self.order == 1, "solver.order = 1 for evolve-thermo")]
         return [text for ok, text in rows if not ok]
 
 
@@ -442,17 +436,6 @@ class _Kernel:
         acc[-1] = _quad_extrap(self.bg.x, acc, acc.size - 1)
         return acc
 
-    def picard_correct(self, f, v, dt, clock_new, v_guess, max_newton: int):
-        """Fixed-point correction re-freezing geometry at the midpoint state."""
-        v_new = v_guess
-        for _ in range(max_newton):
-            f_mid = f + 0.5 * dt * v_new
-            trial = self.solve_velocity(f_mid, self.edge_geometry(f_mid), v, dt, clock_new)
-            if np.max(np.abs(trial - v_new)) <= _NEWTON_TOL * max(1.0, np.max(np.abs(trial))):
-                return trial
-            v_new = trial
-        raise NewtonDivergence("fully implicit corrector failed to converge")
-
     # -- temperature -----------------------------------------------------------
 
     def thermo_aux(self, f, v):
@@ -524,19 +507,18 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, weights=None)
     With weights, the dissipation-ledger integrands are integrated in time here.
     """
     thermo = regime == THERMO_REGIME
-    if bad := spec.violations(thermo):
-        raise ConfigInvalid(bad)
     if weights is not None:
         weights.validate(profile.R0)
-    if not thermo and profile.delta != params.delta:
-        raise InvalidParams("profile and expansion parameters must share delta")
     f, v, *rest = (np.array(a, dtype=float) for a in initial)
     z = rest[0] if thermo else None          # (a) the temperature state
     bg = sample_background(profile, np.linspace(0.0, profile.R0, spec.n_cells + 1))
-    if f.size != bg.x.size:
-        raise InvalidParams(f"initial fields must live on {bg.x.size} nodes")
-    if thermo and abs(z[-1]) > 0.0:
-        raise InvalidParams("zeta(R0) must be 0 initially")
+    rows = [(thermo or profile.delta == params.delta, "profile and expansion share delta"),
+            (0 < mu < math.inf, "0 < mu < inf"), (0 <= clock_end < math.inf, "0 <= end < inf"),
+            (all(a.shape == bg.x.shape and np.isfinite(a).all() for a in (f, v, *rest)),
+             f"initial fields are finite on {bg.x.size} nodes"),
+            (not thermo or not z[-1:].any(), "zeta(R0) = 0 initially")]
+    if bad := spec.violations(thermo) + [text for ok, text in rows if not ok]:
+        raise ConfigInvalid(bad)
     alpha_clock = _AlphaClock(params, regime, clock_end)
     kernel = _Kernel(bg, alpha_clock, mu)
     geom = kernel.edge_geometry(f)            # the edge geometry of the current state
@@ -606,8 +588,6 @@ def _evolve(profile, params, initial, clock_end, spec, mu, regime, weights=None)
                 f_new = f + 0.5 * dt * (v + v_new)
             else:
                 v_new = kernel.solve_velocity(f, geom, v, dt, clock_new, zeta=z)
-                if spec.fully_implicit:
-                    v_new = kernel.picard_correct(f, v, dt, clock_new, v_new, spec.max_newton)
                 f_new = f + dt * v_new
             geom_new = kernel.edge_geometry(f_new)
             if thermo:
@@ -718,8 +698,8 @@ def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: flo
     alpha = a0 + a1 t exactly (delta-free); requires params built with
     delta = 0.  zeta(R0) = 0 is a hard Dirichlet row; the viscous heating is
     assembled in its squared form so it is nonnegative at every node.  Only
-    IMEX Euler is implemented here: order 2 and the fully implicit mode
-    raise ConfigInvalid.  weights act as in `evolve_linear_isentropic`.
+    IMEX Euler is implemented here: order 2 raises ConfigInvalid.  weights
+    act as in `evolve_linear_isentropic`.
     """
     if params.delta != 0.0 or params.classification != LINEAR:
         raise WrongClassification("thermodynamic expansion requires delta = 0 Linear parameters")

@@ -84,8 +84,6 @@ class TestValidation:
         ("evolve-linear", {"solver": {"dt_max": -1}}, "solver.dt_max > 0 when set"),
         ("profile", {"grid": {"y_max": -5}}, "grid.y_max > 0"),
         ("evolve-thermo", {"solver": {"order": 2}}, "solver.order = 1 for evolve-thermo"),
-        ("evolve-thermo", {"solver": {"fully_implicit": True}},
-         "solver.fully_implicit = false for evolve-thermo"),
     ])
     def test_constraint_named(self, scenario, raw, message):
         with pytest.raises(ConfigInvalid) as exc:
@@ -96,8 +94,6 @@ class TestValidation:
         cfg = validate_config({"scenario": "evolve-linear",
                                "solver": {"order": 2, "dt_max": 0.1}})
         assert cfg.solver.order == 2
-        cfg = validate_config({"scenario": "evolve-linear", "solver": {"fully_implicit": True}})
-        assert cfg.solver.fully_implicit
 
     def test_bad_json(self):
         # JSON text is the CLI's to parse; validate_config takes the parsed object
@@ -285,8 +281,8 @@ class TestMain:
          "evolve-linear needs a Linear expansion of (delta, a0, a1), got PositiveDelta"),
         ('{"model": {"delta": 0, "a1": -1}}',
          "evolve-linear needs a Linear expansion of (delta, a0, a1), got Collapse"),
-        ('{"solver": {"order": 2, "fully_implicit": true}}',
-         "solver.fully_implicit = false when solver.order = 2"),
+        # a retired scheme key fails by name instead of running order 1
+        ('{"solver": {"fully_implicit": false}}', "solver.fully_implicit is not a key"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, content, message):
         path = tmp_path / "c.json"
@@ -406,7 +402,7 @@ class TestMain:
         assert "crossing" not in events[0]
         assert events[0]["detail"].startswith("T ~ ")
 
-    def test_runtime_event_fails_under_verify(self, tmp_path):
+    def test_runtime_event_fails_under_verify(self, tmp_path, capsys):
         # growth event on an unstable run: plain exit 0, but 2 under --verify
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
@@ -417,11 +413,17 @@ class TestMain:
         }))
         code = main(["evolve-ss", "--config", str(cfg), "--out", str(tmp_path / "g")])
         assert code == 0
-        # the growth event carries its located crossing, at or before its clock
+        # the growth event carries its located crossing, at or before its clock,
+        # in manifest.json and on the printed event line
         with open(tmp_path / "g" / "manifest.json") as fh:
             events = json.load(fh)["events"]
         assert [e["kind"] for e in events] == ["growth"]
-        assert 0.0 < events[0]["crossing"] <= events[0]["clock"]
+        g = events[0]
+        assert 0.0 < g["crossing"] <= g["clock"]
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("event: ")]
+        assert printed == [f"event: growth at clock {g['clock']:.6g} {g['detail']} "
+                           f"crossing {g['crossing']:.6g}"]
         code = main(["evolve-ss", "--config", str(cfg), "--out", str(tmp_path / "g2"),
                      "--verify"])
         assert code == 2

@@ -5,7 +5,12 @@
 - one bad solver, grid or time field gives the same named text from
   `validate_config` and from building `SolverSpec` or `GridSpec` directly;
 - `starlab` on generated configs with a tiny `time.end` exits 0, 1 or 2 and
-  raises nothing.
+  raises nothing;
+- a string where a boolean belongs, a fraction where an integer belongs or a
+  misspelt key in any section exits 1 and names the field;
+- the three evolution entry points, given a non-finite or misplaced initial
+  field, a viscosity outside (0, inf) or an end clock outside [0, inf),
+  raise a StarlabError that names it.
 
 conftest.py's settings profile derandomizes every property.
 """
@@ -17,13 +22,16 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from starlab import classify_expansion
 from starlab.cli import main
-from starlab.config import FAMILIES, validate_config
-from starlab.errors import ConfigInvalid, InvalidParams
-from starlab.lagrangian import SolverSpec
+from starlab.config import FAMILIES, ScenarioConfig, validate_config
+from starlab.errors import ConfigInvalid, InvalidParams, StarlabError
+from starlab.lagrangian import (SolverSpec, evolve_linear_isentropic, evolve_linear_thermo,
+                                evolve_self_similar)
 from starlab.profiles import GridSpec
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -68,8 +76,6 @@ def valid_configs(draw):
                    "order": order,
                    "max_rel_change": draw(positive),
                    "growth_threshold": draw(positive),
-                   # the Picard corrector steps order 1 only
-                   "fully_implicit": order == 1 and not thermo and draw(st.booleans()),
                    "dt_max": draw(st.none() | positive)},
         "initial": {"family": draw(st.sampled_from(FAMILIES)),
                     "amplitude": draw(st.floats(0.0, 1.0)),
@@ -99,6 +105,8 @@ def test_round_trip(raw):
 non_positive = st.floats(max_value=0.0) | st.just(math.nan)
 BAD_FIELDS = st.one_of(
     st.tuples(st.just("solver"), st.just("n_cells"), st.integers(max_value=7)),
+    st.tuples(st.just("solver"), st.just("n_cells"),
+              st.floats(8.0, 4096.0).filter(lambda n: not n.is_integer())),
     st.tuples(st.just("solver"), st.just("cfl"),
               non_positive | st.floats(min_value=1.0, exclude_min=True)),
     st.tuples(st.just("solver"), st.just("order"),
@@ -127,6 +135,8 @@ BAD_FIELDS = st.one_of(
 @example(field=("solver", "growth_threshold", 0.0))
 @example(field=("solver", "growth_threshold", -1.0))
 @example(field=("solver", "growth_threshold", math.nan))
+# "n_cells": 16.9 validated as 16, and SolverSpec(n_cells=8.5) built.
+@example(field=("solver", "n_cells", 16.9))
 @given(field=BAD_FIELDS)
 def test_one_bad_field_gives_one_text_from_both_entry_points(field):
     section, key, value = field
@@ -154,7 +164,6 @@ FIELD_VALUES = {
     ("solver", "cfl"): (0.4, 1.0, 0.0, -1.0),
     ("solver", "order"): (1, 2, 3),
     ("solver", "max_rel_change"): (1e-3, 1e-8, 0.0),
-    ("solver", "fully_implicit"): (False, True),
     ("solver", "dt_max"): (None, 1e-4, -1.0),
     ("solver", "growth_threshold"): (0.1, 1e-9, 0.0, -1.0, math.nan),
     ("initial", "family"): FAMILIES + ("other",),
@@ -182,10 +191,8 @@ def cli_configs(draw):
     return scenario, raw
 
 
-@settings(max_examples=100)
-@given(case=cli_configs())
-def test_cli_exits_with_a_documented_code(case):
-    scenario, raw = case
+def run_main(scenario, raw):
+    """(exit code, stderr) of `starlab scenario` on raw written as a config file."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.json")
@@ -193,6 +200,118 @@ def test_cli_exits_with_a_documented_code(case):
             json.dump(raw, fh)
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([scenario, "--config", path, "--out", os.path.join(tmp, "out")])
+    return code, err.getvalue()
+
+
+@settings(max_examples=100)
+@given(case=cli_configs())
+def test_cli_exits_with_a_documented_code(case):
+    code, err = run_main(*case)
     assert code in (0, 1, 2)
     if code == 1:
-        assert all(line.startswith("config error: ") for line in err.getvalue().splitlines())
+        assert all(line.startswith("config error: ") for line in err.splitlines())
+
+
+# The layout a manifest writes: the keys a config may hold, with a value of each type.
+KNOWN = ScenarioConfig("").to_dict()
+SECTIONS = sorted(k for k, v in KNOWN.items() if isinstance(v, dict))
+LEAVES = [(s, k, v) for s in SECTIONS for k, v in KNOWN[s].items()] + \
+    [("", k, v) for k, v in KNOWN.items() if k not in SECTIONS]
+
+
+def typed_fields(kind):
+    return [(s, k) for s, k, v in LEAVES if type(v) is kind]
+
+
+@st.composite
+def misspelt_keys(draw):
+    """(section, key): one deletion, insertion or substitution away from a key of section."""
+    section = draw(st.sampled_from(["", *SECTIONS]))
+    keys = KNOWN[section] if section else KNOWN
+    key = draw(st.sampled_from(sorted(keys)))
+    i = draw(st.integers(0, len(key)))
+    c = draw(st.sampled_from("abcdefghijklmnopqrstuvwxyz_0123456789"))
+    key = draw(st.sampled_from([key[:i] + key[i + 1:], key[:i] + c + key[i:],
+                                key[:i] + c + key[i + 1:]]))
+    assume(key not in keys)
+    return section, key
+
+
+MISTYPED = st.one_of(
+    st.tuples(st.sampled_from(typed_fields(bool)), st.text(max_size=6) | st.integers(0, 1),
+              st.just("must be true or false")),
+    st.tuples(st.sampled_from(typed_fields(int)),
+              st.floats(-1e6, 1e6).filter(lambda n: not n.is_integer()),
+              st.just("is an integer")),
+    st.tuples(misspelt_keys(), st.integers() | st.booleans() | st.text(max_size=4),
+              st.just("is not a key")),
+)
+
+
+# The cases ROADMAP item 11 measured running with a meaning nobody wrote.
+@example(case=(("initial", "normalize_omega"), "false", "must be true or false"))
+@example(case=(("solver", "n_cells"), 16.9, "is an integer"))
+@example(case=(("solver", "ordr"), 2, "is not a key"))
+@settings(max_examples=100)
+@given(case=MISTYPED)
+def test_mistyped_value_or_key_is_named(case):
+    (section, key), value, text = case
+    raw = {"model": {"delta": 0.0}, "solver": {"n_cells": 8}, "time": {"end": 1e-3}}
+    if section:
+        raw.setdefault(section, {})[key] = value
+    else:
+        raw[key] = value
+    code, err = run_main("evolve-linear", raw)
+    name = f"{section}.{key}" if section else key
+    assert code == 1
+    assert any(line.startswith(f"config error: {name} {text}") for line in err.splitlines())
+
+
+N = 16
+BAD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf])
+BAD_CALLS = st.one_of(
+    st.tuples(st.just("initial"), st.integers(0, 2), st.integers(0, N), BAD_VALUES),
+    st.tuples(st.just("size"), st.integers(0, 2), st.integers(0, 2 * N).filter(
+        lambda n: n != N + 1)),
+    st.tuples(st.just("mu"), st.floats(max_value=0.0) | BAD_VALUES),
+    st.tuples(st.just("end"), st.floats(max_value=-1e-300) | BAD_VALUES),
+)
+TEXTS = {"initial": "initial fields are finite on 17 nodes",
+         "size": "initial fields are finite on 17 nodes",
+         "mu": "0 < mu < inf", "end": "0 <= end < inf"}
+
+
+@example(regime="self-similar", call=("initial", 0, 3, math.nan))
+@example(regime="self-similar", call=("mu", 0.0))
+@example(regime="self-similar", call=("mu", -1.0))
+@example(regime="self-similar", call=("end", math.inf))
+@example(regime="self-similar", call=("end", -1.0))
+@given(regime=st.sampled_from(["self-similar", "linear", "thermo"]), call=BAD_CALLS)
+def test_library_names_bad_arguments(iso0, iso_ss, pars_ss, thermo14, regime, call):
+    # each of these ended in a bare ValueError, LinAlgError or OverflowError, or ran
+    # with a negative viscosity or zero steps
+    prof, params, evolve = {
+        "self-similar": (iso_ss, pars_ss, evolve_self_similar),
+        "linear": (iso0, classify_expansion(0.0, 1.0, 1.0), evolve_linear_isentropic),
+        "thermo": (thermo14, classify_expansion(0.0, 1.0, 1.0), evolve_linear_thermo),
+    }[regime]
+    initial = [np.zeros(N + 1) for _ in range(3 if regime == "thermo" else 2)]
+    mu, end = 1.0, 0.1
+    kind = call[0]
+    if kind == "initial":
+        _, which, node, value = call
+        initial[which % len(initial)][node] = value
+    elif kind == "size":
+        _, which, size = call
+        initial[which % len(initial)] = np.zeros(size)
+    elif kind == "mu":
+        mu = call[1]
+    else:
+        end = call[1]
+    with pytest.raises(StarlabError) as exc:
+        evolve(prof, params, initial, end, SolverSpec(n_cells=N, n_emit=3), mu=mu)
+    assert TEXTS[kind] in str(exc.value)
+    if kind == "mu":       # the config names the viscosity with the same text
+        with pytest.raises(ConfigInvalid) as from_config:
+            validate_config({"scenario": "evolve-linear", "model": {"mu": call[1]}})
+        assert TEXTS["mu"] in from_config.value.errors

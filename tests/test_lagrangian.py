@@ -209,7 +209,7 @@ class TestThermoRun:
             evolve_linear_thermo(thermo14, classify_expansion(-0.5, 1.0, 0.5),
                                  (z, z, z), 0.1, SolverSpec(n_cells=N))
 
-    @pytest.mark.parametrize("scheme", [dict(order=2), dict(fully_implicit=True)])
+    @pytest.mark.parametrize("scheme", [dict(order=2)])
     def test_rejects_schemes_it_does_not_step(self, thermo14, parst, scheme):
         z = np.zeros(N + 1)
         with pytest.raises(InvalidParams, match="for evolve-thermo"):
@@ -234,20 +234,6 @@ class TestBoundaryStress:
         stress = (4.0 / 3.0) * ((vm + 0.5 * (x[-2] + x[-1]) * (v[-1] - v[-2]) / dx) / Jm
                                 - vm / Hm)
         assert abs(stress) < 1e-12 * max(np.max(np.abs(v)), 1e-30)
-
-
-class TestFullyImplicit:
-    def test_picard_agrees_with_imex(self, iso_ss, pars_ss):
-        x = np.linspace(0.0, iso_ss.R0, N + 1)
-        phi0 = bump(x, iso_ss.R0, 1e-2)
-        kw = dict(n_cells=N, n_emit=3, growth_threshold=1.0)
-        r1 = evolve_self_similar(iso_ss, pars_ss, (phi0, 0 * phi0), 0.5,
-                                 SolverSpec(**kw))
-        r2 = evolve_self_similar(iso_ss, pars_ss, (phi0, 0 * phi0), 0.5,
-                                 SolverSpec(fully_implicit=True, **kw))
-        assert not any(e.kind == "newton-divergence" for e in r2.events)
-        diff = np.max(np.abs(r1.final.theta - r2.final.theta))
-        assert diff < 1e-4 * np.max(np.abs(r1.final.theta))
 
 
 class TestGrowthEvent:
