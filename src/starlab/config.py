@@ -16,7 +16,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .errors import ConfigInvalid
-from .expansion import LINEAR, classify_expansion
+from .expansion import _SS_END, _SS_EXP_MAX, LINEAR, classify_expansion
 from .functionals import WeightSpec
 from .lagrangian import SolverSpec
 from .profiles import GridSpec
@@ -34,10 +34,6 @@ SOLVER_KEYS = ("n_cells", "cfl", "order", "max_rel_change", "growth_threshold", 
 # On the Linear branch alpha(tau) <= a0 e^{a1 tau}, and the ledger weights are
 # powers of alpha below 4: alpha^4 must stay finite up to time.end.
 _LEDGER_EXP_MAX = math.log(sys.float_info.max) / 4.0
-# On the self-similar branch alpha(s) = a0 e^{sqrt(2|delta|) s}, and the Eulerian
-# reconstruction's density carries alpha^-3: it must stay a normal float up to
-# time.end (which also keeps the step's viscosity alpha^(5/2) finite).
-_SS_EXP_MAX = -math.log(sys.float_info.min) / 3.0
 
 
 @dataclass(frozen=True)
@@ -83,9 +79,13 @@ class ScenarioConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        """Every field, in the JSON layout validate_config reads (n_emit under time)."""
+        """Every field a config sets, in the JSON layout validate_config reads.
+
+        The solver block holds only SOLVER_KEYS, and n_emit goes under time.
+        """
         d = asdict(self)
-        d["time"]["n_emit"] = d["solver"].pop("n_emit")
+        d["time"]["n_emit"] = d["solver"]["n_emit"]
+        d["solver"] = {k: d["solver"][k] for k in SOLVER_KEYS}
         d["phase_grid"] = [list(p) for p in self.phase_grid]
         return d
 
@@ -275,8 +275,7 @@ def validate_config(raw) -> ScenarioConfig:
                               "(set a1 to null to select it)")
             if not (math.sqrt(2.0 * abs(model.delta)) * time.end
                     + math.log(max(model.a0, 1.0)) < _SS_EXP_MAX):
-                errors.append(f"sqrt(2|delta|) * time.end + ln max(a0, 1) < {_SS_EXP_MAX:.1f} "
-                              "(the reconstruction's alpha^-3 underflows beyond)")
+                errors.append(_SS_END)
     if scenario == "phase":
         if model.delta >= 0:
             errors.append("delta < 0 for the phase scenario")

@@ -16,6 +16,7 @@ are accumulated as quadrature states of the same integration.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,6 +38,14 @@ _N_SAMPLES = 512          # samples of an integrated path
 _TOL = 1e-12              # rtol and atol of the alpha integration
 _ALPHA_MIN_FRAC = 1e-6    # a collapsing path stops at this fraction of a0
 _N_FIT = 200              # points of the collapse-exponent fit
+
+# On the self-similar branch alpha(s) = a0 e^{sqrt(2|delta|) s}, and the Eulerian
+# reconstruction's density carries alpha^-3: it must stay a normal float up to the
+# end clock (which also keeps the step's viscosity alpha^(5/2) finite).  The
+# config and the solver name the bound with one text.
+_SS_EXP_MAX = -math.log(sys.float_info.min) / 3.0
+_SS_END = (f"sqrt(2|delta|) * time.end + ln max(a0, 1) < {_SS_EXP_MAX:.1f} "
+           "(the reconstruction's alpha^-3 underflows beyond)")
 
 
 @dataclass(frozen=True)

@@ -167,48 +167,62 @@ def perturbation_energy_ss(x, phi, phi_s, rho4_nodes, rho43_edges, a0: float,
     if np.any(geom[2] <= 0.0):
         raise DomainViolation("1 + phi + x phi_x <= 0")
     b = math.sqrt(2.0 * abs(delta))
+    H, Hm2 = 1.0 + phi, Hm * Hm
     gram = _gram_factors(geom, xm, dx, (4.0 * mu / 3.0) * dx * xm**2)
-    E, D = _energy_ss(x, xm, phi, phi_s, geom, gram, rho4_nodes, rho43_edges, b, delta)
+    geom = geom + gram + (H, H**2, Hm2, Hm2 * geom[2])
+    (E,), (D,) = _energy_ss(x[1:] - x[:-1], xm, phi_s, geom, rho4_nodes, dx * rho43_edges,
+                            b, delta)
     return E / (a0 * math.exp(b * s)), D
 
 
 def _gram_factors(geom, xm, dx, gw):
     """(g, a, b) of K at geom: edge i adds g_i (a_i v_{i+1} + b_i v_i)^2 to v^T K v."""
-    Hm, df, Jm = geom
-    return gw / Jm, xm * (Hm / dx - 0.5 * df), -xm * (Hm / dx + 0.5 * df)
+    Hm, df, Jm = geom[:3]
+    Hdx, half_df = Hm / dx, 0.5 * df
+    return gw / Jm, xm * (Hdx - half_df), -xm * (Hdx + half_df)
 
 
-def _energy_ss(x, xm, f, v, geom, gram, rho4, rho43, b, delta):
-    """(alpha E, D) of the self-similar state (f, v) at edge geometry geom = (Hm, df, Jm).
+def _energy_ss(spacing, xm, v, geom, rho4, w, b, delta):
+    """(alpha E, D) of self-similar states (f, v), f's geometry being the solver's.
 
-    gram = (g, a, c) are K's Gram factors, so D = v^T K v >= 0 by construction.  The
-    solver calls this on every accepted state; its geometry check stands in for the
-    domain checks of `perturbation_energy_ss`.
+    spacing = x[1:] - x[:-1] and the edge weights w = dx * x^2 rho^{4/3} depend on
+    the grid only, so a caller probing many states computes them once.
+
+    The states are the rows of a batch (or one 1-d state), and the two lists
+    hold one value per row; each dot product is one `@` of its row.  geom =
+    (Hm, df, Jm, g, a, c, H, H^2, Hm^2, Hm^2 Jm) holds f's edge geometry, K's Gram
+    factors (g, a, c), so that D = v^T K v >= 0 by construction, and H = 1 + f.
+    The solver calls this on every accepted state; its geometry check stands in
+    for the domain checks of `perturbation_energy_ss`.
     """
-    H = 1.0 + f
-    kin = 0.5 * v**2 + b * H * v - delta * H**2 + delta / H
-    Hm, df, Jm = geom
-    grad_term = 3.0 * (Hm * Hm * Jm) ** (-1.0 / 3.0) - 3.0 / Hm + xm * df / Hm**2
-    g, a, c = gram
-    D = float(g @ (a * v[1:] + c * v[:-1]) ** 2)
-    return _trapz(rho4 * kin, x) + float(((x[1] - x[0]) * rho43) @ grad_term), D
+    Hm, df, Jm, g, a, c, H, H2, Hm2, HHJ = geom
+    F = rho4 * (0.5 * v**2 + b * H * v - delta * H2 + delta / H)
+    grad_term = 3.0 * HHJ ** (-1.0 / 3.0) - 3.0 / Hm + xm * df / Hm2
+    sq = (a * v[..., 1:] + c * v[..., :-1]) ** 2
+    quad = (spacing * (F[..., 1:] + F[..., :-1]) / 2.0).sum(axis=-1)   # _trapz's
+    rows = (t.reshape(-1, t.shape[-1]) for t in (grad_term, g, sq))
+    return ([q + float(w @ t) for q, t in zip(quad.reshape(-1).tolist(), next(rows))],
+            [float(gi @ si) for gi, si in zip(*rows)])
 
 
 # ---------------------------------------------------------------------------
 # frak-A inequality probe
 # ---------------------------------------------------------------------------
 
-def frak_A_inequality(x, h_x, h_xx) -> tuple[float, float]:
+def frak_A_inequality(x, h_x, h_xx):
     """(lhs, rhs) of int (4 h_x + x h_xx)^2 >= 12 int h_x^2 + int x^2 h_xx^2.
 
     An algebraic identity plus the nonnegative boundary term 4 R0 h_x(R0)^2,
     so lhs - rhs >= 0 up to quadrature error.  h_x and h_xx are h's analytic
-    derivatives on x.
+    derivatives on x.  They may hold a family along their last axis: lhs and
+    rhs are then arrays over the family, and floats for a single field.
     """
     from scipy.integrate import simpson
     x = np.asarray(x, dtype=float)
-    lhs = float(simpson((4.0 * h_x + x * h_xx) ** 2, x=x))
-    rhs = float(12.0 * simpson(h_x**2, x=x) + simpson(x**2 * h_xx**2, x=x))
+    lhs = simpson((4.0 * h_x + x * h_xx) ** 2, x=x)
+    rhs = 12.0 * simpson(h_x**2, x=x) + simpson(x**2 * h_xx**2, x=x)
+    if np.ndim(lhs) == 0:
+        return float(lhs), float(rhs)
     return lhs, rhs
 
 
@@ -224,15 +238,21 @@ def amplitude(field) -> float:
     max over every term, so a NaN anywhere in them gives NaN.
     """
     x = np.asarray(field.x_nodes, dtype=float)
-    u = np.array([field.theta, field.theta_t], dtype=float)
     st = gradient_stencil(x) if field.background is None else field.background.require_grid(x)
-    omega = np.abs(np.concatenate([u, x * gradient(u, st)])).max()
-    if field.zeta is not None:
-        zeta = np.asarray(field.zeta, dtype=float)
-        ratio = np.abs(zeta[:-1]) / (x[-1] - x)[:-1]
-        boundary = abs(zeta[-1] - zeta[-2]) / (x[-1] - x[-2])
-        omega = np.max([omega, np.max(ratio), boundary])
-    return float(omega)
+    theta, theta_t, zeta = (None if a is None else np.asarray(a, dtype=float)
+                            for a in (field.theta, field.theta_t, field.zeta))
+    return float(_amplitude(x, st, theta, theta_t, zeta))
+
+
+def _amplitude(x, stencil, theta, theta_t, zeta=None):
+    """`amplitude` along the last axis: one value per state of a batch."""
+    u = np.array([theta, theta_t])
+    omega = np.abs(np.concatenate([u, x * gradient(u, stencil)])).max(axis=(0, -1))
+    if zeta is not None:
+        ratio = np.abs(zeta[..., :-1]) / (x[-1] - x)[:-1]
+        boundary = np.abs(zeta[..., -1] - zeta[..., -2]) / (x[-1] - x[-2])
+        omega = np.maximum(np.maximum(omega, ratio.max(axis=-1)), boundary)
+    return omega
 
 
 # ---------------------------------------------------------------------------

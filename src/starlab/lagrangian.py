@@ -1,59 +1,30 @@
 """Lagrangian evolution of perturbations on the fixed star domain [0, R0].
 
-Three regimes share one spatial discretization: vertex-centered nodes
-x_0 = 0 .. x_N = R0 (uniform), fields collocated at nodes, fluxes and the
-viscous bilinear form on cell midpoints.  The schemes are formulated in the
-perturbation variable, and every background term is differenced with the
-same midpoint-flux operator as its perturbed counterpart, so the unperturbed
-star is preserved to machine precision.
+Three regimes (self-similar, linear isentropic, linear thermodynamic) share one
+spatial discretization and one IMEX step kernel; see `kernel`.
 
-Viscous operator.  Written against the test pairing x^3 (1+f)^2 w, the
-monatomic-gas viscosity reduces (after integration by parts, using the
-zero-stress boundary condition at R0 and x^3 at the center) to the
-symmetric negative-semidefinite form
-
-    T(v, w) = -(4 mu/3) int x^4 (H v_x - v f_x)(H w_x - w f_x) / J dx,
-
-H = 1 + f, J = 1 + f + x f_x.  Discretized by midpoint quadrature this is a
-Gram matrix K, so the step's dissipation equals the quadrature of the
-continuous dissipation integrand x^2 ((1+f) x v_x - x f_x v)^2 / J exactly;
-the boundary stress flux at R0 is zero by construction (natural condition)
-and the kernel of K is uniform-in-x motion, which therefore dissipates
-nothing, mirroring the continuous model.
-
-Mass is lumped with trapezoid weights; it vanishes at the center (x = 0)
-and at the vacuum node (rho(R0) = 0), whose rows become the quasi-static
-force balances that the continuum also imposes there; the implicit
-viscosity+damping solve absorbs them.
-
-Time stepping is first-order IMEX: implicit in viscosity and damping
-(linear in the new velocity at frozen geometry), explicit in pressure and
-gravity, with step control on the CFL of the explicit part and on the
-per-step change of the flow map.  An optional midpoint variant (order = 2,
-implicit weight 1/2 in the same velocity solve) serves the isentropic regimes.
-
-One driver steps all three regimes (`_evolve`).  It owns the dt choice (CFL,
-the 1.25 growth factor, dt_max, emission times, the end time), retry by
-halving with the cfl-floor and step-failure events, the geometry check,
-growth detection (a growth event stops the run and carries the located
-crossing), snapshot emission, the online ledger accumulation and the
-RunResult.  Only three parts depend on the regime:
-
-  (a) the thermodynamic state zeta and its implicit temperature step;
-  (b) the thermodynamic stop when the absolute temperature turns <= 0;
-  (c) the self-similar probe of energy E, dissipation D and viscous work W, from
-      the kernel's edge geometry and Gram factors of each accepted state.
+One driver, `evolve_ensemble`, steps a (B, N+1) batch of runs of one regime;
+the three `evolve_*` entry points are its one-member case.  Each member owns its
+dt choice (CFL, the 1.25 growth factor, dt_max, emission times, the end time),
+retry by halving with the cfl-floor and step-failure events, the geometry
+check, growth detection (a growth event stops the run and carries the located
+crossing), snapshot emission, the online ledger and its RunResult, and leaves
+the batch when it stops.  Its scalars come from `math` as in a run of its own,
+the kernel works along the last axis with row reductions and solves the batch
+as one block-diagonal system, so each run has its own bits.  Only three parts
+depend on the regime: (a) the thermodynamic state zeta and its implicit
+temperature step; (b) the thermodynamic stop when the absolute temperature
+turns <= 0; (c) the self-similar probe of energy E, dissipation D and viscous
+work W, from the geometry and Gram factors of each accepted state.
 
 Every regime emits `PerturbationField`, tagged with its regime; thermodynamic
 fields also carry zeta and zeta_t.  One `_AlphaClock` per run gives alpha(clock)
 to the driver, the ledger and, through `RunResult.alpha_clock`, to
 `reconstruct_eulerian`; its `coefficients(clock)` is the one regime switch for
-the momentum equation's (inertia, damping, viscosity).
-
-A linearly expanding run made with `weights` owns its energy ledger: the driver
-checks them against R0, integrates `functionals.ledger_integrands` over every
-step and keeps the weights and the integrals at each emission on the RunResult
-for `functionals.total_energy_ledger(run)`.
+the momentum equation's (inertia, damping, viscosity).  A linearly expanding
+run made with `weights` owns its energy ledger: the driver checks them against
+R0, integrates `functionals.ledger_integrands` over every step and keeps the
+weights and the integrals at each emission for `functionals.total_energy_ledger`.
 
 One background per grid: each run samples its profile once
 (`profiles.sample_background`) on the solver grid, with its gradient stencil.
@@ -65,14 +36,6 @@ equations of motion imply: theta_tt, and zeta_t in the thermodynamic regime.
 They invert the rho-weighted mass only where it is positive (the end nodes
 are one-sided quadratic limits), so pointwise values lose accuracy inside the
 vacuum boundary layer; every ledger use is rho-weighted.
-
-One step kernel per run, `_Kernel(bg, clock, mu)`, built after the clock: it
-builds the static row weights once and holds the operators, the velocity solve,
-the acceleration and the temperature step.  It computes the edge geometry
-(Hm, df, Jm) of each new state once; the temperature step, the geometry check
-and, once accepted, E and D, the next step's CFL limit, viscous matrix and
-pressure/gravity rows use it.  The order-2 midpoint state has its own.
-Tridiagonal solves call dgtsv.
 """
 
 from __future__ import annotations
@@ -80,18 +43,19 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
+from array import array
 from dataclasses import dataclass, field as dc_field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
 
 from . import functionals
 from .functionals import WeightSpec, gradient
 from .errors import (ConfigInvalid, DomainViolation, InvalidParams, StepFailure,
                      WrongClassification)
-from .expansion import LINEAR, SELF_SIMILAR, ExpansionParams
+from .expansion import _SS_END, _SS_EXP_MAX, LINEAR, SELF_SIMILAR, ExpansionParams
+from .kernel import _columns, _Geometry, _Kernel
 from .profiles import Background, sample_background
 
 SELF_SIMILAR_REGIME = "self-similar"
@@ -124,6 +88,7 @@ class SolverSpec:
                 (self.max_rel_change > 0, "solver.max_rel_change > 0"),
                 (self.dt_max is None or self.dt_max > 0, "solver.dt_max > 0 when set"),
                 (self.dt_init is None or self.dt_init > 0, "solver.dt_init > 0 when set"),
+                (isinstance(self.n_emit, numbers.Integral), "time.n_emit is an integer"),
                 (self.n_emit >= 2, "time.n_emit >= 2"),
                 (self.growth_threshold > 0, "solver.growth_threshold > 0")]
         if thermo:
@@ -183,43 +148,9 @@ class RunResult:
         return self.snapshots[-1]
 
 
-def _solve_tridiag(diag, upper, lower, rhs):
-    """dgtsv on upper[i] = A[i, i+1], lower[i] = A[i+1, i], with scipy's banded checks."""
-    if not all(np.isfinite(arr).all() for arr in (diag, upper, lower, rhs)):
-        raise ValueError("array must not contain infs or NaNs")
-    x, info = dgtsv(lower, diag, upper, rhs)[3:]     # copies: the inputs stay intact
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-    return x
-
-
-_OVERDAMPED_RATIO = 1e12
-
-
-def _cap_overdamped(visc, mass_term, K_diag):
-    """Saturate the implicit viscous factor deep in the overdamped regime.
-
-    Once visc*K exceeds the inertial rows by ~1e12 the velocity solve is the
-    quasi-static limit to double precision and larger factors only destroy
-    the conditioning of the semidefinite K against the lumped mass; the
-    capped solve agrees with the uncapped one to O(1e-12).
-    """
-    scale_m = float(mass_term.max())
-    k_max = float(K_diag.max())
-    if visc * k_max > _OVERDAMPED_RATIO * scale_m > 0.0:
-        return _OVERDAMPED_RATIO * scale_m / k_max
-    return visc
-
-
-def _flux_div(flux):
-    """Node differences of edge fluxes with zero flux beyond both ends (np.diff's bits)."""
-    out = np.empty(flux.size + 1)
-    out[0] = flux[0] - 0.0
-    out[1:-1] = flux[1:] - flux[:-1]
-    out[-1] = 0.0 - flux[-1]
-    return out
+def _per_row(values):
+    """A reduction over the last axis as a list, one value per row (one for a 1-d state)."""
+    return out if isinstance(out := values.tolist(), list) else [out]
 
 
 def _located_crossing(t0, t1, omega0, omega1, threshold):
@@ -234,13 +165,6 @@ def _located_crossing(t0, t1, omega0, omega1, threshold):
     if omega0 >= threshold:            # initial data already at the threshold
         return t0
     return t0 + (t1 - t0) * math.log(threshold / omega0) / math.log(omega1 / omega0)
-
-
-def _quad_extrap(x, vals, idx):
-    """Quadratic extrapolation of vals to node idx from its 3 nearest interior nodes."""
-    js = [1, 2, 3] if idx == 0 else [idx - 1, idx - 2, idx - 3]
-    c = np.polyfit(x[js], vals[js], 2)
-    return float(np.polyval(c, x[idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -307,367 +231,216 @@ class _AlphaClock:
 
 
 # ---------------------------------------------------------------------------
-# the step kernel
-# ---------------------------------------------------------------------------
-
-class _Kernel:
-    """The IMEX step of one run: its static weights, operators, momentum and temperature steps.
-
-    Static arrays come from the Background `bg`; the kernel keeps only those it
-    derives.  `geom` is the (Hm, df, Jm) of edge_geometry.
-    """
-
-    def __init__(self, bg: Background, clock: _AlphaClock, mu: float):
-        self.bg, self.clock, self.mu = bg, clock, mu
-        self.delta = clock.params.delta
-        x = bg.x
-        self.dx = x[1] - x[0]
-        self.wq = np.full(x.size, self.dx)
-        self.wq[0] = self.wq[-1] = 0.5 * self.dx
-        self.rho = bg.rho.copy()             # the vacuum node is exactly massless
-        self.rho[-1] = 0.0
-        self.mass = self.wq * x**4 * self.rho
-        self.x3 = x**3
-        self.gw = (4.0 * mu / 3.0) * self.dx * bg.xm**2      # the Gram factor g times Jm
-        self.thermo = bg.theta is not None
-        if self.thermo:
-            self.theta_b = bg.theta.copy()
-            self.theta_b[-1] = 0.0
-            self.mass_z = self.wq * 3.0 * bg.K * x**2 * self.rho
-        else:
-            self.rho13_m = bg.rho_m ** (1.0 / 3.0)
-            self.grav_w = self.wq * self.delta * x**4 * self.rho
-        self.div_b = _flux_div(bg.ptheta_m if self.thermo else bg.rho43_m)
-
-    def edge_geometry(self, f):
-        Hm = 1.0 + 0.5 * (f[:-1] + f[1:])
-        df = (f[1:] - f[:-1]) / self.dx
-        Jm = Hm + self.bg.xm * df
-        return Hm, df, Jm
-
-    def viscous_matrix(self, geom):
-        """Gram matrix K with T(v, w) = -w^T K v as (diag, off): K[i, i+1] = K[i+1, i] = off[i]."""
-        g, a, b = functionals._gram_factors(geom, self.bg.xm, self.dx, self.gw)
-        diag = np.zeros(a.size + 1)
-        diag[:-1] += g * b * b
-        diag[1:] += g * a * a
-        return diag, g * a * b
-
-    def apply_viscous(self, K, v):
-        diag, off = K
-        out = diag * v
-        out[:-1] += off * v[1:]
-        out[1:] += off * v[:-1]
-        return out
-
-    def pressure_gravity(self, f, geom, zeta=None):
-        """Weak rows of the pressure + gravity terms (already Delta-x scaled).
-
-        Fluxes at the outer boundary are zero: the background pressure
-        vanishes at the vacuum. The background gradient is differenced with
-        the same midpoint fluxes, so the rows vanish identically at f = 0.
-        """
-        bg = self.bg
-        H = 1.0 + f
-        H2 = H**2
-        Hm, _, Jm = geom
-        if self.thermo:
-            Gm = 1.0 / (Hm * Hm * Jm)
-            zm = 0.5 * (zeta[:-1] + zeta[1:])
-            flux = (bg.ptheta_m + bg.K * bg.rho_m * zm) * Gm
-        else:
-            Gm = (Hm * Hm * Jm) ** (-4.0 / 3.0)
-            flux = bg.rho43_m * Gm
-        rows = self.x3 * (H2 * _flux_div(flux) - self.div_b / H2)
-        if not self.thermo and self.delta != 0.0:
-            rows = rows + self.grav_w * (H - 1.0 / H2)
-        return rows
-
-    def check_geometry(self, f, geom):
-        return float(min((1.0 + f).min(), geom[2].min()))
-
-    def wave_speed(self, geom, inertia: float, zeta=None):
-        Hm, _, Jm = geom
-        if self.thermo:
-            zm = 0.5 * (zeta[:-1] + zeta[1:])
-            c2 = self.bg.K * np.max(np.abs(self.bg.theta_m + zm) * Hm**2 / Jm**2) / inertia
-        else:
-            c2 = (4.0 / 3.0) * np.max(self.rho13_m
-                                      * Hm**4 * (Hm * Hm * Jm) ** (-7.0 / 3.0)) / inertia
-        return math.sqrt(max(c2, 1e-30))
-
-    # -- momentum --------------------------------------------------------------
-
-    def solve_velocity(self, f, geom, v_old, dt, clock, zeta=None, weight=1.0):
-        """One implicit viscosity+damping solve at frozen geometry f (edge geometry geom).
-
-        weight is the implicit share of damping and viscosity: 1 for IMEX
-        Euler, 1/2 for the midpoint rule, whose explicit half (at v_old)
-        then equals its implicit half.
-        """
-        inertia, damping, visc = self.clock.coefficients(clock)
-        K = self.viscous_matrix(geom)
-        rows = self.pressure_gravity(f, geom, zeta=zeta)
-        mass_term = (inertia / dt + weight * damping) * self.mass
-        visc = _cap_overdamped(weight * visc, mass_term, K[0])
-        diag = mass_term + visc * K[0]
-        explicit = 1.0 - weight
-        rhs = (inertia / dt - explicit * damping) * self.mass * v_old
-        if explicit:
-            rhs -= visc * self.apply_viscous(K, v_old)
-        rhs -= rows
-        off = visc * K[1]
-        return _solve_tridiag(diag, off, off, rhs)
-
-    def acceleration(self, f, geom, v, clock, zeta=None):
-        """Pointwise clock-acceleration from the semi-discrete equations.
-
-        Valid where the lumped mass is positive; the massless end nodes are
-        filled by quadratic extrapolation (their rows are force balances).
-        """
-        inertia, damping, visc = self.clock.coefficients(clock)
-        K = self.viscous_matrix(geom)
-        rows = self.pressure_gravity(f, geom, zeta=zeta)
-        num = visc * (-self.apply_viscous(K, v)) - rows - damping * self.mass * v
-        acc = np.zeros_like(f)
-        inner = self.mass > 0
-        acc[inner] = num[inner] / (inertia * self.mass[inner])
-        acc[0] = _quad_extrap(self.bg.x, acc, 0)
-        acc[-1] = _quad_extrap(self.bg.x, acc, acc.size - 1)
-        return acc
-
-    # -- temperature -----------------------------------------------------------
-
-    def thermo_aux(self, f, v):
-        """Nodal advection bracket, Jacobian, and viscous-heating rate."""
-        x, grad = self.bg.x, self.bg.grad
-        H = 1.0 + f
-        f_x = gradient(f, grad)
-        v_x = gradient(v, grad)
-        J = H + x * f_x
-        prod = x**3 * H**2 * v
-        dprod = gradient(prod, grad)
-        frakF = (4.0 / 3.0) * ((v + x * v_x) / J - v / H) ** 2
-        return H, J, dprod, frakF
-
-    def zeta_terms(self, f, geom, v, z, alpha: float):
-        """Terms of the temperature equation, unsummed so each caller keeps its order.
-
-        Returns the nodal advection and viscous heating, and at the edges the
-        diffusion coefficient and the flux of the background temperature.
-        """
-        x, xm = self.bg.x, self.bg.xm
-        H, J, dprod, frakF = self.thermo_aux(f, v)
-        adv = self.bg.K * self.rho * (z + self.theta_b) * dprod / (H**2 * J)
-        heat = alpha * x**2 * H**2 * J * self.mu * frakF
-        Hm, _, Jm = geom
-        cdiff = xm**2 * Hm**2 / Jm
-        bgflux = (Hm**2 / Jm - 1.0) * xm**2 * self.bg.thetap_m
-        return adv, heat, cdiff, bgflux
-
-    def zeta_rate(self, f, geom, v, z, clock: float):
-        """Pointwise zeta_tau from the semi-discrete temperature equation."""
-        alpha = self.clock.alpha(clock)
-        adv, heat, cdiff, bgflux = self.zeta_terms(f, geom, v, z, alpha)
-        Fz = cdiff * np.diff(z) / self.dx + bgflux
-        div = _flux_div(Fz)
-        num = -self.wq * adv + self.wq * heat + alpha**2 * div
-        rate = np.zeros_like(z)
-        inner = self.mass_z > 0
-        rate[inner] = num[inner] / self.mass_z[inner]
-        rate[0] = _quad_extrap(self.bg.x, rate, 0)
-        rate[-1] = 0.0
-        return rate
-
-    def temperature_step(self, f, geom, v, z, dt: float, clock: float):
-        """zeta after one step to the clock: implicit diffusion, explicit advection and heating."""
-        alpha = self.clock.alpha(clock)
-        adv, heat, cdiff, bgflux = self.zeta_terms(f, geom, v, z, alpha)
-        dx = self.dx
-        bdiv = _flux_div(bgflux)
-        # symmetric tridiagonal diffusion operator (zero natural flux at the center)
-        diag = self.mass_z / dt + alpha**2 * (
-            np.concatenate([cdiff, [0.0]]) + np.concatenate([[0.0], cdiff])) / dx
-        off = -alpha**2 * cdiff / dx
-        rhs = (self.mass_z / dt) * z - self.wq * adv + self.wq * heat + alpha**2 * bdiv
-        # Dirichlet zeta(R0) = 0: identity row, decoupled from zeta_{N-1}
-        diag[-1] = 1.0
-        off[-1] = 0.0
-        rhs[-1] = 0.0
-        return _solve_tridiag(diag, off, off, rhs)
-
-
-# ---------------------------------------------------------------------------
 # the stepping driver
 # ---------------------------------------------------------------------------
 
-def _evolve(profile, params, initial, clock_end, spec, mu, regime, weights=None):
-    """Step one regime from clock 0 to clock_end; see the module docstring.
+def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float,
+                    spec: SolverSpec | None = None, mu: float = 1.0,
+                    regime: str = SELF_SIMILAR_REGIME,
+                    weights: WeightSpec | None = None) -> list[RunResult]:
+    """Step each initial tuple of `initials` from clock 0 to clock_end, as one batch.
 
-    With weights, the dissipation-ledger integrands are integrated in time here.
+    Returns one RunResult per member, in order, each the bits of that member's
+    own run; see the module docstring.  With weights, every member's
+    dissipation-ledger integrands are integrated in time here.
     """
+    spec = spec or SolverSpec()
     thermo = regime == THERMO_REGIME
+    if thermo and (params.delta != 0.0 or params.classification != LINEAR):
+        raise WrongClassification("thermodynamic expansion requires delta = 0 Linear parameters")
+    notice = "delta <= -a0 a1^2/8: outside the proven stability range"
+    if outside := (regime == LINEAR_REGIME and params.classification == LINEAR
+                   and params.delta <= -params.a0 * params.a1**2 / 8.0):
+        warnings.warn(notice, stacklevel=2)
     if weights is not None:
         weights.validate(profile.R0)
-    f, v, *rest = (np.array(a, dtype=float) for a in initial)
-    z = rest[0] if thermo else None          # (a) the temperature state
+    init = [[np.array(a, dtype=float) for a in initial] for initial in initials]
     bg = sample_background(profile, np.linspace(0.0, profile.R0, spec.n_cells + 1))
-    rows = [(thermo or profile.delta == params.delta, "profile and expansion share delta"),
+    regimes = (SELF_SIMILAR_REGIME, LINEAR_REGIME, THERMO_REGIME)
+    rows = [(regime in regimes, f"regime in {regimes}"),
+            (thermo or profile.delta == params.delta, "profile and expansion share delta"),
             (0 < mu < math.inf, "0 < mu < inf"), (0 <= clock_end < math.inf, "0 <= end < inf"),
-            (all(a.shape == bg.x.shape and np.isfinite(a).all() for a in (f, v, *rest)),
-             f"initial fields are finite on {bg.x.size} nodes"),
-            (not thermo or not z[-1:].any(), "zeta(R0) = 0 initially")]
+            (regime != SELF_SIMILAR_REGIME or not clock_end < math.inf
+             or params.b * clock_end + math.log(max(params.a0, 1.0)) < _SS_EXP_MAX, _SS_END),
+            (len(init) > 0, "at least one initial state"),
+            (all(len(m) >= 2 + thermo and all(a.shape == bg.x.shape and np.isfinite(a).all()
+                 for a in m) for m in init), f"initial fields are finite on {bg.x.size} nodes"),
+            (not thermo or not any(m[2][-1:].any() for m in init if len(m) > 2),
+             "zeta(R0) = 0 initially")]
     if bad := spec.violations(thermo) + [text for ok, text in rows if not ok]:
         raise ConfigInvalid(bad)
     alpha_clock = _AlphaClock(params, regime, clock_end)
     kernel = _Kernel(bg, alpha_clock, mu)
-    geom = kernel.edge_geometry(f)            # the edge geometry of the current state
-    if kernel.check_geometry(f, geom) <= 0.0:
+    # the (B, N+1) state; a single member steps as a 1-d state, in numpy's unbroadcast loops
+    f, v, z = (None if k >= 2 + thermo else init[0][k] if len(init) == 1
+               else np.array([m[k] for m in init]) for k in range(3))
+    geom = kernel.edge_geometry(f)            # the edge geometry of the current states
+    if np.any(kernel.check_geometry(geom) <= 0.0):
         raise DomainViolation("initial data degenerates the flow map")
-    if thermo and np.any(z[1:-1] + kernel.theta_b[1:-1] <= 0.0):
+    if thermo and np.any(z[..., 1:-1] + kernel.theta_b[1:-1] <= 0.0):
         raise InvalidParams("initial absolute temperature must stay positive")
 
-    clock = 0.0
-    emit = np.linspace(0.0, clock_end, spec.n_emit)
-    emit_idx = 1
-    events, snapshots, times = [], [], [0.0]
-    online = prev_online_vals = None
-    online_series: dict[str, list[float]] = {}
+    emit = np.linspace(0.0, clock_end, spec.n_emit).tolist()
+    results = [None] * len(init)
 
-    def mk_field(acc, z_rate):
-        """The current state as a field, uncopied: no step writes an array in place."""
-        return PerturbationField(bg.x, f, v, acc, clock, regime, z, z_rate, background=bg)
+    def field_of(m, i, acc, z_rate):
+        """Member m (row i) as a field: a batch row copied, a 1-d state uncopied (no step
+        writes an array in place), so a snapshot holds no other member's rows."""
+        rows = (f, v, acc, z, z_rate)
+        if f.ndim > 1:
+            rows = [None if a is None else a[i].copy() for a in rows]
+        return PerturbationField(bg.x, *rows[:3], m.clock, regime, *rows[3:], bg)
 
-    def record(field):
+    def rates():
+        """The last step's theta_tt (and zeta_t), built only for the fields it emits."""
+        return (v - v_prev) / dt, (z - z_prev) / dt if thermo else None
+
+    def record(m, field):
         """Emit a snapshot with the online ledger integrals accumulated so far."""
-        snapshots.append(field)
-        for k in online_series:
-            online_series[k].append(online[k])
+        m.snapshots.append(field)
+        for k in m.series:
+            m.series[k].append(m.online[k])
 
-    track_energy = regime == SELF_SIMILAR_REGIME   # (c) the E/D/W probe
+    def finish(m, i):
+        """Close member m (row i): its stop, its last state as a snapshot, its RunResult."""
+        m.events += [m.stop] if m.stop else []
+        if m.snapshots[-1].clock < m.clock - 1e-12:
+            record(m, field_of(m, i, None, None))
+        results[m.index] = RunResult(
+            regime, m.snapshots, m.events, np.asarray(m.times),
+            *(map(np.asarray, (m.E, m.D, m.W)) if track_energy else (None,) * 3),
+            {k: np.asarray(vs) for k, vs in m.series.items()} if weights is not None else None,
+            weights, bg, alpha_clock, m.stop is None)
+
+    track_energy = regime == SELF_SIMILAR_REGIME       # (c) the E/D/W probe
     if track_energy:
-        rho4, rho43 = bg.x**4 * kernel.rho, bg.xm**2 * bg.rho43_m
+        # the grid's node spacings and weights, computed once for every probe
+        spacing, rho4 = bg.x[1:] - bg.x[:-1], bg.x**4 * kernel.rho
+        w = (bg.x[1] - bg.x[0]) * (bg.xm**2 * bg.rho43_m)
 
-        def energy_now(alpha):
-            gram = functionals._gram_factors(geom, bg.xm, kernel.dx, kernel.gw)
-            aE, D = functionals._energy_ss(bg.x, bg.xm, f, v, geom, gram, rho4, rho43,
-                                           params.b, params.delta)
-            return aE / alpha, D
+        def energy():
+            return functionals._energy_ss(spacing, bg.xm, v, geom, rho4, w, params.b, params.delta)
 
-        ab32 = alpha_clock.alpha(0.0) ** 1.5     # alpha^(3/2) of the last accepted state
-        E, D = energy_now(alpha_clock.alpha(0.0))
-        E_series, D_series, W_series = [E], [D], [0.0]
-
-    acc = kernel.acceleration(f, geom, v, 0.0, zeta=z)
-    z_rate = kernel.zeta_rate(f, geom, v, z, 0.0) if thermo else None
-    field = mk_field(acc, z_rate)
-    record(field)
-    omega = functionals.amplitude(field)     # of the last accepted state
-    if weights is not None:
-        prev_online_vals = functionals.ledger_integrands(field, weights, alpha_clock)
-        online = dict.fromkeys(prev_online_vals, 0.0)
-        online_series = {k: [0.0] for k in prev_online_vals}
-
-    dt = spec.dt_init or math.inf     # the first step is set by the CFL limit
-    completed = True
-    for _ in range(2_000_000):
-        if clock >= clock_end * (1.0 - 1e-14):
-            break
-        inertia = alpha_clock.coefficients(clock)[0]
-        dt_cfl = spec.cfl * kernel.dx / kernel.wave_speed(geom, inertia, zeta=z)
-        dt = min(dt * 1.25, dt_cfl, spec.dt_max or np.inf, clock_end - clock)
-        if emit_idx < emit.size:
-            dt = min(dt, emit[emit_idx] - clock + 1e-15)
-        stop = None
-        for _retry in range(40):
-            clock_new = clock + dt
-            if spec.order == 2:
-                f_mid = f + 0.5 * dt * v
-                v_new = kernel.solve_velocity(f_mid, kernel.edge_geometry(f_mid), v, dt,
-                                              clock + 0.5 * dt, weight=0.5)
-                f_new = f + 0.5 * dt * (v + v_new)
-            else:
-                v_new = kernel.solve_velocity(f, geom, v, dt, clock_new, zeta=z)
-                f_new = f + dt * v_new
-            geom_new = kernel.edge_geometry(f_new)
-            if thermo:
-                z_new = kernel.temperature_step(f_new, geom_new, v_new, z, dt, clock_new)
-            change = np.abs(f_new - f).max() / max(1.0, np.abs(1.0 + f).max())
-            if change <= spec.max_rel_change and np.all(np.isfinite(f_new)) \
-                    and (not thermo or np.all(np.isfinite(z_new))):
-                break
-            dt *= 0.5
-            if dt < spec.dt_floor:
-                stop = RunEvent("cfl-floor", clock, f"dt = {dt:.3e}")
-                break
-        else:
-            stop = RunEvent("step-failure", clock, "no acceptable step")
-        if stop is None and (low := kernel.check_geometry(f_new, geom_new)) <= 0.0:
-            stop = RunEvent("jacobian-degenerate", clock, f"min(1+f, J) = {low:.3e}")
-        if stop is None and thermo:           # (b) the absolute temperature stays positive
-            temp_abs = z_new[1:-1] + kernel.theta_b[1:-1]
-            if np.any(temp_abs <= 0.0):
-                stop = RunEvent("temperature-negative", clock, f"min = {temp_abs.min():.3e}")
-        if stop is not None:
-            events.append(stop)
-            completed = False
-            break
-
-        acc = (v_new - v) / dt
-        if thermo:
-            z_rate = (z_new - z) / dt
-            z = z_new
-        f, v, geom, clock = f_new, v_new, geom_new, clock_new
-        times.append(clock)
-        if track_energy:
-            alpha = alpha_clock.alpha(clock)
-            E, D = energy_now(alpha)
-            ab32_prev, ab32 = ab32, alpha ** 1.5
-            W_series.append(W_series[-1] + 0.5 * dt * (ab32 * D + ab32_prev * D_series[-1]))
-            E_series.append(E)
-            D_series.append(D)
-        field = mk_field(acc, z_rate)
+    aE, D = energy() if track_energy else ([math.nan] * len(init),) * 2
+    alpha = alpha_clock.alpha(0.0)
+    acc = kernel.acceleration(geom, v, _columns([alpha_clock.coefficients(0.0)] * len(init)), z)
+    z_rate = kernel.zeta_rate(f, geom, v, z, [0.0] * len(init)) if thermo else None
+    members = []
+    for i, omega in enumerate(_per_row(functionals._amplitude(bg.x, bg.grad, f, v, z))):
+        # the series are compact float arrays; ab32 is alpha^(3/2) of the last accepted state
+        m = SimpleNamespace(index=i, clock=0.0, dt=spec.dt_init or math.inf, emit_idx=1,
+                            omega=omega, stop=None, snapshots=[], series={},
+                            events=[RunEvent("outside-stability-range", 0.0, notice)] * outside,
+                            times=array("d", [0.0]), E=array("d", [aE[i] / alpha]),
+                            D=array("d", [D[i]]), W=array("d", [0.0]), ab32=alpha ** 1.5)
+        record(m, field := field_of(m, i, acc, z_rate))
         if weights is not None:
-            vals = functionals.ledger_integrands(field, weights, alpha_clock)
-            for k, val in vals.items():
-                online[k] += 0.5 * dt * (val + prev_online_vals[k])
-            prev_online_vals = vals
+            m.prev = functionals.ledger_integrands(field, weights, alpha_clock)
+            m.online = dict.fromkeys(m.prev, 0.0)
+            m.series = {k: [0.0] for k in m.prev}
+        members.append(m)
 
-        omega_prev, omega = omega, functionals.amplitude(field)
-        if omega > spec.growth_threshold:
-            crossing = _located_crossing(times[-2], clock, omega_prev, omega,
-                                         spec.growth_threshold)
-            events.append(RunEvent("growth", clock, f"amplitude = {omega:.3e}", crossing))
-            record(field)
-            completed = False
-            break
+    t_last = clock_end * (1.0 - 1e-14)     # a member that stops or gets here leaves the batch
+    leaving = t_last <= 0.0
+    for _ in range(2_000_000):
+        if leaving:
+            ended = [i for i, m in enumerate(members) if m.stop or m.clock >= t_last]
+            for i in ended:
+                finish(members[i], i)
+            if not (live := [i for i in range(len(members)) if i not in ended]):
+                break
+            members = [members[i] for i in live]
+            f, v, z, *rows = (None if a is None else a[live] for a in (f, v, z, *geom))
+            geom, leaving = _Geometry(*rows), False
+        for m, c2 in zip(members, _per_row(kernel.wave_speed2(geom, zeta=z))):
+            c2 /= alpha_clock.coefficients(m.clock)[0]        # over the inertia
+            dt_cfl = spec.cfl * kernel.dx / math.sqrt(max(c2, 1e-30))
+            m.dt = min(m.dt * 1.25, dt_cfl, spec.dt_max or math.inf, clock_end - m.clock)
+            if m.emit_idx < len(emit):
+                m.dt = min(m.dt, emit[m.emit_idx] - m.clock + 1e-15)
+        half = 0.5 if spec.order == 2 else 1.0   # the midpoint rule's share of the step
+        gram = half == 1.0 or track_energy        # read by the next solve or by E and D
+        for _retry in range(40):                 # each failing member halves its own dt
+            dt, *coef = _columns([(m.dt, *alpha_clock.coefficients(m.clock + half * m.dt))
+                                  for m in members])
+            at = kernel.edge_geometry(f + 0.5 * dt * v) if half < 1.0 else geom  # solved at
+            v_new = kernel.solve_velocity(at, v, dt, coef, zeta=z, weight=half)
+            f_new = f + 0.5 * dt * (v + v_new) if half < 1.0 else f + dt * v_new
+            geom_new = kernel.edge_geometry(f_new, gram)
+            change = np.abs(f_new - f).max(axis=-1) / np.abs(geom.H).max(axis=-1, initial=1.0)
+            ok = (change <= spec.max_rel_change) & np.isfinite(f_new).all(axis=-1)
+            z_new = kernel.temperature_step(f_new, geom_new, v_new, z, dt, [
+                m.clock + m.dt for m in members]) if thermo else None
+            ok = _per_row(ok & np.isfinite(z_new).all(axis=-1) if thermo else ok)
+            if all(ok) or not (failed := [m for m, good in zip(members, ok)
+                                          if not good and not m.stop]):
+                break
+            for m in failed:          # a stopped member keeps the dt of an attempt it made
+                if m.dt * 0.5 < spec.dt_floor:
+                    m.stop = RunEvent("cfl-floor", m.clock, f"dt = {m.dt * 0.5:.3e}")
+                else:
+                    m.dt *= 0.5
+        lows = zip(_per_row(kernel.check_geometry(geom_new)), _per_row(
+            (z_new[..., 1:-1] + kernel.theta_b[1:-1]).min(axis=-1)) if thermo else ok)
+        for m, good, (low, temp_low) in zip(members, ok, lows):
+            if m.stop:
+                pass
+            elif not good:
+                m.stop = RunEvent("step-failure", m.clock, "no acceptable step")
+            elif low <= 0.0:
+                m.stop = RunEvent("jacobian-degenerate", m.clock, f"min(1+f, J) = {low:.3e}")
+            elif thermo and temp_low <= 0.0:      # (b) the absolute temperature stays positive
+                m.stop = RunEvent("temperature-negative", m.clock, f"min = {temp_low:.3e}")
+            leaving = leaving or m.stop is not None
+        if leaving:                                        # the stopped keep their state
+            stopped = [i for i, m in enumerate(members) if m.stop]
+            for new, old in ((f_new, f), (v_new, v), (z_new, z))[:2 + thermo]:
+                new.reshape(-1, new.shape[-1])[stopped] = old.reshape(-1, old.shape[-1])[stopped]
+            geom_new = kernel.edge_geometry(f_new, gram)
 
-        if emit_idx < emit.size and clock >= emit[emit_idx] - 1e-12:
-            record(field)
-            while emit_idx < emit.size and clock >= emit[emit_idx] - 1e-12:
-                emit_idx += 1
+        v_prev, z_prev = v, z
+        f, v, z, geom = f_new, v_new, z_new, geom_new
+        if track_energy:
+            aE, D = energy()
+        omega = _per_row(functionals._amplitude(bg.x, bg.grad, f, v, z))
+        for i, m in enumerate(members):
+            if m.stop:
+                continue
+            m.clock += m.dt
+            m.times.append(m.clock)
+            leaving = leaving or m.clock >= t_last
+            if track_energy:
+                alpha = alpha_clock.alpha(m.clock)
+                ab32_prev, m.ab32 = m.ab32, alpha ** 1.5
+                m.W.append(m.W[-1] + 0.5 * m.dt * (m.ab32 * D[i] + ab32_prev * m.D[-1]))
+                m.E.append(aE[i] / alpha)
+                m.D.append(D[i])
+            if weights is not None:
+                vals = functionals.ledger_integrands(field_of(m, i, *rates()), weights,
+                                                     alpha_clock)
+                for k, val in vals.items():
+                    m.online[k] += 0.5 * m.dt * (val + m.prev[k])
+                m.prev = vals
+            omega_prev, m.omega = m.omega, omega[i]
+            if m.omega > spec.growth_threshold:
+                crossing = _located_crossing(m.times[-2], m.clock, omega_prev, m.omega,
+                                             spec.growth_threshold)
+                m.stop = RunEvent("growth", m.clock, f"amplitude = {m.omega:.3e}", crossing)
+                record(m, field_of(m, i, *rates()))
+                leaving = True
+            elif m.emit_idx < len(emit) and m.clock >= emit[m.emit_idx] - 1e-12:
+                record(m, field_of(m, i, *rates()))
+                while m.emit_idx < len(emit) and m.clock >= emit[m.emit_idx] - 1e-12:
+                    m.emit_idx += 1
     else:
         raise StepFailure("step budget exhausted")
-
-    if snapshots[-1].clock < clock - 1e-12:
-        record(mk_field(None, None))
-
-    energy = dissipation = visc_work = None
-    if track_energy:
-        energy, dissipation, visc_work = map(np.asarray, (E_series, D_series, W_series))
-    return RunResult(
-        regime=regime, snapshots=snapshots, events=events, times=np.asarray(times),
-        energy=energy, dissipation=dissipation, visc_work=visc_work,
-        dissipation_online={k: np.asarray(vs) for k, vs in online_series.items()}
-        if weights is not None else None,
-        weights=weights, background=bg, alpha_clock=alpha_clock, completed=completed)
+    return results
 
 
 def evolve_self_similar(profile, params: ExpansionParams, initial, s_end: float,
                         spec: SolverSpec | None = None, mu: float = 1.0) -> RunResult:
     """Evolve a perturbation of the self-similarly expanding star to s_end."""
-    return _evolve(profile, params, initial, s_end, spec or SolverSpec(), mu,
-                   SELF_SIMILAR_REGIME)
+    return evolve_ensemble(profile, params, [initial], s_end, spec, mu)[0]
 
 
 def evolve_linear_isentropic(profile, params: ExpansionParams, initial, tau_end: float,
@@ -679,15 +452,8 @@ def evolve_linear_isentropic(profile, params: ExpansionParams, initial, tau_end:
     Outside the proven stability range, delta <= -a0 a1^2/8, this warns and
     the run carries a non-stop `outside-stability-range` event.
     """
-    notice = "delta <= -a0 a1^2/8: outside the proven stability range"
-    outside = params.classification == LINEAR and params.delta <= -params.a0 * params.a1**2 / 8.0
-    if outside:
-        warnings.warn(notice, stacklevel=2)
-    run = _evolve(profile, params, initial, tau_end, spec or SolverSpec(), mu,
-                  LINEAR_REGIME, weights)
-    if outside:
-        run.events.insert(0, RunEvent("outside-stability-range", 0.0, notice))
-    return run
+    return evolve_ensemble(profile, params, [initial], tau_end, spec, mu, LINEAR_REGIME,
+                           weights)[0]
 
 
 def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: float,
@@ -701,10 +467,8 @@ def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: flo
     IMEX Euler is implemented here: order 2 raises ConfigInvalid.  weights
     act as in `evolve_linear_isentropic`.
     """
-    if params.delta != 0.0 or params.classification != LINEAR:
-        raise WrongClassification("thermodynamic expansion requires delta = 0 Linear parameters")
-    return _evolve(profile, params, initial, tau_end, spec or SolverSpec(), mu, THERMO_REGIME,
-                   weights)
+    return evolve_ensemble(profile, params, [initial], tau_end, spec, mu, THERMO_REGIME,
+                           weights)[0]
 
 
 # ---------------------------------------------------------------------------

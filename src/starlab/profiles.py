@@ -29,6 +29,7 @@ Taylor step, which costs O(theta_cut^2).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +78,8 @@ class GridSpec:
 
     def violations(self) -> list[str]:
         """Named constraints this spec breaks (none once built)."""
-        rows = [(self.n_cells >= 8, "grid.n_cells >= 8"),
+        rows = [(isinstance(self.n_cells, numbers.Integral), "grid.n_cells is an integer"),
+                (self.n_cells >= 8, "grid.n_cells >= 8"),
                 (self.rtol > 0 and self.atol > 0, "grid tolerances > 0"),
                 (self.y_max > 0, "grid.y_max > 0")]
         return [text for ok, text in rows if not ok]

@@ -283,6 +283,9 @@ class TestMain:
          "evolve-linear needs a Linear expansion of (delta, a0, a1), got Collapse"),
         # a retired scheme key fails by name instead of running order 1
         ('{"solver": {"fully_implicit": false}}', "solver.fully_implicit is not a key"),
+        # library-only fields: a manifest no longer writes them, so an edit fails by name
+        ('{"solver": {"dt_floor": 1e-3}}', "solver.dt_floor is not a key"),
+        ('{"solver": {"dt_init": 1e-3}}', "solver.dt_init is not a key"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, content, message):
         path = tmp_path / "c.json"

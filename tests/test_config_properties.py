@@ -10,7 +10,8 @@
   misspelt key in any section exits 1 and names the field;
 - the three evolution entry points, given a non-finite or misplaced initial
   field, a viscosity outside (0, inf) or an end clock outside [0, inf),
-  raise a StarlabError that names it.
+  raise a StarlabError that names it; so do the specs given a fraction for an
+  integer, and a self-similar batch given an end clock beyond the config's bound.
 
 conftest.py's settings profile derandomizes every property.
 """
@@ -30,8 +31,8 @@ from starlab import classify_expansion
 from starlab.cli import main
 from starlab.config import FAMILIES, ScenarioConfig, validate_config
 from starlab.errors import ConfigInvalid, InvalidParams, StarlabError
-from starlab.lagrangian import (SolverSpec, evolve_linear_isentropic, evolve_linear_thermo,
-                                evolve_self_similar)
+from starlab.lagrangian import (SolverSpec, evolve_ensemble, evolve_linear_isentropic,
+                                evolve_linear_thermo, evolve_self_similar)
 from starlab.profiles import GridSpec
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -315,3 +316,19 @@ def test_library_names_bad_arguments(iso0, iso_ss, pars_ss, thermo14, regime, ca
         with pytest.raises(ConfigInvalid) as from_config:
             validate_config({"scenario": "evolve-linear", "model": {"mu": call[1]}})
         assert TEXTS["mu"] in from_config.value.errors
+
+
+def test_library_names_fractions_and_the_self_similar_end_bound(iso_ss, pars_ss):
+    # these built and then ended in a bare TypeError, or in a bare OverflowError
+    with pytest.raises(ConfigInvalid, match="time.n_emit is an integer"):
+        SolverSpec(n_emit=2.5)
+    with pytest.raises(ConfigInvalid, match="grid.n_cells is an integer"):
+        GridSpec(n_cells=8.5)
+    with pytest.raises(ConfigInvalid) as from_config:
+        validate_config({"scenario": "evolve-ss", "model": {"delta": pars_ss.delta, "a1": None},
+                         "time": {"end": 1e6}})
+    z = np.zeros(N + 1)
+    for initials in ([(z, z)], [(z, z), (z, z + 1e-3)]):
+        with pytest.raises(ConfigInvalid) as exc:
+            evolve_ensemble(iso_ss, pars_ss, initials, 1e6, SolverSpec(n_cells=N))
+        assert exc.value.errors == from_config.value.errors

@@ -147,6 +147,18 @@ class TestRelativeEntropy:
         assert lhs >= rhs - 1e-10
         assert lhs - rhs == pytest.approx(4.0 * h_x[-1] ** 2, abs=1e-8)
 
+    def test_frak_A_family_is_its_fields(self):
+        # a family along the last axis gives arrays with each field's bits
+        x = np.linspace(0.0, 1.0, 2001)
+        P = np.polynomial.polynomial
+        coef = np.random.default_rng(3).uniform(-1.0, 1.0, (7, 6))
+        lhs, rhs = F.frak_A_inequality(x, P.polyval(x, P.polyder(coef.T)),
+                                       P.polyval(x, P.polyder(coef.T, 2)))
+        one = [F.frak_A_inequality(x, P.polyval(x, P.polyder(c)), P.polyval(x, P.polyder(c, 2)))
+               for c in coef]
+        assert all(isinstance(v, float) for v in one[0])
+        assert lhs.tolist() == [v[0] for v in one] and rhs.tolist() == [v[1] for v in one]
+
 
 class TestAmplitude:
     def test_zero(self):

@@ -13,7 +13,8 @@ from scipy.linalg import LinAlgError, solve_banded
 
 from starlab.functionals import (_gram_factors, gradient, gradient_stencil,
                                  perturbation_energy_ss)
-from starlab.lagrangian import SolverSpec, _Kernel, _solve_tridiag, evolve_self_similar
+from starlab.kernel import _Kernel, _solve_tridiag
+from starlab.lagrangian import SolverSpec, evolve_self_similar
 from starlab.profiles import sample_background
 
 
