@@ -31,12 +31,10 @@ in the new velocity at frozen geometry), explicit in pressure and gravity, with
 the step controlled by the driver.  An optional midpoint variant (order = 2,
 implicit weight 1/2 in the same velocity solve) serves the isentropic regimes.
 
-One kernel per run, `_Kernel(bg, clock, mu)` with the run's alpha clock, builds
-the static row weights once and holds the operators, the velocity solve, the
-acceleration and the temperature step.  It builds each state's `_Geometry` once
-for every use of it; the order-2 midpoint state has its own.  Every method works
-along the last axis of a (B, N+1) batch of states or of one 1-d state, and the
-tridiagonal solves of a batch are one LAPACK dgtsv call.
+One kernel per run, `_Kernel(bg, clock, mu)`, works along the last axis of a
+(B, N+1) batch of states or of one 1-d state.  It builds each state's
+`_Geometry`, Gram factors included, once for every use of it, and solves a
+batch's tridiagonal systems in one LAPACK dgtsv call.
 """
 
 from __future__ import annotations
@@ -115,8 +113,8 @@ class _Kernel:
     """The IMEX step of one batch: its static weights, operators, momentum and temperature steps.
 
     Static arrays come from the Background `bg`; the kernel keeps only those it
-    derives.  Every method works along the last axis of a (B, N+1) batch, with
-    per-row scalars as (B, 1) columns; `geom` is the `_Geometry` of edge_geometry.
+    derives.  Every method works along the last axis, with per-row scalars as (B, 1)
+    columns (floats for a 1-d state); `geom` is the `_Geometry` of edge_geometry.
     """
 
     def __init__(self, bg: Background, clock, mu: float):
@@ -141,14 +139,13 @@ class _Kernel:
             self.grav_w = self.wq * self.delta * x**4 * self.rho
         self.div_b = _flux_div(bg.ptheta_m if self.thermo else bg.rho43_m)
 
-    def edge_geometry(self, f, gram=True):
-        """The `_Geometry` of state f, built once per state; its Gram factors only with gram."""
+    def edge_geometry(self, f):
+        """The `_Geometry` of state f, built once per state."""
         Hm = 1.0 + 0.5 * (f[..., :-1] + f[..., 1:])
         df = (f[..., 1:] - f[..., :-1]) / self.dx
         Jm = Hm + self.bg.xm * df
         H, Hm2 = 1.0 + f, Hm * Hm
-        gram = (functionals._gram_factors((Hm, df, Jm), self.bg.xm, self.dx, self.gw) if gram
-                else (None,) * 3)
+        gram = functionals._gram_factors((Hm, df, Jm), self.bg.xm, self.dx, self.gw)
         return _Geometry(Hm, df, Jm, *gram, H, H**2, Hm2, Hm2 * Jm)
 
     def viscous_matrix(self, geom):
@@ -269,9 +266,10 @@ class _Kernel:
         bgflux = (Hm**2 / Jm - 1.0) * xm**2 * self.bg.thetap_m
         return adv, heat, cdiff, bgflux
 
-    def zeta_rate(self, f, geom, v, z, clocks):
-        """Pointwise zeta_tau from the semi-discrete temperature equation."""
-        alpha, alpha2 = _columns([(a, a**2) for a in map(self.clock.alpha, clocks)])
+    def zeta_rate(self, f, geom, v, z, clock):
+        """Pointwise zeta_tau at the clock from the semi-discrete temperature equation."""
+        alpha = self.clock.alpha(clock)
+        alpha2 = alpha**2
         adv, heat, cdiff, bgflux = self.zeta_terms(f, geom, v, z, alpha)
         Fz = cdiff * np.diff(z) / self.dx + bgflux
         div = _flux_div(Fz)

@@ -3,45 +3,42 @@
 Three regimes (self-similar, linear isentropic, linear thermodynamic) share one
 spatial discretization and one IMEX step kernel; see `kernel`.
 
-One driver, `evolve_ensemble`, steps a (B, N+1) batch of runs of one regime;
-the three `evolve_*` entry points are its one-member case.  Each member owns its
-dt choice (CFL, the 1.25 growth factor, dt_max, emission times, the end time),
-retry by halving with the cfl-floor and step-failure events, the geometry
-check, growth detection (a growth event stops the run and carries the located
-crossing), snapshot emission, the online ledger and its RunResult, and leaves
-the batch when it stops.  Its scalars come from `math` as in a run of its own,
-the kernel works along the last axis with row reductions and solves the batch
-as one block-diagonal system, so each run has its own bits.  Only three parts
-depend on the regime: (a) the thermodynamic state zeta and its implicit
-temperature step; (b) the thermodynamic stop when the absolute temperature
-turns <= 0; (c) the self-similar probe of energy E, dissipation D and viscous
-work W, from the geometry and Gram factors of each accepted state.
+One driver, `evolve_ensemble`, steps a batch of runs of one regime as a (B, N+1)
+state, and one member as a 1-d state (numpy's same-shape loops: a (1, N+1) batch
+steps about 1.2x slower at N = 192); the three `evolve_*` entry points are its
+one-member case.  Each member owns its dt choice (CFL, the 1.25 growth factor,
+dt_max, emission times, the end time), retry by halving with the cfl-floor and
+step-failure events, the geometry check, growth detection (a growth event stops
+the run and carries the located crossing), snapshot emission, the online ledger
+and its RunResult, and leaves the batch when it stops.  Its scalars come from
+`math` as in a run of its own and the kernel works row by row, so each run has
+its own bits.  Only three parts depend on the regime: (a) the thermodynamic
+state zeta and its implicit temperature step; (b) the thermodynamic stop when
+the absolute temperature turns <= 0; (c) the self-similar probe of energy E,
+dissipation D and viscous work W, from each accepted state's geometry.
 
 Every regime emits `PerturbationField`, tagged with its regime; thermodynamic
 fields also carry zeta and zeta_t.  One `_AlphaClock` per run gives alpha(clock)
 to the driver, the ledger and, through `RunResult.alpha_clock`, to
 `reconstruct_eulerian`; its `coefficients(clock)` is the one regime switch for
 the momentum equation's (inertia, damping, viscosity).  A linearly expanding
-run made with `weights` owns its energy ledger: the driver checks them against
-R0, integrates `functionals.ledger_integrands` over every step and keeps the
-weights and the integrals at each emission for `functionals.total_energy_ledger`.
+run made with `weights` checks them against R0, integrates
+`functionals.ledger_integrands` over every step and keeps the integrals at each
+emission for `functionals.total_energy_ledger`.  Each run samples its static
+star once on the solver grid (`profiles.sample_background`); the kernel, the
+fields, the RunResult and `reconstruct_eulerian` read it from there only.
 
-One background per grid: each run samples its profile once
-(`profiles.sample_background`) on the solver grid, with its gradient stencil.
-The step kernel, every emitted field, the RunResult and `reconstruct_eulerian`
-read the static star from that Background only.
-
-The first snapshot carries the initial second clock derivatives that the
-equations of motion imply: theta_tt, and zeta_t in the thermodynamic regime.
-They invert the rho-weighted mass only where it is positive (the end nodes
-are one-sided quadratic limits), so pointwise values lose accuracy inside the
-vacuum boundary layer; every ledger use is rho-weighted.
+The first snapshot carries the initial theta_tt (and zeta_t) that the equations
+of motion imply, inverting the rho-weighted mass where it is positive (the end
+nodes are one-sided quadratic limits): pointwise values lose accuracy in the
+vacuum boundary layer, and every ledger use is rho-weighted.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from array import array
 from dataclasses import dataclass, field as dc_field
@@ -55,7 +52,7 @@ from .functionals import WeightSpec, gradient
 from .errors import (ConfigInvalid, DomainViolation, InvalidParams, StepFailure,
                      WrongClassification)
 from .expansion import _SS_END, _SS_EXP_MAX, LINEAR, SELF_SIMILAR, ExpansionParams
-from .kernel import _columns, _Geometry, _Kernel
+from .kernel import _columns, _Kernel
 from .profiles import Background, sample_background
 
 SELF_SIMILAR_REGIME = "self-similar"
@@ -150,7 +147,7 @@ class RunResult:
 
 def _per_row(values):
     """A reduction over the last axis as a list, one value per row (one for a 1-d state)."""
-    return out if isinstance(out := values.tolist(), list) else [out]
+    return values.tolist() if values.ndim else [values]
 
 
 def _located_crossing(t0, t1, omega0, omega1, threshold):
@@ -251,7 +248,8 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
     notice = "delta <= -a0 a1^2/8: outside the proven stability range"
     if outside := (regime == LINEAR_REGIME and params.classification == LINEAR
                    and params.delta <= -params.a0 * params.a1**2 / 8.0):
-        warnings.warn(notice, stacklevel=2)
+        # attributed to the caller of the public function, through an evolve_* entry point too
+        warnings.warn(notice, stacklevel=2 + (sys._getframe(1).f_globals is globals()))
     if weights is not None:
         weights.validate(profile.R0)
     init = [[np.array(a, dtype=float) for a in initial] for initial in initials]
@@ -271,7 +269,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
         raise ConfigInvalid(bad)
     alpha_clock = _AlphaClock(params, regime, clock_end)
     kernel = _Kernel(bg, alpha_clock, mu)
-    # the (B, N+1) state; a single member steps as a 1-d state, in numpy's unbroadcast loops
+    # the (B, N+1) state, or one member's 1-d state (see the module docstring)
     f, v, z = (None if k >= 2 + thermo else init[0][k] if len(init) == 1
                else np.array([m[k] for m in init]) for k in range(3))
     geom = kernel.edge_geometry(f)            # the edge geometry of the current states
@@ -284,8 +282,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
     results = [None] * len(init)
 
     def field_of(m, i, acc, z_rate):
-        """Member m (row i) as a field: a batch row copied, a 1-d state uncopied (no step
-        writes an array in place), so a snapshot holds no other member's rows."""
+        """Member m (row i) as a field; a batch row is copied, so it holds no other member."""
         rows = (f, v, acc, z, z_rate)
         if f.ndim > 1:
             rows = [None if a is None else a[i].copy() for a in rows]
@@ -323,8 +320,8 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
 
     aE, D = energy() if track_energy else ([math.nan] * len(init),) * 2
     alpha = alpha_clock.alpha(0.0)
-    acc = kernel.acceleration(geom, v, _columns([alpha_clock.coefficients(0.0)] * len(init)), z)
-    z_rate = kernel.zeta_rate(f, geom, v, z, [0.0] * len(init)) if thermo else None
+    acc = kernel.acceleration(geom, v, alpha_clock.coefficients(0.0), z)
+    z_rate = kernel.zeta_rate(f, geom, v, z, 0.0) if thermo else None
     members = []
     for i, omega in enumerate(_per_row(functionals._amplitude(bg.x, bg.grad, f, v, z))):
         # the series are compact float arrays; ab32 is alpha^(3/2) of the last accepted state
@@ -341,6 +338,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
         members.append(m)
 
     t_last = clock_end * (1.0 - 1e-14)     # a member that stops or gets here leaves the batch
+    half = 0.5 if spec.order == 2 else 1.0   # the midpoint rule's share of the step
     leaving = t_last <= 0.0
     for _ in range(2_000_000):
         if leaving:
@@ -350,23 +348,21 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
             if not (live := [i for i in range(len(members)) if i not in ended]):
                 break
             members = [members[i] for i in live]
-            f, v, z, *rows = (None if a is None else a[live] for a in (f, v, z, *geom))
-            geom, leaving = _Geometry(*rows), False
+            f, v, z = (None if a is None else a[live] for a in (f, v, z))
+            geom, leaving = kernel.edge_geometry(f), False
         for m, c2 in zip(members, _per_row(kernel.wave_speed2(geom, zeta=z))):
             c2 /= alpha_clock.coefficients(m.clock)[0]        # over the inertia
             dt_cfl = spec.cfl * kernel.dx / math.sqrt(max(c2, 1e-30))
             m.dt = min(m.dt * 1.25, dt_cfl, spec.dt_max or math.inf, clock_end - m.clock)
             if m.emit_idx < len(emit):
                 m.dt = min(m.dt, emit[m.emit_idx] - m.clock + 1e-15)
-        half = 0.5 if spec.order == 2 else 1.0   # the midpoint rule's share of the step
-        gram = half == 1.0 or track_energy        # read by the next solve or by E and D
         for _retry in range(40):                 # each failing member halves its own dt
             dt, *coef = _columns([(m.dt, *alpha_clock.coefficients(m.clock + half * m.dt))
                                   for m in members])
             at = kernel.edge_geometry(f + 0.5 * dt * v) if half < 1.0 else geom  # solved at
             v_new = kernel.solve_velocity(at, v, dt, coef, zeta=z, weight=half)
             f_new = f + 0.5 * dt * (v + v_new) if half < 1.0 else f + dt * v_new
-            geom_new = kernel.edge_geometry(f_new, gram)
+            geom_new = kernel.edge_geometry(f_new)
             change = np.abs(f_new - f).max(axis=-1) / np.abs(geom.H).max(axis=-1, initial=1.0)
             ok = (change <= spec.max_rel_change) & np.isfinite(f_new).all(axis=-1)
             z_new = kernel.temperature_step(f_new, geom_new, v_new, z, dt, [
@@ -380,9 +376,9 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
                     m.stop = RunEvent("cfl-floor", m.clock, f"dt = {m.dt * 0.5:.3e}")
                 else:
                     m.dt *= 0.5
-        lows = zip(_per_row(kernel.check_geometry(geom_new)), _per_row(
-            (z_new[..., 1:-1] + kernel.theta_b[1:-1]).min(axis=-1)) if thermo else ok)
-        for m, good, (low, temp_low) in zip(members, ok, lows):
+        lows = _per_row(kernel.check_geometry(geom_new))
+        temps = _per_row((z_new[..., 1:-1] + kernel.theta_b[1:-1]).min(axis=-1)) if thermo else lows
+        for m, good, low, temp_low in zip(members, ok, lows, temps):
             if m.stop:
                 pass
             elif not good:
@@ -396,13 +392,14 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
             stopped = [i for i, m in enumerate(members) if m.stop]
             for new, old in ((f_new, f), (v_new, v), (z_new, z))[:2 + thermo]:
                 new.reshape(-1, new.shape[-1])[stopped] = old.reshape(-1, old.shape[-1])[stopped]
-            geom_new = kernel.edge_geometry(f_new, gram)
+            geom_new = kernel.edge_geometry(f_new)
 
         v_prev, z_prev = v, z
         f, v, z, geom = f_new, v_new, z_new, geom_new
         if track_energy:
             aE, D = energy()
         omega = _per_row(functionals._amplitude(bg.x, bg.grad, f, v, z))
+        rate = None                               # built once, for the fields emitted
         for i, m in enumerate(members):
             if m.stop:
                 continue
@@ -416,8 +413,8 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
                 m.E.append(aE[i] / alpha)
                 m.D.append(D[i])
             if weights is not None:
-                vals = functionals.ledger_integrands(field_of(m, i, *rates()), weights,
-                                                     alpha_clock)
+                field = field_of(m, i, *(rate := rate or rates()))
+                vals = functionals.ledger_integrands(field, weights, alpha_clock)
                 for k, val in vals.items():
                     m.online[k] += 0.5 * m.dt * (val + m.prev[k])
                 m.prev = vals
@@ -426,10 +423,10 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
                 crossing = _located_crossing(m.times[-2], m.clock, omega_prev, m.omega,
                                              spec.growth_threshold)
                 m.stop = RunEvent("growth", m.clock, f"amplitude = {m.omega:.3e}", crossing)
-                record(m, field_of(m, i, *rates()))
+                record(m, field_of(m, i, *(rate := rate or rates())))
                 leaving = True
             elif m.emit_idx < len(emit) and m.clock >= emit[m.emit_idx] - 1e-12:
-                record(m, field_of(m, i, *rates()))
+                record(m, field_of(m, i, *(rate := rate or rates())))
                 while m.emit_idx < len(emit) and m.clock >= emit[m.emit_idx] - 1e-12:
                     m.emit_idx += 1
     else:

@@ -360,9 +360,10 @@ class TestMain:
         # delta <= -a0 a1^2/8: a non-stop event in the run and in manifest.json
         pars = classify_expansion(-1.5e-3, 1.0, 0.1)
         z = np.zeros(49)
-        with pytest.warns(UserWarning, match="stability range"):
+        with pytest.warns(UserWarning, match="stability range") as caught:
             run = evolve_linear_isentropic(iso_unstable, pars, (z, z), 0.05,
                                            SolverSpec(n_cells=48, n_emit=2))
+        assert caught[0].filename == __file__          # the caller's line, not the driver's
         assert run.completed
         assert [(e.kind, e.clock) for e in run.events] == [("outside-stability-range", 0.0)]
         cfg = tmp_path / "c.json"
