@@ -455,6 +455,7 @@ def c11_lemma_layer() -> dict:
         worst = min(worst, float(margin.min()))
         bdry = 4.0 * 1.0 * h_x[:, -1] ** 2
         worst_ident = max(worst_ident, float((np.abs(margin - bdry) / np.maximum(lhs, 1.0)).max()))
+    del h_x, h_xx        # a block's fields, freed before the Hardy families set c11's peak
     details = {"frakA_min_margin": worst, "frakA_identity_residual": worst_ident}
     assert worst > -1e-10, "frak-A inequality violated"
     assert worst_ident < 1e-8, "frak-A boundary-term identity violated"
