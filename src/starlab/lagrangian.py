@@ -5,7 +5,7 @@ spatial discretization and one IMEX step kernel; see `kernel`.
 
 One driver, `evolve_ensemble`, steps a batch of runs of one regime as a (B, N+1)
 state, and one member as a 1-d state (numpy's same-shape loops: a (1, N+1) batch
-steps about 1.2x slower at N = 192); the three `evolve_*` entry points are its
+steps about 1.1x slower at N = 192); the three `evolve_*` entry points are its
 one-member case.  Each member owns its dt choice (CFL, the 1.25 growth factor,
 dt_max, emission times, the end time), retry by halving with the cfl-floor and
 step-failure events, the geometry check, growth detection (a growth event stops
