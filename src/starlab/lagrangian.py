@@ -5,17 +5,18 @@ spatial discretization and one IMEX step kernel; see `kernel`.
 
 One driver, `evolve_ensemble`, steps a batch of runs of one regime as a (B, N+1)
 state, and one member as a 1-d state (numpy's same-shape loops: a (1, N+1) batch
-steps about 1.1x slower at N = 192); the three `evolve_*` entry points are its
-one-member case.  Each member owns its dt choice (CFL, the 1.25 growth factor,
-dt_max, emission times, the end time), retry by halving with the cfl-floor and
-step-failure events, the geometry check, growth detection (a growth event stops
-the run and carries the located crossing), snapshot emission, the online ledger
-and its RunResult, and leaves the batch when it stops.  Its scalars come from
-`math` as in a run of its own and the kernel works row by row, so each run has
-its own bits.  Only three parts depend on the regime: (a) the thermodynamic
-state zeta and its implicit temperature step; (b) the thermodynamic stop when
-the absolute temperature turns <= 0; (c) the self-similar probe of energy E,
-dissipation D and viscous work W, from each accepted state's geometry.
+steps slower, BENCH_13.json's one_member_layout); the three `evolve_*` entry
+points are its one-member case.  Each member owns its dt choice (CFL, the 1.25
+growth factor, dt_max, emission times, the end time), retry by halving with the
+cfl-floor and step-failure events, the geometry check, growth detection (a
+growth event stops the run and carries the located crossing), snapshot emission,
+the online ledger and its RunResult, and leaves the batch when it stops.  Its
+scalars come from `math` as in a run of its own and the kernel works row by row,
+so each run has its own bits.  Only three parts depend on the regime: (a) the
+thermodynamic state zeta and its implicit temperature step; (b) the
+thermodynamic stop when the absolute temperature turns <= 0; (c) the
+self-similar probe of energy E, dissipation D and viscous work W, from each
+accepted state's geometry.
 
 Every regime emits `PerturbationField`, tagged with its regime; thermodynamic
 fields also carry zeta and zeta_t.  One `_AlphaClock` per run gives alpha(clock)
