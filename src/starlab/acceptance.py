@@ -95,8 +95,7 @@ def lane_emden_first_zero(index: float = 3.0) -> float:
 
 def c01_profile_isentropic() -> dict:
     t0 = time.perf_counter()
-    prof = solve_isentropic_profile(0.0)
-    elapsed_solve = time.perf_counter() - t0
+    prof = _isentropic_profile(0.0)
     xi1 = lane_emden_first_zero(3.0)
     details = {"R0": prof.R0, "oracle_2xi1": 2.0 * xi1,
                "R0_error": abs(prof.R0 - 2.0 * xi1)}
@@ -119,7 +118,7 @@ def c01_profile_isentropic() -> dict:
 
 def c02_profile_thermo() -> dict:
     t0 = time.perf_counter()
-    prof = solve_thermo_profile(1.0, 0.25)
+    prof = _thermo_profile(1.0, 0.25)
     A, m = prof.reduction_constant, prof.exponent
     inner = prof.y_nodes <= 0.95 * prof.R0
     resid = np.abs(prof.rho_bar[inner] - A * prof.theta_bar[inner] ** m)

@@ -273,17 +273,19 @@ def hardy_check(k: float, g, s):
         raise KEqualsOne("Hardy inequality excludes k = 1")
     s = np.asarray(s, dtype=float)
     g_arr = np.asarray(g, dtype=float)
-    gp = gradient(g_arr, gradient_stencil(s))
     with np.errstate(divide="ignore", invalid="ignore"):
+        f = g_arr**2 if k > 1.0 else np.square(g_arr - g_arr[..., :1])
+        f *= s ** (k - 2.0)
+        f[..., ~(s > 0)] = 0.0
+        lhs = simpson(f, x=s)
+        del f       # one family-sized integrand at a time
+        f = np.square(gradient(g_arr, gradient_stencil(s)))
         if k > 1.0:
-            lhs_int = np.where(s > 0, s ** (k - 2.0) * g_arr**2, 0.0)
-            rhs_int = s**k * (g_arr**2 + gp**2)
-        else:
-            diff = g_arr - g_arr[..., :1]
-            lhs_int = np.where(s > 0, s ** (k - 2.0) * diff**2, 0.0)
-            rhs_int = np.where(s > 0, s**k * gp**2, 0.0)
-    lhs = simpson(lhs_int, x=s)
-    rhs = simpson(rhs_int, x=s)
+            f += g_arr**2
+        f *= s**k
+        if k < 1.0:
+            f[..., ~(s > 0)] = 0.0
+    rhs = simpson(f, x=s)
     ratio = np.where(lhs == 0.0, 0.0, lhs / np.maximum(rhs, 1e-300))
     if g_arr.ndim == 1:
         return float(lhs), float(rhs), float(ratio)

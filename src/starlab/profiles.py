@@ -89,6 +89,37 @@ class GridSpec:
         return max(_TOL_FLOOR, self.rtol * _TOL_SAFETY)
 
 
+class _DenseOutput:
+    """A DOP853 dense output packed into arrays; {state: values} with OdeSolution's bits.
+
+    Segment = interior breakpoints ts[1:-1] below t (scipy's clamped searchsorted);
+    Horner over F reversed in x = (t - t_old) / h, times x and 1 - x in turn; y_old last.
+    """
+
+    def __init__(self, sol):
+        steps = sol.interpolants
+        self.ts = sol.ts[1:-1]
+        self.t_old, self.h = np.array([(p.t_old, p.h) for p in steps]).T
+        self.y_old = np.array([p.y_old for p in steps]).T
+        # (state, Horner step, segment); + 0.0 gives the +0.0 of scipy's 0 + F[-1]
+        self.F = np.array([p.F[::-1] for p in steps]).transpose(2, 1, 0) + 0.0
+
+    def __call__(self, t, rows) -> dict:
+        t = np.asarray(t, dtype=float)
+        seg = np.searchsorted(self.ts, t, side="left")
+        x = (t - self.t_old[seg]) / self.h[seg]
+        F, y_old = self.F[:, :, seg][rows], self.y_old[:, seg][rows]
+        if t.ndim == 0:   # Python floats round as float64 does, in less time
+            x, F, y_old = float(x), F.tolist(), y_old.tolist()
+        out = {}
+        for r, f, y in zip(rows, F, y_old):
+            v = f[0] * x
+            for i in range(1, len(f)):
+                v = (v + f[i]) * (x if i % 2 == 0 else 1 - x)
+            out[r] = v + y
+        return out
+
+
 @dataclass
 class MassMoments:
     """The fourth moment of the density."""
@@ -105,7 +136,7 @@ class IsentropicProfile:
     rho_bar: np.ndarray
     mass_moments: MassMoments
     boundary_slope: float         # d/dy rho^{1/3} at R0 (finite, negative)
-    _sol: object = field(repr=False, default=None)
+    _dense: _DenseOutput = field(repr=False, default=None)
     _y_series: float = field(repr=False, default=0.0)
 
     # Evaluation helpers, valid for 0 <= y <= R0.  sample_background uses
@@ -113,8 +144,7 @@ class IsentropicProfile:
 
     def _blend(self, y, series_fn, idx):
         y = np.asarray(y, dtype=float)
-        safe = np.clip(y, self._y_series, self.R0)
-        dense = self._sol.sol(safe)[idx]
+        dense = self._dense(np.clip(y, self._y_series, self.R0), [idx])[idx]
         return np.where(y < self._y_series, series_fn(y), dense)
 
     def w_at(self, y):
@@ -146,9 +176,10 @@ class ThermoProfile:
     theta_boundary_slope: float   # d/dy theta at R0
     rho_pow_boundary_slope: float  # d/dy rho^{1/m} at R0
     zero_gap: float = 0.0         # |implied rho zero - theta zero|
-    _sol: object = field(repr=False, default=None)
+    _dense: _DenseOutput = field(repr=False, default=None)
     _y_series: float = field(repr=False, default=0.0)
     _y_cut: float = field(repr=False, default=0.0)
+    _cut: tuple = field(repr=False, default=(0.0, 0.0, 0.0))   # rho, theta, M at _y_cut
 
     @property
     def exponent(self) -> float:
@@ -173,15 +204,16 @@ class ThermoProfile:
         # Linear vacuum behavior past the temperature cut.
         return np.clip(self.theta_boundary_slope * (y - self.R0), 0.0, None)
 
+    def _mid(self, y, rows):   # dense states at y, which quantities at y share
+        return self._dense(np.clip(y, self._y_series, self._y_cut), rows)
+
     def _eval(self, y, which, mid=None):
         y = np.asarray(y, dtype=float)
-        if mid is None:   # dense output at y, shareable between quantities
-            mid = self._sol.sol(np.clip(y, self._y_series, self._y_cut))
+        if mid is None:
+            mid = self._mid(y, [0, 1, 2, 3])
+        rho_c, theta_c, M_c = self._cut
         if which == "rho":
-            m = self.exponent
-            theta_c = float(self._sol.sol(self._y_cut)[1])
-            rho_c = float(self._sol.sol(self._y_cut)[0])
-            tail = rho_c * (self._tail_theta(y) / theta_c) ** m
+            tail = rho_c * (self._tail_theta(y) / theta_c) ** self.exponent
             vals = np.where(y > self._y_cut, tail, np.clip(mid[0], 0.0, None))
         elif which == "theta":
             vals = np.where(y > self._y_cut, self._tail_theta(y), np.clip(mid[1], 0.0, None))
@@ -190,9 +222,7 @@ class ThermoProfile:
                 inner = mid[2] / np.maximum(y, 1e-300) ** 2
             vals = np.where(y > self._y_cut, self.theta_boundary_slope, inner)
         elif which == "mass":
-            vals = np.where(y > self._y_cut, self._sol.sol(self._y_cut)[3], mid[3])
-        else:
-            raise KeyError(which)
+            vals = np.where(y > self._y_cut, M_c, mid[3])
         return np.where(y < self._y_series, self._series(y, which), vals)
 
     def rho_at(self, y):
@@ -244,15 +274,19 @@ def sample_background(profile, x) -> Background:
     """Sample a solved profile once on the node grid x and its cell midpoints."""
     x = np.array(x, dtype=float)
     xm = 0.5 * (x[:-1] + x[1:])
-    arrays = {"x": x, "xm": xm, "rho": profile.rho_at(x), "rho_m": profile.rho_at(xm),
-              "chi": chi_cutoff(x, profile.R0)}
+    arrays = {"x": x, "xm": xm, "chi": chi_cutoff(x, profile.R0)}
     thermo = isinstance(profile, ThermoProfile)
     if thermo:
-        arrays.update(theta=profile.theta_at(x), theta_m=profile.theta_at(xm),
-                      thetap_m=profile.thetaprime_at(xm))
+        for key, y, rows in (("", x, [0, 1]), ("_m", xm, [0, 1, 2])):
+            mid = profile._mid(y, rows)
+            arrays["rho" + key] = profile._eval(y, "rho", mid)
+            arrays["theta" + key] = profile._eval(y, "theta", mid)
+        arrays["thetap_m"] = profile._eval(xm, "thetaprime", mid)   # the loop's last mid, xm's
         arrays["ptheta_m"] = profile.K * arrays["rho_m"] * arrays["theta_m"]
     else:
-        arrays.update(rho43=profile.rho43_at(x), rho43_m=profile.rho43_at(xm))
+        for key, y in (("", x), ("_m", xm)):
+            w = np.clip(profile.w_at(y), 0.0, None)
+            arrays["rho" + key], arrays["rho43" + key] = w**3, w**4
     for arr in arrays.values():
         arr.setflags(write=False)
     return Background(R0=profile.R0, K=profile.K if thermo else None,
@@ -304,26 +338,23 @@ def solve_isentropic_profile(delta: float, grid_spec: GridSpec | None = None) ->
             f"boundary slope {slope:.3e} is not strictly negative; vacuum is not physical")
 
     y_nodes = np.linspace(0.0, R0, gs.n_cells + 1)
-    inner = y_nodes >= y0
-    w = np.empty_like(y_nodes)
-    w[~inner] = 1.0 + c2 * y_nodes[~inner] ** 2
-    w[inner] = sol.sol(y_nodes[inner])[0]
-    w[0] = 1.0
-    w[-1] = max(w[-1], 0.0)
-    if np.any(w[1:-1] <= 0.0):
-        raise ToleranceNotMet("interior density lost positivity before the located zero")
-
-    return IsentropicProfile(
+    profile = IsentropicProfile(
         delta=float(delta),
         R0=R0,
         y_nodes=y_nodes,
-        w=w,
-        rho_bar=w**3,
+        w=None,
+        rho_bar=None,
         mass_moments=MassMoments(fourth_moment=float(q4_R0)),
         boundary_slope=float(slope),
-        _sol=sol,
+        _dense=_DenseOutput(sol.sol),
         _y_series=y0,
     )
+    w = profile.w_at(y_nodes)       # w(0) = 1 exactly, from the series
+    w[-1] = max(w[-1], 0.0)
+    if np.any(w[1:-1] <= 0.0):
+        raise ToleranceNotMet("interior density lost positivity before the located zero")
+    profile.w, profile.rho_bar = w, w**3
+    return profile
 
 
 def solve_thermo_profile(K: float, epsilon: float,
@@ -424,15 +455,14 @@ def solve_thermo_profile(K: float, epsilon: float,
         theta_boundary_slope=float(theta_slope),
         rho_pow_boundary_slope=float(rho_pow_slope),
         zero_gap=float(abs(R0_rho - R0)),
-        _sol=sol,
+        _dense=_DenseOutput(sol.sol),
         _y_series=y0,
         _y_cut=y_cut,
+        _cut=(float(rho_c), float(theta_c), float(M_c)),
     )
-    mid = sol.sol(np.clip(y_nodes, y0, y_cut))   # one dense evaluation for the nodes
-    profile.rho_bar = profile._eval(y_nodes, "rho", mid)
-    profile.theta_bar = profile._eval(y_nodes, "theta", mid)
-    profile.rho_bar[-1] = 0.0
-    profile.theta_bar[-1] = 0.0
+    mid = profile._mid(y_nodes, [0, 1])   # one dense evaluation for the nodes
+    profile.rho_bar, profile.theta_bar = (profile._eval(y_nodes, q, mid) for q in ("rho", "theta"))
+    profile.rho_bar[-1] = profile.theta_bar[-1] = 0.0
     if np.any(profile.rho_bar[1:-1] <= 0.0) or np.any(profile.theta_bar[1:-1] <= 0.0):
         raise ToleranceNotMet("interior positivity lost before the located zero")
     return profile

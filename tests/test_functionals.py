@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -288,6 +290,22 @@ class TestHardy:
         family = np.polynomial.polynomial.polyval(s, coef.T)
         lhs, rhs, ratio = F.hardy_check(k, family, s)
         assert [F.hardy_check(k, g, s) for g in family] == list(zip(lhs, rhs, ratio))
+
+    @pytest.mark.parametrize("k", [2.0, 3.0, 0.5, -1.0])
+    def test_family_peak_memory(self, k):
+        # one family-sized integrand at a time: about 3x the family, was 4-5x
+        s = np.linspace(0.0, 1.0, 4001)
+        coef = np.random.default_rng(41).uniform(-1.0, 1.0, (50, 6))
+        coef[:, 1] = 0.0
+        family = np.polynomial.polynomial.polyval(s, coef.T)
+        F.hardy_check(k, family[:2], s)      # imports outside the measurement
+        tracemalloc.start()
+        try:
+            F.hardy_check(k, family, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * family.nbytes
 
     def test_k_equals_one(self):
         with pytest.raises(KEqualsOne):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import OdeSolution, quad, solve_ivp
 
-from starlab import solve_isentropic_profile, solve_thermo_profile
+from starlab import profiles, solve_isentropic_profile, solve_thermo_profile
 from starlab.acceptance import lane_emden_first_zero
 from starlab.errors import NoFirstZero, NonPhysicalVacuum, OutOfRange
 from starlab.profiles import (GridSpec, boundary_slope_fd, isentropic_ode_residual,
-                              thermo_ode_residual)
+                              sample_background, thermo_ode_residual)
 
 
 class TestIsentropic:
@@ -139,3 +139,63 @@ class TestThermo:
                      - prof.reduction_constant * prof.theta_bar[inner] ** prof.exponent)
         assert np.max(rel / prof.rho_bar[inner]) < 1e-6
         assert prof.theta_boundary_slope < 0
+
+
+STARS = {"iso0": lambda gs: solve_isentropic_profile(0.0, gs),
+         "iso_ss": lambda gs: solve_isentropic_profile(-1e-3, gs),
+         "thermo14": lambda gs: solve_thermo_profile(1.0, 0.25, gs)}
+
+
+class TestPackedDenseOutput:
+    @pytest.mark.parametrize("n_cells", [512, 1024])
+    @pytest.mark.parametrize("star", list(STARS))
+    def test_packed_output_has_scipys_bits(self, monkeypatch, star, n_cells):
+        # the OdeSolution that solve_ivp returned is the oracle
+        solved = []
+        def spy(*args, **kwargs):
+            solved.append(solve_ivp(*args, **kwargs))
+            return solved[-1]
+        monkeypatch.setattr(profiles, "solve_ivp", spy)
+        prof = STARS[star](GridSpec(n_cells=n_cells))
+        sol, dense = solved[-1].sol, prof._dense
+        rows = list(range(sol.interpolants[0].y_old.size))
+        lo, hi = sol.ts[0], sol.ts[-1]
+        rng = np.random.default_rng(7)
+        points = np.concatenate([rng.uniform(lo, hi, 5000), sol.ts,
+                                 [lo - 1.0, lo - 1e-9, hi + 1e-9, hi + 1.0, 0.0]])
+        packed, expected = dense(points, rows), sol(points)
+        for r in rows:
+            assert np.array_equal(packed[r], expected[r])
+        for t in np.concatenate([points[::97], sol.ts[::50], points[-5:]]):
+            one = dense(t, rows)
+            assert np.array_equal([one[r] for r in rows], sol(t))
+
+    @pytest.mark.parametrize("n", [96, 192])
+    @pytest.mark.parametrize("star", ["iso_ss", "thermo14"])
+    def test_background_has_the_per_quantity_bits(self, request, star, n):
+        prof = request.getfixturevalue(star)
+        x = np.linspace(0.0, prof.R0, n + 1)
+        bg = sample_background(prof, x)
+        if star == "thermo14":
+            methods = {"rho": prof.rho_at, "theta": prof.theta_at}
+            assert np.array_equal(bg.thetap_m, prof.thetaprime_at(bg.xm))
+            assert np.array_equal(bg.ptheta_m, prof.K * prof.rho_at(bg.xm) * prof.theta_at(bg.xm))
+        else:
+            methods = {"rho": prof.rho_at, "rho43": prof.rho43_at}
+        for key, method in methods.items():
+            assert np.array_equal(getattr(bg, key), method(x))
+            assert np.array_equal(getattr(bg, key + "_m"), method(bg.xm))
+
+    @pytest.mark.parametrize("star", ["iso_ss", "thermo14"])
+    def test_solved_profile_never_calls_scipys_dense_output(self, monkeypatch, request, star):
+        prof = request.getfixturevalue(star)
+        def refuse(self, t):
+            raise AssertionError("OdeSolution called after the solve")
+        monkeypatch.setattr(OdeSolution, "__call__", refuse)
+        y = np.linspace(0.0, prof.R0, 97)
+        sample_background(prof, y)
+        for name in ("w_at", "wprime_at", "rho_at", "rho43_at", "theta_at", "thetaprime_at",
+                     "cumulative_mass_at"):
+            if hasattr(prof, name):
+                getattr(prof, name)(y)
+                getattr(prof, name)(0.5 * prof.R0)
