@@ -90,19 +90,19 @@ class GridSpec:
 
 
 class _DenseOutput:
-    """A DOP853 dense output packed into arrays; {state: values} with OdeSolution's bits.
+    """The first n states of a DOP853 dense output, packed; {state: values} with its bits.
 
     Segment = interior breakpoints ts[1:-1] below t (scipy's clamped searchsorted);
     Horner over F reversed in x = (t - t_old) / h, times x and 1 - x in turn; y_old last.
     """
 
-    def __init__(self, sol):
+    def __init__(self, sol, n):
         steps = sol.interpolants
         self.ts = sol.ts[1:-1]
         self.t_old, self.h = np.array([(p.t_old, p.h) for p in steps]).T
-        self.y_old = np.array([p.y_old for p in steps]).T
+        self.y_old = np.array([p.y_old for p in steps]).T[:n]
         # (state, Horner step, segment); + 0.0 gives the +0.0 of scipy's 0 + F[-1]
-        self.F = np.array([p.F[::-1] for p in steps]).transpose(2, 1, 0) + 0.0
+        self.F = np.array([p.F for p in steps])[:, ::-1, :n].transpose(2, 1, 0) + 0.0
 
     def __call__(self, t, rows) -> dict:
         t = np.asarray(t, dtype=float)
@@ -346,7 +346,7 @@ def solve_isentropic_profile(delta: float, grid_spec: GridSpec | None = None) ->
         rho_bar=None,
         mass_moments=MassMoments(fourth_moment=float(q4_R0)),
         boundary_slope=float(slope),
-        _dense=_DenseOutput(sol.sol),
+        _dense=_DenseOutput(sol.sol, 2),    # w and w'; the moments are read at R0 only
         _y_series=y0,
     )
     w = profile.w_at(y_nodes)       # w(0) = 1 exactly, from the series
@@ -455,7 +455,7 @@ def solve_thermo_profile(K: float, epsilon: float,
         theta_boundary_slope=float(theta_slope),
         rho_pow_boundary_slope=float(rho_pow_slope),
         zero_gap=float(abs(R0_rho - R0)),
-        _dense=_DenseOutput(sol.sol),
+        _dense=_DenseOutput(sol.sol, 4),    # rho, theta, g, M; q4 is closed at the cut
         _y_series=y0,
         _y_cut=y_cut,
         _cut=(float(rho_c), float(theta_c), float(M_c)),
