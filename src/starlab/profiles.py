@@ -90,19 +90,18 @@ class GridSpec:
 
 
 class _DenseOutput:
-    """The first n states of a DOP853 dense output, packed; {state: values} with its bits.
+    """First n states of a DOP853 dense output in arrays: {state: values}, OdeSolution's bits.
 
     Segment = interior breakpoints ts[1:-1] below t (scipy's clamped searchsorted);
     Horner over F reversed in x = (t - t_old) / h, times x and 1 - x in turn; y_old last.
     """
 
     def __init__(self, sol, n):
-        steps = sol.interpolants
         self.ts = sol.ts[1:-1]
-        self.t_old, self.h = np.array([(p.t_old, p.h) for p in steps]).T
-        self.y_old = np.array([p.y_old for p in steps]).T[:n]
+        self.t_old, self.h = np.array([(p.t_old, p.h) for p in sol.interpolants]).T
+        self.y_old = np.array([p.y_old for p in sol.interpolants]).T[:n]
         # (state, Horner step, segment); + 0.0 gives the +0.0 of scipy's 0 + F[-1]
-        self.F = np.array([p.F for p in steps])[:, ::-1, :n].transpose(2, 1, 0) + 0.0
+        self.F = np.array([p.F for p in sol.interpolants])[:, ::-1, :n].transpose(2, 1, 0) + 0.0
 
     def __call__(self, t, rows) -> dict:
         t = np.asarray(t, dtype=float)
