@@ -180,10 +180,9 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
             rep.E_phys, rep.D_phys = phys.E, phys.D
         files.extend(artifacts.write_energy_reports(out_dir, reports))
 
-    omegas = np.array([functionals.amplitude(s) for s in run.snapshots])
     clocks = np.array([s.clock for s in run.snapshots])
     files.append(svgplot.line_chart(os.path.join(out_dir, "amplitude.svg"),
-                                    [("omega", clocks, omegas)],
+                                    [("omega", clocks, run.omega)],
                                     title="perturbation amplitude",
                                     xlabel="clock", ylabel="omega"))
     if run.energy is not None:
@@ -195,8 +194,8 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
     summary = {
         "regime": run.regime,
         "completed": run.completed,
-        "omega_initial": float(omegas[0]),
-        "omega_max": float(omegas.max()),
+        "omega_initial": float(run.omega[0]),
+        "omega_max": float(run.omega.max()),
         "clock_end": float(clocks[-1]),
         "mass_identity_residual": eul.mass_identity_residual,
     }

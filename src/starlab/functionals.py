@@ -521,5 +521,5 @@ def total_energy_ledger(run) -> list[EnergyReport]:
             clock=f.clock, ledger=ledger,
             total_E=float(sum(terms.values())),
             total_D=float(sum(acc_diss.values())),
-            E0=E0, omega=amplitude(f)))
+            E0=E0, omega=float(run.omega[idx])))
     return reports

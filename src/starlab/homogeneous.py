@@ -83,15 +83,11 @@ def curve_phi_s(phi, delta):
     return -b * one + b * one**-0.5
 
 
-def energy_homogeneous(state_or_phi, phi_s=None, delta=None):
+def energy_homogeneous(phi, phi_s, delta):
     """(1/2)(phi_s + b(1+phi))^2 + delta/(1+phi); zero on the curve.
 
     Negative between the two zero-energy branches, positive outside.
     """
-    if isinstance(state_or_phi, PhaseState):
-        phi, phi_s, delta = state_or_phi.phi, state_or_phi.phi_s, state_or_phi.delta
-    else:
-        phi = state_or_phi
     one = 1.0 + np.asarray(phi, dtype=float)
     if np.any(one <= 0.0):
         raise DomainViolation("phi <= -1")

@@ -8,8 +8,9 @@ state, and one member as a 1-d state (numpy's same-shape loops: a (1, N+1) batch
 steps slower, BENCH_13.json's one_member_layout); the three `evolve_*` entry
 points are its one-member case.  Each member owns its dt choice (CFL, the 1.25
 growth factor, dt_max, emission times, the end time), retry by halving with the
-cfl-floor and step-failure events, the geometry check, growth detection (a
-growth event stops the run and carries the located crossing), snapshot emission,
+cfl-floor and step-failure events, the geometry check, growth detection on the
+amplitude omega of each accepted state (a growth event stops the run and carries
+the located crossing), snapshot emission with that omega (`RunResult.omega`),
 the online ledger and its RunResult, and leaves the batch when it stops.  Its
 scalars come from `math` as in a run of its own and the kernel works row by row,
 so each run has its own bits.  Only three parts depend on the regime: (a) the
@@ -130,6 +131,7 @@ class RunEvent:
 class RunResult:
     regime: str
     snapshots: list
+    omega: np.ndarray              # functionals.amplitude of each snapshot, from the driver
     events: list
     times: np.ndarray              # every accepted step
     energy: np.ndarray | None      # perturbation energy E(s) per step (ss only)
@@ -296,6 +298,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
     def record(m, field):
         """Emit a snapshot with the online ledger integrals accumulated so far."""
         m.snapshots.append(field)
+        m.omegas.append(m.omega)
         for k in m.series:
             m.series[k].append(m.online[k])
 
@@ -305,7 +308,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
         if m.snapshots[-1].clock < m.clock - 1e-12:
             record(m, field_of(m, i, None, None))
         results[m.index] = RunResult(
-            regime, m.snapshots, m.events, np.asarray(m.times),
+            regime, m.snapshots, np.asarray(m.omegas), m.events, np.asarray(m.times),
             *(map(np.asarray, (m.E, m.D, m.W)) if track_energy else (None,) * 3),
             {k: np.asarray(vs) for k, vs in m.series.items()} if weights is not None else None,
             weights, bg, alpha_clock, m.stop is None)
@@ -327,7 +330,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
     for i, omega in enumerate(_per_row(functionals._amplitude(bg.x, bg.grad, f, v, z))):
         # the series are compact float arrays; ab32 is alpha^(3/2) of the last accepted state
         m = SimpleNamespace(index=i, clock=0.0, dt=spec.dt_init or math.inf, emit_idx=1,
-                            omega=omega, stop=None, snapshots=[], series={},
+                            omega=omega, omegas=array("d"), stop=None, snapshots=[], series={},
                             events=[RunEvent("outside-stability-range", 0.0, notice)] * outside,
                             times=array("d", [0.0]), E=array("d", [aE[i] / alpha]),
                             D=array("d", [D[i]]), W=array("d", [0.0]), ab32=alpha ** 1.5)

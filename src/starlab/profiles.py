@@ -108,8 +108,6 @@ class _DenseOutput:
         seg = np.searchsorted(self.ts, t, side="left")
         x = (t - self.t_old[seg]) / self.h[seg]
         F, y_old = self.F[:, :, seg][rows], self.y_old[:, seg][rows]
-        if t.ndim == 0:   # Python floats round as float64 does, in less time
-            x, F, y_old = float(x), F.tolist(), y_old.tolist()
         out = {}
         for r, f, y in zip(rows, F, y_old):
             v = f[0] * x

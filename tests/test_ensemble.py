@@ -2,8 +2,8 @@
 
 `evolve_ensemble` steps a (B, N+1) state.  Each member keeps its own clock,
 dt, retries, emissions, events and stop, so it must have the bits of its own
-one-member run: every accepted time, every snapshot array, the E/D/W series,
-the online ledger and the events with their located crossing.
+one-member run: every accepted time, every snapshot array and its amplitude,
+the E/D/W series, the online ledger and the events with their located crossing.
 """
 
 import hashlib
@@ -15,7 +15,7 @@ import pytest
 from starlab import classify_expansion
 from starlab.acceptance import negative_energy_data
 from starlab.errors import ConfigInvalid
-from starlab.functionals import WeightSpec
+from starlab.functionals import WeightSpec, amplitude
 from starlab.lagrangian import (LINEAR_REGIME, SELF_SIMILAR_REGIME, THERMO_REGIME, SolverSpec,
                                 evolve_ensemble, evolve_linear_isentropic,
                                 evolve_linear_thermo, evolve_self_similar)
@@ -27,7 +27,7 @@ NO_LIMITS = dict(n_cells=N, n_emit=5, max_rel_change=1e6, growth_threshold=1e9)
 def fingerprint(run):
     """Every output of a run, as bytes where it is an array."""
     h = hashlib.sha256()
-    arrays = [run.times] + [a for a in (run.energy, run.dissipation, run.visc_work)
+    arrays = [run.times, run.omega] + [a for a in (run.energy, run.dissipation, run.visc_work)
                             if a is not None]
     arrays += [vs for _, vs in sorted((run.dissipation_online or {}).items())]
     for s in run.snapshots:
@@ -50,6 +50,8 @@ def assert_members_alone(prof, params, initials, end, spec, regime, **kw):
     for initial, run in zip(initials, runs):
         alone = ALONE[regime](prof, params, initial, end, spec, **kw)
         assert fingerprint(run) == fingerprint(alone)
+        for r in (run, alone):       # the driver's omega is each snapshot's amplitude
+            assert r.omega.tolist() == [amplitude(s) for s in r.snapshots]
     return runs
 
 

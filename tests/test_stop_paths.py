@@ -1,13 +1,15 @@
 """Every way the stepping driver ends a run early, in each regime.
 
 Each stop leaves the run incomplete with one event, and the last snapshot
-holds the last accepted state (the stop clock is the last accepted time).
+holds the last accepted state (the stop clock is the last accepted time) with
+its amplitude in `RunResult.omega`.
 """
 
 import numpy as np
 import pytest
 
 from starlab import classify_expansion
+from starlab.functionals import amplitude
 from starlab.lagrangian import (SolverSpec, evolve_linear_isentropic, evolve_linear_thermo,
                                 evolve_self_similar)
 
@@ -24,6 +26,7 @@ def assert_stopped(run, kind):
     assert len(run.times) > 2
     assert run.final.clock == run.times[-1]
     assert run.events[0].clock >= run.times[-1]
+    assert run.omega.tolist() == [amplitude(s) for s in run.snapshots]
 
 
 def run_isentropic(regime, iso0, iso_ss, pars_ss, initial, spec, end=1.0):
