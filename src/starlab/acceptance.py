@@ -117,6 +117,9 @@ def c01_profile_isentropic() -> dict:
 # -- 2 ------------------------------------------------------------------------
 
 def c02_profile_thermo() -> dict:
+    """rho = theta^m on the thermo star.  The solve carries u = rho^(1/m) and theta,
+    so the residual (about 1e-14) checks the wiring of u's row; the accuracy claim is
+    tests/test_profiles.py's convergence test against a tighter reference solve."""
     prof, _ = _point("thermo")
     A, m = prof.reduction_constant, prof.exponent
     inner = prof.y_nodes <= 0.95 * prof.R0

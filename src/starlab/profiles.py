@@ -20,11 +20,12 @@ coupled hydrostatic/temperature system
 with theta(0) = 1, rho(0) = A (the solver takes A = 1).  Exact solutions
 satisfy rho = A*theta^m, m = (1 - eps*K)/(eps*K); the solver integrates the
 coupled system and the power-law relation is kept as an independent
-consistency oracle, never used in the construction.  Because rho vanishes
-like theta^m, its equation is integrated under relative error control
-(vanishing absolute tolerance) and the run stops at a small positive
-temperature cut; the remaining sliver up to the true zero is closed with a
-Taylor step, which costs O(theta_cut^2).
+consistency oracle, never used in the construction.  rho vanishes like
+theta^m, so the solve carries u = rho^(1/m) instead: the Lane-Emden theta
+(Chandrasekhar 1939, ch. IV), which vanishes linearly, so one uniform
+tolerance controls it into the vacuum tail.  The run stops at a small positive
+temperature cut; the sliver up to the true zero is closed with a Taylor step,
+which costs O(theta_cut^2).
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ _THETA_CUT = 1e-9       # thermo: stop when theta falls to this
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution and tolerance block for profile construction."""
+    """Resolution and tolerance block for profile construction (solves read rtol
+    through tol_eff; atol is validated and written to the manifest, but no solve reads it)."""
 
     n_cells: int = 512
     rtol: float = 1e-10
@@ -159,6 +161,18 @@ class IsentropicProfile:
         return np.clip(self.w_at(y), 0.0, None) ** 4
 
 
+def _thermo_series(y, epsilon, m):
+    """theta, theta', M and int s^4 rho at y to fourth order (A = 1): the solve's start state
+    and the profile below it.  theta = 1 + t2 y^2 + t4 y^4, rho = theta^m = 1 + c2 y^2 + c4 y^4."""
+    t2 = -epsilon / 6.0
+    t4 = epsilon * epsilon * m / 120.0
+    c2, c4 = m * t2, m * t4 + 0.5 * m * (m - 1.0) * t2 * t2
+    y2 = y * y
+    return (1.0 + (t2 + t4 * y2) * y2, (2.0 * t2 + 4.0 * t4 * y2) * y,
+            (1.0 / 3.0 + (c2 / 5.0 + c4 * y2 / 7.0) * y2) * y2 * y,
+            (0.2 + (c2 / 7.0 + c4 * y2 / 9.0) * y2) * y2 * y2 * y)
+
+
 @dataclass
 class ThermoProfile:
     K: float
@@ -185,17 +199,9 @@ class ThermoProfile:
         return (1.0 - ek) / ek
 
     def _series(self, y, which):
-        A, m = self.reduction_constant, self.exponent
-        t2 = -self.epsilon * A / 6.0
-        if which == "rho":
-            return A * (1.0 + m * t2 * y**2)
-        if which == "theta":
-            return 1.0 + t2 * y**2
-        if which == "thetaprime":
-            return 2.0 * t2 * y
-        if which == "mass":
-            return A * (y**3 / 3.0 + m * t2 * y**5 / 5.0)
-        raise KeyError(which)
+        theta, thetap, mass, _ = _thermo_series(y, self.epsilon, self.exponent)
+        return {"rho": np.maximum(theta, 0.0) ** self.exponent, "theta": theta,
+                "thetaprime": thetap, "mass": mass}[which]
 
     def _tail_theta(self, y):
         # Linear vacuum behavior past the temperature cut.
@@ -211,7 +217,7 @@ class ThermoProfile:
         rho_c, theta_c, M_c = self._cut
         if which == "rho":
             tail = rho_c * (self._tail_theta(y) / theta_c) ** self.exponent
-            vals = np.where(y > self._y_cut, tail, np.clip(mid[0], 0.0, None))
+            vals = np.where(y > self._y_cut, tail, np.clip(mid[0], 0.0, None) ** self.exponent)
         elif which == "theta":
             vals = np.where(y > self._y_cut, self._tail_theta(y), np.clip(mid[1], 0.0, None))
         elif which == "thetaprime":
@@ -373,33 +379,25 @@ def solve_thermo_profile(K: float, epsilon: float,
     # Lane-Emden scaling of the reduced equation sets the radius scale.
     r0_guess = _R0_SCALE_GUESS / 2.0 / np.sqrt(epsilon)
     y0 = _SERIES_FRAC * r0_guess
-    t2 = -epsilon / 6.0
-    state0 = [
-        1.0 + m * t2 * y0**2,                       # rho
-        1.0 + t2 * y0**2,                           # theta
-        2.0 * t2 * y0**3,                           # g = y^2 theta'
-        y0**3 / 3.0 + m * t2 * y0**5 / 5.0,         # M = int s^2 rho
-        y0**5 / 5.0 + m * t2 * y0**7 / 7.0,         # int s^4 rho
-    ]
+    theta0, thetap0, M0, q4_0 = _thermo_series(y0, epsilon, m)
+    state0 = [theta0, theta0, y0 * y0 * thetap0, M0, q4_0]   # u, theta, g = y^2 theta', M, q4
 
-    def rhs(y, u):
-        rho, theta, g, M, _ = u
+    def rhs(y, s):
+        u, theta, g, M, _ = s
         y2 = y * y
         theta_p = g / y2
-        rho_p = -rho * (M / (K * y2) + theta_p) / theta
-        return (rho_p, theta_p, -epsilon * y2 * rho, y2 * rho, y2 * y2 * rho)
+        rho = max(u, 0.0) ** m
+        return (-u * (M / (K * y2) + theta_p) / (m * theta), theta_p,
+                -epsilon * y2 * rho, y2 * rho, y2 * y2 * rho)
 
-    def hit_cut(y, u):
-        return u[1] - _THETA_CUT
+    def hit_cut(y, s):
+        return s[1] - _THETA_CUT
+    hit_cut.terminal, hit_cut.direction = True, -1
 
-    hit_cut.terminal = True
-    hit_cut.direction = -1
-
+    # u = rho^(1/m) vanishes linearly, like theta (rho itself like (R0 - y)^m), so
+    # one absolute tolerance controls it into the vacuum tail, and its own zero must match R0.
     tol = gs.tol_eff
-    # Vanishing atol on rho keeps its error control relative all the way
-    # into the vacuum tail.
-    sol = solve_ivp(rhs, (y0, gs.y_max), state0, method="DOP853",
-                    rtol=tol, atol=[0.0, tol, tol, tol, tol],
+    sol = solve_ivp(rhs, (y0, gs.y_max), state0, method="DOP853", rtol=tol, atol=tol,
                     events=hit_cut, dense_output=True, max_step=0.04 * r0_guess)
     if not sol.success:
         raise ToleranceNotMet(f"thermo profile integration failed: {sol.message}")
@@ -407,7 +405,8 @@ def solve_thermo_profile(K: float, epsilon: float,
         raise NoFirstZero(f"theta stayed positive up to y = {gs.y_max}")
 
     y_cut = float(sol.t_events[0][0])
-    rho_c, theta_c, g_c, M_c, q4_c = sol.sol(y_cut)
+    u_c, theta_c, g_c, M_c, q4_c = sol.sol(y_cut)
+    rho_c = max(u_c, 0.0) ** m
     theta_p = g_c / y_cut**2
     theta_pp = -2.0 * theta_p / y_cut - epsilon * rho_c
     if theta_p >= 0:
@@ -422,17 +421,13 @@ def solve_thermo_profile(K: float, epsilon: float,
     if not np.isfinite(theta_slope) or theta_slope > -_SLOPE_FLOOR:
         raise NonPhysicalVacuum(f"theta boundary slope {theta_slope:.3e} not strictly negative")
 
-    # rho^{1/m} vanishes linearly; its implied zero must match R0.
-    rho_p = -rho_c * (M_c / (K * y_cut**2) + theta_p) / theta_c
-    if rho_p >= 0:
-        raise NonPhysicalVacuum("rho is not decreasing at the cut")
-    R0_rho = y_cut + m * rho_c / (-rho_p)
+    u_p = -u_c * (M_c / (K * y_cut**2) + theta_p) / (m * theta_c)
+    if not np.isfinite(u_p) or u_p >= 0:
+        raise NonPhysicalVacuum("rho^(1/m) is not decreasing at the cut")
+    R0_rho = y_cut + u_c / (-u_p)
     if abs(R0_rho - R0) > 1e-6 * R0:
         raise ZerosDoNotCoincide(
             f"implied rho zero differs from theta zero by {abs(R0_rho - R0):.3e} (> 1e-6 R0)")
-    rho_pow_slope = (rho_c ** (1.0 / m)) * rho_p / (m * rho_c)
-    if not np.isfinite(rho_pow_slope) or rho_pow_slope >= 0:
-        raise NonPhysicalVacuum("rho^(eps K/(1-eps K)) boundary slope not strictly negative")
 
     # Close the fourth moment over the sliver [y_cut, R0] analytically
     # (rho ~ rho_c ((R0-y)/(R0-y_cut))^m there).
@@ -450,9 +445,9 @@ def solve_thermo_profile(K: float, epsilon: float,
         reduction_constant=1.0,
         mass_moments=MassMoments(fourth_moment=float(q4_R0)),
         theta_boundary_slope=float(theta_slope),
-        rho_pow_boundary_slope=float(rho_pow_slope),
+        rho_pow_boundary_slope=float(u_p),
         zero_gap=float(abs(R0_rho - R0)),
-        _dense=_DenseOutput(sol.sol, 4),    # rho, theta, g, M; q4 is closed at the cut
+        _dense=_DenseOutput(sol.sol, 4),    # u, theta, g, M; q4 is closed at the cut
         _y_series=y0,
         _y_cut=y_cut,
         _cut=(float(rho_c), float(theta_c), float(M_c)),

@@ -19,7 +19,7 @@ CASES = {
     "general-linear": ("evolve-linear", {"delta": -1e-3, "a1": 0.1}, 0.5,
                        "33db77d4659f17c32409aaace8908ae91e13fd8a89f0e6333493c298da168904"),
     "thermo": ("evolve-thermo", {"kind": "thermo", "a1": 20.0}, 0.05,
-               "1e488b65b27e306bfd4fb61275fecfa5cfbaf7dbb7f8c7fe98b814f8399b0c05"),
+               "cf2425134330ea3c54301bb02988579ccf7967eeaa94e90e5771314a47fa72be"),
 }
 
 

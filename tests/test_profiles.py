@@ -121,14 +121,31 @@ class TestThermo:
         with pytest.raises(OutOfRange):
             solve_thermo_profile(1.0, 1.2)
 
-    def test_reduction_residual_decreases_under_tightening(self):
-        def max_resid(rtol):
-            p = solve_thermo_profile(1.0, 0.25, GridSpec(rtol=rtol, atol=rtol))
-            inner = p.y_nodes <= 0.95 * p.R0
-            return np.max(np.abs(p.rho_bar[inner]
-                                 - p.reduction_constant * p.theta_bar[inner] ** 3)
-                          / p.rho_bar[inner])
-        assert max_resid(1e-10) <= max_resid(1e-6)
+    # the reference floors at tol_eff = 1e-14, below which scipy raises rtol itself
+    @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
+    @pytest.mark.parametrize("K, eps", [(1.0, 0.25), (2.0, 0.4)])   # m = 3 and m = 1/4
+    def test_converges_to_a_tighter_reference(self, monkeypatch, K, eps):
+        prof = solve_thermo_profile(K, eps)
+        monkeypatch.setattr(profiles, "_SERIES_FRAC", profiles._SERIES_FRAC / 4)
+        ref = solve_thermo_profile(K, eps, GridSpec(rtol=1e-11, atol=1e-11))
+        assert abs(prof.R0 / ref.R0 - 1) < 1e-11
+        fourth, fourth_ref = prof.mass_moments.fourth_moment, ref.mass_moments.fourth_moment
+        assert abs(fourth / fourth_ref - 1) < 5e-11
+        y = prof.y_nodes[(prof.y_nodes > prof._y_series) & (prof.y_nodes <= 0.95 * prof.R0)]
+        assert np.max(np.abs(prof.rho_at(y) / ref.rho_at(y) - 1)) < 1e-10
+
+    @pytest.mark.parametrize("K, eps", [(1.0, 0.25), (2.0, 0.4)])
+    def test_series_meets_the_solve_at_its_start(self, K, eps):
+        # one fourth-order series gives the start state and the values below it
+        prof = solve_thermo_profile(K, eps)
+        ys = prof._y_series
+        for name in ("rho_at", "theta_at", "thetaprime_at", "cumulative_mass_at"):
+            below, at = getattr(prof, name)(np.array([np.nextafter(ys, 0.0), ys]))
+            assert below == pytest.approx(at, rel=1e-14, abs=0.0)
+
+    def test_solve_step_count(self, thermo14):
+        # u = rho^(1/m) vanishes linearly, so the steps do not shrink towards the cut
+        assert thermo14._dense.t_old.size <= 80
 
     @settings(max_examples=4)
     @given(ek=st.floats(min_value=0.22, max_value=0.8))

@@ -30,7 +30,7 @@ OMEGA_END = 0.10005204608891712
 EDW_SHA = "353f1278a56d6181efde80b78cd2b0dbf7f6f17c6db7631ddf620ff3bbd7e02c"
 SCHEME_SHA = {
     "order2": "50ca4f0c869595a1f6db19fb3bfdadd80a447016e36e1cb0b84d5c6767da5e22",
-    "thermo": "4bfcda4a271d08503b8a30b6e1864461fb2e3221640b8dbc62f4bcf9075481af",
+    "thermo": "443f046460f1a7a8ef0bc6cc69c4a81133ed0268663d62051867ce49b014e8db",
 }
 
 
