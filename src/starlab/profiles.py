@@ -406,7 +406,7 @@ def solve_thermo_profile(K: float, epsilon: float,
 
     y_cut = float(sol.t_events[0][0])
     u_c, theta_c, g_c, M_c, q4_c = sol.sol(y_cut)
-    rho_c = max(u_c, 0.0) ** m
+    rho_c = u_c**m
     theta_p = g_c / y_cut**2
     theta_pp = -2.0 * theta_p / y_cut - epsilon * rho_c
     if theta_p >= 0:
