@@ -410,59 +410,39 @@ def c10_stability_thermo() -> dict:
 # -- 11 -----------------------------------------------------------------------
 
 def c11_lemma_layer() -> dict:
-    # frak-A inequality on 200 seeded smooth fields (analytic derivatives, so
-    # only Simpson error remains); the margin must match the boundary term
-    # 4 R0 h_x(R0)^2 that the identity predicts.  The fields are evaluated in
-    # blocks of five: Simpson's temporaries for blocks of 20 raised the verify
-    # process's peak memory by 2 MB, for five by nothing.
-    x = np.linspace(0.0, 1.0, 2001)
+    # Every field is a degree-5 polynomial on [0, 1], so each side below is an
+    # exact quadratic form in its coefficients: no quadrature error remains.
+    # frak-A on 200 seeded fields: the margin must match the boundary term
+    # 4 R0 h_x(R0)^2 that the identity predicts.
     rng = np.random.default_rng(42)
-    worst = math.inf
-    worst_ident = 0.0
-    P = np.polynomial.polynomial
     polys = np.array([rng.uniform(-1.0, 1.0, 6) for _ in range(200)])
-    for block in np.split(polys, 40):
-        h_x = P.polyval(x, P.polyder(block.T))
-        h_xx = P.polyval(x, P.polyder(block.T, 2))
-        lhs, rhs = F.frak_A_inequality(x, h_x, h_xx)
-        margin = lhs - rhs
-        worst = min(worst, float(margin.min()))
-        bdry = 4.0 * 1.0 * h_x[:, -1] ** 2
-        worst_ident = max(worst_ident, float((np.abs(margin - bdry) / np.maximum(lhs, 1.0)).max()))
-    del h_x, h_xx        # a block's fields, freed before the Hardy families set c11's peak
+    lhs, rhs = F.frak_A_inequality(polys)
+    margin = lhs - rhs
+    bdry = 4.0 * 1.0 * (polys @ np.arange(6.0)) ** 2
+    worst = float(margin.min())
+    worst_ident = float((np.abs(margin - bdry) / np.maximum(lhs, 1.0)).max())
     details = {"frakA_min_margin": worst, "frakA_identity_residual": worst_ident}
     assert worst > -1e-10, "frak-A inequality violated"
     assert worst_ident < 1e-8, "frak-A boundary-term identity violated"
 
-    # Hardy ratios: finite, and the family sup stable under doubling.  Each
-    # family is evaluated in blocks of 2 functions: that amortises the per-call
-    # cost, and larger blocks raise the verify process's peak memory (a whole
-    # (400, 4001) family nearly doubled it).  Exponents 2 and 3 share a family,
-    # and so do 0.5 and -1, so each block is sampled once for both.
-    s = np.linspace(0.0, 1.0, 4001)
+    # Hardy ratios: finite, and the family sup stable under doubling.
     rng = np.random.default_rng(41)
     polys = np.array([rng.uniform(-1.0, 1.0, 6) for _ in range(400)])
     sups = {}
-    for pair in ((2.0, 3.0), (0.5, -1.0)):
+    for k in (2.0, 3.0, 0.5, -1.0):
         coef = polys.copy()
-        if pair[0] < 1.0:
+        if k < 1.0:
             coef[:, 1] = 0.0     # g'(0) = 0 keeps int s^k g'^2 finite for k <= -1
-        ratios = {k: [] for k in pair}
-        for block in np.split(coef, 200):
-            g = P.polyval(s, block.T)
-            for k in pair:
-                ratios[k].append(F.hardy_check(k, g, s)[2])
-        for k in pair:
-            ratios[k] = np.concatenate(ratios[k])
-            assert np.all(np.isfinite(ratios[k]))
-            sup200 = float(ratios[k][:200].max())
-            sup400 = float(ratios[k].max())
-            sups[k] = (sup200, sup400)
-            change = abs(sup400 - sup200) / sup200
-            assert change < 0.05, f"Hardy sup ratio for k={k} moved {change:.3f} on doubling"
+        ratios = F.hardy_check(k, coef)[2]
+        assert np.all(np.isfinite(ratios))
+        sup200 = float(ratios[:200].max())
+        sup400 = float(ratios.max())
+        sups[k] = (sup200, sup400)
+        change = abs(sup400 - sup200) / sup200
+        assert change < 0.05, f"Hardy sup ratio for k={k} moved {change:.3f} on doubling"
     details["hardy_sups"] = {str(k): v for k, v in sups.items()}
 
-    lhs, rhs, _ = F.hardy_check(2.0, s.copy(), s)
+    lhs, rhs, _ = F.hardy_check(2.0, [0.0, 1.0])
     details["hardy_k2_linear"] = (lhs, rhs)
     assert abs(lhs - 1.0 / 3.0) < 1e-8
     assert abs(rhs - 8.0 / 15.0) < 1e-8

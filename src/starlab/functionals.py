@@ -4,6 +4,7 @@ Everything here is a pure function of arrays (fields are duck-typed by
 attribute), composite trapezoid on the field grid unless a derivative lives
 more naturally on cell edges, in which case the midpoint rule is used.  All
 x-derivatives are second-order finite differences (one-sided at the ends).
+The two lemma probes take polynomial coefficients and integrate exactly.
 
 One background per grid: the ledger functions read the static star only
 from a `profiles.Background` sampled on the field's own x_nodes (by the
@@ -206,27 +207,6 @@ def _energy_ss(spacing, xm, v, geom, rho4, w, b, delta):
 
 
 # ---------------------------------------------------------------------------
-# frak-A inequality probe
-# ---------------------------------------------------------------------------
-
-def frak_A_inequality(x, h_x, h_xx):
-    """(lhs, rhs) of int (4 h_x + x h_xx)^2 >= 12 int h_x^2 + int x^2 h_xx^2.
-
-    An algebraic identity plus the nonnegative boundary term 4 R0 h_x(R0)^2,
-    so lhs - rhs >= 0 up to quadrature error.  h_x and h_xx are h's analytic
-    derivatives on x.  They may hold a family along their last axis: lhs and
-    rhs are then arrays over the family, and floats for a single field.
-    """
-    from scipy.integrate import simpson
-    x = np.asarray(x, dtype=float)
-    lhs = simpson((4.0 * h_x + x * h_xx) ** 2, x=x)
-    rhs = 12.0 * simpson(h_x**2, x=x) + simpson(x**2 * h_xx**2, x=x)
-    if np.ndim(lhs) == 0:
-        return float(lhs), float(rhs)
-    return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
 # sup-norm amplitude
 # ---------------------------------------------------------------------------
 
@@ -256,40 +236,57 @@ def _amplitude(x, stencil, theta, theta_t, zeta=None):
 
 
 # ---------------------------------------------------------------------------
-# Hardy inequality probe
+# lemma probes: Hardy and frak-A inequalities, exact on polynomials
 # ---------------------------------------------------------------------------
 
-def hardy_check(k: float, g, s):
-    """Both sides of the Hardy inequality on (0, 1) for exponent k != 1, g sampled on s.
+def _moment_form(c, a: float):
+    """int_0^1 s^a p(s)^2 ds = sum_ij c_i c_j / (i + j + a + 1), p a row of c (ascending).
 
-    k > 1: (int s^{k-2} g^2, int s^k (g^2 + g'^2)).
-    k < 1: (int s^{k-2} (g - g(0))^2, int s^k g'^2), g(0) by trace.
-    Returns (lhs, rhs, ratio); the ratio is reported as 0 when both vanish.
-    g may hold a family of functions along its last axis: the three are then
-    arrays over the family, and floats for a single function.
+    A pair with i + j + a + 1 <= 0 is dropped when c_i c_j = 0; a nonzero one
+    makes the integral diverge at s = 0, and its row is inf.
     """
-    from scipy.integrate import simpson
+    d = np.add.outer(np.arange(c.shape[-1]), np.arange(c.shape[-1])) + (a + 1.0)
+    pairs = c[..., :, None] * c[..., None, :]
+    form = (pairs * np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)).sum(axis=(-2, -1))
+    return np.where(((pairs != 0.0) & (d <= 0.0)).any(axis=(-2, -1)), np.inf, form)
+
+
+def hardy_check(k: float, coef):
+    """Both sides of the Hardy inequality on (0, 1) for exponent k != 1, exactly.
+
+    g has the coefficients `coef` (c) in ascending powers, one polynomial per
+    row, and s g' has the coefficients i c_i.  Each side is a `_moment_form`:
+    k > 1: (int s^{k-2} g^2, int s^k (g^2 + g'^2)).
+    k < 1: (int s^{k-2} (g - g(0))^2, int s^k g'^2), c_0 zeroed for the lhs.
+    Returns (lhs, rhs, ratio); the ratio is 0 when lhs vanishes and NaN when
+    both sides diverge.  Arrays over the rows, floats for a 1-d `coef`.
+    """
     if k == 1.0:
         raise KEqualsOne("Hardy inequality excludes k = 1")
-    s = np.asarray(s, dtype=float)
-    g_arr = np.asarray(g, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = g_arr**2 if k > 1.0 else np.square(g_arr - g_arr[..., :1])
-        f *= s ** (k - 2.0)
-        f[..., ~(s > 0)] = 0.0
-        lhs = simpson(f, x=s)
-        del f       # one family-sized integrand at a time
-        f = np.square(gradient(g_arr, gradient_stencil(s)))
-        if k > 1.0:
-            f += g_arr**2
-        f *= s**k
-        if k < 1.0:
-            f[..., ~(s > 0)] = 0.0
-    rhs = simpson(f, x=s)
-    ratio = np.where(lhs == 0.0, 0.0, lhs / np.maximum(rhs, 1e-300))
-    if g_arr.ndim == 1:
-        return float(lhs), float(rhs), float(ratio)
-    return lhs, rhs, ratio
+    c = np.asarray(coef, dtype=float)
+    i = np.arange(c.shape[-1])
+    lhs = _moment_form(c if k > 1.0 else c * (i > 0), k - 2.0)
+    rhs = _moment_form(c * i, k - 2.0) + (_moment_form(c, k) if k > 1.0 else 0.0)
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(lhs == 0.0, 0.0, lhs / np.maximum(rhs, 1e-300))
+    return tuple(map(float, (lhs, rhs, ratio))) if c.ndim == 1 else (lhs, rhs, ratio)
+
+
+def frak_A_inequality(coef):
+    """(lhs, rhs) of int (4 h_x + x h_xx)^2 >= 12 int h_x^2 + int x^2 h_xx^2 on [0, 1].
+
+    h has the coefficients `coef` in ascending powers, one polynomial per row.
+    With d = coef[1:] and n = 0, 1, ..., h_x has coefficients (n + 1) d and
+    x h_xx has n (n + 1) d, so each side is an exact `_moment_form` at a = 0,
+    and lhs - rhs is the boundary term 4 h_x(1)^2 = 4 (sum (n + 1) d)^2 up to
+    rounding.  Arrays over the rows, floats for a 1-d `coef`.
+    """
+    c = np.asarray(coef, dtype=float)
+    h_x = c[..., 1:] * np.arange(1, c.shape[-1])
+    n = np.arange(h_x.shape[-1])
+    lhs = _moment_form(h_x * (n + 4), 0.0)
+    rhs = 12.0 * _moment_form(h_x, 0.0) + _moment_form(h_x * n, 0.0)
+    return (float(lhs), float(rhs)) if c.ndim == 1 else (lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

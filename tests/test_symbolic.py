@@ -3,10 +3,22 @@
 These pin the closed-form manipulations behind the discrete operators:
 uniform-perturbation reductions, the zero-energy curve, the bracket growth
 identity, the thermodynamic power-law reduction, and the profile virial
-identity used by the physical-energy oracle.
+identity used by the physical-energy oracle.  The lemma probes' closed forms
+are checked against sympy's integrals of rational polynomials.
 """
 
+import math
+
+import pytest
 import sympy as sp
+
+import starlab.functionals as F
+
+# two rational degree-5 polynomials on [0, 1], ascending powers; the first has c_1 = 0
+RATIONAL_POLYS = ([sp.Rational(1, 2), 0, sp.Rational(-2, 3), sp.Rational(1, 5),
+                   sp.Rational(3, 7), sp.Rational(-1, 4)],
+                  [sp.Rational(-1, 3), sp.Rational(3, 4), sp.Rational(1, 6),
+                   sp.Rational(-5, 7), sp.Rational(2, 9), sp.Rational(1, 8)])
 
 
 def test_uniform_reduction_of_momentum_equation():
@@ -113,3 +125,36 @@ def test_viscous_flux_form():
     # H (x v)_x - v (x H)_x = x (H v_x - v f_x)
     bracket = H * sp.diff(x * v, x) - v * sp.diff(x * H, x)
     assert sp.simplify(bracket - x * (H * v.diff(x) - v * f.diff(x))) == 0
+
+
+def _integral_0_1(expr, s):
+    value = sp.integrate(sp.expand(expr), (s, 0, 1))
+    return math.inf if value == sp.oo else float(value)
+
+
+@pytest.mark.parametrize("coefs", RATIONAL_POLYS)
+@pytest.mark.parametrize("k", [2, 3, -1])
+def test_hardy_closed_form_against_sympy(k, coefs):
+    s = sp.Symbol("s", positive=True)
+    g = sum(c * s**i for i, c in enumerate(coefs))
+    if k > 1:
+        sides = (s ** (k - 2) * g**2, s**k * (g**2 + g.diff(s) ** 2))
+    else:
+        sides = (s ** (k - 2) * (g - g.subs(s, 0)) ** 2, s**k * g.diff(s) ** 2)
+    lhs, rhs, _ = F.hardy_check(float(k), [float(c) for c in coefs])
+    for got, side in zip((lhs, rhs), sides):
+        exact = _integral_0_1(side, s)
+        if math.isinf(exact):        # k = -1 with g'(0) != 0 diverges at s = 0
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("coefs", RATIONAL_POLYS)
+def test_frak_A_closed_form_against_sympy(coefs):
+    x = sp.Symbol("x", positive=True)
+    h = sum(c * x**i for i, c in enumerate(coefs))
+    h_x, h_xx = h.diff(x), h.diff(x, 2)
+    lhs, rhs = F.frak_A_inequality([float(c) for c in coefs])
+    assert lhs == pytest.approx(_integral_0_1((4 * h_x + x * h_xx) ** 2, x), rel=1e-13)
+    assert rhs == pytest.approx(_integral_0_1(12 * h_x**2 + x**2 * h_xx**2, x), rel=1e-13)

@@ -1,4 +1,4 @@
-"""Observed time order of both isentropic schemes, from the located growth crossing.
+"""Observed time orders: both isentropic schemes on the growth crossing, and the thermo run.
 
 The run is criterion 9's at seed 7: negative-energy data on the self-similar
 star, stepped until the amplitude passes 0.1.  The growth event keeps the last
@@ -7,6 +7,9 @@ linear between the last two accepted steps, crosses ln 0.1.  The crossing has
 no forcing term and no event quantization, so it converges cleanly in dt.
 Halving the CFL number halves dt, and successive differences of the crossing
 shrink by 2^p at observed order p.
+
+The thermodynamic run takes one step per emission, so doubling `n_emit`
+halves dt there; its order is read from theta at the mid node.
 """
 
 import functools
@@ -15,8 +18,10 @@ import math
 import numpy as np
 import pytest
 
+from starlab import classify_expansion
 from starlab.acceptance import negative_energy_data
-from starlab.lagrangian import SolverSpec, _located_crossing, evolve_self_similar
+from starlab.lagrangian import (SolverSpec, _located_crossing, evolve_linear_thermo,
+                                evolve_self_similar)
 
 THRESHOLD = 0.1
 
@@ -68,6 +73,20 @@ def test_imex_midpoint_is_second_order(growth):
     # reach a floor near 1e-5, so only the coarse pairs measure the order
     (order,) = observed_orders([crossing(growth(2, 192, cfl)) for cfl in (1.0, 0.5, 0.25)])
     assert order >= 1.7
+
+
+def test_thermo_imex_euler_is_first_order(thermo14):
+    # c10's star and expansion, N = 64 to clock 0.5: measured 1.16, 1.09 and 1.05
+    params = classify_expansion(0.0, 1.0, 20.0)
+    n, R0 = 64, thermo14.R0
+    x = np.linspace(0.0, R0, n + 1)
+    xi0 = 1e-3 * (0.7 + 0.3 * np.cos(np.pi * x / R0))
+    zeta0 = 1e-3 * (R0 - x) * x / R0**2
+    mid = [evolve_linear_thermo(thermo14, params, (xi0, 0.1 * xi0, zeta0), 0.5,
+                                SolverSpec(n_cells=n, n_emit=n_emit)).snapshots[-1].theta[n // 2]
+           for n_emit in (41, 81, 161, 321, 641)]
+    orders = observed_orders(mid)
+    assert np.all((0.9 <= orders) & (orders <= 1.2)), orders
 
 
 def test_crossing_interpolates_ln_omega():
