@@ -47,7 +47,6 @@ from dataclasses import dataclass, field as dc_field
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import functionals
 from .functionals import WeightSpec, gradient
@@ -172,9 +171,16 @@ def _located_crossing(t0, t1, omega0, omega1, threshold):
 # ---------------------------------------------------------------------------
 
 class _AlphaClock:
-    """alpha, alpha_tau, alpha'(t) and the momentum coefficients of the rescaled clock."""
+    """alpha, alpha_tau, alpha'(t) and the momentum coefficients of the rescaled clock.
 
-    def __init__(self, params: ExpansionParams, regime: str, clock_end: float):
+    The first integral alpha_t^2 = sigma^2 - 2 delta/alpha, sigma^2 = a1^2 + 2 delta/a0,
+    reads alpha_tau^2 = sigma^2 alpha^2 - 2 delta alpha in tau; a linear path with
+    delta != 0 is then alpha = a0 cosh(sigma tau) + (a0 a1/sigma) sinh(sigma tau)
+    - (delta/sigma^2) 2 sinh^2(sigma tau/2), with cosh - 1 as 2 sinh^2 so that small
+    sigma tau does not cancel.
+    """
+
+    def __init__(self, params: ExpansionParams, regime: str):
         self.params = params
         self.regime = regime
         if regime == SELF_SIMILAR_REGIME:
@@ -182,19 +188,10 @@ class _AlphaClock:
                 raise WrongClassification("self-similar run needs SelfSimilar parameters")
         elif params.classification != LINEAR:
             raise WrongClassification("linearly expanding run needs Linear parameters")
-        self._dense = None
         if regime != SELF_SIMILAR_REGIME and params.delta != 0.0:
-            rad = params.a1**2 + 2.0 * params.delta / params.a0
-
-            def rhs(tau, y):
-                return [y[0] * math.sqrt(max(rad - 2.0 * params.delta / y[0], 0.0))]
-
-            sol = solve_ivp(rhs, (0.0, clock_end * 1.01), [params.a0], method="DOP853",
-                            rtol=1e-12, atol=1e-12, dense_output=True)
-            if not sol.success:
-                raise StepFailure(f"alpha(tau) integration failed: {sol.message}")
-            self._dense = sol.sol
-            self._rad = rad
+            self._rad = params.a1**2 + 2.0 * params.delta / params.a0
+            sigma = math.sqrt(self._rad)     # sigma and the sinh, sinh^2 weights of alpha
+            self._hyp = (sigma, params.a0 * params.a1 / sigma, -2.0 * params.delta / self._rad)
 
     def alpha(self, clock: float) -> float:
         p = self.params
@@ -202,7 +199,9 @@ class _AlphaClock:
             return p.a0 * math.exp(p.b * clock)
         if p.delta == 0.0:
             return p.a0 * math.exp(p.a1 * clock)
-        return float(self._dense(clock)[0])
+        sigma, w_sinh, w_sinh2 = self._hyp
+        x = sigma * clock
+        return p.a0 * math.cosh(x) + w_sinh * math.sinh(x) + w_sinh2 * math.sinh(0.5 * x) ** 2
 
     def alpha_tau(self, clock: float) -> float:
         p = self.params
@@ -270,7 +269,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
              "zeta(R0) = 0 initially")]
     if bad := spec.violations(thermo) + [text for ok, text in rows if not ok]:
         raise ConfigInvalid(bad)
-    alpha_clock = _AlphaClock(params, regime, clock_end)
+    alpha_clock = _AlphaClock(params, regime)
     kernel = _Kernel(bg, alpha_clock, mu)
     # the (B, N+1) state, or one member's 1-d state (see the module docstring)
     f, v, z = (None if k >= 2 + thermo else init[0][k] if len(init) == 1

@@ -76,7 +76,7 @@ class TestGridMismatch:
             with pytest.raises(InvalidParams):
                 F.initial_energy_isentropic(x, z, z, z, bg, F.WeightSpec())
             with pytest.raises(InvalidParams):
-                reconstruct_eulerian(f, _AlphaClock(pars, LINEAR_REGIME, 1.0))
+                reconstruct_eulerian(f, _AlphaClock(pars, LINEAR_REGIME))
 
     def test_thermo_consumers_reject_another_grid(self, thermo14):
         x = grid(thermo14)
@@ -93,7 +93,7 @@ class TestGridMismatch:
         f = PerturbationField(x, 0 * x, 0 * x, None, 0.0, LINEAR_REGIME)
         with pytest.raises(InvalidParams):
             reconstruct_eulerian(f, _AlphaClock(classify_expansion(0.0, 1.0, 1.0),
-                                                LINEAR_REGIME, 1.0))
+                                                LINEAR_REGIME))
 
 
 @pytest.mark.parametrize("config, cls, method", [

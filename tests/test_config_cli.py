@@ -215,13 +215,14 @@ class TestScenarios:
             # theta shares the scale the zeta term set: A R0 / 100, not A
             assert np.allclose(theta, 1e-6 * x[-1], rtol=1e-12, atol=0.0)
 
-    def test_one_alpha_integration_per_run(self, tmp_path, monkeypatch):
-        # a general linear path integrates alpha(tau) once: the ledger's
-        # physical energies and the final reconstruction use the run's clock
-        calls = []
-        integrate = lagrangian.solve_ivp
-        monkeypatch.setattr(lagrangian, "solve_ivp",
-                            lambda *a, **kw: calls.append(a[1]) or integrate(*a, **kw))
+    def test_one_alpha_clock_per_run(self, tmp_path, monkeypatch):
+        # a general linear path builds one alpha clock, in closed form: the
+        # ledger's physical energies and the final reconstruction use the run's clock
+        assert not hasattr(lagrangian, "solve_ivp")
+        built = []
+        clock_class = lagrangian._AlphaClock
+        monkeypatch.setattr(lagrangian, "_AlphaClock",
+                            lambda *a, **kw: built.append(a) or clock_class(*a, **kw))
         with open(STABILITY_LINEAR) as fh:
             raw = json.load(fh)
         raw["model"].update(delta=-1e-3, a1=0.1)
@@ -231,7 +232,7 @@ class TestScenarios:
         report = run_scenario(cfg)
         assert report.status == 0 and report.summary["completed"]
         assert "energy_reports.csv" in os.listdir(tmp_path)
-        assert len(calls) == 1
+        assert len(built) == 1
 
     def test_determinism(self, tmp_path):
         raw = {

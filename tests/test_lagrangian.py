@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad
@@ -5,7 +7,7 @@ from scipy.optimize import brentq
 
 from starlab import classify_expansion, integrate_alpha, integrate_phase, PhaseState
 from starlab.errors import InvalidParams, WrongClassification
-from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, SolverSpec,
+from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, SolverSpec, _AlphaClock,
                                 evolve_linear_isentropic, evolve_linear_thermo,
                                 evolve_self_similar, reconstruct_eulerian)
 from starlab.profiles import sample_background
@@ -248,6 +250,32 @@ class TestGrowthEvent:
         assert not run.completed
 
 
+class TestAlphaClock:
+    A1_NEAR_STAR = math.sqrt(2e-3) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("delta, a0, a1", [(-1e-3, 1.0, 0.1), (-0.5, 1.0, 1.2),
+                                               (-1e-3, 1.0, A1_NEAR_STAR), (-1e-12, 1.0, 0.1)])
+    def test_general_linear_closed_form_matches_integrated_alpha(self, delta, a0, a1):
+        # the oracle integrates alpha(t) in t with tau as a quadrature state; it
+        # reaches tau = 5.4 to 44, past every run end in the tests and configs
+        pars = classify_expansion(delta, a0, a1)
+        clock = _AlphaClock(pars, LINEAR_REGIME)
+        path = integrate_alpha(pars, 100.0)
+        assert path.tau_samples[-1] > 5.0
+        alpha = np.array([clock.alpha(tau) for tau in path.tau_samples])
+        alpha_tau = np.array([clock.alpha_tau(tau) for tau in path.tau_samples])
+        assert np.max(np.abs(alpha / path.alpha - 1.0)) < 1e-11
+        assert np.max(np.abs(alpha_tau / (path.alpha * path.alpha_prime) - 1.0)) < 1e-11
+
+    @pytest.mark.parametrize("a1", [0.1, 1.0, 20.0])
+    def test_vanishing_delta_meets_the_delta_zero_branch(self, a1):
+        near = _AlphaClock(classify_expansion(-1e-15, 1.0, a1), LINEAR_REGIME)
+        zero = _AlphaClock(classify_expansion(0.0, 1.0, a1), LINEAR_REGIME)
+        for tau in np.linspace(0.0, min(10.0, 170.0 / a1), 101):
+            assert abs(near.alpha(tau) / zero.alpha(tau) - 1.0) < 1e-13
+            assert abs(near.alpha_tau(tau) / zero.alpha_tau(tau) - 1.0) < 1e-12
+
+
 class TestEulerian:
     def test_exact_solution(self, iso_ss, pars_ss):
         z = np.zeros(N + 1)
@@ -277,7 +305,8 @@ class TestEulerian:
         assert np.max(np.abs(euler - lag)) / lag[-1] < 1e-4
 
     def test_general_linear_path_matches_integrated_alpha(self, iso_ss):
-        # delta != 0 on the linear branch: alpha(tau) has no closed form
+        # delta != 0 on the linear branch: the run's closed-form clock against
+        # alpha(t) integrated in t
         pars = classify_expansion(iso_ss.delta, 1.0, 0.1)
         x = np.linspace(0.0, iso_ss.R0, N + 1)
         th0 = bump(x, iso_ss.R0, 1e-3)

@@ -17,7 +17,7 @@ CASES = {
     "linear": ("evolve-linear", {"delta": 0.0, "a1": 1.0}, 0.5,
                "597911d2a7f355aada584e4f15e9f23670da5d8060eb106115e394e88e94ae38"),
     "general-linear": ("evolve-linear", {"delta": -1e-3, "a1": 0.1}, 0.5,
-                       "33db77d4659f17c32409aaace8908ae91e13fd8a89f0e6333493c298da168904"),
+                       "04d49f91366876053c6ad7d0056948af161dbc9ed424d59022fbbb0133143394"),
     "thermo": ("evolve-thermo", {"kind": "thermo", "a1": 20.0}, 0.05,
                "cf2425134330ea3c54301bb02988579ccf7967eeaa94e90e5771314a47fa72be"),
 }
