@@ -72,12 +72,10 @@ class CriterionResult:
 
 # -- 1 ------------------------------------------------------------------------
 
-def lane_emden_first_zero(index: float = 3.0) -> float:
-    """First zero of the standard Lane-Emden equation by an independent route.
-
-    Different variables (xi instead of y = 2 xi), different integrator
-    family (RK45), own bracketing/Newton refinement.
-    """
+def lane_emden_first_zero(index: float = 3.0) -> tuple[float, float]:
+    """First zero xi1 of the standard Lane-Emden equation and theta'(xi1) from the same dense
+    output, by an independent route: different variables (xi instead of y = 2 xi), different
+    integrator family (RK45), own bracketing/Newton refinement."""
     def rhs(xi, u):
         th, dth = u
         return (dth, -2.0 * dth / xi - np.sign(th) * np.abs(th) ** index)
@@ -89,22 +87,24 @@ def lane_emden_first_zero(index: float = 3.0) -> float:
     xs = np.linspace(1.0, sol.t[-1], 4000)
     th = sol.sol(xs)[0]
     idx = np.argmax(th < 0)
-    return brentq(lambda x: sol.sol(x)[0], xs[idx - 1], xs[idx], xtol=1e-13)
+    xi1 = brentq(lambda x: sol.sol(x)[0], xs[idx - 1], xs[idx], xtol=1e-13)
+    return xi1, float(sol.sol(xi1)[1])
 
 
 def c01_profile_isentropic() -> dict:
+    """R0 = 2 xi1 and w'(R0) = theta'(xi1)/2 (y = 2 xi) to the 1e-10 contract tolerance."""
     prof, _ = _point("linear")
-    xi1 = lane_emden_first_zero(3.0)
-    details = {"R0": prof.R0, "oracle_2xi1": 2.0 * xi1,
-               "R0_error": abs(prof.R0 - 2.0 * xi1)}
-    assert abs(prof.R0 - 2.0 * xi1) < 2e-3, "R0 disagrees with the rescaled oracle"
+    xi1, dtheta1 = lane_emden_first_zero(3.0)
+    details = {"R0": prof.R0, "oracle_2xi1": 2.0 * xi1, "R0_error": abs(prof.R0 - 2.0 * xi1),
+               "slope_oracle_rel_error": abs(prof.boundary_slope / (0.5 * dtheta1) - 1.0)}
+    assert details["R0_error"] < 1e-10 * prof.R0, "R0 disagrees with the rescaled oracle"
+    assert details["slope_oracle_rel_error"] < 1e-10, "boundary slope disagrees with the oracle"
     assert abs(prof.R0 - 13.7937) < 2e-3
 
     slope_coarse = boundary_slope_fd(prof.y_nodes, prof.w)
     # 1024 cells of the same solve (n_cells sets only the node grid), w as the solver sets it
     y = np.linspace(0.0, prof.R0, 1025)
-    w = prof.w_at(y)
-    w[-1] = max(w[-1], 0.0)
+    w = np.clip(prof.w_at(y), 0.0, None)
     slope_fine = boundary_slope_fd(y, w)
     rel = abs(slope_coarse - slope_fine) / abs(slope_fine)
     details.update({"slope": prof.boundary_slope, "slope_fd": slope_coarse,

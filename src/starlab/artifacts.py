@@ -62,7 +62,7 @@ def write_profile_csv(out_dir: str, profile, thermo: bool = False) -> tuple[str,
             "R0": profile.R0,
             "boundary_slope": profile.theta_boundary_slope,
             "rho_pow_boundary_slope": profile.rho_pow_boundary_slope,
-            "fourth_moment": profile.mass_moments.fourth_moment,
+            "fourth_moment": profile.fourth_moment,
         }
     else:
         csv = write_csv(os.path.join(out_dir, "profile.csv"),
@@ -72,7 +72,7 @@ def write_profile_csv(out_dir: str, profile, thermo: bool = False) -> tuple[str,
             "delta": profile.delta,
             "R0": profile.R0,
             "boundary_slope": profile.boundary_slope,
-            "fourth_moment": profile.mass_moments.fourth_moment,
+            "fourth_moment": profile.fourth_moment,
         }
     js = write_json(os.path.join(out_dir, "profile.json"), sidecar)
     return csv, js

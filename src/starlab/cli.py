@@ -69,12 +69,12 @@ def _run_profile(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
         prof = solve_thermo_profile(cfg.model.K, cfg.model.epsilon, gs)
         series = [("rho_bar", prof.y_nodes, prof.rho_bar),
                   ("theta_bar", prof.y_nodes, prof.theta_bar)]
-        summary = {"R0": prof.R0, "fourth_moment": prof.mass_moments.fourth_moment,
+        summary = {"R0": prof.R0, "fourth_moment": prof.fourth_moment,
                    "theta_boundary_slope": prof.theta_boundary_slope}
     else:
         prof = solve_isentropic_profile(cfg.model.delta, gs)
         series = [("w", prof.y_nodes, prof.w), ("rho_bar", prof.y_nodes, prof.rho_bar)]
-        summary = {"R0": prof.R0, "fourth_moment": prof.mass_moments.fourth_moment,
+        summary = {"R0": prof.R0, "fourth_moment": prof.fourth_moment,
                    "boundary_slope": prof.boundary_slope}
     files = list(artifacts.write_profile_csv(out_dir, prof, thermo=thermo))
     files.append(svgplot.line_chart(os.path.join(out_dir, "profile.svg"), series,

@@ -39,13 +39,16 @@ _TOL = 1e-12              # rtol and atol of the alpha integration
 _ALPHA_MIN_FRAC = 1e-6    # a collapsing path stops at this fraction of a0
 _N_FIT = 200              # points of the collapse-exponent fit
 
-# On the self-similar branch alpha(s) = a0 e^{sqrt(2|delta|) s}, and the Eulerian
-# reconstruction's density carries alpha^-3: it must stay a normal float up to the
-# end clock (which also keeps the step's viscosity alpha^(5/2) finite).  The
-# config and the solver name the bound with one text.
+# On the self-similar branch alpha(s) = a0 e^{sqrt(2|delta|) s}; on a Linear one
+# (delta <= 0) alpha(tau) <= a0 e^{a1 tau}.  The Eulerian reconstruction's density
+# carries alpha^-3: it must stay a normal float up to the end clock (which also keeps
+# the step's viscosity, alpha^(5/2) or alpha^3, finite).  The config and the solver
+# name the self-similar bound with one text; the config bounds Linear runs tighter.
 _SS_EXP_MAX = -math.log(sys.float_info.min) / 3.0
 _SS_END = (f"sqrt(2|delta|) * time.end + ln max(a0, 1) < {_SS_EXP_MAX:.1f} "
            "(the reconstruction's alpha^-3 underflows beyond)")
+_LINEAR_END = (f"a1 * time.end + ln max(a0, 1) < {_SS_EXP_MAX:.1f} "
+               "(the reconstruction's alpha^-3 underflows beyond)")
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from . import functionals
 from .functionals import WeightSpec, gradient
 from .errors import (ConfigInvalid, DomainViolation, InvalidParams, StepFailure,
                      WrongClassification)
-from .expansion import _SS_END, _SS_EXP_MAX, LINEAR, SELF_SIMILAR, ExpansionParams
+from .expansion import _LINEAR_END, _SS_END, _SS_EXP_MAX, LINEAR, SELF_SIMILAR, ExpansionParams
 from .kernel import _columns, _Kernel
 from .profiles import Background, sample_background
 
@@ -257,11 +257,12 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
     init = [[np.array(a, dtype=float) for a in initial] for initial in initials]
     bg = sample_background(profile, np.linspace(0.0, profile.R0, spec.n_cells + 1))
     regimes = (SELF_SIMILAR_REGIME, LINEAR_REGIME, THERMO_REGIME)
+    rate, bound = (params.b, _SS_END) if regime == SELF_SIMILAR_REGIME else (params.a1, _LINEAR_END)
     rows = [(regime in regimes, f"regime in {regimes}"),
             (thermo or profile.delta == params.delta, "profile and expansion share delta"),
             (0 < mu < math.inf, "0 < mu < inf"), (0 <= clock_end < math.inf, "0 <= end < inf"),
-            (regime != SELF_SIMILAR_REGIME or not clock_end < math.inf
-             or params.b * clock_end + math.log(max(params.a0, 1.0)) < _SS_EXP_MAX, _SS_END),
+            (not clock_end < math.inf
+             or rate * clock_end + math.log(max(params.a0, 1.0)) < _SS_EXP_MAX, bound),
             (len(init) > 0, "at least one initial state"),
             (all(len(m) >= 2 + thermo and all(a.shape == bg.x.shape and np.isfinite(a).all()
                  for a in m) for m in init), f"initial fields are finite on {bg.x.size} nodes"),

@@ -1,11 +1,11 @@
 """Stationary star profiles on [0, R0].
 
 Both profile families solve a singular second-order ODE from the center out
-to the first zero of the density (the vacuum boundary).  The center
-singularity is removed with a short Taylor start; the first zero is located
-by event detection on the adaptive integrator and refined on its dense
-output.  Mass moments are accumulated as extra quadrature states so they
-inherit the integrator accuracy.
+to the first zero of the density (the vacuum boundary).  Both start from a
+fourth-order center series, which the profile also evaluates below the start;
+one DOP853 launcher integrates each star from there and stops at a terminal
+downward event.  The fourth mass moment is accumulated as an extra quadrature
+state, so it inherits the integrator accuracy.
 
 Isentropic family (pressure rho^{4/3}): w = rho^{1/3} solves
 
@@ -119,11 +119,15 @@ class _DenseOutput:
         return out
 
 
-@dataclass
-class MassMoments:
-    """The fourth moment of the density."""
-
-    fourth_moment: float          # int_0^{R0} s^4 rho(s) ds
+def _isentropic_series(y, delta):
+    """w, w' and int s^4 rho at y to fourth order: the solve's start state and the
+    profile below it.  w = 1 + c2 y^2 + c4 y^4, rho = w^3 = 1 + r2 y^2 + r4 y^4."""
+    c2 = -(1.0 + 3.0 * delta) / 24.0
+    c4 = -3.0 * c2 / 80.0
+    r2, r4 = 3.0 * c2, 3.0 * c4 + 3.0 * c2 * c2
+    y2 = y * y
+    return (1.0 + (c2 + c4 * y2) * y2, (2.0 * c2 + 4.0 * c4 * y2) * y,
+            (0.2 + (r2 / 7.0 + r4 * y2 / 9.0) * y2) * y2 * y2 * y)
 
 
 @dataclass
@@ -133,7 +137,7 @@ class IsentropicProfile:
     y_nodes: np.ndarray
     w: np.ndarray                 # rho^{1/3} at the nodes
     rho_bar: np.ndarray
-    mass_moments: MassMoments
+    fourth_moment: float          # int_0^{R0} s^4 rho(s) ds
     boundary_slope: float         # d/dy rho^{1/3} at R0 (finite, negative)
     _dense: _DenseOutput = field(repr=False, default=None)
     _y_series: float = field(repr=False, default=0.0)
@@ -141,18 +145,16 @@ class IsentropicProfile:
     # Evaluation helpers, valid for 0 <= y <= R0.  sample_background uses
     # them once per grid to place profile data on nodes and cell edges.
 
-    def _blend(self, y, series_fn, idx):
+    def _blend(self, y, idx):
         y = np.asarray(y, dtype=float)
         dense = self._dense(np.clip(y, self._y_series, self.R0), [idx])[idx]
-        return np.where(y < self._y_series, series_fn(y), dense)
+        return np.where(y < self._y_series, _isentropic_series(y, self.delta)[idx], dense)
 
     def w_at(self, y):
-        c2 = -(1.0 + 3.0 * self.delta) / 24.0
-        return self._blend(y, lambda t: 1.0 + c2 * t**2, 0)
+        return self._blend(y, 0)
 
     def wprime_at(self, y):
-        c2 = -(1.0 + 3.0 * self.delta) / 24.0
-        return self._blend(y, lambda t: 2.0 * c2 * t, 1)
+        return self._blend(y, 1)
 
     def rho_at(self, y):
         return np.clip(self.w_at(y), 0.0, None) ** 3
@@ -183,7 +185,7 @@ class ThermoProfile:
     rho_bar: np.ndarray
     theta_bar: np.ndarray
     reduction_constant: float     # A in rho = A * theta^m
-    mass_moments: MassMoments
+    fourth_moment: float          # int_0^{R0} s^4 rho(s) ds
     theta_boundary_slope: float   # d/dy theta at R0
     rho_pow_boundary_slope: float  # d/dy rho^{1/m} at R0
     zero_gap: float = 0.0         # |implied rho zero - theta zero|
@@ -296,42 +298,36 @@ def sample_background(profile, x) -> Background:
                       grad=gradient_stencil(x), **arrays)
 
 
+def _launch(rhs, y0, state0, gs, max_step, row, level, what):
+    """DOP853 from the series start y0 until state[row] falls to level (a terminal event):
+    the stop y, the state there and the dense solution."""
+    def hit(y, s):
+        return s[row] - level
+    hit.terminal, hit.direction = True, -1
+
+    sol = solve_ivp(rhs, (y0, gs.y_max), state0, method="DOP853", rtol=gs.tol_eff,
+                    atol=gs.tol_eff, events=hit, dense_output=True, max_step=max_step)
+    if not sol.success:
+        raise ToleranceNotMet(f"{what} profile integration failed: {sol.message}")
+    if sol.t_events[0].size == 0:
+        raise NoFirstZero(f"{what} profile stayed positive up to y = {gs.y_max}; the "
+                          "parameters may be outside the solvable range or y_max too small")
+    y_end = float(sol.t_events[0][0])
+    return y_end, sol.sol(y_end), sol.sol
+
+
 def solve_isentropic_profile(delta: float, grid_spec: GridSpec | None = None) -> IsentropicProfile:
     """Integrate the isentropic profile ODE out to its first density zero."""
     gs = grid_spec or GridSpec()
-    c2 = -(1.0 + 3.0 * delta) / 24.0
     y0 = _SERIES_FRAC * _R0_SCALE_GUESS
-    state0 = [
-        1.0 + c2 * y0**2,                      # w
-        2.0 * c2 * y0,                         # w'
-        y0**3 / 3.0 + 3.0 * c2 * y0**5 / 5.0,  # int s^2 rho
-        y0**5 / 5.0 + 3.0 * c2 * y0**7 / 7.0,  # int s^4 rho
-    ]
 
     def rhs(y, u):
-        w, wp, _, _ = u
+        w, wp, _ = u
         w3 = w * w * w
-        return (wp, -2.0 * wp / y - 0.25 * w3 - 0.75 * delta, y * y * w3, y**4 * w3)
+        return (wp, -2.0 * wp / y - 0.25 * w3 - 0.75 * delta, y**4 * w3)
 
-    def hit_zero(y, u):
-        return u[0]
-
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
-    tol = gs.tol_eff
-    sol = solve_ivp(rhs, (y0, gs.y_max), state0, method="DOP853",
-                    rtol=tol, atol=tol, events=hit_zero, dense_output=True,
-                    max_step=0.02 * _R0_SCALE_GUESS)
-    if not sol.success:
-        raise ToleranceNotMet(f"profile integration failed: {sol.message}")
-    if sol.t_events[0].size == 0:
-        raise NoFirstZero(
-            f"rho^(1/3) stayed positive up to y = {gs.y_max} for delta = {delta}; "
-            "delta may be below the solvable range or y_max too small")
-
-    R0 = float(sol.t_events[0][0])
-    w_R0, slope, _, q4_R0 = sol.sol(R0)
+    R0, (w_R0, slope, q4_R0), sol = _launch(rhs, y0, _isentropic_series(y0, delta), gs,
+                                            0.02 * _R0_SCALE_GUESS, 0, 0.0, "isentropic")
     if abs(w_R0) > _ROOT_TOL:
         raise ToleranceNotMet(f"|w(R0)| = {abs(w_R0):.3e} above root tolerance {_ROOT_TOL}")
     if not np.isfinite(slope) or abs(slope) > _SLOPE_CAP:
@@ -347,9 +343,9 @@ def solve_isentropic_profile(delta: float, grid_spec: GridSpec | None = None) ->
         y_nodes=y_nodes,
         w=None,
         rho_bar=None,
-        mass_moments=MassMoments(fourth_moment=float(q4_R0)),
+        fourth_moment=float(q4_R0),
         boundary_slope=float(slope),
-        _dense=_DenseOutput(sol.sol, 2),    # w and w'; the moments are read at R0 only
+        _dense=_DenseOutput(sol, 2),    # w and w'; the moment is read at R0 only
         _y_series=y0,
     )
     w = profile.w_at(y_nodes)       # w(0) = 1 exactly, from the series
@@ -390,22 +386,10 @@ def solve_thermo_profile(K: float, epsilon: float,
         return (-u * (M / (K * y2) + theta_p) / (m * theta), theta_p,
                 -epsilon * y2 * rho, y2 * rho, y2 * y2 * rho)
 
-    def hit_cut(y, s):
-        return s[1] - _THETA_CUT
-    hit_cut.terminal, hit_cut.direction = True, -1
-
     # u = rho^(1/m) vanishes linearly, like theta (rho itself like (R0 - y)^m), so
     # one absolute tolerance controls it into the vacuum tail, and its own zero must match R0.
-    tol = gs.tol_eff
-    sol = solve_ivp(rhs, (y0, gs.y_max), state0, method="DOP853", rtol=tol, atol=tol,
-                    events=hit_cut, dense_output=True, max_step=0.04 * r0_guess)
-    if not sol.success:
-        raise ToleranceNotMet(f"thermo profile integration failed: {sol.message}")
-    if sol.t_events[0].size == 0:
-        raise NoFirstZero(f"theta stayed positive up to y = {gs.y_max}")
-
-    y_cut = float(sol.t_events[0][0])
-    u_c, theta_c, g_c, M_c, q4_c = sol.sol(y_cut)
+    y_cut, (u_c, theta_c, g_c, M_c, q4_c), sol = _launch(
+        rhs, y0, state0, gs, 0.04 * r0_guess, 1, _THETA_CUT, "thermo")
     rho_c = u_c**m
     theta_p = g_c / y_cut**2
     theta_pp = -2.0 * theta_p / y_cut - epsilon * rho_c
@@ -443,11 +427,11 @@ def solve_thermo_profile(K: float, epsilon: float,
         rho_bar=np.zeros_like(y_nodes),
         theta_bar=np.zeros_like(y_nodes),
         reduction_constant=1.0,
-        mass_moments=MassMoments(fourth_moment=float(q4_R0)),
+        fourth_moment=float(q4_R0),
         theta_boundary_slope=float(theta_slope),
         rho_pow_boundary_slope=float(u_p),
         zero_gap=float(abs(R0_rho - R0)),
-        _dense=_DenseOutput(sol.sol, 4),    # u, theta, g, M; q4 is closed at the cut
+        _dense=_DenseOutput(sol, 4),    # u, theta, g, M; q4 is closed at the cut
         _y_series=y0,
         _y_cut=y_cut,
         _cut=(float(rho_c), float(theta_c), float(M_c)),

@@ -11,7 +11,8 @@
 - the three evolution entry points, given a non-finite or misplaced initial
   field, a viscosity outside (0, inf) or an end clock outside [0, inf),
   raise a StarlabError that names it; so do the specs given a fraction for an
-  integer, and a self-similar batch given an end clock beyond the config's bound.
+  integer, a self-similar batch given an end clock beyond the config's bound, and
+  a linear run whose alpha = a0 e^(a1 tau) would leave the float range.
 
 conftest.py's settings profile derandomizes every property.
 """
@@ -332,3 +333,17 @@ def test_library_names_fractions_and_the_self_similar_end_bound(iso_ss, pars_ss)
         with pytest.raises(ConfigInvalid) as exc:
             evolve_ensemble(iso_ss, pars_ss, initials, 1e6, SolverSpec(n_cells=N))
         assert exc.value.errors == from_config.value.errors
+
+
+@pytest.mark.parametrize("star, delta", [("iso0", 0.0), ("iso_ss", -1e-3), ("thermo14", 0.0)])
+def test_library_names_the_linear_end_bound(request, star, delta):
+    # these ended in a bare OverflowError once alpha = a0 e^(a1 tau) left the float range
+    prof, thermo = request.getfixturevalue(star), star == "thermo14"
+    evolve = evolve_linear_thermo if thermo else evolve_linear_isentropic
+    z = np.zeros(N + 1)
+    for end in (236.2 / 20.0, 1e3):
+        with pytest.raises(ConfigInvalid) as exc:
+            evolve(prof, classify_expansion(delta, 1.0, 20.0), (z,) * (2 + thermo), end,
+                   SolverSpec(n_cells=N, n_emit=2))
+        assert exc.value.errors == ["a1 * time.end + ln max(a0, 1) < 236.1 "
+                                    "(the reconstruction's alpha^-3 underflows beyond)"]

@@ -63,7 +63,7 @@ def test_c09_seeds_stop_at_different_steps(iso_ss, pars_ss):
     spec = SolverSpec(n_cells=n, order=2, cfl=1.0, n_emit=40, growth_threshold=0.1)
     runs = assert_members_alone(iso_ss, pars_ss, initials, 600.0, spec, SELF_SIMILAR_REGIME)
     assert [e.crossing for r in runs for e in r.events] == [
-        67.14197816742549, 73.32801291576799, 54.99834201404074]
+        67.14197818264354, 73.32801291252126, 54.99834201389742]
     assert len({len(r.times) for r in runs}) == 3
 
 

@@ -30,7 +30,7 @@ class TestPhysicalEnergy:
             return Snap
 
         res = F.physical_energy(snap(4097))
-        kinetic = 0.5 * alpha_p**2 * iso_ss.mass_moments.fourth_moment
+        kinetic = 0.5 * alpha_p**2 * iso_ss.fourth_moment
         assert abs(res.D) < 1e-12 * max(kinetic, 1.0)
         # self-similar branch: E vanishes, to the tolerance of the quadrature
         # (three O(alpha^-1 * 10) terms cancel); refining must shrink it
@@ -44,7 +44,7 @@ class TestPhysicalEnergy:
         pars = classify_expansion(0.0, 1.0, 1.0)
         x = iso0.y_nodes
         expected = 0.5 * (pars.a1**2 + 2.0 * pars.delta / pars.a0) \
-            * iso0.mass_moments.fourth_moment
+            * iso0.fourth_moment
         for t in (0.0, 1.0, 3.0):
             alpha = 1.0 + t
 

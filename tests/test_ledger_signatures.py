@@ -15,9 +15,9 @@ from starlab.config import validate_config
 
 CASES = {
     "linear": ("evolve-linear", {"delta": 0.0, "a1": 1.0}, 0.5,
-               "597911d2a7f355aada584e4f15e9f23670da5d8060eb106115e394e88e94ae38"),
+               "d436c40172953fb8fcfee942a83085f1738af8bd5359bb68ee67d76369aec569"),
     "general-linear": ("evolve-linear", {"delta": -1e-3, "a1": 0.1}, 0.5,
-                       "04d49f91366876053c6ad7d0056948af161dbc9ed424d59022fbbb0133143394"),
+                       "dff7a002c73009113ae92e44994acb961a2e9e284ead413ecd5f0a84539b4637"),
     "thermo": ("evolve-thermo", {"kind": "thermo", "a1": 20.0}, 0.05,
                "cf2425134330ea3c54301bb02988579ccf7967eeaa94e90e5771314a47fa72be"),
 }

@@ -13,7 +13,7 @@ from starlab.profiles import (GridSpec, boundary_slope_fd, isentropic_ode_residu
 class TestIsentropic:
     def test_first_zero_matches_rescaled_oracle(self, iso0):
         # y = 2 xi maps the delta = 0 equation onto the standard index-3 form
-        xi1 = lane_emden_first_zero(3.0)
+        xi1, _ = lane_emden_first_zero(3.0)
         assert abs(iso0.R0 - 2.0 * xi1) < 2e-3
         assert abs(iso0.R0 - 13.7937) < 2e-3
 
@@ -63,7 +63,7 @@ class TestIsentropic:
         assert abs(s_f - fine.boundary_slope) / abs(fine.boundary_slope) < 1e-3
 
     def test_mass_moments(self, iso0):
-        q4 = iso0.mass_moments.fourth_moment
+        q4 = iso0.fourth_moment
         assert q4 > 0
         # independent adaptive-quadrature oracle
         q4_oracle, _ = quad(lambda y: y**4 * float(iso0.rho_at(y)), 0.0, iso0.R0,
@@ -86,6 +86,14 @@ class TestIsentropic:
             solve_isentropic_profile(-3e-3, GridSpec(y_max=400.0))
 
 
+# every star the solves build: the thermo stars at m = 3 and m = 1/4, and isentropic
+# stars at delta = 0, on the self-similar window and well above it
+STAR_CASES = [pytest.param(solve_thermo_profile, (1.0, 0.25), id="1.0-0.25"),
+              pytest.param(solve_thermo_profile, (2.0, 0.4), id="2.0-0.4"),
+              *(pytest.param(solve_isentropic_profile, (d,), id=f"delta={d}")
+                for d in (0.0, -1e-3, 0.5))]
+
+
 class TestThermo:
     def test_reduction_oracle(self, thermo14):
         A, m = thermo14.reduction_constant, thermo14.exponent
@@ -96,7 +104,7 @@ class TestThermo:
 
     def test_radius_matches_scaled_lane_emden(self, thermo14):
         # theta solves the index-3 equation after y -> sqrt(eps A) y
-        xi1 = lane_emden_first_zero(3.0)
+        xi1, _ = lane_emden_first_zero(3.0)
         scale = 1.0 / np.sqrt(thermo14.epsilon * thermo14.reduction_constant)
         assert abs(thermo14.R0 - scale * xi1) / thermo14.R0 < 1e-3
 
@@ -123,25 +131,26 @@ class TestThermo:
 
     # the reference floors at tol_eff = 1e-14, below which scipy raises rtol itself
     @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
-    @pytest.mark.parametrize("K, eps", [(1.0, 0.25), (2.0, 0.4)])   # m = 3 and m = 1/4
-    def test_converges_to_a_tighter_reference(self, monkeypatch, K, eps):
-        prof = solve_thermo_profile(K, eps)
+    @pytest.mark.parametrize("solve, args", STAR_CASES)
+    def test_converges_to_a_tighter_reference(self, monkeypatch, solve, args):
+        prof = solve(*args)
         monkeypatch.setattr(profiles, "_SERIES_FRAC", profiles._SERIES_FRAC / 4)
-        ref = solve_thermo_profile(K, eps, GridSpec(rtol=1e-11, atol=1e-11))
+        ref = solve(*args, GridSpec(rtol=1e-11, atol=1e-11))
         assert abs(prof.R0 / ref.R0 - 1) < 1e-11
-        fourth, fourth_ref = prof.mass_moments.fourth_moment, ref.mass_moments.fourth_moment
-        assert abs(fourth / fourth_ref - 1) < 5e-11
+        assert abs(prof.fourth_moment / ref.fourth_moment - 1) < 5e-11
         y = prof.y_nodes[(prof.y_nodes > prof._y_series) & (prof.y_nodes <= 0.95 * prof.R0)]
         assert np.max(np.abs(prof.rho_at(y) / ref.rho_at(y) - 1)) < 1e-10
 
-    @pytest.mark.parametrize("K, eps", [(1.0, 0.25), (2.0, 0.4)])
-    def test_series_meets_the_solve_at_its_start(self, K, eps):
+    @pytest.mark.parametrize("solve, args", STAR_CASES)
+    def test_series_meets_the_solve_at_its_start(self, solve, args):
         # one fourth-order series gives the start state and the values below it
-        prof = solve_thermo_profile(K, eps)
+        prof = solve(*args)
         ys = prof._y_series
-        for name in ("rho_at", "theta_at", "thetaprime_at", "cumulative_mass_at"):
-            below, at = getattr(prof, name)(np.array([np.nextafter(ys, 0.0), ys]))
-            assert below == pytest.approx(at, rel=1e-14, abs=0.0)
+        for name in ("w_at", "wprime_at", "rho_at", "rho43_at", "theta_at", "thetaprime_at",
+                     "cumulative_mass_at"):
+            if hasattr(prof, name):
+                below, at = getattr(prof, name)(np.array([np.nextafter(ys, 0.0), ys]))
+                assert below == pytest.approx(at, rel=1e-14, abs=0.0)
 
     def test_solve_step_count(self, thermo14):
         # u = rho^(1/m) vanishes linearly, so the steps do not shrink towards the cut
