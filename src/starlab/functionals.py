@@ -23,35 +23,39 @@ from .errors import DomainViolation, KEqualsOne, MissingDerivative, WeightViolat
 
 
 def gradient_stencil(x) -> tuple:
-    """numpy.gradient's coefficients on x (edge_order=2) as (center, first, last).
+    """numpy.gradient's coefficients on x (edge_order=2) as (center, ends).
 
-    center is 2 dx on an exactly uniform grid (numpy's branch for it), else the
-    (a, b, c) arrays of the central rows; first and last are the (a, b, c) of the
-    one-sided end rows.  Numpy's formulas and order: `gradient` gives its bits.
-    """
+    center is 2 dx on an exactly uniform grid (numpy's branch for it), else the (a, b, c)
+    arrays of the central rows; ends = (a, b, c, i, j, k) holds both one-sided rows'
+    (first, last) coefficients and the nodes they weigh, (0, N-2), (1, N-1) and (2, N).
+    Numpy's formulas and order: `gradient` gives its bits."""
     dx = np.diff(np.asarray(x, dtype=float))
     if (dx == dx[0]).all():
         h = dx[0]
-        return 2.0 * h, (-1.5 / h, 2.0 / h, -0.5 / h), (0.5 / h, -2.0 / h, 1.5 / h)
-    d1, d2 = dx[:-1], dx[1:]
-    center = (-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2)))
-    (d1, d2), (e1, e2) = dx[:2], dx[-2:]
-    return (center,
-            (-(2.0 * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2), -d1 / (d2 * (d1 + d2))),
-            (e2 / (e1 * (e1 + e2)), -(e2 + e1) / (e1 * e2), (2.0 * e2 + e1) / (e2 * (e1 + e2))))
-
-
-def gradient(u, stencil):
-    """du/dx along the last axis on the grid of `stencil`, as numpy.gradient gives it."""
-    center, (a0, b0, c0), (a1, b1, c1) = stencil
-    out = np.empty(u.shape)
-    if isinstance(center, tuple):
-        a, b, c = center
-        out[..., 1:-1] = a * u[..., :-2] + b * u[..., 1:-1] + c * u[..., 2:]
+        center, first, last = 2.0 * h, (-1.5 / h, 2.0 / h, -0.5 / h), (0.5 / h, -2.0 / h, 1.5 / h)
     else:
-        out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / center
-    out[..., 0] = a0 * u[..., 0] + b0 * u[..., 1] + c0 * u[..., 2]
-    out[..., -1] = a1 * u[..., -3] + b1 * u[..., -2] + c1 * u[..., -1]
+        d1, d2 = dx[:-1], dx[1:]
+        center = (-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2)))
+        (d1, d2), (e1, e2) = dx[:2], dx[-2:]
+        first = (-(2.0 * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2), -d1 / (d2 * (d1 + d2)))
+        last = (e2 / (e1 * (e1 + e2)), -(e2 + e1) / (e1 * e2), (2.0 * e2 + e1) / (e2 * (e1 + e2)))
+    nodes = tuple(slice(k, dx.size - 1 + k, max(dx.size - 2, 1)) for k in range(3))
+    return center, tuple(np.array(pair) for pair in zip(first, last)) + nodes
+
+
+def gradient(u, stencil, out=None):
+    """du/dx along the last axis on the grid of `stencil` (into out), as numpy.gradient gives it."""
+    center, (a0, b0, c0, i, j, k) = stencil
+    out = np.empty(u.shape) if out is None else out
+    inner, ends = out[..., 1:-1], out[..., ::u.shape[-1] - 1]     # ends: the one-sided rows
+    if isinstance(center, tuple):                # (a u_i-1 + b u_i) + c u_i+1
+        a, b, c = center
+        np.add(np.multiply(a, u[..., :-2], inner), np.multiply(b, u[..., 1:-1]), inner)
+        np.add(inner, np.multiply(c, u[..., 2:]), inner)
+    else:
+        np.divide(np.subtract(u[..., 2:], u[..., :-2], inner), center, inner)
+    np.add(np.multiply(a0, u[..., i], ends), np.multiply(b0, u[..., j]), ends)
+    np.add(ends, np.multiply(c0, u[..., k]), ends)
     return out
 
 
@@ -178,9 +182,9 @@ def perturbation_energy_ss(x, phi, phi_s, rho4_nodes, rho43_edges, a0: float,
 
 def _gram_factors(geom, xm, dx, gw):
     """(g, a, b) of K at geom: edge i adds g_i (a_i v_{i+1} + b_i v_i)^2 to v^T K v."""
-    Hm, df, Jm = geom[:3]
-    Hdx, half_df = Hm / dx, 0.5 * df
-    return gw / Jm, xm * (Hdx - half_df), -xm * (Hdx + half_df)
+    a, half_df = np.divide(geom[0], dx), np.multiply(0.5, geom[1])   # Hm / dx, df / 2
+    b = np.negative(np.multiply(np.add(a, half_df), xm))      # b = -xm (Hm/dx + df/2), exactly
+    return np.divide(gw, geom[2]), np.multiply(np.subtract(a, half_df, a), xm, a), b
 
 
 def _energy_ss(spacing, xm, v, geom, rho4, w, b, delta):
@@ -190,20 +194,26 @@ def _energy_ss(spacing, xm, v, geom, rho4, w, b, delta):
     the grid only, so a caller probing many states computes them once.
 
     The states are the rows of a batch (or one 1-d state), and the two lists
-    hold one value per row; each dot product is one `@` of its row.  geom =
+    hold one value per row; each dot product is one `np.dot` of its row.  geom =
     (Hm, df, Jm, g, a, c, H, H^2, Hm^2, Hm^2 Jm) holds f's edge geometry, K's Gram
     factors (g, a, c), so that D = v^T K v >= 0 by construction, and H = 1 + f.
     The solver calls this on every accepted state; its geometry check stands in
     for the domain checks of `perturbation_energy_ss`.
     """
     Hm, df, Jm, g, a, c, H, H2, Hm2, HHJ = geom
-    F = rho4 * (0.5 * v**2 + b * H * v - delta * H2 + delta / H)
-    grad_term = 3.0 * HHJ ** (-1.0 / 3.0) - 3.0 / Hm + xm * df / Hm2
-    sq = (a * v[..., 1:] + c * v[..., :-1]) ** 2
-    quad = (spacing * (F[..., 1:] + F[..., :-1]) / 2.0).sum(axis=-1)   # _trapz's
-    rows = (t.reshape(-1, t.shape[-1]) for t in (grad_term, g, sq))
-    return ([q + float(w @ t) for q, t in zip(quad.reshape(-1).tolist(), next(rows))],
-            [float(gi @ si) for gi, si in zip(*rows)])
+    F = np.multiply(np.multiply(v, v), 0.5)      # rho4 (v^2/2 + b H v - delta H^2 + delta/H)
+    np.subtract(np.add(F, np.multiply(np.multiply(b, H), v), F), np.multiply(delta, H2), F)
+    np.multiply(np.add(F, np.divide(delta, H), F), rho4, F)
+    grad_term = np.multiply(np.power(HHJ, -1.0 / 3.0), 3.0)   # 3 HHJ^(-1/3) - 3/Hm + xm df/Hm^2
+    np.subtract(grad_term, np.divide(3.0, Hm), grad_term)
+    np.add(grad_term, np.divide(np.multiply(xm, df), Hm2), grad_term)
+    quad = np.add.reduce(np.divide(np.multiply(np.add(F[..., 1:], F[..., :-1]), spacing), 2.0), -1)
+    sq = np.add(np.multiply(a, v[..., 1:]), np.multiply(c, v[..., :-1]))   # (a v_i+1 + c v_i)^2
+    np.square(sq, sq)
+    if v.ndim == 1:                              # one member: no per-row Python
+        return [float(quad) + float(np.dot(w, grad_term))], [float(np.dot(g, sq))]
+    return ([q + float(np.dot(w, t)) for q, t in zip(quad.tolist(), grad_term)],
+            [float(np.dot(gi, si)) for gi, si in zip(g, sq)])
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +236,9 @@ def amplitude(field) -> float:
 
 def _amplitude(x, stencil, theta, theta_t, zeta=None):
     """`amplitude` along the last axis: one value per state of a batch."""
-    u = np.array([theta, theta_t])
-    omega = np.abs(np.concatenate([u, x * gradient(u, stencil)])).max(axis=(0, -1))
+    u = np.array((theta, theta_t) * 2)           # theta, theta_t, then x theta_x, x theta_xt
+    np.multiply(gradient(u[:2], stencil, u[2:]), x, u[2:])
+    omega = np.maximum.reduce(np.abs(u, u), axis=(0, -1))
     if zeta is not None:
         ratio = np.abs(zeta[..., :-1]) / (x[-1] - x)[:-1]
         boundary = np.abs(zeta[..., -1] - zeta[..., -2]) / (x[-1] - x[-2])

@@ -35,6 +35,10 @@ One kernel per run, `_Kernel(bg, clock, mu)`, works along the last axis of a
 (B, N+1) batch of states or of one 1-d state.  It builds each state's
 `_Geometry`, Gram factors included, once for every use of it, and solves a
 batch's tridiagonal systems in one LAPACK dgtsv call.
+
+In-place rule: only fresh temporaries are overwritten, each by the IEEE operation it
+replaces, in its order; never a `_Geometry` field (it serves every retry and the next
+step), a Background array or a caller's state.  Updates pass a positional out.
 """
 
 from __future__ import annotations
@@ -50,17 +54,28 @@ from .functionals import gradient
 from .profiles import Background
 
 
+class _NonFinite(ValueError):
+    """A tridiagonal system with a non-finite entry."""
+
+
 def _solve_tridiag(diag, upper, lower, rhs):
     """dgtsv on upper[i] = A[i, i+1], lower[i] = A[i+1, i], with scipy's banded checks.
 
-    Rows of 2-d arguments are uncoupled blocks of one system: each has its own solve's bits.
+    Rows of 2-d arguments are uncoupled blocks of one system, each with its own solve's
+    bits; a non-finite block solves to NaN, and a non-finite 1-d system raises _NonFinite.
     """
-    if not np.isfinite(np.concatenate((diag, upper, lower, rhs), axis=-1)).all():
-        raise ValueError("array must not contain infs or NaNs")
+    finite = np.logical_and.reduce(np.isfinite(np.concatenate((diag, upper, lower, rhs), -1)), -1)
+    if not finite.all():
+        if diag.ndim == 1:
+            raise _NonFinite("array must not contain infs or NaNs")
+        x = np.full(diag.shape, np.nan)
+        if finite.any():
+            x[finite] = _solve_tridiag(diag[finite], upper[finite], lower[finite], rhs[finite])
+        return x
     if diag.ndim > 1:
         upper, lower = (np.concatenate([b, np.zeros((len(b), 1))], axis=1).ravel()[:-1]
                         for b in (upper, lower))
-    x, info = dgtsv(lower, diag.ravel(), upper, rhs.ravel())[3:]   # copies: inputs stay intact
+    x, info = dgtsv(lower, diag.ravel(), upper, rhs.ravel())[3:]   # copies: inputs intact
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
@@ -68,21 +83,30 @@ def _solve_tridiag(diag, upper, lower, rhs):
     return x.reshape(diag.shape)
 
 
+def _solve_step(diag, off, rhs):
+    """A step's symmetric solve: a non-finite system solves to NaN, a failed attempt."""
+    try:
+        return _solve_tridiag(diag, off, off, rhs)
+    except _NonFinite:
+        return np.full(diag.shape, np.nan)
+
+
 _OVERDAMPED_RATIO = 1e12
 
 
-def _cap_overdamped(visc, mass_term, K_diag):
+def _cap_overdamped(visc, mass_max, K_diag):
     """Saturate each row's implicit viscous factor deep in the overdamped regime.
 
-    Once visc*K exceeds the inertial rows by ~1e12 the velocity solve is the
-    quasi-static limit to double precision and larger factors only destroy
-    the conditioning of the semidefinite K against the lumped mass; the
-    capped solve agrees with the uncapped one to O(1e-12).
+    Once visc*K exceeds the largest inertial row mass_max (a column for a batch)
+    by ~1e12 the velocity solve is the quasi-static limit to double precision and
+    larger factors only destroy the conditioning of the semidefinite K against the
+    lumped mass; the capped solve agrees with the uncapped one to O(1e-12).
     """
-    cap = _OVERDAMPED_RATIO * mass_term.max(axis=-1, keepdims=K_diag.ndim > 1)
-    k_max = K_diag.max(axis=-1, keepdims=K_diag.ndim > 1)     # a 1-d state's stay scalars
-    capped = visc * k_max > cap
-    return np.where(capped & (cap > 0.0), cap / k_max, visc) if capped.any() else visc
+    cap = _OVERDAMPED_RATIO * mass_max
+    k_max = np.maximum.reduce(K_diag, -1, keepdims=K_diag.ndim > 1)     # 1-d: a scalar
+    if not np.logical_or.reduce(capped := visc * k_max > cap, None):
+        return visc
+    return np.where(capped & (cap > 0.0), cap / k_max, visc)
 
 
 def _columns(rows):
@@ -90,11 +114,11 @@ def _columns(rows):
     return rows[0] if len(rows) == 1 else np.array(rows).T[:, :, None]
 
 
-def _flux_div(flux):
-    """Node differences of edge fluxes with zero flux beyond both ends (np.diff's bits)."""
+def _flux_div(flux, op=np.subtract):
+    """op(right, left) of each node's edge fluxes, zero beyond both ends (np.diff's bits)."""
     padded = np.zeros(flux.shape[:-1] + (flux.shape[-1] + 2,))
     padded[..., 1:-1] = flux
-    return padded[..., 1:] - padded[..., :-1]
+    return op(padded[..., 1:], padded[..., :-1])
 
 
 def _quad_extrap(x, vals, idx):
@@ -127,13 +151,15 @@ class _Kernel:
         self.rho = bg.rho.copy()             # the vacuum node is exactly massless
         self.rho[-1] = 0.0
         self.mass = self.wq * x**4 * self.rho
-        self.x3 = x**3
-        self.gw = (4.0 * mu / 3.0) * self.dx * bg.xm**2      # the Gram factor g times Jm
+        self.mass_max = float(self.mass.max())     # c * mass's largest entry is c * mass_max
+        self.x2, self.x3, self.xm2 = x**2, x**3, bg.xm**2
+        self.gw = (4.0 * mu / 3.0) * self.dx * self.xm2      # the Gram factor g times Jm
         self.thermo = bg.theta is not None
         if self.thermo:
             self.theta_b = bg.theta.copy()
             self.theta_b[-1] = 0.0
             self.mass_z = self.wq * 3.0 * bg.K * x**2 * self.rho
+            self.K_rho, self.K_rho_m = bg.K * self.rho, bg.K * bg.rho_m
         else:
             self.rho13_m = bg.rho_m ** (1.0 / 3.0)
             self.grav_w = self.wq * self.delta * x**4 * self.rho
@@ -141,21 +167,22 @@ class _Kernel:
 
     def edge_geometry(self, f):
         """The `_Geometry` of state f, built once per state."""
-        Hm = 1.0 + 0.5 * (f[..., :-1] + f[..., 1:])
-        df = (f[..., 1:] - f[..., :-1]) / self.dx
-        Jm = Hm + self.bg.xm * df
-        H, Hm2 = 1.0 + f, Hm * Hm
+        Hm = np.add(f[..., :-1], f[..., 1:])                     # 1 + 0.5 (f_i + f_i+1)
+        np.add(np.multiply(Hm, 0.5, Hm), 1.0, Hm)
+        df = np.subtract(f[..., 1:], f[..., :-1])
+        Jm = np.add(np.multiply(self.bg.xm, np.divide(df, self.dx, df)), Hm)     # Hm + xm df
+        Hm2, H = np.multiply(Hm, Hm), np.add(f, 1.0)
         gram = functionals._gram_factors((Hm, df, Jm), self.bg.xm, self.dx, self.gw)
-        return _Geometry(Hm, df, Jm, *gram, H, H**2, Hm2, Hm2 * Jm)
+        return _Geometry(Hm, df, Jm, *gram, H, np.multiply(H, H), Hm2, np.multiply(Hm2, Jm))
 
     def viscous_matrix(self, geom):
         """Gram matrix K with T(v, w) = -w^T K v as (diag, off): K[i, i+1] = K[i+1, i] = off[i]."""
         g, a, b = geom[3:6]
-        ga = g * a
-        diag = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
-        diag[..., :-1] += g * b * b
-        diag[..., 1:] += ga * a
-        return diag, ga * b
+        diag = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))        # edge i: g b b on node i,
+        gb, ga, lead, trail = np.multiply(g, b), np.multiply(g, a), diag[..., :-1], diag[..., 1:]
+        np.add(lead, np.multiply(gb, b, gb), lead)
+        np.add(trail, np.multiply(ga, a, gb), trail)              # g a a on node i+1
+        return diag, np.multiply(ga, b, ga)                       # and g a b off the diagonal
 
     def apply_viscous(self, K, v):
         diag, off = K
@@ -171,30 +198,32 @@ class _Kernel:
         vanishes at the vacuum. The background gradient is differenced with
         the same midpoint fluxes, so the rows vanish identically at f = 0.
         """
-        bg = self.bg
-        H, H2 = geom.H, geom.H2
-        if self.thermo:
-            Gm = 1.0 / geom.HHJ
-            zm = 0.5 * (zeta[..., :-1] + zeta[..., 1:])
-            flux = (bg.ptheta_m + bg.K * bg.rho_m * zm) * Gm
-        else:
-            Gm = geom.HHJ ** (-4.0 / 3.0)
-            flux = bg.rho43_m * Gm
-        rows = self.x3 * (H2 * _flux_div(flux) - self.div_b / H2)
-        if not self.thermo and self.delta != 0.0:
-            rows = rows + self.grav_w * (H - 1.0 / H2)
+        H, H2 = geom.H, geom.H2                  # rows x^3 (H^2 div(flux) - div_b / H^2)
+        flux = (padded := np.zeros(H.shape[:-1] + (H.shape[-1] + 1,)))[..., 1:-1]   # 0 beyond
+        if self.thermo:                          # (ptheta_m + K rho_m zm) / HHJ
+            np.multiply(np.add(zeta[..., :-1], zeta[..., 1:], flux), 0.5, flux)
+            np.add(np.multiply(flux, self.K_rho_m, flux), self.bg.ptheta_m, flux)
+            np.multiply(flux, np.divide(1.0, geom.HHJ), flux)
+        else:                                    # rho43_m HHJ^(-4/3)
+            np.multiply(np.power(geom.HHJ, -4.0 / 3.0, flux), self.bg.rho43_m, flux)
+        rows = np.multiply(np.subtract(padded[..., 1:], padded[..., :-1]), H2)
+        np.multiply(np.subtract(rows, np.divide(self.div_b, H2), rows), self.x3, rows)
+        if not self.thermo and self.delta != 0.0:                # + grav_w (H - 1/H^2)
+            grav = np.subtract(H, np.divide(1.0, H2))
+            np.add(rows, np.multiply(grav, self.grav_w, grav), rows)
         return rows
 
     def check_geometry(self, geom):
-        return np.minimum(geom.H.min(axis=-1), geom.Jm.min(axis=-1))
+        return np.minimum.reduce(np.concatenate((geom.H, geom.Jm), -1), -1)
 
     def wave_speed2(self, geom, zeta=None):
         """Each row's squared wave speed times the inertia, for the CFL limit."""
-        Hm, _, Jm = geom[:3]
-        if self.thermo:
-            zm = 0.5 * (zeta[..., :-1] + zeta[..., 1:])
-            return self.bg.K * (np.abs(self.bg.theta_m + zm) * Hm**2 / Jm**2).max(axis=-1)
-        return (4.0 / 3.0) * (self.rho13_m * Hm**4 * geom.HHJ ** (-7.0 / 3.0)).max(axis=-1)
+        if self.thermo:                          # |theta_m + zm| Hm^2 / Jm^2
+            c2 = np.add(np.multiply(np.add(zeta[..., :-1], zeta[..., 1:]), 0.5), self.bg.theta_m)
+            np.divide(np.multiply(np.abs(c2, c2), geom.Hm2, c2), np.multiply(geom.Jm, geom.Jm), c2)
+            return self.bg.K * np.maximum.reduce(c2, -1)
+        c2 = np.multiply(np.power(geom.Hm, 4), self.rho13_m)     # rho13_m Hm^4 HHJ^(-7/3)
+        return (4.0 / 3.0) * np.maximum.reduce(np.multiply(c2, np.power(geom.HHJ, -7 / 3), c2), -1)
 
     # -- momentum --------------------------------------------------------------
 
@@ -206,18 +235,16 @@ class _Kernel:
         midpoint rule, whose explicit half (at v_old) then equals its implicit half.
         """
         inertia, damping, visc = coef
-        K = self.viscous_matrix(geom)
-        rows = self.pressure_gravity(geom, zeta=zeta)
-        mass_term = (inertia / dt + weight * damping) * self.mass
-        visc = _cap_overdamped(weight * visc, mass_term, K[0])
-        diag = mass_term + visc * K[0]
+        diag, off = K = self.viscous_matrix(geom)
+        lumped = inertia / dt + weight * damping           # the mass rows' factor
+        visc = _cap_overdamped(weight * visc, lumped * self.mass_max, diag)
         explicit = 1.0 - weight
-        rhs = (inertia / dt - explicit * damping) * self.mass * v_old
+        rhs = np.multiply(np.multiply(inertia / dt - explicit * damping, self.mass), v_old)
         if explicit:
-            rhs -= visc * self.apply_viscous(K, v_old)
-        rhs -= rows
-        off = visc * K[1]
-        return _solve_tridiag(diag, off, off, rhs)
+            np.subtract(rhs, np.multiply(visc, self.apply_viscous(K, v_old)), rhs)
+        np.subtract(rhs, self.pressure_gravity(geom, zeta=zeta), rhs)
+        np.add(np.multiply(diag, visc, diag), np.multiply(lumped, self.mass), diag)
+        return _solve_step(diag, np.multiply(off, visc, off), rhs)
 
     def acceleration(self, geom, v, coef, zeta=None):
         """Pointwise clock-acceleration from the semi-discrete equations.
@@ -242,14 +269,14 @@ class _Kernel:
     def thermo_aux(self, f, v):
         """Nodal advection bracket, Jacobian, and viscous-heating rate."""
         x, grad = self.bg.x, self.bg.grad
-        H = 1.0 + f
-        f_x = gradient(f, grad)
-        v_x = gradient(v, grad)
-        J = H + x * f_x
-        prod = x**3 * H**2 * v
-        dprod = gradient(prod, grad)
-        frakF = (4.0 / 3.0) * ((v + x * v_x) / J - v / H) ** 2
-        return H, J, dprod, frakF
+        H = np.add(f, 1.0)
+        J = gradient(f, grad)                                     # H + x f_x
+        np.add(np.multiply(J, x, J), H, J)
+        prod = np.multiply(np.multiply(H, H), self.x3)            # x^3 H^2 v
+        F = gradient(v, grad)                     # frakF = (4/3) ((v + x v_x) / J - v / H)^2
+        np.divide(np.add(np.multiply(F, x, F), v, F), J, F)
+        np.square(np.subtract(F, np.divide(v, H), F), F)
+        return H, J, gradient(np.multiply(prod, v, prod), grad), np.multiply(F, 4.0 / 3.0, F)
 
     def zeta_terms(self, f, geom, v, z, alpha):
         """Terms of the temperature equation, unsummed so each caller keeps its order.
@@ -257,14 +284,15 @@ class _Kernel:
         Returns the nodal advection and viscous heating, and at the edges the
         diffusion coefficient and the flux of the background temperature.
         """
-        x, xm = self.bg.x, self.bg.xm
         H, J, dprod, frakF = self.thermo_aux(f, v)
-        adv = self.bg.K * self.rho * (z + self.theta_b) * dprod / (H**2 * J)
-        heat = alpha * x**2 * H**2 * J * self.mu * frakF
-        Hm, _, Jm = geom[:3]
-        cdiff = xm**2 * Hm**2 / Jm
-        bgflux = (Hm**2 / Jm - 1.0) * xm**2 * self.bg.thetap_m
-        return adv, heat, cdiff, bgflux
+        H2 = np.multiply(H, H)
+        adv = np.multiply(np.add(z, self.theta_b), self.K_rho)   # K rho (z + theta_b) dprod
+        np.divide(np.multiply(adv, dprod, adv), np.multiply(H2, J), adv)      # / (H^2 J)
+        heat = np.multiply(np.multiply(alpha, self.x2), H2)       # alpha x^2 H^2 J mu frakF
+        np.multiply(np.multiply(np.multiply(heat, J, heat), self.mu, heat), frakF, heat)
+        bgflux = np.subtract(np.divide(geom.Hm2, geom.Jm), 1.0)   # (Hm^2 / Jm - 1) xm^2 thetap_m
+        np.multiply(np.multiply(bgflux, self.xm2, bgflux), self.bg.thetap_m, bgflux)
+        return adv, heat, np.divide(np.multiply(self.xm2, geom.Hm2), geom.Jm), bgflux
 
     def zeta_rate(self, f, geom, v, z, clock):
         """Pointwise zeta_tau at the clock from the semi-discrete temperature equation."""
@@ -286,16 +314,15 @@ class _Kernel:
         """zeta after one step to the clocks: implicit diffusion, explicit advection and heating."""
         alpha, alpha2 = _columns([(a, a**2) for a in map(self.clock.alpha, clocks)])
         adv, heat, cdiff, bgflux = self.zeta_terms(f, geom, v, z, alpha)
-        dx = self.dx
-        bdiv = _flux_div(bgflux)
-        # symmetric tridiagonal diffusion operator (zero natural flux at the center)
-        end = np.zeros(cdiff.shape[:-1] + (1,))
-        diag = self.mass_z / dt + alpha2 * (
-            np.concatenate([cdiff, end], axis=-1) + np.concatenate([end, cdiff], axis=-1)) / dx
-        off = -alpha2 * cdiff / dx
-        rhs = (self.mass_z / dt) * z - self.wq * adv + self.wq * heat + alpha2 * bdiv
+        mass_dt = np.divide(self.mass_z, dt)
+        # symmetric tridiagonal diffusion operator (zero natural flux at the center):
+        # mass_z / dt + alpha^2 (cdiff_i + cdiff_i-1) / dx, and -alpha^2 cdiff / dx
+        diag = np.multiply(_flux_div(cdiff, np.add), alpha2)
+        np.add(np.divide(diag, self.dx, diag), mass_dt, diag)
+        off = np.divide(np.multiply(cdiff, -alpha2, cdiff), self.dx, cdiff)
+        rhs = np.subtract(np.multiply(mass_dt, z), np.multiply(adv, self.wq, adv))  # - wq adv
+        np.add(rhs, np.multiply(heat, self.wq, heat), rhs)          # + wq heat
+        np.add(rhs, np.multiply(_flux_div(bgflux), alpha2), rhs)    # + alpha^2 div(bgflux)
         # Dirichlet zeta(R0) = 0: identity row, decoupled from zeta_{N-1}
-        diag[..., -1] = 1.0
-        off[..., -1] = 0.0
-        rhs[..., -1] = 0.0
-        return _solve_tridiag(diag, off, off, rhs)
+        diag[..., -1], off[..., -1], rhs[..., -1] = 1.0, 0.0, 0.0
+        return _solve_step(diag, off, rhs)

@@ -148,8 +148,8 @@ class RunResult:
 
 
 def _per_row(values):
-    """A reduction over the last axis as a list, one value per row (one for a 1-d state)."""
-    return values.tolist() if values.ndim else [values]
+    """A last-axis reduction as a list of Python scalars, one per row (one for a 1-d state)."""
+    return values.tolist() if values.ndim else [values.tolist()]
 
 
 def _located_crossing(t0, t1, omega0, omega1, threshold):
@@ -343,6 +343,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
 
     t_last = clock_end * (1.0 - 1e-14)     # a member that stops or gets here leaves the batch
     half = 0.5 if spec.order == 2 else 1.0   # the midpoint rule's share of the step
+    change_bound = min(spec.max_rel_change, sys.float_info.max)   # rejects a non-finite change
     leaving = t_last <= 0.0
     for _ in range(2_000_000):
         if leaving:
@@ -354,6 +355,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
             members = [members[i] for i in live]
             f, v, z = (None if a is None else a[live] for a in (f, v, z))
             geom, leaving = kernel.edge_geometry(f), False
+        scale = np.maximum.reduce(geom.H, -1, initial=1.0)    # max(|H|, 1): accepted, so H > 0
         for m, c2 in zip(members, _per_row(kernel.wave_speed2(geom, zeta=z))):
             c2 /= alpha_clock.coefficients(m.clock)[0]        # over the inertia
             dt_cfl = spec.cfl * kernel.dx / math.sqrt(max(c2, 1e-30))
@@ -363,12 +365,11 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
         for _retry in range(40):                 # each failing member halves its own dt
             dt, *coef = _columns([(m.dt, *alpha_clock.coefficients(m.clock + half * m.dt))
                                   for m in members])
-            at = kernel.edge_geometry(f + 0.5 * dt * v) if half < 1.0 else geom  # solved at
+            at = kernel.edge_geometry(np.add(f, np.multiply(0.5 * dt, v))) if half < 1.0 else geom
             v_new = kernel.solve_velocity(at, v, dt, coef, zeta=z, weight=half)
-            f_new = f + 0.5 * dt * (v + v_new) if half < 1.0 else f + dt * v_new
-            geom_new = kernel.edge_geometry(f_new)
-            change = np.abs(f_new - f).max(axis=-1) / np.abs(geom.H).max(axis=-1, initial=1.0)
-            ok = (change <= spec.max_rel_change) & np.isfinite(f_new).all(axis=-1)
+            f_new = np.multiply(np.add(v, v_new), 0.5 * dt) if half < 1.0 else dt * v_new
+            geom_new = kernel.edge_geometry(np.add(f_new, f, f_new))
+            ok = np.maximum.reduce(np.abs(np.subtract(f_new, f)), -1) / scale <= change_bound
             z_new = kernel.temperature_step(f_new, geom_new, v_new, z, dt, [
                 m.clock + m.dt for m in members]) if thermo else None
             ok = _per_row(ok & np.isfinite(z_new).all(axis=-1) if thermo else ok)

@@ -432,3 +432,25 @@ class TestMain:
         code = main(["evolve-ss", "--config", str(cfg), "--out", str(tmp_path / "g2"),
                      "--verify"])
         assert code == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_thermo_trial_is_an_event(self, tmp_path, capsys):
+        # a vanishing viscosity makes every trial state non-finite: the run stops at
+        # the cfl floor, which prints as an event (exit 0) and fails under --verify
+        with open(DEFAULTS) as fh:
+            raw = json.load(fh)
+        raw["model"]["mu"] = 1e-200
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        code = main(["evolve-thermo", "--config", str(cfg), "--out", str(tmp_path / "t")])
+        assert code == 0
+        with open(tmp_path / "t" / "manifest.json") as fh:
+            events = json.load(fh)["events"]
+        assert [e["kind"] for e in events] == ["cfl-floor"]
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("event: ")]
+        assert printed == [f"event: cfl-floor at clock {events[0]['clock']:.6g} "
+                           f"{events[0]['detail']}"]
+        code = main(["evolve-thermo", "--config", str(cfg), "--out", str(tmp_path / "t2"),
+                     "--verify"])
+        assert code == 2

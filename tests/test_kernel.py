@@ -7,13 +7,15 @@ energy and dissipation probe is checked against the viscous matrix it solves
 with and against `functionals.perturbation_energy_ss`.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
 from starlab.functionals import (_gram_factors, gradient, gradient_stencil,
                                  perturbation_energy_ss)
-from starlab.kernel import _Kernel, _solve_tridiag
+from starlab.kernel import _OVERDAMPED_RATIO, _cap_overdamped, _Kernel, _solve_tridiag
 from starlab.lagrangian import SolverSpec, evolve_self_similar
 from starlab.profiles import sample_background
 
@@ -56,6 +58,88 @@ class TestGradientStencil:
         u = np.cos(x)
         assert np.array_equal(gradient(u, bg.grad), reference_gradient(u, x))
         assert bg.require_grid(bg.x) is bg.grad
+
+
+GRIDS = {"uniform": lambda R0: np.arange(65) / 8.0,
+         "non-uniform": lambda R0: np.linspace(0.0, R0, 65)}
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+class TestLayouts:
+    """A batch's rows, and stacked batches, have the bits of one-row calls and of numpy."""
+
+    def states(self, x, shape, seed=2, scale=1e-2):
+        rng = np.random.default_rng(seed)
+        return scale * rng.standard_normal(shape + (x.size,)) * (1.0 + x)
+
+    def test_gradient_is_numpy_in_every_layout(self, grid, iso_ss):
+        x = GRIDS[grid](iso_ss.R0)
+        st = gradient_stencil(x)
+        assert isinstance(st[0], tuple) == (grid == "non-uniform")
+        for shape in ((), (3,), (2, 3)):
+            u = self.states(x, shape)
+            ref = np.gradient(u, x, edge_order=2, axis=-1)
+            assert np.array_equal(gradient(u, st), ref)
+            out = np.full(u.shape, np.nan)
+            assert gradient(u, st, out=out) is out and np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_gradient_on_short_grids(self, grid, n):
+        x = np.linspace(0.0, 1.0, n) if grid == "uniform" else np.sqrt(np.linspace(0.0, 1.0, n))
+        u = self.states(x, (2,))
+        assert np.array_equal(gradient(u, gradient_stencil(x)),
+                              np.gradient(u, x, edge_order=2, axis=-1))
+
+    def test_probes_of_a_batch_are_each_rows(self, grid, iso_ss):
+        from starlab.functionals import _amplitude, _energy_ss
+        x = GRIDS[grid](iso_ss.R0)
+        bg = sample_background(iso_ss, x)
+        run = SimpleNamespace(params=SimpleNamespace(delta=-1e-3))
+        kernel = _Kernel(bg, run, 1.0)
+        f, v = self.states(x, (3,), scale=1e-4), self.states(x, (3,), seed=3)
+        spacing, rho4 = x[1:] - x[:-1], x**4 * kernel.rho
+        w = (x[1] - x[0]) * (bg.xm**2 * bg.rho43_m)
+        b = np.sqrt(2e-3)
+        batch = _energy_ss(spacing, bg.xm, v, kernel.edge_geometry(f), rho4, w, b, -1e-3)
+        rows = [_energy_ss(spacing, bg.xm, vi, kernel.edge_geometry(fi), rho4, w, b, -1e-3)
+                for fi, vi in zip(f, v)]
+        assert batch == tuple(list(col) for col in zip(*[(E, D) for (E,), (D,) in rows]))
+        omega = _amplitude(x, bg.grad, f, v)
+        assert omega.tolist() == [float(_amplitude(x, bg.grad, fi, vi)) for fi, vi in zip(f, v)]
+
+
+class TestInPlaceRule:
+    """Kernel methods overwrite only their own temporaries: geometry and states stay intact."""
+
+    @pytest.mark.parametrize("regime", ["self-similar", "thermo"])
+    def test_geometry_and_states_unchanged(self, regime, iso_ss, pars_ss, thermo14):
+        from starlab import classify_expansion
+        from starlab.functionals import _amplitude, _energy_ss
+        from starlab.lagrangian import SELF_SIMILAR_REGIME, THERMO_REGIME, _AlphaClock
+        thermo = regime == "thermo"
+        prof, params = ((thermo14, classify_expansion(0.0, 1.0, 20.0)) if thermo
+                        else (iso_ss, pars_ss))
+        clock = _AlphaClock(params, THERMO_REGIME if thermo else SELF_SIMILAR_REGIME)
+        x = np.linspace(0.0, prof.R0, 65)
+        kernel = _Kernel(sample_background(prof, x), clock, 1.0)
+        rng = np.random.default_rng(4)
+        f, v, z = (1e-3 * rng.standard_normal((2, x.size)) for _ in range(3))
+        z[:, -1] = 0.0
+        for state in ((f, v, z), (f[0], v[0], z[0])):
+            geom = kernel.edge_geometry(state[0])
+            before = [a.copy() for a in (*state, *geom)]
+            zeta = state[2] if thermo else None
+            coef = clock.coefficients(0.1)
+            kernel.solve_velocity(geom, state[1], 0.01, coef, zeta=zeta, weight=0.5)
+            kernel.wave_speed2(geom, zeta=zeta)
+            kernel.check_geometry(geom)
+            _amplitude(x, kernel.bg.grad, state[0], state[1], zeta)
+            if thermo:
+                kernel.temperature_step(state[0], geom, *state[1:], 0.01, [0.1] * state[0].ndim)
+            else:
+                _energy_ss(x[1:] - x[:-1], kernel.bg.xm, state[1], geom, x**4 * kernel.rho,
+                           kernel.dx * kernel.bg.xm**2 * kernel.bg.rho43_m, params.b, -1e-3)
+            assert all(np.array_equal(a, b) for a, b in zip(before, (*state, *geom)))
 
 
 def random_system(n, seed):
@@ -101,6 +185,27 @@ class TestSolveTridiag:
         for a, b in zip(args, before):
             assert np.array_equal(a, b)
         assert not any(np.shares_memory(x, a) for a in args)
+
+
+class TestCapOverdamped:
+    """Each row's viscous factor saturates at 1e12 times its largest inertial row over max K."""
+
+    K_diag = np.array([4.0, 1.0, 8.0, 2.0, 0.5])
+    cap = _OVERDAMPED_RATIO * 3.0 / 8.0          # largest inertial row 3
+
+    def test_uncapped_returns_visc_itself(self):
+        visc = 0.5 * self.cap
+        assert _cap_overdamped(visc, 3.0, self.K_diag) is visc
+        column = np.array([[visc], [1.0]])
+        out = _cap_overdamped(column, np.array([[3.0], [6.0]]), np.array([self.K_diag] * 2))
+        assert out is column
+
+    def test_capped_row_gets_cap_over_k_max(self):
+        assert _cap_overdamped(2.0 * self.cap, 3.0, self.K_diag) == self.cap
+        column = np.array([[2.0 * self.cap], [1.0], [1e30]])
+        mass_max = np.array([[3.0], [3.0], [0.0]])        # a massless row keeps its factor
+        out = _cap_overdamped(column, mass_max, np.array([self.K_diag] * 3))
+        assert out.tolist() == [[self.cap], [1.0], [1e30]]
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,10 @@ Each test pins the bits of a run, so a rewrite of the per-step kernel that
 claims to change no arithmetic is checked against these values.  The
 self-similar growth run is the c09 workload at seed 7; the short runs cover
 the order-2 midpoint solve, which computes the geometry of its own
-intermediate state, and the thermodynamic temperature step.  The pins hold
+intermediate state, in both isentropic regimes (N = 64, the setting of c07),
+the overdamped cap of the velocity solve (a1 = 20, where alpha^3 outgrows the
+inertia within a unit clock) for one member and a batch, and the
+thermodynamic temperature step.  The pins hold
 for the platform's IEEE doubles with numpy's and LAPACK's summation orders; a
 change to either shows here first.
 """
@@ -17,7 +20,9 @@ import pytest
 from starlab import classify_expansion
 from starlab import functionals as F
 from starlab.acceptance import negative_energy_data
-from starlab.lagrangian import (SolverSpec, evolve_linear_thermo,
+from starlab import kernel
+from starlab.lagrangian import (LINEAR_REGIME, SolverSpec, evolve_ensemble,
+                                evolve_linear_isentropic, evolve_linear_thermo,
                                 evolve_self_similar)
 
 # exact outputs of the runs below.  GROWTH_S is the step-quantised event clock:
@@ -33,6 +38,9 @@ EDW_SHA = "4f5e46307a2e7d7ed3e1c4bb1a940016278fc759ce3b7b4c281cd06ebe1d0466"
 SCHEME_SHA = {
     "order2": "b1ab7dbf00fb0aacf411502a8b37b3125c2a332fe8ff9bc39c1d06ccc7a2d8d0",
     "thermo": "443f046460f1a7a8ef0bc6cc69c4a81133ed0268663d62051867ce49b014e8db",
+    "linear-order2": "7c55f9f7dc0aa3c993740ee34d17783b81532d66693780846da34f37e858f4f7",
+    "linear-cap": "444a4588032f711e5228c425331fe237fb7ec317ccbfd6fc72f604343ee57f2a",
+    "linear-cap-second": "ae6c9c340bafab0e3425b9d7e2b97879829132ed35d3132fe1be681c19408ed3",
 }
 
 
@@ -79,6 +87,41 @@ def test_self_similar_schemes(iso_ss, pars_ss, scheme):
     run = evolve_self_similar(iso_ss, pars_ss, (phi0, 0.5 * phi0), 2.0, spec)
     assert run.completed and not run.events
     assert snapshot_digest(run) == SCHEME_SHA[scheme]
+
+
+def test_linear_order2(iso0):
+    n = 64
+    x = np.linspace(0.0, iso0.R0, n + 1)
+    phi0 = bump(x, iso0.R0, 1e-2)
+    spec = SolverSpec(n_cells=n, n_emit=5, growth_threshold=1.0, order=2)
+    run = evolve_linear_isentropic(iso0, classify_expansion(0.0, 1.0, 1.0), (phi0, 0.5 * phi0),
+                                   2.0, spec)
+    assert run.completed and not run.events
+    assert snapshot_digest(run) == SCHEME_SHA["linear-order2"]
+
+
+def test_linear_overdamped_cap(iso0, monkeypatch):
+    n = 64
+    x = np.linspace(0.0, iso0.R0, n + 1)
+    phi0 = bump(x, iso0.R0, 1e-2)
+    capped = []
+    cap = kernel._cap_overdamped
+
+    def counted(visc, mass_term, K_diag):
+        out = cap(visc, mass_term, K_diag)
+        capped.append(out is not visc)
+        return out
+
+    monkeypatch.setattr(kernel, "_cap_overdamped", counted)
+    params, spec = classify_expansion(0.0, 1.0, 20.0), SolverSpec(n_cells=n, n_emit=5,
+                                                                  growth_threshold=1.0)
+    run = evolve_linear_isentropic(iso0, params, (phi0, 0.5 * phi0), 1.0, spec)
+    assert run.completed and sum(capped) == 9
+    assert snapshot_digest(run) == SCHEME_SHA["linear-cap"]
+    pair = evolve_ensemble(iso0, params, [(phi0, 0.5 * phi0), (0.5 * phi0, -phi0)], 1.0, spec,
+                           regime=LINEAR_REGIME)
+    assert [snapshot_digest(r) for r in pair] == [SCHEME_SHA["linear-cap"],
+                                                  SCHEME_SHA["linear-cap-second"]]
 
 
 def test_thermo_run(thermo14):

@@ -10,8 +10,8 @@ import pytest
 
 from starlab import classify_expansion
 from starlab.functionals import amplitude
-from starlab.lagrangian import (SolverSpec, evolve_linear_isentropic, evolve_linear_thermo,
-                                evolve_self_similar)
+from starlab.lagrangian import (THERMO_REGIME, SolverSpec, evolve_ensemble,
+                                evolve_linear_isentropic, evolve_linear_thermo, evolve_self_similar)
 
 N = 48
 # growth never stops these runs and the flow-map bound never rejects a step
@@ -108,3 +108,38 @@ class TestThermo:
         assert [e.kind for e in run.events] == ["step-failure"]
         assert run.completed is False
         assert run.final.clock == run.times[-1] == 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("a1", [1.0, 20.0])
+    @pytest.mark.parametrize("mu", [1e-100, 1e-200])
+    def test_non_finite_trial_stops_at_the_cfl_floor(self, thermo14, mu, a1):
+        # a vanishing viscosity leaves the massless end rows unbounded: every trial
+        # state is non-finite, a failed attempt, until dt halves below the floor
+        run = evolve_linear_thermo(thermo14, classify_expansion(0.0, 1.0, a1),
+                                   thermo_initial(1e-2), 0.5, SolverSpec(n_cells=N, n_emit=5),
+                                   mu=mu)
+        assert [e.kind for e in run.events] == ["cfl-floor"]
+        assert run.completed is False
+        assert run.final.clock == run.times[-1] == run.events[0].clock
+        assert np.isfinite(run.final.zeta).all()
+        assert run.omega.tolist() == [amplitude(s) for s in run.snapshots]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_member_leaves_the_others_bits(self, thermo14):
+        # theta_t = 1e300 overflows its velocity and temperature solves; its rows stay
+        # out of the batch's solves, so the other member keeps its own run's bits
+        params, spec = classify_expansion(0.0, 1.0, 1.0), SolverSpec(n_cells=N, n_emit=5)
+        x = np.linspace(0.0, thermo14.R0, N + 1)
+        xi0 = 1e-3 * (0.7 + 0.3 * np.cos(np.pi * x / thermo14.R0))
+        calm = (xi0, 0.1 * xi0, 1e-3 * (thermo14.R0 - x) * x / thermo14.R0**2)
+        wild = thermo_initial(1e300)
+        alone = [evolve_linear_thermo(thermo14, params, m, 0.5, spec) for m in (calm, wild)]
+        batch = evolve_ensemble(thermo14, params, [calm, wild], 0.5, spec, regime=THERMO_REGIME)
+        assert alone[0].completed and batch[0].completed
+        for one, member in zip(alone, batch):
+            assert [e.kind for e in member.events] == [e.kind for e in one.events]
+            assert np.array_equal(member.times, one.times)
+            for s, t in zip(member.snapshots, one.snapshots):
+                assert all(np.array_equal(a, b) for a, b in zip(
+                    (s.theta, s.theta_t, s.zeta), (t.theta, t.theta_t, t.zeta)))
+        assert [e.kind for e in batch[1].events] == ["cfl-floor"]
