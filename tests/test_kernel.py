@@ -94,8 +94,8 @@ class TestLayouts:
         from starlab.functionals import _amplitude, _energy_ss
         x = GRIDS[grid](iso_ss.R0)
         bg = sample_background(iso_ss, x)
-        run = SimpleNamespace(params=SimpleNamespace(delta=-1e-3))
-        kernel = _Kernel(bg, run, 1.0)
+        clock = SimpleNamespace(params=SimpleNamespace(delta=-1e-3))    # all the kernel reads
+        kernel = _Kernel(bg, clock, 1.0)
         f, v = self.states(x, (3,), scale=1e-4), self.states(x, (3,), seed=3)
         spacing, rho4 = x[1:] - x[:-1], x**4 * kernel.rho
         w = (x[1] - x[0]) * (bg.xm**2 * bg.rho43_m)
