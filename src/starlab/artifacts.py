@@ -19,13 +19,13 @@ def _fmt(v) -> str:
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> str:
-    """Full-precision CSV; columns are equal-length arrays."""
-    n = len(columns[0])
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
+    """Full-precision CSV of equal-length columns: a float array is formatted %.17g
+    a column at a time (`_fmt`'s bytes), any other column by `_fmt` cell by cell."""
+    floats = [isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns]
+    row = ",".join("%.17g" if fl else "%s" for fl in floats)
+    cols = [col.tolist() if fl else [_fmt(v) for v in col] for col, fl in zip(columns, floats)]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header), *map(row.__mod__, zip(*cols))]) + "\n")
     return path
 
 
@@ -126,17 +126,11 @@ def write_energy_reports(out_dir: str, reports) -> tuple[str, str]:
     """EnergyReport CSV (one ledger column per term) and its schema JSON."""
     term_names = sorted(reports[0].ledger)
     header = ["clock", "total_E", "total_D", "E0", "omega"] + term_names
-    cols = [np.array([r.clock for r in reports]),
-            np.array([r.total_E for r in reports]),
-            np.array([r.total_D for r in reports]),
-            np.array([r.E0 for r in reports]),
-            np.array([r.omega for r in reports])]
-    for name in term_names:
-        cols.append(np.array([r.ledger[name] for r in reports]))
+    cols = [np.array([getattr(r, k) for r in reports]) for k in header[:5]]
+    cols += [np.array([r.ledger[name] for r in reports]) for name in term_names]
     if reports[0].E_phys is not None:
         header += ["E_phys", "D_phys"]
-        cols.append(np.array([r.E_phys for r in reports]))
-        cols.append(np.array([r.D_phys for r in reports]))
+        cols += [np.array([getattr(r, k) for r in reports]) for k in header[-2:]]
     csv = write_csv(os.path.join(out_dir, "energy_reports.csv"), header, cols)
     js = write_json(os.path.join(out_dir, "energy_schema.json"),
                     {"columns": header,

@@ -60,7 +60,15 @@ def gradient(u, stencil, out=None):
 
 
 def _trapz(f, x):
-    return float(((x[1:] - x[:-1]) * (f[1:] + f[:-1]) / 2.0).sum())   # np.trapezoid's sum
+    """np.trapezoid's sum along the last axis: a float for a row, an array for a (k, N+1) stack."""
+    s = ((x[1:] - x[:-1]) * (f[..., 1:] + f[..., :-1]) / 2.0).sum(-1)
+    return float(s) if s.ndim == 0 else s
+
+
+def _integrate(rows, x) -> dict:
+    """{name: coef * int f dx} of rows = {name: (coef, f)}: one trapezoid over the stack."""
+    vals = _trapz(np.array([f for _, f in rows.values()]), x).tolist()
+    return {k: c * val for (k, (c, _)), val in zip(rows.items(), vals)}
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +140,19 @@ def physical_energy(snapshot, mu: float = 1.0, c_nu: float | None = None) -> Phy
     theta_abs is thermodynamic: the internal term is c_nu int r^2 rho theta.
     """
     r, rho, u = np.asarray(snapshot.r), np.asarray(snapshot.rho), np.asarray(snapshot.u)
-    kinetic = 0.5 * _trapz(r**2 * rho * u**2, r)
     mass_cum = np.concatenate([[0.0], np.cumsum(0.5 * (r[1:] - r[:-1])
                                                 * (r[1:]**2 * rho[1:] + r[:-1]**2 * rho[:-1]))])
-    grav = _trapz(r * rho * mass_cum, r)
     u_r = gradient(u, gradient_stencil(r))
-    D = (4.0 * mu / 3.0) * _trapz((r * u_r - u) ** 2, r)
     theta = getattr(snapshot, "theta_abs", None)
     if theta is None:
-        internal = 3.0 * _trapz(r**2 * rho ** (4.0 / 3.0), r)
+        c, internal = 3.0, r**2 * rho ** (4.0 / 3.0)
     elif c_nu is None:
         raise MissingDerivative("thermo physical energy needs c_nu")
     else:
-        internal = c_nu * _trapz(r**2 * rho * np.asarray(theta), r)
-    return PhysicalEnergy(E=kinetic + internal - grav, D=D)
+        c, internal = c_nu, r**2 * rho * np.asarray(theta)
+    kinetic, grav, D, internal = _trapz(np.array(
+        [r**2 * rho * u**2, r * rho * mass_cum, (r * u_r - u) ** 2, internal]), r).tolist()
+    return PhysicalEnergy(E=0.5 * kinetic + c * internal - grav, D=(4.0 * mu / 3.0) * D)
 
 
 # ---------------------------------------------------------------------------
@@ -336,23 +343,23 @@ def ledger_terms_isentropic(field, background, weights: WeightSpec, alpha: float
     # G_t = 2 th_t/(1+th) + (th_t + x th_xt)/J; differentiate in x.
     G_xt = gradient(2.0 * v / (1.0 + th) + (v + x * v_x) / (1.0 + th + x * th_x), g)
     al = alpha
-    return {
-        "E_vel": (al + al ** (1 + a)) * _trapz(x**4 * rho * v**2, x),
-        "E_press_grad": _trapz(x**4 * rho43 * th_x**2, x),
-        "E_grad": _trapz(x**4 * th_x**2, x),
-        "E_field": _trapz(x**4 * rho * th**2, x),
-        "E_acc": al ** (a - 3) * _trapz(x**4 * rho * acc**2, x),
-        "E_visc_pair": al ** (1 + a) * _trapz(((1.0 + th) * x * v_x - x * th_x * v) ** 2 * x**2, x),
-        "E_int_vel": al ** (1 + a) * _trapz(chi * (v**2 + x**2 * v_x**2), x),
-        "E_int_field": _trapz(chi * (th**2 + x**2 * th_x**2), x),
-        "E_int_acc": al ** (a - 5) * _trapz(chi * x**2 * rho * acc**2, x),
-        "E_entropy_grad": _trapz(G_x**2, x),
-        "E_entropy_grad_t": al ** (a - 1) * _trapz(G_xt**2, x),
-        "E_elliptic_grad": _trapz(th_x**2, x),
-        "E_elliptic_xx": _trapz(x**2 * th_xx**2, x),
-        "E_elliptic_grad_t": al ** (a - 1) * _trapz(v_x**2, x),
-        "E_elliptic_xx_t": al ** (a - 1) * _trapz(x**2 * v_xx**2, x),
-    }
+    return _integrate({
+        "E_vel": (al + al ** (1 + a), x**4 * rho * v**2),
+        "E_press_grad": (1.0, x**4 * rho43 * th_x**2),
+        "E_grad": (1.0, x**4 * th_x**2),
+        "E_field": (1.0, x**4 * rho * th**2),
+        "E_acc": (al ** (a - 3), x**4 * rho * acc**2),
+        "E_visc_pair": (al ** (1 + a), ((1.0 + th) * x * v_x - x * th_x * v) ** 2 * x**2),
+        "E_int_vel": (al ** (1 + a), chi * (v**2 + x**2 * v_x**2)),
+        "E_int_field": (1.0, chi * (th**2 + x**2 * th_x**2)),
+        "E_int_acc": (al ** (a - 5), chi * x**2 * rho * acc**2),
+        "E_entropy_grad": (1.0, G_x**2),
+        "E_entropy_grad_t": (al ** (a - 1), G_xt**2),
+        "E_elliptic_grad": (1.0, th_x**2),
+        "E_elliptic_xx": (1.0, x**2 * th_xx**2),
+        "E_elliptic_grad_t": (al ** (a - 1), v_x**2),
+        "E_elliptic_xx_t": (al ** (a - 1), x**2 * v_xx**2),
+    }, x)
 
 
 def dissipation_integrands_isentropic(field, background, weights: WeightSpec,
@@ -370,16 +377,16 @@ def dissipation_integrands_isentropic(field, background, weights: WeightSpec,
     pair_acc = (1.0 + th) * x * acc_x - x * th_x * acc
     G_x = _entropy_grad(x, th, th_x, gradient(th_x, g))
     al = alpha
-    return {
-        "D_vel": (al + al ** (1 + a)) * _trapz(x**4 * rho * v**2, x),
-        "D_visc_pair": (al**3 + al ** (3 + a)) * _trapz(x**2 * pair_v**2, x),
-        "D_acc": al ** (a - 3) * _trapz(x**4 * rho * acc**2, x),
-        "D_visc_pair_t": al ** (a - 1) * _trapz(x**2 * pair_acc**2, x),
-        "D_int_vel": al ** (1 + a) * _trapz(chi * (v**2 + x**2 * v_x**2), x),
-        "D_int_acc": al ** (a - 5) * _trapz(chi * x**2 * rho * acc**2, x),
-        "D_int_acc2": al ** (a - 3) * _trapz(chi * (acc**2 + x**2 * acc_x**2), x),
-        "D_entropy": al ** (-3) * _trapz(rho43 * G_x**2, x),
-    }
+    return _integrate({
+        "D_vel": (al + al ** (1 + a), x**4 * rho * v**2),
+        "D_visc_pair": (al**3 + al ** (3 + a), x**2 * pair_v**2),
+        "D_acc": (al ** (a - 3), x**4 * rho * acc**2),
+        "D_visc_pair_t": (al ** (a - 1), x**2 * pair_acc**2),
+        "D_int_vel": (al ** (1 + a), chi * (v**2 + x**2 * v_x**2)),
+        "D_int_acc": (al ** (a - 5), chi * x**2 * rho * acc**2),
+        "D_int_acc2": (al ** (a - 3), chi * (acc**2 + x**2 * acc_x**2)),
+        "D_entropy": (al ** (-3), rho43 * G_x**2),
+    }, x)
 
 
 def initial_energy_isentropic(x, th0, th1, th2, background, weights: WeightSpec) -> float:
@@ -389,15 +396,10 @@ def initial_energy_isentropic(x, th0, th1, th2, background, weights: WeightSpec)
     rho, rho43, chi = background.rho, background.rho43, background.chi
     th0_x = gradient(th0, g)
     th0_xx = gradient(th0_x, g)
-    return float(
-        _trapz(x**4 * rho * th1**2, x)
-        + _trapz(x**4 * rho * th0**2, x)
-        + _trapz(x**4 * th0_x**2, x)
-        + _trapz(x**4 * rho43 * th0_x**2, x)
-        + _trapz(x**4 * rho * th2**2, x)
-        + _trapz(chi * (th0**2 + x**2 * th0_x**2), x)
-        + _trapz(chi * x**2 * rho * th2**2, x)
-        + _trapz(th0_x**2 + x**2 * th0_xx**2, x))
+    return float(np.cumsum(_trapz(np.array([   # added left to right; np.sum would pair
+        x**4 * rho * th1**2, x**4 * rho * th0**2, x**4 * th0_x**2, x**4 * rho43 * th0_x**2,
+        x**4 * rho * th2**2, chi * (th0**2 + x**2 * th0_x**2), chi * x**2 * rho * th2**2,
+        th0_x**2 + x**2 * th0_xx**2]), x))[-1])
 
 
 def ledger_terms_thermo(field, background, weights: WeightSpec, a1: float) -> dict:
@@ -415,25 +417,25 @@ def ledger_terms_thermo(field, background, weights: WeightSpec, a1: float) -> di
     xi_xx, v_xx, zeta_xx = gradient(np.array([xi_x, v_x, zeta_x]), g)
     pair_v = (1.0 + xi) * x * v_x - x * xi_x * v
     e = lambda p: math.exp(p * a1 * tau)
-    return {
-        "E_vel": e(1 + w.r1) * _trapz(x**4 * rho * v**2, x),
-        "E_temp": e(w.l1) * _trapz(x**2 * rho * zeta**2, x),
-        "E_field": _trapz(x**4 * rho * xi**2, x),
-        "E_grad4": _trapz(x**4 * xi_x**2, x),
-        "E_field2": _trapz(x**2 * xi**2, x),
-        "E_acc": e(w.r2 - 2) * _trapz(x**4 * rho * acc**2, x),
-        "E_temp_t": e(w.l2 - 2) * _trapz(x**2 * rho * zeta_t**2, x),
-        "E_temp_grad": e((w.l1 + w.l2) / 2 + 1) * _trapz(x**2 * zeta_x**2, x),
-        "E_visc_pair": e((w.r1 + w.r2) / 2 + 1.5) * _trapz(x**2 * pair_v**2, x),
-        "E_int_field": _trapz(chi * (xi**2 + x**2 * xi_x**2), x),
-        "E_int_vel": e(w.r2 + 2) * _trapz(chi * (x**2 * v_x**2 + v**2), x),
-        "E_int_acc": e(w.r3 - 2) * _trapz(chi * x**2 * rho * acc**2, x),
-        "E_elliptic_grad": _trapz(xi_x**2, x),
-        "E_elliptic_xx": _trapz(x**2 * xi_xx**2, x),
-        "E_zeta_grad": _trapz(zeta_x**2, x),
-        "E_elliptic_t": e(w.r3 + 2) * _trapz(v_x**2 + x**2 * v_xx**2, x),
-        "E_zeta_xx": _trapz(x**2 * zeta_xx**2, x),
-    }
+    return _integrate({
+        "E_vel": (e(1 + w.r1), x**4 * rho * v**2),
+        "E_temp": (e(w.l1), x**2 * rho * zeta**2),
+        "E_field": (1.0, x**4 * rho * xi**2),
+        "E_grad4": (1.0, x**4 * xi_x**2),
+        "E_field2": (1.0, x**2 * xi**2),
+        "E_acc": (e(w.r2 - 2), x**4 * rho * acc**2),
+        "E_temp_t": (e(w.l2 - 2), x**2 * rho * zeta_t**2),
+        "E_temp_grad": (e((w.l1 + w.l2) / 2 + 1), x**2 * zeta_x**2),
+        "E_visc_pair": (e((w.r1 + w.r2) / 2 + 1.5), x**2 * pair_v**2),
+        "E_int_field": (1.0, chi * (xi**2 + x**2 * xi_x**2)),
+        "E_int_vel": (e(w.r2 + 2), chi * (x**2 * v_x**2 + v**2)),
+        "E_int_acc": (e(w.r3 - 2), chi * x**2 * rho * acc**2),
+        "E_elliptic_grad": (1.0, xi_x**2),
+        "E_elliptic_xx": (1.0, x**2 * xi_xx**2),
+        "E_zeta_grad": (1.0, zeta_x**2),
+        "E_elliptic_t": (e(w.r3 + 2), v_x**2 + x**2 * v_xx**2),
+        "E_zeta_xx": (1.0, x**2 * zeta_xx**2),
+    }, x)
 
 
 def dissipation_integrands_thermo(field, background, weights: WeightSpec, a1: float) -> dict:
@@ -450,17 +452,17 @@ def dissipation_integrands_thermo(field, background, weights: WeightSpec, a1: fl
     pair_v = (1.0 + xi) * x * v_x - x * xi_x * v
     pair_acc = (1.0 + xi) * x * acc_x - x * xi_x * acc
     e = lambda p: math.exp(p * a1 * tau)
-    return {
-        "D_vel": a1 * e(1 + w.r1) * _trapz(x**4 * rho * v**2, x),
-        "D_visc_pair": e(3 + w.r1) * _trapz(x**2 * pair_v**2, x),
-        "D_temp": a1 * e(w.l1) * _trapz(x**2 * rho * zeta**2, x),
-        "D_temp_grad": e(2 + w.l1) * _trapz(x**2 * zeta_x**2, x),
-        "D_acc": a1 * e(w.r2 - 2) * _trapz(x**4 * rho * acc**2, x),
-        "D_visc_pair_t": e(w.r2) * _trapz(x**2 * pair_acc**2, x),
-        "D_temp_grad_t": e(w.l2) * _trapz(x**2 * zeta_tx**2, x),
-        "D_int_vel": e(3 + w.frak_r) * _trapz(chi * (x**2 * v_x**2 + v**2), x),
-        "D_int_acc": e(w.r3) * _trapz(chi * (x**2 * acc_x**2 + acc**2), x),
-    }
+    return _integrate({
+        "D_vel": (a1 * e(1 + w.r1), x**4 * rho * v**2),
+        "D_visc_pair": (e(3 + w.r1), x**2 * pair_v**2),
+        "D_temp": (a1 * e(w.l1), x**2 * rho * zeta**2),
+        "D_temp_grad": (e(2 + w.l1), x**2 * zeta_x**2),
+        "D_acc": (a1 * e(w.r2 - 2), x**4 * rho * acc**2),
+        "D_visc_pair_t": (e(w.r2), x**2 * pair_acc**2),
+        "D_temp_grad_t": (e(w.l2), x**2 * zeta_tx**2),
+        "D_int_vel": (e(3 + w.frak_r), chi * (x**2 * v_x**2 + v**2)),
+        "D_int_acc": (e(w.r3), chi * (x**2 * acc_x**2 + acc**2)),
+    }, x)
 
 
 def initial_energy_thermo(x, xi0, xi1, xi2, zeta0, zeta1, background,
@@ -470,16 +472,10 @@ def initial_energy_thermo(x, xi0, xi1, xi2, zeta0, zeta1, background,
     rho, chi = background.rho, background.chi
     xi0_x = gradient(xi0, g)
     xi0_xx = gradient(xi0_x, g)
-    return float(
-        _trapz(x**4 * rho * xi1**2, x)
-        + _trapz(x**2 * rho * zeta0**2, x)
-        + _trapz(x**4 * rho * xi0**2, x)
-        + _trapz(x**4 * xi0_x**2, x)
-        + _trapz(x**4 * rho * xi2**2, x)
-        + _trapz(x**2 * rho * zeta1**2, x)
-        + _trapz(chi * (xi0**2 + x**2 * xi0_x**2), x)
-        + _trapz(chi * x**2 * rho * xi2**2, x)
-        + _trapz(xi0_x**2 + x**2 * xi0_xx**2, x))
+    return float(np.cumsum(_trapz(np.array([   # added left to right; np.sum would pair
+        x**4 * rho * xi1**2, x**2 * rho * zeta0**2, x**4 * rho * xi0**2, x**4 * xi0_x**2,
+        x**4 * rho * xi2**2, x**2 * rho * zeta1**2, chi * (xi0**2 + x**2 * xi0_x**2),
+        chi * x**2 * rho * xi2**2, xi0_x**2 + x**2 * xi0_xx**2]), x))[-1])
 
 
 def _ledger(field, alpha_clock):

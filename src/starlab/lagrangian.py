@@ -322,120 +322,126 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
         def energy():
             return functionals._energy_ss(spacing, bg.xm, v, geom, rho4, w, params.b, params.delta)
 
-    aE, D = energy() if track_energy else ([math.nan] * len(init),) * 2
-    alpha = alpha_clock.alpha(0.0)
-    acc = kernel.acceleration(geom, v, alpha_clock.coefficients(0.0), z)
-    z_rate = kernel.zeta_rate(f, geom, v, z, 0.0) if thermo else None
-    members = []
-    for i, omega in enumerate(_per_row(functionals._amplitude(bg.x, bg.grad, f, v, z))):
-        # the series are compact float arrays; ab32 is alpha^(3/2) of the last accepted state
-        m = SimpleNamespace(index=i, clock=0.0, dt=spec.dt_init or math.inf, emit_idx=1,
-                            omega=omega, omegas=array("d"), stop=None, snapshots=[], series={},
-                            events=[RunEvent("outside-stability-range", 0.0, notice)] * outside,
-                            times=array("d", [0.0]), E=array("d", [aE[i] / alpha]),
-                            D=array("d", [D[i]]), W=array("d", [0.0]), ab32=alpha ** 1.5)
-        record(m, field := field_of(m, i, acc, z_rate))
-        if weights is not None:
-            m.prev = functionals.ledger_integrands(field, weights, alpha_clock)
-            m.online = dict.fromkeys(m.prev, 0.0)
-            m.series = {k: [0.0] for k in m.prev}
-        members.append(m)
-
     t_last = clock_end * (1.0 - 1e-14)     # a member that stops or gets here leaves the batch
     half = 0.5 if spec.order == 2 else 1.0   # the midpoint rule's share of the step
     change_bound = min(spec.max_rel_change, sys.float_info.max)   # rejects a non-finite change
     leaving = t_last <= 0.0
-    for _ in range(2_000_000):
-        if leaving:
-            ended = [i for i, m in enumerate(members) if m.stop or m.clock >= t_last]
-            for i in ended:
-                finish(members[i], i)
-            if not (live := [i for i in range(len(members)) if i not in ended]):
-                break
-            members = [members[i] for i in live]
-            f, v, z = (None if a is None else a[live] for a in (f, v, z))
-            geom, leaving = kernel.edge_geometry(f), False
-        scale = np.maximum.reduce(geom.H, -1, initial=1.0)    # max(|H|, 1): accepted, so H > 0
-        for m, c2 in zip(members, _per_row(kernel.wave_speed2(geom, zeta=z))):
-            c2 /= alpha_clock.coefficients(m.clock)[0]        # over the inertia
-            dt_cfl = spec.cfl * kernel.dx / math.sqrt(max(c2, 1e-30))
-            m.dt = min(m.dt * 1.25, dt_cfl, spec.dt_max or math.inf, clock_end - m.clock)
-            if m.emit_idx < len(emit):
-                m.dt = min(m.dt, emit[m.emit_idx] - m.clock + 1e-15)
-        for _retry in range(40):                 # each failing member halves its own dt
-            dt, *coef = _columns([(m.dt, *alpha_clock.coefficients(m.clock + half * m.dt))
-                                  for m in members])
-            at = kernel.edge_geometry(np.add(f, np.multiply(0.5 * dt, v))) if half < 1.0 else geom
-            v_new = kernel.solve_velocity(at, v, dt, coef, zeta=z, weight=half)
-            f_new = np.multiply(np.add(v, v_new), 0.5 * dt) if half < 1.0 else dt * v_new
-            geom_new = kernel.edge_geometry(np.add(f_new, f, f_new))
-            ok = np.maximum.reduce(np.abs(np.subtract(f_new, f)), -1) / scale <= change_bound
-            z_new = kernel.temperature_step(f_new, geom_new, v_new, z, dt, [
-                m.clock + m.dt for m in members]) if thermo else None
-            ok = _per_row(ok & np.isfinite(z_new).all(axis=-1) if thermo else ok)
-            if all(ok) or not (failed := [m for m, good in zip(members, ok)
-                                          if not good and not m.stop]):
-                break
-            for m in failed:          # a stopped member keeps the dt of an attempt it made
-                if m.dt * 0.5 < spec.dt_floor:
-                    m.stop = RunEvent("cfl-floor", m.clock, f"dt = {m.dt * 0.5:.3e}")
-                else:
-                    m.dt *= 0.5
-        lows = _per_row(kernel.check_geometry(geom_new))
-        temps = _per_row((z_new[..., 1:-1] + kernel.theta_b[1:-1]).min(axis=-1)) if thermo else lows
-        for m, good, low, temp_low in zip(members, ok, lows, temps):
-            if m.stop:
-                pass
-            elif not good:
-                m.stop = RunEvent("step-failure", m.clock, "no acceptable step")
-            elif low <= 0.0:
-                m.stop = RunEvent("jacobian-degenerate", m.clock, f"min(1+f, J) = {low:.3e}")
-            elif thermo and temp_low <= 0.0:      # (b) the absolute temperature stays positive
-                m.stop = RunEvent("temperature-negative", m.clock, f"min = {temp_low:.3e}")
-            leaving = leaving or m.stop is not None
-        if leaving:                                        # the stopped keep their state
-            stopped = [i for i, m in enumerate(members) if m.stop]
-            for new, old in ((f_new, f), (v_new, v), (z_new, z))[:2 + thermo]:
-                new.reshape(-1, new.shape[-1])[stopped] = old.reshape(-1, old.shape[-1])[stopped]
-            geom_new = kernel.edge_geometry(f_new)
-
-        v_prev, z_prev = v, z
-        f, v, z, geom = f_new, v_new, z_new, geom_new
-        if track_energy:
-            aE, D = energy()
-        omega = _per_row(functionals._amplitude(bg.x, bg.grad, f, v, z))
-        rate = None                               # built once, for the fields emitted
-        for i, m in enumerate(members):
-            if m.stop:
-                continue
-            m.clock += m.dt
-            m.times.append(m.clock)
-            leaving = leaving or m.clock >= t_last
-            if track_energy:
-                alpha = alpha_clock.alpha(m.clock)
-                ab32_prev, m.ab32 = m.ab32, alpha ** 1.5
-                m.W.append(m.W[-1] + 0.5 * m.dt * (m.ab32 * D[i] + ab32_prev * m.D[-1]))
-                m.E.append(aE[i] / alpha)
-                m.D.append(D[i])
+    # a non-finite initial rate or trial state ends in a failed attempt, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        aE, D = energy() if track_energy else ([math.nan] * len(init),) * 2
+        alpha = alpha_clock.alpha(0.0)
+        acc = kernel.acceleration(geom, v, alpha_clock.coefficients(0.0), z)
+        z_rate = kernel.zeta_rate(f, geom, v, z, 0.0) if thermo else None
+        members = []
+        for i, omega in enumerate(_per_row(functionals._amplitude(bg.x, bg.grad, f, v, z))):
+            # the series are compact float arrays; ab32 is alpha^(3/2) of the last accepted state
+            m = SimpleNamespace(
+                index=i, clock=0.0, dt=spec.dt_init or math.inf, emit_idx=1, omega=omega,
+                omegas=array("d"), stop=None, snapshots=[], series={},
+                events=[RunEvent("outside-stability-range", 0.0, notice)] * outside,
+                times=array("d", [0.0]), E=array("d", [aE[i] / alpha]), D=array("d", [D[i]]),
+                W=array("d", [0.0]), ab32=alpha ** 1.5)
+            record(m, field := field_of(m, i, acc, z_rate))
             if weights is not None:
-                field = field_of(m, i, *(rate := rate or rates()))
-                vals = functionals.ledger_integrands(field, weights, alpha_clock)
-                for k, val in vals.items():
-                    m.online[k] += 0.5 * m.dt * (val + m.prev[k])
-                m.prev = vals
-            omega_prev, m.omega = m.omega, omega[i]
-            if m.omega > spec.growth_threshold:
-                crossing = _located_crossing(m.times[-2], m.clock, omega_prev, m.omega,
-                                             spec.growth_threshold)
-                m.stop = RunEvent("growth", m.clock, f"amplitude = {m.omega:.3e}", crossing)
-                record(m, field_of(m, i, *(rate := rate or rates())))
-                leaving = True
-            elif m.emit_idx < len(emit) and m.clock >= emit[m.emit_idx] - 1e-12:
-                record(m, field_of(m, i, *(rate := rate or rates())))
-                while m.emit_idx < len(emit) and m.clock >= emit[m.emit_idx] - 1e-12:
-                    m.emit_idx += 1
-    else:
-        raise StepFailure("step budget exhausted")
+                m.prev = functionals.ledger_integrands(field, weights, alpha_clock)
+                m.online = dict.fromkeys(m.prev, 0.0)
+                m.series = {k: [0.0] for k in m.prev}
+            members.append(m)
+
+        for _ in range(2_000_000):
+            if leaving:
+                ended = [i for i, m in enumerate(members) if m.stop or m.clock >= t_last]
+                for i in ended:
+                    finish(members[i], i)
+                if not (live := [i for i in range(len(members)) if i not in ended]):
+                    break
+                members = [members[i] for i in live]
+                f, v, z = (None if a is None else a[live] for a in (f, v, z))
+                geom, leaving = kernel.edge_geometry(f), False
+            scale = np.maximum.reduce(geom.H, -1, initial=1.0)    # max(|H|, 1): accepted, so H > 0
+            for m, c2 in zip(members, _per_row(kernel.wave_speed2(geom, zeta=z))):
+                c2 /= alpha_clock.coefficients(m.clock)[0]        # over the inertia
+                dt_cfl = spec.cfl * kernel.dx / math.sqrt(max(c2, 1e-30))
+                m.dt = min(m.dt * 1.25, dt_cfl, spec.dt_max or math.inf, clock_end - m.clock)
+                if m.emit_idx < len(emit):
+                    m.dt = min(m.dt, emit[m.emit_idx] - m.clock + 1e-15)
+            for _retry in range(40):                 # each failing member halves its own dt
+                dt, *coef = _columns([(m.dt, *alpha_clock.coefficients(m.clock + half * m.dt))
+                                      for m in members])
+                at = (kernel.edge_geometry(np.add(f, np.multiply(0.5 * dt, v))) if half < 1.0
+                      else geom)
+                v_new = kernel.solve_velocity(at, v, dt, coef, zeta=z, weight=half)
+                f_new = np.multiply(np.add(v, v_new), 0.5 * dt) if half < 1.0 else dt * v_new
+                geom_new = kernel.edge_geometry(np.add(f_new, f, f_new))
+                ok = np.maximum.reduce(np.abs(np.subtract(f_new, f)), -1) / scale <= change_bound
+                z_new = kernel.temperature_step(f_new, geom_new, v_new, z, dt, [
+                    m.clock + m.dt for m in members]) if thermo else None
+                ok = _per_row(ok & np.isfinite(z_new).all(axis=-1) if thermo else ok)
+                if all(ok) or not (failed := [m for m, good in zip(members, ok)
+                                              if not good and not m.stop]):
+                    break
+                for m in failed:          # a stopped member keeps the dt of an attempt it made
+                    if m.dt * 0.5 < spec.dt_floor:
+                        m.stop = RunEvent("cfl-floor", m.clock, f"dt = {m.dt * 0.5:.3e}")
+                    else:
+                        m.dt *= 0.5
+            lows = _per_row(kernel.check_geometry(geom_new))
+            temps = (_per_row((z_new[..., 1:-1] + kernel.theta_b[1:-1]).min(axis=-1)) if thermo
+                     else lows)
+            for m, good, low, temp_low in zip(members, ok, lows, temps):
+                if m.stop:
+                    pass
+                elif not good:
+                    m.stop = RunEvent("step-failure", m.clock, "no acceptable step")
+                elif low <= 0.0:
+                    m.stop = RunEvent("jacobian-degenerate", m.clock, f"min(1+f, J) = {low:.3e}")
+                elif thermo and temp_low <= 0.0:      # (b) the absolute temperature stays positive
+                    m.stop = RunEvent("temperature-negative", m.clock, f"min = {temp_low:.3e}")
+                leaving = leaving or m.stop is not None
+            if leaving:                                        # the stopped keep their state
+                stopped = [i for i, m in enumerate(members) if m.stop]
+                for new, old in ((f_new, f), (v_new, v), (z_new, z))[:2 + thermo]:
+                    new.reshape(-1, new.shape[-1])[stopped] = \
+                        old.reshape(-1, old.shape[-1])[stopped]
+                geom_new = kernel.edge_geometry(f_new)
+
+            v_prev, z_prev = v, z
+            f, v, z, geom = f_new, v_new, z_new, geom_new
+            if track_energy:
+                aE, D = energy()
+            omega = _per_row(functionals._amplitude(bg.x, bg.grad, f, v, z))
+            rate = None                               # built once, for the fields emitted
+            for i, m in enumerate(members):
+                if m.stop:
+                    continue
+                m.clock += m.dt
+                m.times.append(m.clock)
+                leaving = leaving or m.clock >= t_last
+                if track_energy:
+                    alpha = alpha_clock.alpha(m.clock)
+                    ab32_prev, m.ab32 = m.ab32, alpha ** 1.5
+                    m.W.append(m.W[-1] + 0.5 * m.dt * (m.ab32 * D[i] + ab32_prev * m.D[-1]))
+                    m.E.append(aE[i] / alpha)
+                    m.D.append(D[i])
+                if weights is not None:
+                    field = field_of(m, i, *(rate := rate or rates()))
+                    vals = functionals.ledger_integrands(field, weights, alpha_clock)
+                    for k, val in vals.items():
+                        m.online[k] += 0.5 * m.dt * (val + m.prev[k])
+                    m.prev = vals
+                omega_prev, m.omega = m.omega, omega[i]
+                if m.omega > spec.growth_threshold:
+                    crossing = _located_crossing(m.times[-2], m.clock, omega_prev, m.omega,
+                                                 spec.growth_threshold)
+                    m.stop = RunEvent("growth", m.clock, f"amplitude = {m.omega:.3e}", crossing)
+                    record(m, field_of(m, i, *(rate := rate or rates())))
+                    leaving = True
+                elif m.emit_idx < len(emit) and m.clock >= emit[m.emit_idx] - 1e-12:
+                    record(m, field_of(m, i, *(rate := rate or rates())))
+                    while m.emit_idx < len(emit) and m.clock >= emit[m.emit_idx] - 1e-12:
+                        m.emit_idx += 1
+        else:
+            raise StepFailure("step budget exhausted")
     return results
 
 

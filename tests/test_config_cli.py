@@ -433,24 +433,35 @@ class TestMain:
                      "--verify"])
         assert code == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_thermo_trial_is_an_event(self, tmp_path, capsys):
-        # a vanishing viscosity makes every trial state non-finite: the run stops at
-        # the cfl floor, which prints as an event (exit 0) and fails under --verify
-        with open(DEFAULTS) as fh:
+    @staticmethod
+    def run_vanishing_viscosity(tmp_path, capsys, scenario, config, event):
+        """A vanishing viscosity makes every trial state non-finite: the run stops at the
+        cfl floor, which prints as `event` (exit 0) with nothing on stderr, and fails
+        under --verify."""
+        with open(config) as fh:
             raw = json.load(fh)
         raw["model"]["mu"] = 1e-200
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(raw))
-        code = main(["evolve-thermo", "--config", str(cfg), "--out", str(tmp_path / "t")])
+        code = main([scenario, "--config", str(cfg), "--out", str(tmp_path / "t")])
         assert code == 0
         with open(tmp_path / "t" / "manifest.json") as fh:
             events = json.load(fh)["events"]
         assert [e["kind"] for e in events] == ["cfl-floor"]
-        printed = [line for line in capsys.readouterr().out.splitlines()
-                   if line.startswith("event: ")]
+        out, err = capsys.readouterr()
+        printed = [line for line in out.splitlines() if line.startswith("event: ")]
         assert printed == [f"event: cfl-floor at clock {events[0]['clock']:.6g} "
-                           f"{events[0]['detail']}"]
-        code = main(["evolve-thermo", "--config", str(cfg), "--out", str(tmp_path / "t2"),
-                     "--verify"])
+                           f"{events[0]['detail']}"] == [event]
+        assert err == ""
+        code = main([scenario, "--config", str(cfg), "--out", str(tmp_path / "t2"), "--verify"])
         assert code == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_thermo_trial_is_an_event(self, tmp_path, capsys):
+        self.run_vanishing_viscosity(tmp_path, capsys, "evolve-thermo", DEFAULTS,
+                                     "event: cfl-floor at clock 0 dt = 5.821e-12")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_linear_trial_is_an_event(self, tmp_path, capsys):
+        self.run_vanishing_viscosity(tmp_path, capsys, "evolve-linear", STABILITY_LINEAR,
+                                     "event: cfl-floor at clock 0 dt = 8.693e-12")

@@ -7,7 +7,7 @@ from starlab import classify_expansion
 from starlab.errors import KEqualsOne, MissingDerivative, WeightViolation
 from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, PerturbationField, SolverSpec,
                                 evolve_linear_isentropic, evolve_linear_thermo,
-                                evolve_self_similar)
+                                evolve_self_similar, reconstruct_eulerian)
 from starlab.profiles import sample_background
 
 
@@ -231,6 +231,35 @@ class TestAmplitudeOnePass:
         f = PerturbationField(x, np.full_like(x, 0.2), th_t, None, 0.0, LINEAR_REGIME)
         assert four_term_amplitude(f) == 0.2
         assert np.isnan(F.amplitude(f))
+
+
+class TestStackedTrapezoid:
+    """`_trapz` on a (k, N+1) stack gives each row's 1-d value bit for bit."""
+
+    @staticmethod
+    def assert_rows_match(rows, x):
+        stacked = F._trapz(rows, x)
+        assert stacked.shape == (len(rows),)
+        assert stacked.tolist() == [F._trapz(row, x) for row in rows]
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    def test_uniform_solver_grid(self, iso0, n):
+        x = np.linspace(0.0, iso0.R0, n + 1)
+        bg = sample_background(iso0, x)
+        th = 1e-3 * np.random.default_rng(2).standard_normal((4, x.size))
+        self.assert_rows_match(np.array([*th, x**4 * bg.rho * th[1]**2, bg.rho43 * th[2]**2,
+                                         bg.chi * (th[0]**2 + x**2 * th[3]**2)]), x)
+
+    def test_nonuniform_eulerian_grid(self, iso0):
+        x = np.linspace(0.0, iso0.R0, 129)
+        th0 = 1e-2 * np.cos(np.pi * x / iso0.R0)
+        run = evolve_linear_isentropic(iso0, classify_expansion(0.0, 1.0, 1.0), (th0, 0.3 * th0),
+                                       0.5, SolverSpec(n_cells=128, n_emit=2))
+        snap = reconstruct_eulerian(run.final, run.alpha_clock)
+        r, rho, u = snap.r, snap.rho, snap.u
+        assert isinstance(F.gradient_stencil(r)[0], tuple)     # not exactly uniform
+        self.assert_rows_match(np.array([r**2 * rho * u**2, r**2 * rho ** (4.0 / 3.0), rho, u,
+                                         -u, 1e-300 * rho]), r)
 
 
 class TestScalingProperties:

@@ -109,7 +109,7 @@ class TestThermo:
         assert run.completed is False
         assert run.final.clock == run.times[-1] == 0.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("a1", [1.0, 20.0])
     @pytest.mark.parametrize("mu", [1e-100, 1e-200])
     def test_non_finite_trial_stops_at_the_cfl_floor(self, thermo14, mu, a1):
@@ -124,7 +124,7 @@ class TestThermo:
         assert np.isfinite(run.final.zeta).all()
         assert run.omega.tolist() == [amplitude(s) for s in run.snapshots]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_member_leaves_the_others_bits(self, thermo14):
         # theta_t = 1e300 overflows its velocity and temperature solves; its rows stay
         # out of the batch's solves, so the other member keeps its own run's bits
