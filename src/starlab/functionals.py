@@ -15,7 +15,10 @@ profile, and a background from another grid raises InvalidParams.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -173,25 +176,33 @@ def perturbation_energy_ss(x, phi, phi_s, rho4_nodes, rho43_edges, a0: float,
     if np.any(1.0 + phi <= 0.0):
         raise DomainViolation("1 + phi <= 0")
     dx, xm = x[1] - x[0], 0.5 * (x[:-1] + x[1:])
-    Hm = 1.0 + 0.5 * (phi[:-1] + phi[1:])
-    df = (phi[1:] - phi[:-1]) / dx
-    geom = (Hm, df, Hm + xm * df)
-    if np.any(geom[2] <= 0.0):
+    geom = _edge_geometry(phi, xm, dx, (4.0 * mu / 3.0) * dx * xm**2)
+    if np.any(geom.Jm <= 0.0):
         raise DomainViolation("1 + phi + x phi_x <= 0")
     b = math.sqrt(2.0 * abs(delta))
-    H, Hm2 = 1.0 + phi, Hm * Hm
-    gram = _gram_factors(geom, xm, dx, (4.0 * mu / 3.0) * dx * xm**2)
-    geom = geom + gram + (H, H**2, Hm2, Hm2 * geom[2])
     (E,), (D,) = _energy_ss(x[1:] - x[:-1], xm, phi_s, geom, rho4_nodes, dx * rho43_edges,
                             b, delta)
     return E / (a0 * math.exp(b * s)), D
 
 
-def _gram_factors(geom, xm, dx, gw):
-    """(g, a, b) of K at geom: edge i adds g_i (a_i v_{i+1} + b_i v_i)^2 to v^T K v."""
-    a, half_df = np.divide(geom[0], dx), np.multiply(0.5, geom[1])   # Hm / dx, df / 2
+# A state's edges (Hm = 1 + f, df = f_x, Jm = Hm + x df), K's Gram factors (g, a, b),
+# and H = 1 + f at the nodes, H^2, Hm^2 and Hm^2 Jm
+_Geometry = namedtuple("_Geometry", "Hm df Jm g a b H H2 Hm2 HHJ")
+
+
+def _edge_geometry(f, xm, dx, gw):
+    """The `_Geometry` of states f on edges xm, spacing dx; gw = (4 mu/3) dx xm^2 = g Jm.
+
+    Edge i adds g_i (a_i v_{i+1} + b_i v_i)^2 to v^T K v.  No caller overwrites a field."""
+    Hm = np.add(f[..., :-1], f[..., 1:])                     # 1 + 0.5 (f_i + f_i+1)
+    np.add(np.multiply(Hm, 0.5, Hm), 1.0, Hm)
+    df = np.subtract(f[..., 1:], f[..., :-1])
+    Jm = np.add(np.multiply(xm, np.divide(df, dx, df)), Hm)     # Hm + xm df
+    a, half_df = np.divide(Hm, dx), np.multiply(0.5, df)       # Hm / dx, df / 2
     b = np.negative(np.multiply(np.add(a, half_df), xm))      # b = -xm (Hm/dx + df/2), exactly
-    return np.divide(gw, geom[2]), np.multiply(np.subtract(a, half_df, a), xm, a), b
+    g, a = np.divide(gw, Jm), np.multiply(np.subtract(a, half_df, a), xm, a)
+    Hm2, H = np.multiply(Hm, Hm), np.add(f, 1.0)
+    return _Geometry(Hm, df, Jm, g, a, b, H, np.multiply(H, H), Hm2, np.multiply(Hm2, Jm))
 
 
 def _energy_ss(spacing, xm, v, geom, rho4, w, b, delta):
@@ -201,9 +212,9 @@ def _energy_ss(spacing, xm, v, geom, rho4, w, b, delta):
     the grid only, so a caller probing many states computes them once.
 
     The states are the rows of a batch (or one 1-d state), and the two lists
-    hold one value per row; each dot product is one `np.dot` of its row.  geom =
-    (Hm, df, Jm, g, a, c, H, H^2, Hm^2, Hm^2 Jm) holds f's edge geometry, K's Gram
-    factors (g, a, c), so that D = v^T K v >= 0 by construction, and H = 1 + f.
+    hold one value per row; each dot product is one `np.dot` of its row.  geom is
+    f's `_Geometry` from `_edge_geometry`, whose Gram factors (g, a, c) make
+    D = v^T K v >= 0 by construction.
     The solver calls this on every accepted state; its geometry check stands in
     for the domain checks of `perturbation_energy_ss`.
     """
@@ -523,7 +534,7 @@ def total_energy_ledger(run) -> list[EnergyReport]:
             raise WeightViolation([f"non-finite ledger term {k}" for k in bad])
         reports.append(EnergyReport(
             clock=f.clock, ledger=ledger,
-            total_E=float(sum(terms.values())),
-            total_D=float(sum(acc_diss.values())),
+            total_E=float(reduce(add, terms.values(), 0.0)),   # left to right, as sum() did
+            total_D=float(reduce(add, acc_diss.values(), 0.0)),   # before Python 3.12
             E0=E0, omega=float(run.omega[idx])))
     return reports

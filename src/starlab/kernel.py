@@ -32,9 +32,10 @@ the step controlled by the driver.  An optional midpoint variant (order = 2,
 implicit weight 1/2 in the same velocity solve) serves the isentropic regimes.
 
 One kernel per run, `_Kernel(bg, clock, mu)`, works along the last axis of a
-(B, N+1) batch of states or of one 1-d state.  It builds each state's
-`_Geometry`, Gram factors included, once for every use of it, and solves a
-batch's tridiagonal systems in one LAPACK dgtsv call.
+(B, N+1) batch of states or of one 1-d state.  It builds each state's `_Geometry`,
+Gram factors included, once for every use of it with `functionals._edge_geometry`
+(which `perturbation_energy_ss` shares), and solves a batch's tridiagonal systems
+in one LAPACK dgtsv call.
 
 In-place rule: only fresh temporaries are overwritten, each by the IEEE operation it
 replaces, in its order; never a `_Geometry` field (it serves every retry and the next
@@ -43,52 +44,34 @@ step), a Background array or a caller's state.  Updates pass a positional out.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
-from . import functionals
-from .functionals import gradient
+from .functionals import _edge_geometry, gradient
 from .profiles import Background
 
 
-class _NonFinite(ValueError):
-    """A tridiagonal system with a non-finite entry."""
-
-
-def _solve_tridiag(diag, upper, lower, rhs):
-    """dgtsv on upper[i] = A[i, i+1], lower[i] = A[i+1, i], with scipy's banded checks.
+def _solve_tridiag(diag, off, rhs):
+    """dgtsv on the symmetric system with off[i] = A[i, i+1] = A[i+1, i].
 
     Rows of 2-d arguments are uncoupled blocks of one system, each with its own solve's
-    bits; a non-finite block solves to NaN, and a non-finite 1-d system raises _NonFinite.
+    bits.  A block with a non-finite entry solves to NaN, a step's failed attempt.
     """
-    finite = np.logical_and.reduce(np.isfinite(np.concatenate((diag, upper, lower, rhs), -1)), -1)
+    finite = np.logical_and.reduce(np.isfinite(np.concatenate((diag, off, rhs), -1)), -1)
     if not finite.all():
-        if diag.ndim == 1:
-            raise _NonFinite("array must not contain infs or NaNs")
         x = np.full(diag.shape, np.nan)
         if finite.any():
-            x[finite] = _solve_tridiag(diag[finite], upper[finite], lower[finite], rhs[finite])
+            x[finite] = _solve_tridiag(diag[finite], off[finite], rhs[finite])
         return x
     if diag.ndim > 1:
-        upper, lower = (np.concatenate([b, np.zeros((len(b), 1))], axis=1).ravel()[:-1]
-                        for b in (upper, lower))
-    x, info = dgtsv(lower, diag.ravel(), upper, rhs.ravel())[3:]   # copies: inputs intact
+        off = np.concatenate([off, np.zeros((len(off), 1))], axis=1).ravel()[:-1]
+    x, info = dgtsv(off, diag.ravel(), off, rhs.ravel())[3:]   # copies: inputs intact
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
     return x.reshape(diag.shape)
-
-
-def _solve_step(diag, off, rhs):
-    """A step's symmetric solve: a non-finite system solves to NaN, a failed attempt."""
-    try:
-        return _solve_tridiag(diag, off, off, rhs)
-    except _NonFinite:
-        return np.full(diag.shape, np.nan)
 
 
 _OVERDAMPED_RATIO = 1e12
@@ -128,17 +111,12 @@ def _quad_extrap(x, vals, idx):
     return float(np.polyval(c, x[idx]))
 
 
-# A state's edges (Hm = 1 + f, df = f_x, Jm = Hm + x df), K's Gram factors (g, a, b),
-# and H = 1 + f at the nodes, H^2, Hm^2 and Hm^2 Jm
-_Geometry = namedtuple("_Geometry", "Hm df Jm g a b H H2 Hm2 HHJ")
-
-
 class _Kernel:
     """The IMEX step of one batch: its static weights, operators, momentum and temperature steps.
 
     Static arrays come from the Background `bg`; the kernel keeps only those it
     derives.  Every method works along the last axis, with per-row scalars as (B, 1)
-    columns (floats for a 1-d state); `geom` is the `_Geometry` of edge_geometry.
+    columns (floats for a 1-d state); `geom` is a state's `functionals._Geometry`.
     """
 
     def __init__(self, bg: Background, clock, mu: float):
@@ -166,14 +144,8 @@ class _Kernel:
         self.div_b = _flux_div(bg.ptheta_m if self.thermo else bg.rho43_m)
 
     def edge_geometry(self, f):
-        """The `_Geometry` of state f, built once per state."""
-        Hm = np.add(f[..., :-1], f[..., 1:])                     # 1 + 0.5 (f_i + f_i+1)
-        np.add(np.multiply(Hm, 0.5, Hm), 1.0, Hm)
-        df = np.subtract(f[..., 1:], f[..., :-1])
-        Jm = np.add(np.multiply(self.bg.xm, np.divide(df, self.dx, df)), Hm)     # Hm + xm df
-        Hm2, H = np.multiply(Hm, Hm), np.add(f, 1.0)
-        gram = functionals._gram_factors((Hm, df, Jm), self.bg.xm, self.dx, self.gw)
-        return _Geometry(Hm, df, Jm, *gram, H, np.multiply(H, H), Hm2, np.multiply(Hm2, Jm))
+        """The `functionals._Geometry` of state f, built once per state."""
+        return _edge_geometry(f, self.bg.xm, self.dx, self.gw)
 
     def viscous_matrix(self, geom):
         """Gram matrix K with T(v, w) = -w^T K v as (diag, off): K[i, i+1] = K[i+1, i] = off[i]."""
@@ -244,7 +216,7 @@ class _Kernel:
             np.subtract(rhs, np.multiply(visc, self.apply_viscous(K, v_old)), rhs)
         np.subtract(rhs, self.pressure_gravity(geom, zeta=zeta), rhs)
         np.add(np.multiply(diag, visc, diag), np.multiply(lumped, self.mass), diag)
-        return _solve_step(diag, np.multiply(off, visc, off), rhs)
+        return _solve_tridiag(diag, np.multiply(off, visc, off), rhs)
 
     def acceleration(self, geom, v, coef, zeta=None):
         """Pointwise clock-acceleration from the semi-discrete equations.
@@ -284,11 +256,10 @@ class _Kernel:
         Returns the nodal advection and viscous heating, and at the edges the
         diffusion coefficient and the flux of the background temperature.
         """
-        H, J, dprod, frakF = self.thermo_aux(f, v)
-        H2 = np.multiply(H, H)
+        _, J, dprod, frakF = self.thermo_aux(f, v)
         adv = np.multiply(np.add(z, self.theta_b), self.K_rho)   # K rho (z + theta_b) dprod
-        np.divide(np.multiply(adv, dprod, adv), np.multiply(H2, J), adv)      # / (H^2 J)
-        heat = np.multiply(np.multiply(alpha, self.x2), H2)       # alpha x^2 H^2 J mu frakF
+        np.divide(np.multiply(adv, dprod, adv), np.multiply(geom.H2, J), adv)   # / (H^2 J)
+        heat = np.multiply(np.multiply(alpha, self.x2), geom.H2)  # alpha x^2 H^2 J mu frakF
         np.multiply(np.multiply(np.multiply(heat, J, heat), self.mu, heat), frakF, heat)
         bgflux = np.subtract(np.divide(geom.Hm2, geom.Jm), 1.0)   # (Hm^2 / Jm - 1) xm^2 thetap_m
         np.multiply(np.multiply(bgflux, self.xm2, bgflux), self.bg.thetap_m, bgflux)
@@ -325,4 +296,4 @@ class _Kernel:
         np.add(rhs, np.multiply(_flux_div(bgflux), alpha2), rhs)    # + alpha^2 div(bgflux)
         # Dirichlet zeta(R0) = 0: identity row, decoupled from zeta_{N-1}
         diag[..., -1], off[..., -1], rhs[..., -1] = 1.0, 0.0, 0.0
-        return _solve_step(diag, off, rhs)
+        return _solve_tridiag(diag, off, rhs)

@@ -403,7 +403,6 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
                 for new, old in ((f_new, f), (v_new, v), (z_new, z))[:2 + thermo]:
                     new.reshape(-1, new.shape[-1])[stopped] = \
                         old.reshape(-1, old.shape[-1])[stopped]
-                geom_new = kernel.edge_geometry(f_new)
 
             v_prev, z_prev = v, z
             f, v, z, geom = f_new, v_new, z_new, geom_new

@@ -356,6 +356,23 @@ class TestLedger:
             assert all(v == 0.0 for v in rep.ledger.values())
             assert rep.total_E == 0.0 and rep.total_D == 0.0 and rep.E0 == 0.0
 
+    def test_totals_fold_left_to_right(self, iso0, monkeypatch):
+        # the totals add their terms left to right from 0.0 on every Python: 3.12's
+        # compensated sum() gives 2.0 on these terms, and 0.0 + -0.0 is 0.0
+        import dataclasses
+        import math
+        z = np.zeros(33)
+        run = evolve_linear_isentropic(iso0, classify_expansion(0.0, 1.0, 1.0), (z, z), 1.0,
+                                       SolverSpec(n_cells=32, n_emit=2), weights=F.WeightSpec())
+        cases = [[1e16, 1.0, -1e16, 1.0], [-0.0, -0.0]]
+        for vals, total in zip(cases, [1.0, 0.0]):
+            terms = {f"E{k}": v for k, v in enumerate(vals)}
+            monkeypatch.setattr(F, "_ledger", lambda f, clock: (lambda *a: terms, None, None))
+            online = {f"D{k}": np.array([v, v]) for k, v in enumerate(vals)}
+            for rep in F.total_energy_ledger(dataclasses.replace(run, dissipation_online=online)):
+                for got in (rep.total_E, rep.total_D):
+                    assert got == total and math.copysign(1.0, got) == 1.0
+
     def test_run_without_weights_has_no_ledger(self, iso0):
         z = np.zeros(33)
         run = evolve_linear_isentropic(iso0, classify_expansion(0.0, 1.0, 1.0), (z, z), 0.1,
