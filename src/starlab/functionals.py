@@ -10,6 +10,11 @@ One background per grid: the ledger functions read the static star only
 from a `profiles.Background` sampled on the field's own x_nodes (by the
 solver, which hands it out on every field it emits).  They never evaluate a
 profile, and a background from another grid raises InvalidParams.
+
+Block rows: a ledger function takes a field or a block (a list of one run's fields),
+stacks each array as (K, N+1) rows and integrates each integrand in one trapezoid
+call; a row's coefficient is a Python `math` float (numpy's array `**` and `exp`
+can differ in the last bit).  A field is a block of one and gets floats back.
 """
 
 from __future__ import annotations
@@ -68,10 +73,13 @@ def _trapz(f, x):
     return float(s) if s.ndim == 0 else s
 
 
-def _integrate(rows, x) -> dict:
-    """{name: coef * int f dx} of rows = {name: (coef, f)}: one trapezoid over the stack."""
-    vals = _trapz(np.array([f for _, f in rows.values()]), x).tolist()
-    return {k: c * val for (k, (c, _)), val in zip(rows.items(), vals)}
+def _integrate(terms, x, scalars, one) -> dict:
+    """{name: [coef(s) int f dx for each row's s]} of terms' (name, coef or None, (K, N+1) f)."""
+    out = {}
+    for name, coef, f in terms:         # one trapezoid call per f, freed before the next
+        vals, f = _trapz(f, x).tolist(), None
+        out[name] = vals if coef is None else [coef(s) * val for s, val in zip(scalars, vals)]
+    return {k: vals[0] for k, vals in out.items()} if one else out
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +184,8 @@ def perturbation_energy_ss(x, phi, phi_s, rho4_nodes, rho43_edges, a0: float,
     if np.any(1.0 + phi <= 0.0):
         raise DomainViolation("1 + phi <= 0")
     dx, xm = x[1] - x[0], 0.5 * (x[:-1] + x[1:])
-    geom = _edge_geometry(phi, xm, dx, (4.0 * mu / 3.0) * dx * xm**2)
+    with np.errstate(divide="ignore"):       # Jm = 0 is named below, not warned of
+        geom = _edge_geometry(phi, xm, dx, (4.0 * mu / 3.0) * dx * xm**2)
     if np.any(geom.Jm <= 0.0):
         raise DomainViolation("1 + phi + x phi_x <= 0")
     b = math.sqrt(2.0 * abs(delta))
@@ -190,18 +199,21 @@ def perturbation_energy_ss(x, phi, phi_s, rho4_nodes, rho43_edges, a0: float,
 _Geometry = namedtuple("_Geometry", "Hm df Jm g a b H H2 Hm2 HHJ")
 
 
-def _edge_geometry(f, xm, dx, gw):
+def _edge_geometry(f, xm, dx, gw=None):
     """The `_Geometry` of states f on edges xm, spacing dx; gw = (4 mu/3) dx xm^2 = g Jm.
 
-    Edge i adds g_i (a_i v_{i+1} + b_i v_i)^2 to v^T K v.  No caller overwrites a field."""
+    Edge i adds g_i (a_i v_{i+1} + b_i v_i)^2 to v^T K v.  Without gw only Hm, df, Jm, H and
+    HHJ are built, the rest are None.  No caller overwrites a field."""
     Hm = np.add(f[..., :-1], f[..., 1:])                     # 1 + 0.5 (f_i + f_i+1)
     np.add(np.multiply(Hm, 0.5, Hm), 1.0, Hm)
     df = np.subtract(f[..., 1:], f[..., :-1])
     Jm = np.add(np.multiply(xm, np.divide(df, dx, df)), Hm)     # Hm + xm df
+    Hm2, H = np.multiply(Hm, Hm), np.add(f, 1.0)
+    if gw is None:
+        return _Geometry(Hm, df, Jm, None, None, None, H, None, None, np.multiply(Hm2, Jm, Hm2))
     a, half_df = np.divide(Hm, dx), np.multiply(0.5, df)       # Hm / dx, df / 2
     b = np.negative(np.multiply(np.add(a, half_df), xm))      # b = -xm (Hm/dx + df/2), exactly
     g, a = np.divide(gw, Jm), np.multiply(np.subtract(a, half_df, a), xm, a)
-    Hm2, H = np.multiply(Hm, Hm), np.add(f, 1.0)
     return _Geometry(Hm, df, Jm, g, a, b, H, np.multiply(H, H), Hm2, np.multiply(Hm2, Jm))
 
 
@@ -321,6 +333,9 @@ def frak_A_inequality(coef):
 # ---------------------------------------------------------------------------
 # total energy / dissipation ledgers
 # ---------------------------------------------------------------------------
+_PROBE_BLOCK = 6    # fields per block of both ledgers: ~11 KB working set per row at N = 128
+_THERMO = ("theta", "theta_t", "zeta", "theta_tt", "zeta_t")   # the thermo ledgers' rows
+
 
 @dataclass
 class EnergyReport:
@@ -339,65 +354,70 @@ def _entropy_grad(x, th, th_x, th_xx):
     return 2.0 * th_x / (1.0 + th) + (2.0 * th_x + x * th_xx) / (1.0 + th + x * th_x)
 
 
-def ledger_terms_isentropic(field, background, weights: WeightSpec, alpha: float) -> dict:
-    """Instantaneous terms of the linearly expanding isentropic total energy."""
-    if field.theta_tt is None:
-        raise MissingDerivative("ledger needs the second clock derivative")
-    x = np.asarray(field.x_nodes, dtype=float)
-    th, v, acc = field.theta, field.theta_t, field.theta_tt
+def _rows(field, background, names):
+    """(x, stencil, (n, K, N+1) stack of `names`, K clocks, one) of a block or field (one)."""
+    fields = [field] if (one := not isinstance(field, list)) else field
+    if missing := [n for n in names if any(getattr(f, n) is None for f in fields)]:
+        raise MissingDerivative(f"the ledger needs {' and '.join(missing)}")
+    x = np.asarray(fields[0].x_nodes, dtype=float)
+    stack = np.array([[getattr(f, n) for f in fields] for n in names], dtype=float)
+    return x, background.require_grid(x), stack, [f.clock for f in fields], one
+
+
+def ledger_terms_isentropic(field, background, weights: WeightSpec, alpha) -> dict:
+    """Instantaneous terms of the linearly expanding isentropic total energy (alpha: per row)."""
+    x, g, rows, _, one = _rows(field, background, ("theta", "theta_t", "theta_tt"))
+    th, v, acc = rows
     a = weights.a
-    g = background.require_grid(x)
-    rho, rho43, chi = background.rho, background.rho43, background.chi
-    th_x, v_x = gradient(np.array([th, v]), g)
-    th_xx, v_xx = gradient(np.array([th_x, v_x]), g)
+    x2, x4, x4rho, chix2rho = background.ledger_weights
+    rho43, chi = background.rho43, background.chi
+    th_x, v_x = d1 = gradient(rows[:2], g)
+    th_xx, v_xx = gradient(d1, g)
     G_x = _entropy_grad(x, th, th_x, th_xx)
     # G_t = 2 th_t/(1+th) + (th_t + x th_xt)/J; differentiate in x.
     G_xt = gradient(2.0 * v / (1.0 + th) + (v + x * v_x) / (1.0 + th + x * th_x), g)
-    al = alpha
-    return _integrate({
-        "E_vel": (al + al ** (1 + a), x**4 * rho * v**2),
-        "E_press_grad": (1.0, x**4 * rho43 * th_x**2),
-        "E_grad": (1.0, x**4 * th_x**2),
-        "E_field": (1.0, x**4 * rho * th**2),
-        "E_acc": (al ** (a - 3), x**4 * rho * acc**2),
-        "E_visc_pair": (al ** (1 + a), ((1.0 + th) * x * v_x - x * th_x * v) ** 2 * x**2),
-        "E_int_vel": (al ** (1 + a), chi * (v**2 + x**2 * v_x**2)),
-        "E_int_field": (1.0, chi * (th**2 + x**2 * th_x**2)),
-        "E_int_acc": (al ** (a - 5), chi * x**2 * rho * acc**2),
-        "E_entropy_grad": (1.0, G_x**2),
-        "E_entropy_grad_t": (al ** (a - 1), G_xt**2),
-        "E_elliptic_grad": (1.0, th_x**2),
-        "E_elliptic_xx": (1.0, x**2 * th_xx**2),
-        "E_elliptic_grad_t": (al ** (a - 1), v_x**2),
-        "E_elliptic_xx_t": (al ** (a - 1), x**2 * v_xx**2),
-    }, x)
+    p = lambda k: lambda al: al ** k
+    def terms():
+        yield "E_vel", lambda al: al + al ** (1 + a), x4rho * v**2
+        yield "E_press_grad", None, x4 * rho43 * th_x**2
+        yield "E_grad", None, x4 * th_x**2
+        yield "E_field", None, x4rho * th**2
+        yield "E_acc", p(a - 3), x4rho * acc**2
+        yield "E_visc_pair", p(1 + a), ((1.0 + th) * x * v_x - x * th_x * v) ** 2 * x2
+        yield "E_int_vel", p(1 + a), chi * (v**2 + x2 * v_x**2)
+        yield "E_int_field", None, chi * (th**2 + x2 * th_x**2)
+        yield "E_int_acc", p(a - 5), chix2rho * acc**2
+        yield "E_entropy_grad", None, G_x**2
+        yield "E_entropy_grad_t", p(a - 1), G_xt**2
+        yield "E_elliptic_grad", None, th_x**2
+        yield "E_elliptic_xx", None, x2 * th_xx**2
+        yield "E_elliptic_grad_t", p(a - 1), v_x**2
+        yield "E_elliptic_xx_t", p(a - 1), x2 * v_xx**2
+    return _integrate(terms(), x, np.atleast_1d(alpha).tolist(), one)
 
 
 def dissipation_integrands_isentropic(field, background, weights: WeightSpec,
-                                      alpha: float) -> dict:
-    """Integrands (per unit tau) of the isentropic dissipation ledger."""
-    if field.theta_tt is None:
-        raise MissingDerivative("dissipation ledger needs the second clock derivative")
-    x = np.asarray(field.x_nodes, dtype=float)
-    th, v, acc = field.theta, field.theta_t, field.theta_tt
+                                      alpha) -> dict:
+    """Integrands (per unit tau) of the isentropic dissipation ledger (alpha: per row)."""
+    x, g, rows, _, one = _rows(field, background, ("theta", "theta_t", "theta_tt"))
+    th, v, acc = rows
     a = weights.a
-    g = background.require_grid(x)
-    rho, rho43, chi = background.rho, background.rho43, background.chi
-    th_x, v_x, acc_x = gradient(np.array([th, v, acc]), g)
+    x2, _, x4rho, chix2rho = background.ledger_weights
+    rho43, chi = background.rho43, background.chi
+    th_x, v_x, acc_x = gradient(rows, g)
     pair_v = (1.0 + th) * x * v_x - x * th_x * v
     pair_acc = (1.0 + th) * x * acc_x - x * th_x * acc
     G_x = _entropy_grad(x, th, th_x, gradient(th_x, g))
-    al = alpha
-    return _integrate({
-        "D_vel": (al + al ** (1 + a), x**4 * rho * v**2),
-        "D_visc_pair": (al**3 + al ** (3 + a), x**2 * pair_v**2),
-        "D_acc": (al ** (a - 3), x**4 * rho * acc**2),
-        "D_visc_pair_t": (al ** (a - 1), x**2 * pair_acc**2),
-        "D_int_vel": (al ** (1 + a), chi * (v**2 + x**2 * v_x**2)),
-        "D_int_acc": (al ** (a - 5), chi * x**2 * rho * acc**2),
-        "D_int_acc2": (al ** (a - 3), chi * (acc**2 + x**2 * acc_x**2)),
-        "D_entropy": (al ** (-3), rho43 * G_x**2),
-    }, x)
+    def terms():
+        yield "D_vel", lambda al: al + al ** (1 + a), x4rho * v**2
+        yield "D_visc_pair", lambda al: al**3 + al ** (3 + a), x2 * pair_v**2
+        yield "D_acc", lambda al: al ** (a - 3), x4rho * acc**2
+        yield "D_visc_pair_t", lambda al: al ** (a - 1), x2 * pair_acc**2
+        yield "D_int_vel", lambda al: al ** (1 + a), chi * (v**2 + x2 * v_x**2)
+        yield "D_int_acc", lambda al: al ** (a - 5), chix2rho * acc**2
+        yield "D_int_acc2", lambda al: al ** (a - 3), chi * (acc**2 + x2 * acc_x**2)
+        yield "D_entropy", lambda al: al ** (-3), rho43 * G_x**2
+    return _integrate(terms(), x, np.atleast_1d(alpha).tolist(), one)
 
 
 def initial_energy_isentropic(x, th0, th1, th2, background, weights: WeightSpec) -> float:
@@ -415,65 +435,57 @@ def initial_energy_isentropic(x, th0, th1, th2, background, weights: WeightSpec)
 
 def ledger_terms_thermo(field, background, weights: WeightSpec, a1: float) -> dict:
     """Instantaneous terms of the thermodynamic total energy ledger (theta is xi)."""
-    if field.theta_tt is None or field.zeta_t is None:
-        raise MissingDerivative("thermo ledger needs theta_tt and zeta_t")
-    x = np.asarray(field.x_nodes, dtype=float)
-    xi, v, acc = field.theta, field.theta_t, field.theta_tt
-    zeta, zeta_t = field.zeta, field.zeta_t
+    x, g, rows, clocks, one = _rows(field, background, _THERMO)
+    xi, v, zeta, acc, zeta_t = rows
     w = weights
-    tau = field.clock
-    g = background.require_grid(x)
+    x2, x4, x4rho, chix2rho = background.ledger_weights
     rho, chi = background.rho, background.chi
-    xi_x, v_x, zeta_x = gradient(np.array([xi, v, zeta]), g)
-    xi_xx, v_xx, zeta_xx = gradient(np.array([xi_x, v_x, zeta_x]), g)
+    xi_x, v_x, zeta_x = d1 = gradient(rows[:3], g)
+    xi_xx, v_xx, zeta_xx = gradient(d1, g)
     pair_v = (1.0 + xi) * x * v_x - x * xi_x * v
-    e = lambda p: math.exp(p * a1 * tau)
-    return _integrate({
-        "E_vel": (e(1 + w.r1), x**4 * rho * v**2),
-        "E_temp": (e(w.l1), x**2 * rho * zeta**2),
-        "E_field": (1.0, x**4 * rho * xi**2),
-        "E_grad4": (1.0, x**4 * xi_x**2),
-        "E_field2": (1.0, x**2 * xi**2),
-        "E_acc": (e(w.r2 - 2), x**4 * rho * acc**2),
-        "E_temp_t": (e(w.l2 - 2), x**2 * rho * zeta_t**2),
-        "E_temp_grad": (e((w.l1 + w.l2) / 2 + 1), x**2 * zeta_x**2),
-        "E_visc_pair": (e((w.r1 + w.r2) / 2 + 1.5), x**2 * pair_v**2),
-        "E_int_field": (1.0, chi * (xi**2 + x**2 * xi_x**2)),
-        "E_int_vel": (e(w.r2 + 2), chi * (x**2 * v_x**2 + v**2)),
-        "E_int_acc": (e(w.r3 - 2), chi * x**2 * rho * acc**2),
-        "E_elliptic_grad": (1.0, xi_x**2),
-        "E_elliptic_xx": (1.0, x**2 * xi_xx**2),
-        "E_zeta_grad": (1.0, zeta_x**2),
-        "E_elliptic_t": (e(w.r3 + 2), v_x**2 + x**2 * v_xx**2),
-        "E_zeta_xx": (1.0, x**2 * zeta_xx**2),
-    }, x)
+    e = lambda p: lambda tau: math.exp(p * a1 * tau)
+    def terms():
+        yield "E_vel", e(1 + w.r1), x4rho * v**2
+        yield "E_temp", e(w.l1), x2 * rho * zeta**2
+        yield "E_field", None, x4rho * xi**2
+        yield "E_grad4", None, x4 * xi_x**2
+        yield "E_field2", None, x2 * xi**2
+        yield "E_acc", e(w.r2 - 2), x4rho * acc**2
+        yield "E_temp_t", e(w.l2 - 2), x2 * rho * zeta_t**2
+        yield "E_temp_grad", e((w.l1 + w.l2) / 2 + 1), x2 * zeta_x**2
+        yield "E_visc_pair", e((w.r1 + w.r2) / 2 + 1.5), x2 * pair_v**2
+        yield "E_int_field", None, chi * (xi**2 + x2 * xi_x**2)
+        yield "E_int_vel", e(w.r2 + 2), chi * (x2 * v_x**2 + v**2)
+        yield "E_int_acc", e(w.r3 - 2), chix2rho * acc**2
+        yield "E_elliptic_grad", None, xi_x**2
+        yield "E_elliptic_xx", None, x2 * xi_xx**2
+        yield "E_zeta_grad", None, zeta_x**2
+        yield "E_elliptic_t", e(w.r3 + 2), v_x**2 + x2 * v_xx**2
+        yield "E_zeta_xx", None, x2 * zeta_xx**2
+    return _integrate(terms(), x, clocks, one)
 
 
 def dissipation_integrands_thermo(field, background, weights: WeightSpec, a1: float) -> dict:
-    if field.theta_tt is None or field.zeta_t is None:
-        raise MissingDerivative("thermo dissipation ledger needs theta_tt and zeta_t")
-    x = np.asarray(field.x_nodes, dtype=float)
-    xi, v, acc = field.theta, field.theta_t, field.theta_tt
-    zeta, zeta_t = field.zeta, field.zeta_t
+    x, g, rows, clocks, one = _rows(field, background, _THERMO)
+    xi, v, zeta, acc, zeta_t = rows
     w = weights
-    tau = field.clock
-    g = background.require_grid(x)
+    x2, _, x4rho, chix2rho = background.ledger_weights
     rho, chi = background.rho, background.chi
-    xi_x, v_x, acc_x, zeta_x, zeta_tx = gradient(np.array([xi, v, acc, zeta, zeta_t]), g)
+    xi_x, v_x, zeta_x, acc_x, zeta_tx = gradient(rows, g)
     pair_v = (1.0 + xi) * x * v_x - x * xi_x * v
     pair_acc = (1.0 + xi) * x * acc_x - x * xi_x * acc
-    e = lambda p: math.exp(p * a1 * tau)
-    return _integrate({
-        "D_vel": (a1 * e(1 + w.r1), x**4 * rho * v**2),
-        "D_visc_pair": (e(3 + w.r1), x**2 * pair_v**2),
-        "D_temp": (a1 * e(w.l1), x**2 * rho * zeta**2),
-        "D_temp_grad": (e(2 + w.l1), x**2 * zeta_x**2),
-        "D_acc": (a1 * e(w.r2 - 2), x**4 * rho * acc**2),
-        "D_visc_pair_t": (e(w.r2), x**2 * pair_acc**2),
-        "D_temp_grad_t": (e(w.l2), x**2 * zeta_tx**2),
-        "D_int_vel": (e(3 + w.frak_r), chi * (x**2 * v_x**2 + v**2)),
-        "D_int_acc": (e(w.r3), chi * (x**2 * acc_x**2 + acc**2)),
-    }, x)
+    e = lambda p, c=1.0: lambda tau: c * math.exp(p * a1 * tau)
+    def terms():
+        yield "D_vel", e(1 + w.r1, a1), x4rho * v**2
+        yield "D_visc_pair", e(3 + w.r1), x2 * pair_v**2
+        yield "D_temp", e(w.l1, a1), x2 * rho * zeta**2
+        yield "D_temp_grad", e(2 + w.l1), x2 * zeta_x**2
+        yield "D_acc", e(w.r2 - 2, a1), x4rho * acc**2
+        yield "D_visc_pair_t", e(w.r2), x2 * pair_acc**2
+        yield "D_temp_grad_t", e(w.l2), x2 * zeta_tx**2
+        yield "D_int_vel", e(3 + w.frak_r), chi * (x2 * v_x**2 + v**2)
+        yield "D_int_acc", e(w.r3), chi * (x2 * acc_x**2 + acc**2)
+    return _integrate(terms(), x, clocks, one)
 
 
 def initial_energy_thermo(x, xi0, xi1, xi2, zeta0, zeta1, background,
@@ -489,29 +501,29 @@ def initial_energy_thermo(x, xi0, xi1, xi2, zeta0, zeta1, background,
         chi * x**2 * rho * xi2**2, xi0_x**2 + x**2 * xi0_xx**2]), x))[-1])
 
 
-def _ledger(field, alpha_clock):
-    """(terms, integrands, coefficient) of a linearly expanding field's ledger.
+def _ledger(block, alpha_clock):
+    """(terms, integrands, coefficient) of the ledger of a block of a linearly expanding run.
 
-    The coefficient is alpha at the field's clock (isentropic) or a1 (thermo).
+    The coefficient is alpha at each field's clock (isentropic) or a1 (thermo).
     """
-    if field.regime == "linear-thermo":
+    if block[0].regime == "linear-thermo":
         return ledger_terms_thermo, dissipation_integrands_thermo, alpha_clock.params.a1
     return (ledger_terms_isentropic, dissipation_integrands_isentropic,
-            alpha_clock.alpha(field.clock))
+            [alpha_clock.alpha(f.clock) for f in block])
 
 
-def ledger_integrands(field, weights: WeightSpec, alpha_clock) -> dict:
-    """Dissipation-ledger integrands (per unit tau) of a linearly expanding field."""
-    _, integrands, coef = _ledger(field, alpha_clock)
-    return integrands(field, field.background, weights, coef)
+def ledger_integrands(block, weights: WeightSpec, alpha_clock) -> dict:
+    """Dissipation-ledger integrands (per unit tau) of a block of fields, one value per field."""
+    _, integrands, coef = _ledger(block, alpha_clock)
+    return integrands(block, block[0].background, weights, coef)
 
 
 def total_energy_ledger(run) -> list[EnergyReport]:
     """EnergyReport per snapshot of a linearly expanding run made with weights.
 
-    Every snapshot must carry second clock derivatives (theta_tt, and zeta_t
-    for thermo).  The dissipation terms are the run's online integrals, and
-    E0 is the initial energy of its first snapshot.
+    Every snapshot must carry second clock derivatives (theta_tt, and zeta_t for
+    thermo).  The terms come in blocks of `_PROBE_BLOCK` snapshots, the dissipation
+    terms are the run's online integrals, and E0 is the initial energy of its first.
     """
     weights, bg, online = run.weights, run.background, run.dissipation_online
     if weights is None:
@@ -524,17 +536,20 @@ def total_energy_ledger(run) -> list[EnergyReport]:
         E0 = initial_energy_isentropic(s0.x_nodes, s0.theta, s0.theta_t, s0.theta_tt, bg,
                                        weights)
     reports = []
-    for idx, f in enumerate(run.snapshots):
-        terms_fn, _, coef = _ledger(f, run.alpha_clock)
-        terms = terms_fn(f, bg, weights, coef)
-        acc_diss = {k: vals[idx] for k, vals in online.items()}
-        ledger = {**terms, **acc_diss}
-        bad = [k for k, v in ledger.items() if not np.isfinite(v)]
-        if bad:
-            raise WeightViolation([f"non-finite ledger term {k}" for k in bad])
-        reports.append(EnergyReport(
-            clock=f.clock, ledger=ledger,
-            total_E=float(reduce(add, terms.values(), 0.0)),   # left to right, as sum() did
-            total_D=float(reduce(add, acc_diss.values(), 0.0)),   # before Python 3.12
-            E0=E0, omega=float(run.omega[idx])))
+    for start in range(0, len(run.snapshots), _PROBE_BLOCK):
+        block = run.snapshots[start:start + _PROBE_BLOCK]
+        terms_fn, _, coef = _ledger(block, run.alpha_clock)
+        block_terms = terms_fn(block, bg, weights, coef)
+        for idx, f in enumerate(block, start):
+            terms = {k: vals[idx - start] for k, vals in block_terms.items()}
+            acc_diss = {k: vals[idx] for k, vals in online.items()}
+            ledger = {**terms, **acc_diss}
+            bad = [k for k, v in ledger.items() if not np.isfinite(v)]
+            if bad:
+                raise WeightViolation([f"non-finite ledger term {k}" for k in bad])
+            reports.append(EnergyReport(
+                clock=f.clock, ledger=ledger,
+                total_E=float(reduce(add, terms.values(), 0.0)),   # left to right, as sum()
+                total_D=float(reduce(add, acc_diss.values(), 0.0)),   # did before Python 3.12
+                E0=E0, omega=float(run.omega[idx])))
     return reports

@@ -32,10 +32,10 @@ the step controlled by the driver.  An optional midpoint variant (order = 2,
 implicit weight 1/2 in the same velocity solve) serves the isentropic regimes.
 
 One kernel per run, `_Kernel(bg, clock, mu)`, works along the last axis of a
-(B, N+1) batch of states or of one 1-d state.  It builds each state's `_Geometry`,
-Gram factors included, once for every use of it with `functionals._edge_geometry`
-(which `perturbation_energy_ss` shares), and solves a batch's tridiagonal systems
-in one LAPACK dgtsv call.
+(B, N+1) batch of states or of one 1-d state.  It builds each state's `_Geometry`
+(Gram factors only if a solve or a probe reads them) once for every use of it with
+`functionals._edge_geometry` (which `perturbation_energy_ss` shares), and solves a
+batch's tridiagonal systems in one LAPACK dgtsv call.
 
 In-place rule: only fresh temporaries are overwritten, each by the IEEE operation it
 replaces, in its order; never a `_Geometry` field (it serves every retry and the next
@@ -143,9 +143,9 @@ class _Kernel:
             self.grav_w = self.wq * self.delta * x**4 * self.rho
         self.div_b = _flux_div(bg.ptheta_m if self.thermo else bg.rho43_m)
 
-    def edge_geometry(self, f):
-        """The `functionals._Geometry` of state f, built once per state."""
-        return _edge_geometry(f, self.bg.xm, self.dx, self.gw)
+    def edge_geometry(self, f, gram=True):
+        """The `functionals._Geometry` of state f, built once; Gram factors, H^2, Hm^2 if gram."""
+        return _edge_geometry(f, self.bg.xm, self.dx, self.gw if gram else None)
 
     def viscous_matrix(self, geom):
         """Gram matrix K with T(v, w) = -w^T K v as (diag, off): K[i, i+1] = K[i+1, i] = off[i]."""

@@ -16,8 +16,9 @@ scalars come from `math` as in a run of its own and the kernel works row by row,
 so each run has its own bits.  Only three parts depend on the regime: (a) the
 thermodynamic state zeta and its implicit temperature step; (b) the
 thermodynamic stop when the absolute temperature turns <= 0; (c) the
-self-similar probe of energy E, dissipation D and viscous work W, from each
-accepted state's geometry.
+self-similar probe of energy E, dissipation D and viscous work W at every
+accepted step, from the state's geometry; at order 2 no other regime builds an
+accepted state's Gram factors (only the midpoint solve reads its own).
 
 Every regime emits `PerturbationField`, tagged with its regime; thermodynamic
 fields also carry zeta and zeta_t.  One `_AlphaClock` per run gives alpha(clock)
@@ -26,7 +27,10 @@ to the driver, the ledger and, through `RunResult.alpha_clock`, to
 the momentum equation's (inertia, damping, viscosity).  A linearly expanding
 run made with `weights` checks them against R0, integrates
 `functionals.ledger_integrands` over every step and keeps the integrals at each
-emission for `functionals.total_energy_ledger`.  Each run samples its static
+emission for `functionals.total_energy_ledger`: the driver keeps each accepted
+state's rows (the in-place rule never overwrites them) and folds them in step order
+in blocks of `functionals._PROBE_BLOCK` states, and all pending ones before a
+member leaves the batch.  Each run samples its static
 star once on the solver grid (`profiles.sample_background`); the kernel, the
 fields, the RunResult and `reconstruct_eulerian` read it from there only.
 
@@ -275,31 +279,27 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
     # the (B, N+1) state, or one member's 1-d state (see the module docstring)
     f, v, z = (None if k >= 2 + thermo else init[0][k] if len(init) == 1
                else np.array([m[k] for m in init]) for k in range(3))
-    geom = kernel.edge_geometry(f)            # the edge geometry of the current states
-    if np.any(kernel.check_geometry(geom) <= 0.0):
-        raise DomainViolation("initial data degenerates the flow map")
-    if thermo and np.any(z[..., 1:-1] + kernel.theta_b[1:-1] <= 0.0):
-        raise InvalidParams("initial absolute temperature must stay positive")
-
     emit = np.linspace(0.0, clock_end, spec.n_emit).tolist()
     results = [None] * len(init)
 
-    def field_of(m, i, acc, z_rate):
-        """Member m (row i) as a field; a batch row is copied, so it holds no other member."""
+    def field_of(m, i, acc, z_rate, copy=True):
+        """Member m (row i) as a field; a copied batch row holds no other member."""
         rows = (f, v, acc, z, z_rate)
         if f.ndim > 1:
-            rows = [None if a is None else a[i].copy() for a in rows]
+            rows = [None if a is None else a[i].copy() if copy else a[i] for a in rows]
         return PerturbationField(bg.x, *rows[:3], m.clock, regime, *rows[3:], bg)
 
     def rates():
-        """The last step's theta_tt (and zeta_t), built only for the fields it emits."""
+        """The last step's theta_tt (and zeta_t), built only for a ledger's or snapshot's fields."""
         return (v - v_prev) / dt, (z - z_prev) / dt if thermo else None
 
-    def record(m, field):
-        """Emit a snapshot with the online ledger integrals accumulated so far."""
+    def record(m, field, entry=None):
+        """Emit a snapshot; a pending state's (entry's) online integrals follow at its fold."""
         m.snapshots.append(field)
         m.omegas.append(m.omega)
-        for k in m.series:
+        if entry is not None:
+            entry[-1] = True
+        for k in m.series if entry is None else ():
             m.series[k].append(m.online[k])
 
     def finish(m, i):
@@ -321,13 +321,33 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
 
         def energy():
             return functionals._energy_ss(spacing, bg.xm, v, geom, rho4, w, params.b, params.delta)
+    pending = []       # [member, field, dt, emits] of each accepted state the ledger has not had
+
+    def fold():
+        """Fold the ledger of the first `_PROBE_BLOCK` pending states, one block, in step order."""
+        entries, pending[:] = pending[:(n := functionals._PROBE_BLOCK)], pending[n:]
+        vals = functionals.ledger_integrands([e[1] for e in entries], weights, alpha_clock)
+        for r, (m, _, step, emits) in enumerate(entries):
+            row = {k: vs[r] for k, vs in vals.items()}
+            if m.prev is None:                        # the initial state
+                m.online, m.series = dict.fromkeys(row, 0.0), {k: [] for k in row}
+            for k, val in row.items() if m.prev is not None else ():
+                m.online[k] += 0.5 * step * (val + m.prev[k])
+            m.prev = row
+            for k in m.series if emits else ():
+                m.series[k].append(m.online[k])
 
     t_last = clock_end * (1.0 - 1e-14)     # a member that stops or gets here leaves the batch
-    half = 0.5 if spec.order == 2 else 1.0   # the midpoint rule's share of the step
+    half, gram = (0.5, track_energy) if spec.order == 2 else (1.0, True)  # midpoint share, Gram use
     change_bound = min(spec.max_rel_change, sys.float_info.max)   # rejects a non-finite change
     leaving = t_last <= 0.0
     # a non-finite initial rate or trial state ends in a failed attempt, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        geom = kernel.edge_geometry(f)        # the edge geometry of the current states
+        if np.any(kernel.check_geometry(geom) <= 0.0):
+            raise DomainViolation("initial data degenerates the flow map")
+        if thermo and np.any(z[..., 1:-1] + kernel.theta_b[1:-1] <= 0.0):
+            raise InvalidParams("initial absolute temperature must stay positive")
         aE, D = energy() if track_energy else ([math.nan] * len(init),) * 2
         alpha = alpha_clock.alpha(0.0)
         acc = kernel.acceleration(geom, v, alpha_clock.coefficients(0.0), z)
@@ -337,18 +357,19 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
             # the series are compact float arrays; ab32 is alpha^(3/2) of the last accepted state
             m = SimpleNamespace(
                 index=i, clock=0.0, dt=spec.dt_init or math.inf, emit_idx=1, omega=omega,
-                omegas=array("d"), stop=None, snapshots=[], series={},
+                omegas=array("d"), stop=None, snapshots=[], series={}, prev=None,
                 events=[RunEvent("outside-stability-range", 0.0, notice)] * outside,
                 times=array("d", [0.0]), E=array("d", [aE[i] / alpha]), D=array("d", [D[i]]),
                 W=array("d", [0.0]), ab32=alpha ** 1.5)
-            record(m, field := field_of(m, i, acc, z_rate))
+            field, entry = field_of(m, i, acc, z_rate), None
             if weights is not None:
-                m.prev = functionals.ledger_integrands(field, weights, alpha_clock)
-                m.online = dict.fromkeys(m.prev, 0.0)
-                m.series = {k: [0.0] for k in m.prev}
+                pending.append(entry := [m, field, 0.0, False])
+            record(m, field, entry)
             members.append(m)
 
         for _ in range(2_000_000):
+            while pending and (leaving or len(pending) >= functionals._PROBE_BLOCK):
+                fold()                 # a full block, and all of them before a member leaves
             if leaving:
                 ended = [i for i, m in enumerate(members) if m.stop or m.clock >= t_last]
                 for i in ended:
@@ -357,7 +378,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
                     break
                 members = [members[i] for i in live]
                 f, v, z = (None if a is None else a[live] for a in (f, v, z))
-                geom, leaving = kernel.edge_geometry(f), False
+                geom, leaving = kernel.edge_geometry(f, gram), False
             scale = np.maximum.reduce(geom.H, -1, initial=1.0)    # max(|H|, 1): accepted, so H > 0
             for m, c2 in zip(members, _per_row(kernel.wave_speed2(geom, zeta=z))):
                 c2 /= alpha_clock.coefficients(m.clock)[0]        # over the inertia
@@ -372,7 +393,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
                       else geom)
                 v_new = kernel.solve_velocity(at, v, dt, coef, zeta=z, weight=half)
                 f_new = np.multiply(np.add(v, v_new), 0.5 * dt) if half < 1.0 else dt * v_new
-                geom_new = kernel.edge_geometry(np.add(f_new, f, f_new))
+                geom_new = kernel.edge_geometry(np.add(f_new, f, f_new), gram)
                 ok = np.maximum.reduce(np.abs(np.subtract(f_new, f)), -1) / scale <= change_bound
                 z_new = kernel.temperature_step(f_new, geom_new, v_new, z, dt, [
                     m.clock + m.dt for m in members]) if thermo else None
@@ -409,7 +430,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
             if track_energy:
                 aE, D = energy()
             omega = _per_row(functionals._amplitude(bg.x, bg.grad, f, v, z))
-            rate = None                               # built once, for the fields emitted
+            rate = None                               # built once, for the fields kept or emitted
             for i, m in enumerate(members):
                 if m.stop:
                     continue
@@ -422,21 +443,19 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
                     m.W.append(m.W[-1] + 0.5 * m.dt * (m.ab32 * D[i] + ab32_prev * m.D[-1]))
                     m.E.append(aE[i] / alpha)
                     m.D.append(D[i])
+                entry = None                # the state's rows (references), kept for the ledger
                 if weights is not None:
-                    field = field_of(m, i, *(rate := rate or rates()))
-                    vals = functionals.ledger_integrands(field, weights, alpha_clock)
-                    for k, val in vals.items():
-                        m.online[k] += 0.5 * m.dt * (val + m.prev[k])
-                    m.prev = vals
+                    pending.append(entry := [m, field_of(m, i, *(rate := rate or rates()),
+                                                         copy=False), m.dt, False])
                 omega_prev, m.omega = m.omega, omega[i]
                 if m.omega > spec.growth_threshold:
                     crossing = _located_crossing(m.times[-2], m.clock, omega_prev, m.omega,
                                                  spec.growth_threshold)
                     m.stop = RunEvent("growth", m.clock, f"amplitude = {m.omega:.3e}", crossing)
-                    record(m, field_of(m, i, *(rate := rate or rates())))
+                    record(m, field_of(m, i, *(rate := rate or rates())), entry)
                     leaving = True
                 elif m.emit_idx < len(emit) and m.clock >= emit[m.emit_idx] - 1e-12:
-                    record(m, field_of(m, i, *(rate := rate or rates())))
+                    record(m, field_of(m, i, *(rate := rate or rates())), entry)
                     while m.emit_idx < len(emit) and m.clock >= emit[m.emit_idx] - 1e-12:
                         m.emit_idx += 1
         else:

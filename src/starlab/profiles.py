@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -273,6 +274,11 @@ class Background:
             raise InvalidParams(f"background sampled on {self.x.size} nodes over "
                                 f"[0, {self.R0:.6g}] does not match the field grid")
         return self.grad
+
+    @cached_property
+    def ledger_weights(self) -> tuple:
+        """(x^2, x^4, x^4 rho, chi x^2 rho): the ledger integrands' grid factors, built once."""
+        return self.x**2, self.x**4, self.x**4 * self.rho, self.chi * self.x**2 * self.rho
 
 
 def sample_background(profile, x) -> Background:

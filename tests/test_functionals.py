@@ -367,7 +367,8 @@ class TestLedger:
         cases = [[1e16, 1.0, -1e16, 1.0], [-0.0, -0.0]]
         for vals, total in zip(cases, [1.0, 0.0]):
             terms = {f"E{k}": v for k, v in enumerate(vals)}
-            monkeypatch.setattr(F, "_ledger", lambda f, clock: (lambda *a: terms, None, None))
+            monkeypatch.setattr(F, "_ledger", lambda block, clock: (    # one row per snapshot
+                lambda *a: {k: [v] * len(block) for k, v in terms.items()}, None, None))
             online = {f"D{k}": np.array([v, v]) for k, v in enumerate(vals)}
             for rep in F.total_energy_ledger(dataclasses.replace(run, dissipation_online=online)):
                 for got in (rep.total_E, rep.total_D):

@@ -1,0 +1,171 @@
+"""The online ledger and the energy ledger evaluate blocks of states; a block changes no bits.
+
+With weights, `evolve_ensemble` keeps each accepted state's rows until
+`functionals._PROBE_BLOCK` of them are pending (or a member leaves the batch), then
+evaluates the ledger integrands on the stacked block and folds the online integrals
+and each emission's `dissipation_online` entry in step order; `total_energy_ledger`
+takes its snapshots in blocks of the same size.  Every output must be the same for
+any block size: one state per block, two, and a whole run in one block.  The block's
+working set is bounded: with the default block a run's traced peak stays within
+64 KB of its peak with blocks of one.
+"""
+
+import json
+import os
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from starlab import classify_expansion
+from starlab import functionals as F
+from starlab.acceptance import negative_energy_data
+from starlab.config import build_initial, validate_config
+from starlab.errors import DomainViolation
+from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, PerturbationField, SolverSpec,
+                                evolve_ensemble, evolve_linear_isentropic, evolve_self_similar)
+from test_ensemble import fingerprint
+
+N = 48
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def uniform(theta_t):
+    return np.zeros(N + 1), np.full(N + 1, theta_t)
+
+
+def self_similar(iso_ss, pars_ss, one):
+    # growth (1e-3 grows past 4.5e-3), cfl-floor (4e-3 needs dt below 0.04 for the
+    # change bound) and a member that runs to the end
+    spec = SolverSpec(n_cells=N, n_emit=7, dt_init=1e-4, max_rel_change=1e-4, dt_floor=0.04,
+                      growth_threshold=4.5e-3)
+    initials = [uniform(1e-3), uniform(4e-3), uniform(1e-5)]
+    return evolve_ensemble(iso_ss, pars_ss, initials[:1] if one else initials, 6.0, spec,
+                           weights=F.WeightSpec())
+
+
+def linear(iso0, one):
+    x = np.linspace(0.0, iso0.R0, N + 1)
+    th0 = 1e-3 * np.cos(np.pi * x / iso0.R0)
+    initials = [(th0, 0 * th0), (0.3 * th0, th0)]
+    return evolve_ensemble(iso0, classify_expansion(0.0, 1.0, 1.0), initials[:1 + (not one)],
+                           1.0, SolverSpec(n_cells=N, n_emit=5), regime=LINEAR_REGIME,
+                           weights=F.WeightSpec())
+
+
+def thermo(thermo14, one):
+    # the first member turns its absolute temperature negative mid-run
+    z, x = np.zeros(N + 1), np.linspace(0.0, thermo14.R0, N + 1)
+    zeta0 = 1e-3 * (thermo14.R0 - x) * x / thermo14.R0**2
+    initials = [(z, np.full(N + 1, -5.0), z), (1e-3 + z, 1e-4 + z, zeta0)]
+    return evolve_ensemble(thermo14, classify_expansion(0.0, 1.0, 0.1),
+                           initials[1:] if one else initials, 0.5,
+                           SolverSpec(n_cells=N, n_emit=5, max_rel_change=1e6,
+                                      growth_threshold=1e9),
+                           regime=THERMO_REGIME, weights=F.WeightSpec())
+
+
+@pytest.fixture(scope="module")
+def cases(iso_ss, pars_ss, iso0, thermo14):
+    return {f"{name}-{'one' if one else 'batch'}": (lambda run=run, one=one: run(one))
+            for name, run in (("self-similar", lambda one: self_similar(iso_ss, pars_ss, one)),
+                              ("linear", lambda one: linear(iso0, one)),
+                              ("thermo", lambda one: thermo(thermo14, one)))
+            for one in (True, False)}
+
+
+@pytest.fixture(scope="module")
+def default_runs(cases):
+    return {name: case() for name, case in cases.items()}
+
+
+def test_the_cases_stop_mid_block_and_span_emissions(default_runs):
+    kinds = {name: [[e.kind for e in r.events] for r in runs]
+             for name, runs in default_runs.items()}
+    assert kinds["self-similar-batch"] == [["growth"], ["cfl-floor"], []]
+    assert kinds["self-similar-one"] == [["growth"]]
+    assert kinds["thermo-batch"] == [["temperature-negative"], []]
+    for runs in default_runs.values():        # several accepted steps between emissions
+        assert all(len(r.times) > 2 * len(r.snapshots) for r in runs if r.completed)
+
+
+@pytest.mark.parametrize("block", [1, 2, 10_000])
+def test_block_size_changes_no_bits(cases, default_runs, monkeypatch, block):
+    monkeypatch.setattr(F, "_PROBE_BLOCK", block)
+    for name, case in cases.items():
+        assert [fingerprint(r) for r in case()] == \
+            [fingerprint(r) for r in default_runs[name]], name
+
+
+def test_total_energy_ledger_is_the_same_in_blocks_of_one(default_runs, monkeypatch):
+    runs = [r for rs in default_runs.values() for r in rs if r.completed]
+    assert len(runs) == 6
+    reports = [F.total_energy_ledger(r) for r in runs]
+    monkeypatch.setattr(F, "_PROBE_BLOCK", 1)
+    assert [F.total_energy_ledger(r) for r in runs] == reports
+
+
+def jm_zero_data(x):
+    """phi with the edge Jacobian Hm + xm df exactly 0.0 on edge 8 of N = 16 (a step at 8)."""
+    dx, xm = x[1] - x[0], 0.5 * (x[8] + x[9])
+    c = -1.0 / 9.0
+    for _ in range(200):                  # walk c to the float where Jm is exactly zero
+        jm = xm * ((c - 0.0) / dx) + (1.0 + 0.5 * c)
+        if jm == 0.0:
+            break
+        c = np.nextafter(c, -np.inf if jm > 0.0 else np.inf)
+    assert jm == 0.0
+    return np.where(np.arange(x.size) > 8, c, 0.0)
+
+
+def test_a_zero_edge_jacobian_raises_without_a_warning(iso_ss, pars_ss):
+    x = np.linspace(0.0, iso_ss.R0, 17)
+    phi = jm_zero_data(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainViolation, match="degenerates"):
+            evolve_self_similar(iso_ss, pars_ss, (phi, 0 * phi), 1.0, SolverSpec(n_cells=16))
+        with pytest.raises(DomainViolation, match="phi_x <= 0"):
+            F.perturbation_energy_ss(x, phi, 0 * phi, x**4 * iso_ss.rho_at(x),
+                                     np.ones(16), 1.0, pars_ss.delta, 0.0)
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_default_block_keeps_the_peak_within_64_kb(iso_ss, pars_ss, iso0, monkeypatch):
+    with open(os.path.join(CONFIGS, "stability_linear.json")) as fh:
+        cfg = validate_config(json.load(fh))
+    n = cfg.solver.n_cells
+    x = np.linspace(0.0, iso0.R0, n + 1)
+    initial = build_initial(x, iso0.R0, cfg.initial)
+    omega = F.amplitude(PerturbationField(x, *initial, None, 0.0, LINEAR_REGIME))
+    initial = tuple(a * (cfg.initial.amplitude / omega) for a in initial)
+
+    def ledger():
+        F.total_energy_ledger(evolve_linear_isentropic(
+            iso0, classify_expansion(cfg.model.delta, cfg.model.a0, cfg.model.a1), initial,
+            cfg.time.end, cfg.solver, weights=cfg.weights))
+
+    xs = np.linspace(0.0, iso_ss.R0, 193)
+    seed7 = negative_energy_data(iso_ss, pars_ss.delta, xs, 1e-3, 7)
+
+    def growth():
+        run = evolve_self_similar(iso_ss, pars_ss, seed7, 600.0,
+                                  SolverSpec(n_cells=192, n_emit=40, growth_threshold=0.1))
+        assert run.events[-1].kind == "growth"
+
+    for run in (ledger, growth):
+        run()                                    # caches and lazy set-up first
+        default = traced_peak(run)
+        with monkeypatch.context() as m:
+            m.setattr(F, "_PROBE_BLOCK", 1)
+            ones = traced_peak(run)
+        assert default <= ones + 64 * 1024, (run.__name__, default, ones)
