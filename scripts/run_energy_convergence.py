@@ -33,7 +33,7 @@ def main():
         spec = SolverSpec(n_cells=n, dt_init=dt, dt_max=dt, cfl=0.9, n_emit=3,
                           growth_threshold=1.0)
         run = evolve_self_similar(prof, params, (phi0, np.zeros_like(phi0)),
-                                  args.s_end, spec)
+                                  args.s_end, spec, energy=True)
         resid = abs(run.energy[-1] - run.energy[0] + run.visc_work[-1])
         residuals.append(resid)
         order = ("-" if len(residuals) < 2

@@ -253,7 +253,8 @@ def c06_energy_identity() -> dict:
         dt = 0.2 * prof.R0 / n
         spec = SolverSpec(n_cells=n, order=1, dt_init=dt, dt_max=dt, cfl=0.9,
                           n_emit=3, growth_threshold=1.0)
-        run = evolve_self_similar(prof, params, (phi0, np.zeros_like(phi0)), 1.0, spec)
+        run = evolve_self_similar(prof, params, (phi0, np.zeros_like(phi0)), 1.0, spec,
+                                  energy=True)
         assert run.completed
         assert np.min(run.dissipation) >= 0.0
         residuals.append(abs(run.energy[-1] - run.energy[0] + run.visc_work[-1]))
@@ -474,7 +475,8 @@ def c12_conservation_sweep() -> dict:
     x = np.linspace(0.0, prof.R0, n + 1)
     phi0 = 1e-2 * family_shape(x, prof.R0, InitialSpec(family="bump"))
     run_p = evolve_self_similar(prof, params, (phi0, np.zeros_like(phi0)), 1.0,
-                                SolverSpec(n_cells=n, n_emit=11, growth_threshold=1.0))
+                                SolverSpec(n_cells=n, n_emit=11, growth_threshold=1.0),
+                                energy=True)
     details["min_dissipation"] = float(np.min(run_p.dissipation))
     assert np.min(run_p.dissipation) >= 0.0
 

@@ -165,8 +165,8 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
             scale = cfg.initial.amplitude / om
             initial = tuple(a * scale for a in initial)
 
-    # every linearly expanding run keeps an energy ledger
-    ledger = {} if regime == SELF_SIMILAR_REGIME else {"weights": cfg.weights}
+    # every linearly expanding run keeps an energy ledger, a self-similar one its E/D/W
+    ledger = {"energy": True} if regime == SELF_SIMILAR_REGIME else {"weights": cfg.weights}
     run = evolve(prof, params, initial, cfg.time.end, spec, mu=m.mu, **ledger)
     files = [artifacts.write_snapshot_csv(out_dir, idx, snap)
              for idx, snap in enumerate(run.snapshots)]

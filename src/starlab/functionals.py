@@ -227,8 +227,9 @@ def _energy_ss(spacing, xm, v, geom, rho4, w, b, delta):
     hold one value per row; each dot product is one `np.dot` of its row.  geom is
     f's `_Geometry` from `_edge_geometry`, whose Gram factors (g, a, c) make
     D = v^T K v >= 0 by construction.
-    The solver calls this on every accepted state; its geometry check stands in
-    for the domain checks of `perturbation_energy_ss`.
+    A self-similar run made with `energy=True` calls this on every accepted
+    state, and no other run does; the solver's geometry check stands in for
+    the domain checks of `perturbation_energy_ss`.
     """
     Hm, df, Jm, g, a, c, H, H2, Hm2, HHJ = geom
     F = np.multiply(np.multiply(v, v), 0.5)      # rho4 (v^2/2 + b H v - delta H^2 + delta/H)

@@ -16,9 +16,11 @@ scalars come from `math` as in a run of its own and the kernel works row by row,
 so each run has its own bits.  Only three parts depend on the regime: (a) the
 thermodynamic state zeta and its implicit temperature step; (b) the
 thermodynamic stop when the absolute temperature turns <= 0; (c) the
-self-similar probe of energy E, dissipation D and viscous work W at every
-accepted step, from the state's geometry; at order 2 no other regime builds an
-accepted state's Gram factors (only the midpoint solve reads its own).
+self-similar probe of energy E, dissipation D and viscous work W, run only
+when the caller asks for it (`energy=True`) and then at every accepted step,
+from the state's geometry; at order 2 only that probe reads an accepted state's
+Gram factors (the midpoint solve reads its own), so a run without it builds
+accepted states without them.
 
 Every regime emits `PerturbationField`, tagged with its regime; thermodynamic
 fields also carry zeta and zeta_t.  One `_AlphaClock` per run gives alpha(clock)
@@ -137,9 +139,9 @@ class RunResult:
     omega: np.ndarray              # functionals.amplitude of each snapshot, from the driver
     events: list
     times: np.ndarray              # every accepted step
-    energy: np.ndarray | None      # perturbation energy E(s) per step (ss only)
-    dissipation: np.ndarray | None  # D(s) per step (ss only)
-    visc_work: np.ndarray | None   # cumulative int alpha^{3/2} D ds (ss only)
+    energy: np.ndarray | None      # perturbation energy E(s) per step (ss run with energy)
+    dissipation: np.ndarray | None  # D(s) per step (ss run with energy)
+    visc_work: np.ndarray | None   # cumulative int alpha^{3/2} D ds (ss run with energy)
     dissipation_online: dict | None  # ledger integrals at emission times
     weights: WeightSpec | None     # the ledger's weights (linear runs that keep one)
     background: Background
@@ -240,12 +242,14 @@ class _AlphaClock:
 def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float,
                     spec: SolverSpec | None = None, mu: float = 1.0,
                     regime: str = SELF_SIMILAR_REGIME,
-                    weights: WeightSpec | None = None) -> list[RunResult]:
+                    weights: WeightSpec | None = None, energy: bool = False) -> list[RunResult]:
     """Step each initial tuple of `initials` from clock 0 to clock_end, as one batch.
 
     Returns one RunResult per member, in order, each the bits of that member's
-    own run; see the module docstring.  With weights, every member's
-    dissipation-ledger integrands are integrated in time here.
+    own run; see the module docstring.  With weights (a linearly expanding run),
+    every member's dissipation-ledger integrands are integrated in time here.
+    With energy (a self-similar run), every member keeps E, D and W per step;
+    without it they are None.  Neither request moves a step.
     """
     spec = spec or SolverSpec()
     thermo = regime == THERMO_REGIME
@@ -271,7 +275,11 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
             (all(len(m) >= 2 + thermo and all(a.shape == bg.x.shape and np.isfinite(a).all()
                  for a in m) for m in init), f"initial fields are finite on {bg.x.size} nodes"),
             (not thermo or not any(m[2][-1:].any() for m in init if len(m) > 2),
-             "zeta(R0) = 0 initially")]
+             "zeta(R0) = 0 initially"),
+            (weights is None or regime != SELF_SIMILAR_REGIME,
+             "weights only for a linearly expanding run"),
+            (not energy or regime == SELF_SIMILAR_REGIME,
+             "energy only for the self-similar regime")]
     if bad := spec.violations(thermo) + [text for ok, text in rows if not ok]:
         raise ConfigInvalid(bad)
     alpha_clock = _AlphaClock(params, regime)
@@ -309,17 +317,16 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
             record(m, field_of(m, i, None, None))
         results[m.index] = RunResult(
             regime, m.snapshots, np.asarray(m.omegas), m.events, np.asarray(m.times),
-            *(map(np.asarray, (m.E, m.D, m.W)) if track_energy else (None,) * 3),
+            *(map(np.asarray, (m.E, m.D, m.W)) if energy else (None,) * 3),
             {k: np.asarray(vs) for k, vs in m.series.items()} if weights is not None else None,
             weights, bg, alpha_clock, m.stop is None)
 
-    track_energy = regime == SELF_SIMILAR_REGIME       # (c) the E/D/W probe
-    if track_energy:
+    if energy:                                         # (c) the E/D/W probe
         # the grid's node spacings and weights, computed once for every probe
         spacing, rho4 = bg.x[1:] - bg.x[:-1], bg.x**4 * kernel.rho
         w = (bg.x[1] - bg.x[0]) * (bg.xm**2 * bg.rho43_m)
 
-        def energy():
+        def probe():
             return functionals._energy_ss(spacing, bg.xm, v, geom, rho4, w, params.b, params.delta)
     pending = []       # [member, field, dt, emits] of each accepted state the ledger has not had
 
@@ -338,7 +345,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
                 m.series[k].append(m.online[k])
 
     t_last = clock_end * (1.0 - 1e-14)     # a member that stops or gets here leaves the batch
-    half, gram = (0.5, track_energy) if spec.order == 2 else (1.0, True)  # midpoint share, Gram use
+    half, gram = (0.5, energy) if spec.order == 2 else (1.0, True)  # midpoint share, Gram use
     change_bound = min(spec.max_rel_change, sys.float_info.max)   # rejects a non-finite change
     leaving = t_last <= 0.0
     # a non-finite initial rate or trial state ends in a failed attempt, not a numpy warning
@@ -348,7 +355,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
             raise DomainViolation("initial data degenerates the flow map")
         if thermo and np.any(z[..., 1:-1] + kernel.theta_b[1:-1] <= 0.0):
             raise InvalidParams("initial absolute temperature must stay positive")
-        aE, D = energy() if track_energy else ([math.nan] * len(init),) * 2
+        aE, D = probe() if energy else (None, None)
         alpha = alpha_clock.alpha(0.0)
         acc = kernel.acceleration(geom, v, alpha_clock.coefficients(0.0), z)
         z_rate = kernel.zeta_rate(f, geom, v, z, 0.0) if thermo else None
@@ -359,8 +366,10 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
                 index=i, clock=0.0, dt=spec.dt_init or math.inf, emit_idx=1, omega=omega,
                 omegas=array("d"), stop=None, snapshots=[], series={}, prev=None,
                 events=[RunEvent("outside-stability-range", 0.0, notice)] * outside,
-                times=array("d", [0.0]), E=array("d", [aE[i] / alpha]), D=array("d", [D[i]]),
-                W=array("d", [0.0]), ab32=alpha ** 1.5)
+                times=array("d", [0.0]))
+            if energy:
+                m.E, m.D, m.W, m.ab32 = (array("d", [aE[i] / alpha]), array("d", [D[i]]),
+                                         array("d", [0.0]), alpha ** 1.5)
             field, entry = field_of(m, i, acc, z_rate), None
             if weights is not None:
                 pending.append(entry := [m, field, 0.0, False])
@@ -427,8 +436,8 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
 
             v_prev, z_prev = v, z
             f, v, z, geom = f_new, v_new, z_new, geom_new
-            if track_energy:
-                aE, D = energy()
+            if energy:
+                aE, D = probe()
             omega = _per_row(functionals._amplitude(bg.x, bg.grad, f, v, z))
             rate = None                               # built once, for the fields kept or emitted
             for i, m in enumerate(members):
@@ -437,7 +446,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
                 m.clock += m.dt
                 m.times.append(m.clock)
                 leaving = leaving or m.clock >= t_last
-                if track_energy:
+                if energy:
                     alpha = alpha_clock.alpha(m.clock)
                     ab32_prev, m.ab32 = m.ab32, alpha ** 1.5
                     m.W.append(m.W[-1] + 0.5 * m.dt * (m.ab32 * D[i] + ab32_prev * m.D[-1]))
@@ -464,9 +473,15 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
 
 
 def evolve_self_similar(profile, params: ExpansionParams, initial, s_end: float,
-                        spec: SolverSpec | None = None, mu: float = 1.0) -> RunResult:
-    """Evolve a perturbation of the self-similarly expanding star to s_end."""
-    return evolve_ensemble(profile, params, [initial], s_end, spec, mu)[0]
+                        spec: SolverSpec | None = None, mu: float = 1.0,
+                        energy: bool = False) -> RunResult:
+    """Evolve a perturbation of the self-similarly expanding star to s_end.
+
+    With energy the run keeps the energy E, dissipation D and viscous work W of
+    every accepted step (`RunResult.energy`, `dissipation`, `visc_work`);
+    without it they are None and no step pays for them.
+    """
+    return evolve_ensemble(profile, params, [initial], s_end, spec, mu, energy=energy)[0]
 
 
 def evolve_linear_isentropic(profile, params: ExpansionParams, initial, tau_end: float,

@@ -208,6 +208,8 @@ class TestScenarios:
         assert abs(report.summary["omega_initial"] - 1e-4) < 1e-12
         snaps = {f"snapshot_{i:04d}.csv" for i in range(4)}
         assert set(os.listdir(tmp_path)) == snaps | extra | {"eulerian.csv", "manifest.json"}
+        # evolve-ss asks its run for E/D/W: the identity residual is reported
+        assert ("energy_identity_residual" in report.summary) == (scenario == "evolve-ss")
         if thermo:
             x, theta, _, zeta = np.loadtxt(tmp_path / "snapshot_0000.csv", delimiter=",",
                                            skiprows=1, unpack=True)

@@ -3,9 +3,11 @@
 `evolve_ensemble` steps a (B, N+1) state.  Each member keeps its own clock,
 dt, retries, emissions, events and stop, so it must have the bits of its own
 one-member run: every accepted time, every snapshot array and its amplitude,
-the E/D/W series, the online ledger and the events with their located crossing.
+the E/D/W series (self-similar runs here ask for them), the online ledger and the
+events with their located crossing.  Asking for E/D/W moves nothing else.
 """
 
+import dataclasses
 import hashlib
 import warnings
 
@@ -61,10 +63,34 @@ def test_c09_seeds_stop_at_different_steps(iso_ss, pars_ss):
     initials = [negative_energy_data(iso_ss, pars_ss.delta, x, 1e-3, seed)
                 for seed in (7, 11, 13)]
     spec = SolverSpec(n_cells=n, order=2, cfl=1.0, n_emit=40, growth_threshold=0.1)
-    runs = assert_members_alone(iso_ss, pars_ss, initials, 600.0, spec, SELF_SIMILAR_REGIME)
+    runs = assert_members_alone(iso_ss, pars_ss, initials, 600.0, spec, SELF_SIMILAR_REGIME,
+                                energy=True)
     assert [e.crossing for r in runs for e in r.events] == [
         67.14197818264354, 73.32801291252126, 54.99834201389742]
     assert len({len(r.times) for r in runs}) == 3
+
+
+@pytest.mark.parametrize("case", ["c09-seed-7-order-1", "c07-order-2", "c09-batch"])
+def test_the_energy_request_moves_nothing_but_edw(iso_ss, pars_ss, case):
+    if case == "c07-order-2":
+        ones = np.ones(65)
+        initials, end = [(0.01 * ones, 0.05 * ones)], 2.0
+        spec = SolverSpec(n_cells=64, order=2, dt_max=2e-3, n_emit=21, growth_threshold=1.0)
+    else:
+        x = np.linspace(0.0, iso_ss.R0, 193)
+        seeds = (7,) if case == "c09-seed-7-order-1" else (7, 11, 13)
+        initials, end = [negative_energy_data(iso_ss, pars_ss.delta, x, 1e-3, seed)
+                         for seed in seeds], 600.0
+        spec = SolverSpec(n_cells=192, n_emit=40, growth_threshold=0.1,
+                          **({} if len(seeds) == 1 else {"order": 2, "cfl": 1.0}))
+    asked = evolve_ensemble(iso_ss, pars_ss, initials, end, spec, energy=True)
+    plain = evolve_ensemble(iso_ss, pars_ss, initials, end, spec)
+    for a, p in zip(asked, plain, strict=True):
+        assert (p.energy, p.dissipation, p.visc_work) == (None, None, None)
+        assert a.energy.size == a.dissipation.size == a.visc_work.size == a.times.size
+        assert fingerprint(dataclasses.replace(a, energy=None, dissipation=None,
+                                               visc_work=None)) == fingerprint(p)
+        assert [e.kind for e in p.events] == ([] if case == "c07-order-2" else ["growth"])
 
 
 def test_c08_linear_pair(iso0):
@@ -104,7 +130,8 @@ def test_a_member_that_retries_or_stops_moves_no_other(iso_ss, pars_ss):
     # member at the dt floor; the 1e-5 member never meets the bound
     spec = SolverSpec(n_cells=N, n_emit=5, dt_init=1e-4, max_rel_change=1e-4, dt_floor=1e-2)
     initials = [uniform(1e-2), uniform(3e-3), uniform(1e-5)]
-    runs = assert_members_alone(iso_ss, pars_ss, initials, 1.0, spec, SELF_SIMILAR_REGIME)
+    runs = assert_members_alone(iso_ss, pars_ss, initials, 1.0, spec, SELF_SIMILAR_REGIME,
+                                energy=True)
     assert [[e.kind for e in r.events] for r in runs] == [["cfl-floor"], [], []]
     unbounded = evolve_self_similar(iso_ss, pars_ss, initials[1], 1.0,
                                     SolverSpec(n_cells=N, n_emit=5, dt_init=1e-4))
@@ -115,13 +142,13 @@ def test_every_stop_leaves_the_batch(iso_ss, pars_ss, thermo14):
     x = np.linspace(0.0, iso_ss.R0, N + 1)
     compression = (np.zeros(N + 1), -5.0 * x / iso_ss.R0)
     runs = assert_members_alone(iso_ss, pars_ss, [uniform(1e-3), compression], 1.0,
-                                SolverSpec(**NO_LIMITS), SELF_SIMILAR_REGIME)
+                                SolverSpec(**NO_LIMITS), SELF_SIMILAR_REGIME, energy=True)
     assert [r.completed for r in runs] == [True, False]
     assert runs[1].events[0].kind == "jacobian-degenerate"
 
     failing = SolverSpec(n_cells=N, n_emit=5, max_rel_change=1e-30, dt_floor=0.0)
     runs = assert_members_alone(iso_ss, pars_ss, [uniform(1e-2), uniform(0.0)], 1.0, failing,
-                                SELF_SIMILAR_REGIME)
+                                SELF_SIMILAR_REGIME, energy=True)
     assert [[e.kind for e in r.events] for r in runs] == [["step-failure"], []]
 
     z = np.zeros(N + 1)
@@ -156,6 +183,24 @@ def test_a_bad_member_is_named(iso_ss, pars_ss, bad, text):
     with pytest.raises(ConfigInvalid) as exc:
         evolve_ensemble(iso_ss, pars_ss, initials, 1.0, SolverSpec(n_cells=N))
     assert text in exc.value.errors
+
+
+@pytest.mark.parametrize("regime, asks, text", [
+    (SELF_SIMILAR_REGIME, {"weights": WeightSpec()}, "weights only for a linearly expanding run"),
+    (LINEAR_REGIME, {"energy": True}, "energy only for the self-similar regime"),
+    (THERMO_REGIME, {"energy": True}, "energy only for the self-similar regime"),
+])
+def test_a_request_the_regime_cannot_honour_is_named(iso_ss, pars_ss, iso0, thermo14,
+                                                     regime, asks, text):
+    # the self-similar run with weights integrated the linear ledger on the wrong clock
+    prof, params = ((iso_ss, pars_ss) if regime == SELF_SIMILAR_REGIME
+                    else (thermo14 if regime == THERMO_REGIME else iso0,
+                          classify_expansion(0.0, 1.0, 1.0)))
+    initial = [np.zeros(N + 1)] * (3 if regime == THERMO_REGIME else 2)
+    with pytest.raises(ConfigInvalid) as exc:
+        evolve_ensemble(prof, params, [initial], 1.0, SolverSpec(n_cells=N), regime=regime,
+                        **asks)
+    assert exc.value.errors == [text]
 
 
 def test_an_unknown_regime_is_named(iso_ss, pars_ss):

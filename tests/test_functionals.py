@@ -105,7 +105,7 @@ class TestPerturbationEnergy:
             dt = 0.2 * iso_ss.R0 / n
             spec = SolverSpec(n_cells=n, dt_init=dt, dt_max=dt, cfl=0.95,
                               n_emit=3, growth_threshold=1.0)
-            run = evolve_self_similar(iso_ss, pars_ss, (phi0, 0 * phi0), 0.4, spec)
+            run = evolve_self_similar(iso_ss, pars_ss, (phi0, 0 * phi0), 0.4, spec, energy=True)
             dE = np.gradient(run.energy, run.times)
             ab32 = (pars_ss.a0 * np.exp(pars_ss.b * run.times)) ** 1.5
             resid.append(np.max(np.abs(dE + ab32 * run.dissipation))

@@ -230,7 +230,7 @@ def growth_run(iso_ss, pars_ss):
     x = np.linspace(0.0, iso_ss.R0, 193)
     initial = negative_energy_data(iso_ss, pars_ss.delta, x, 1e-3, 7)
     spec = SolverSpec(n_cells=192, n_emit=40, growth_threshold=0.1)
-    return initial, evolve_self_similar(iso_ss, pars_ss, initial, 600.0, spec)
+    return initial, evolve_self_similar(iso_ss, pars_ss, initial, 600.0, spec, energy=True)
 
 
 class TestKernelEnergy:

@@ -126,7 +126,7 @@ class TestEnergyIdentity:
             spec = SolverSpec(n_cells=n, dt_init=dt, dt_max=dt, cfl=0.9, n_emit=3,
                               growth_threshold=1.0)
             run = evolve_self_similar(iso_ss, pars_ss, (phi0, np.zeros_like(phi0)),
-                                      1.0, spec)
+                                      1.0, spec, energy=True)
             assert np.min(run.dissipation) >= 0.0
             residuals.append(abs(run.energy[-1] - run.energy[0] + run.visc_work[-1]))
         assert residuals[1] < 0.6 * residuals[0]

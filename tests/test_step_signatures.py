@@ -65,7 +65,7 @@ def test_self_similar_growth_seed_7(iso_ss, pars_ss):
     x = np.linspace(0.0, iso_ss.R0, n + 1)
     phi0, phi1 = negative_energy_data(iso_ss, pars_ss.delta, x, 1e-3, 7)
     spec = SolverSpec(n_cells=n, n_emit=40, growth_threshold=0.1)
-    run = evolve_self_similar(iso_ss, pars_ss, (phi0, phi1), 600.0, spec)
+    run = evolve_self_similar(iso_ss, pars_ss, (phi0, phi1), 600.0, spec, energy=True)
     growth = [e.clock for e in run.events if e.kind == "growth"]
     assert growth == [GROWTH_S]
     assert len(run.times) - 1 == STEPS
