@@ -334,7 +334,9 @@ def frak_A_inequality(coef):
 # ---------------------------------------------------------------------------
 # total energy / dissipation ledgers
 # ---------------------------------------------------------------------------
-_PROBE_BLOCK = 6    # fields per block of both ledgers: ~11 KB working set per row at N = 128
+# fields per block of both ledgers; at N = 128 each row past the first adds ~18 KB
+# (linear) or ~20 KB (thermo) to a run's traced peak
+_PROBE_BLOCK = 6
 _THERMO = ("theta", "theta_t", "zeta", "theta_tt", "zeta_t")   # the thermo ledgers' rows
 
 

@@ -8,46 +8,29 @@ events with their located crossing.  Asking for E/D/W moves nothing else.
 """
 
 import dataclasses
-import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
 from starlab import classify_expansion
-from starlab.acceptance import negative_energy_data
 from starlab.errors import ConfigInvalid
 from starlab.functionals import WeightSpec, amplitude
 from starlab.lagrangian import (LINEAR_REGIME, SELF_SIMILAR_REGIME, THERMO_REGIME, SolverSpec,
                                 evolve_ensemble, evolve_linear_isentropic,
                                 evolve_linear_thermo, evolve_self_similar)
+from fingerprints import fingerprint
 
 N = 48
 NO_LIMITS = dict(n_cells=N, n_emit=5, max_rel_change=1e6, growth_threshold=1e9)
-
-
-def fingerprint(run):
-    """Every output of a run, as bytes where it is an array."""
-    h = hashlib.sha256()
-    arrays = [run.times, run.omega] + [a for a in (run.energy, run.dissipation, run.visc_work)
-                            if a is not None]
-    arrays += [vs for _, vs in sorted((run.dissipation_online or {}).items())]
-    for s in run.snapshots:
-        arrays += [[s.clock]] + [a for a in (s.theta, s.theta_t, s.theta_tt, s.zeta, s.zeta_t)
-                                 if a is not None]
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
-    events = [(e.kind, e.clock, e.detail, e.crossing) for e in run.events]
-    return h.hexdigest(), repr(events), run.completed, len(run.snapshots), len(run.times)
-
-
 ALONE = {SELF_SIMILAR_REGIME: evolve_self_similar, LINEAR_REGIME: evolve_linear_isentropic,
          THERMO_REGIME: evolve_linear_thermo}
 
 
-def assert_members_alone(prof, params, initials, end, spec, regime, **kw):
-    """Each member of the batch equals its own run; returns the batch."""
-    runs = evolve_ensemble(prof, params, initials, end, spec, regime=regime, **kw)
+def assert_members_alone(prof, params, initials, end, spec, regime, runs=None, **kw):
+    """Each member of the batch (built here unless given) equals its own run; returns the batch."""
+    if runs is None:
+        runs = evolve_ensemble(prof, params, initials, end, spec, regime=regime, **kw)
     assert len(runs) == len(initials)
     for initial, run in zip(initials, runs):
         alone = ALONE[regime](prof, params, initial, end, spec, **kw)
@@ -57,33 +40,26 @@ def assert_members_alone(prof, params, initials, end, spec, regime, **kw):
     return runs
 
 
-def test_c09_seeds_stop_at_different_steps(iso_ss, pars_ss):
-    n = 192
-    x = np.linspace(0.0, iso_ss.R0, n + 1)
-    initials = [negative_energy_data(iso_ss, pars_ss.delta, x, 1e-3, seed)
-                for seed in (7, 11, 13)]
-    spec = SolverSpec(n_cells=n, order=2, cfl=1.0, n_emit=40, growth_threshold=0.1)
-    runs = assert_members_alone(iso_ss, pars_ss, initials, 600.0, spec, SELF_SIMILAR_REGIME,
-                                energy=True)
+def test_c09_seeds_stop_at_different_steps(iso_ss, pars_ss, c09_runs):
+    initials, spec, runs = c09_runs((7, 11, 13), order=2, cfl=1.0, energy=True)
+    assert_members_alone(iso_ss, pars_ss, initials, 600.0, spec, SELF_SIMILAR_REGIME, runs,
+                         energy=True)
     assert [e.crossing for r in runs for e in r.events] == [
         67.14197818264354, 73.32801291252126, 54.99834201389742]
     assert len({len(r.times) for r in runs}) == 3
 
 
 @pytest.mark.parametrize("case", ["c09-seed-7-order-1", "c07-order-2", "c09-batch"])
-def test_the_energy_request_moves_nothing_but_edw(iso_ss, pars_ss, case):
+def test_the_energy_request_moves_nothing_but_edw(iso_ss, pars_ss, c09_runs, case):
     if case == "c07-order-2":
         ones = np.ones(65)
         initials, end = [(0.01 * ones, 0.05 * ones)], 2.0
         spec = SolverSpec(n_cells=64, order=2, dt_max=2e-3, n_emit=21, growth_threshold=1.0)
+        asked = evolve_ensemble(iso_ss, pars_ss, initials, end, spec, energy=True)
     else:
-        x = np.linspace(0.0, iso_ss.R0, 193)
-        seeds = (7,) if case == "c09-seed-7-order-1" else (7, 11, 13)
-        initials, end = [negative_energy_data(iso_ss, pars_ss.delta, x, 1e-3, seed)
-                         for seed in seeds], 600.0
-        spec = SolverSpec(n_cells=192, n_emit=40, growth_threshold=0.1,
-                          **({} if len(seeds) == 1 else {"order": 2, "cfl": 1.0}))
-    asked = evolve_ensemble(iso_ss, pars_ss, initials, end, spec, energy=True)
+        end = 600.0
+        initials, spec, asked = (c09_runs((7,), energy=True) if case == "c09-seed-7-order-1"
+                                 else c09_runs((7, 11, 13), order=2, cfl=1.0, energy=True))
     plain = evolve_ensemble(iso_ss, pars_ss, initials, end, spec)
     for a, p in zip(asked, plain, strict=True):
         assert (p.energy, p.dissipation, p.visc_work) == (None, None, None)

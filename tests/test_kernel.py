@@ -223,27 +223,19 @@ class TestCapOverdamped:
         assert out.tolist() == [[self.cap], [1.0], [1e30]]
 
 
-@pytest.fixture(scope="module")
-def growth_run(iso_ss, pars_ss):
-    """c09's seed-7 run to its growth event, with its initial data."""
-    from starlab.acceptance import negative_energy_data
-    x = np.linspace(0.0, iso_ss.R0, 193)
-    initial = negative_energy_data(iso_ss, pars_ss.delta, x, 1e-3, 7)
-    spec = SolverSpec(n_cells=192, n_emit=40, growth_threshold=0.1)
-    return initial, evolve_self_similar(iso_ss, pars_ss, initial, 600.0, spec, energy=True)
-
-
 class TestKernelEnergy:
-    def test_dissipation_nonnegative_at_every_step(self, growth_run):
-        _, run = growth_run
+    """On c09's seed-7 run to its growth event."""
+
+    def test_dissipation_nonnegative_at_every_step(self, c09_runs):
+        _, _, (run,) = c09_runs((7,), energy=True)
         assert run.dissipation.size == run.times.size
         assert np.min(run.dissipation) >= 0.0
 
-    def test_dissipation_is_the_quadratic_form_of_K(self, growth_run):
+    def test_dissipation_is_the_quadratic_form_of_K(self, c09_runs):
         # v^T K v sums terms of size g (a v)^2 that cancel as the motion turns
         # uniform; the run's Gram-factor sum does not, so the two agree to
         # 1e-12 of that size (and of D itself on the inhomogeneous initial data)
-        _, run = growth_run
+        _, _, (run,) = c09_runs((7,), energy=True)
         kernel = _Kernel(run.background, run.alpha_clock, 1.0)
         index = {t: i for i, t in enumerate(run.times)}
         for snap in run.snapshots:
@@ -257,8 +249,8 @@ class TestKernelEnergy:
             if snap.clock == 0.0:
                 assert D == pytest.approx(quad, rel=1e-12, abs=0.0)
 
-    def test_initial_energy_is_the_public_formula(self, growth_run):
-        (phi0, phi1), run = growth_run
+    def test_initial_energy_is_the_public_formula(self, c09_runs):
+        ((phi0, phi1),), _, (run,) = c09_runs((7,), energy=True)
         bg, p = run.background, run.alpha_clock.params
         E0, D0 = perturbation_energy_ss(bg.x, phi0, phi1, bg.x**4 * bg.rho,
                                         bg.xm**2 * bg.rho43_m, p.a0, p.delta, 0.0)

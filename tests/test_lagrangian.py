@@ -239,12 +239,8 @@ class TestBoundaryStress:
 
 
 class TestGrowthEvent:
-    def test_negative_energy_data_grows(self, iso_ss, pars_ss):
-        from starlab.acceptance import negative_energy_data
-        x = np.linspace(0.0, iso_ss.R0, N + 1)
-        phi0, phi1 = negative_energy_data(iso_ss, pars_ss.delta, x, 1e-3, seed=7)
-        spec = SolverSpec(n_cells=N, n_emit=11, growth_threshold=0.1)
-        run = evolve_self_similar(iso_ss, pars_ss, (phi0, phi1), 600.0, spec)
+    def test_negative_energy_data_grows(self, c09_runs):
+        _, _, (run,) = c09_runs((7,), n_cells=N)
         kinds = [e.kind for e in run.events]
         assert "growth" in kinds
         assert not run.completed

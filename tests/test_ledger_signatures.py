@@ -8,6 +8,9 @@ the ledger must reproduce these bits.
 The two shipped ledger configs pin every CSV they write: `energy_reports.csv`,
 `eulerian.csv` and, as one digest of their sorted `name sha256` lines, the
 snapshots.  A refactor of the ledger or of the CSV writer must keep them too.
+The digests assume the paths `test_step_signatures.py` names (numpy's AVX-512
+`power`, `exp`, `log` and `cbrt`, libm, LAPACK's `dgtsv`); on numpy's AVX2 path
+every test here fails.
 """
 
 import hashlib

@@ -6,8 +6,9 @@ evaluates the ledger integrands on the stacked block and folds the online integr
 and each emission's `dissipation_online` entry in step order; `total_energy_ledger`
 takes its snapshots in blocks of the same size.  Every output must be the same for
 any block size: one state per block, two, and a whole run in one block.  The block's
-working set is bounded: with the default block a run's traced peak stays within
-64 KB of its peak with blocks of one.
+working set is bounded: with the default block, the `stability_linear.json` ledger
+(its run and `total_energy_ledger`) keeps its traced peak within 64 KB of its peak
+with blocks of one.
 """
 
 import json
@@ -20,12 +21,11 @@ import pytest
 
 from starlab import classify_expansion
 from starlab import functionals as F
-from starlab.acceptance import negative_energy_data
 from starlab.config import build_initial, validate_config
 from starlab.errors import DomainViolation
 from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, PerturbationField, SolverSpec,
                                 evolve_ensemble, evolve_linear_isentropic, evolve_self_similar)
-from test_ensemble import fingerprint
+from fingerprints import fingerprint
 
 N = 48
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -141,7 +141,7 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
-def test_the_default_block_keeps_the_peak_within_64_kb(iso_ss, pars_ss, iso0, monkeypatch):
+def test_the_default_block_keeps_the_peak_within_64_kb(iso0, monkeypatch):
     with open(os.path.join(CONFIGS, "stability_linear.json")) as fh:
         cfg = validate_config(json.load(fh))
     n = cfg.solver.n_cells
@@ -155,18 +155,8 @@ def test_the_default_block_keeps_the_peak_within_64_kb(iso_ss, pars_ss, iso0, mo
             iso0, classify_expansion(cfg.model.delta, cfg.model.a0, cfg.model.a1), initial,
             cfg.time.end, cfg.solver, weights=cfg.weights))
 
-    xs = np.linspace(0.0, iso_ss.R0, 193)
-    seed7 = negative_energy_data(iso_ss, pars_ss.delta, xs, 1e-3, 7)
-
-    def growth():
-        run = evolve_self_similar(iso_ss, pars_ss, seed7, 600.0,
-                                  SolverSpec(n_cells=192, n_emit=40, growth_threshold=0.1))
-        assert run.events[-1].kind == "growth"
-
-    for run in (ledger, growth):
-        run()                                    # caches and lazy set-up first
-        default = traced_peak(run)
-        with monkeypatch.context() as m:
-            m.setattr(F, "_PROBE_BLOCK", 1)
-            ones = traced_peak(run)
-        assert default <= ones + 64 * 1024, (run.__name__, default, ones)
+    ledger()                                     # caches and lazy set-up first
+    default = traced_peak(ledger)
+    monkeypatch.setattr(F, "_PROBE_BLOCK", 1)
+    ones = traced_peak(ledger)
+    assert default <= ones + 64 * 1024, (default, ones)

@@ -2,28 +2,30 @@
 
 Each test pins the bits of a run, so a rewrite of the per-step kernel that
 claims to change no arithmetic is checked against these values.  The
-self-similar growth run is the c09 workload at seed 7; the short runs cover
-the order-2 midpoint solve, which computes the geometry of its own
-intermediate state, in both isentropic regimes (N = 64, the setting of c07),
-the overdamped cap of the velocity solve (a1 = 20, where alpha^3 outgrows the
-inertia within a unit clock) for one member and a batch, and the
-thermodynamic temperature step.  The pins hold
-for the platform's IEEE doubles with numpy's and LAPACK's summation orders; a
-change to either shows here first.
+self-similar growth run is the c09 workload at seed 7 (the session's shared
+`c09_runs` run); the short runs cover the order-2 midpoint solve, which
+computes the geometry of its own intermediate state, in both isentropic
+regimes (N = 64, the setting of c07), the overdamped cap of the velocity solve
+(a1 = 20, where alpha^3 outgrows the inertia within a unit clock) for one
+member and a batch, and the thermodynamic temperature step.  The pins hold for
+the platform's IEEE doubles with numpy's and LAPACK's summation orders, on
+numpy's AVX-512 dispatch for `power`, `exp`, `log` and `cbrt`, libm for the
+`math` scalars (the alpha clock, the ledger coefficients) and the LAPACK
+build's `dgtsv`.  Every pin here fails on numpy's AVX2 path (a host without
+AVX-512, or `NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`); a
+change to any of these shows here first.
 """
-
-import hashlib
 
 import numpy as np
 import pytest
 
 from starlab import classify_expansion
 from starlab import functionals as F
-from starlab.acceptance import negative_energy_data
 from starlab import kernel
 from starlab.lagrangian import (LINEAR_REGIME, SolverSpec, evolve_ensemble,
                                 evolve_linear_isentropic, evolve_linear_thermo,
                                 evolve_self_similar)
+from fingerprints import digest, snapshot_digest
 
 # exact outputs of the runs below.  GROWTH_S is the step-quantised event clock:
 # a change of the star at the 1e-10 level shifts the steps left after each emission
@@ -44,28 +46,8 @@ SCHEME_SHA = {
 }
 
 
-def digest(*arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
-    return h.hexdigest()
-
-
-def snapshot_digest(run) -> str:
-    arrays = [run.times]
-    for s in run.snapshots:
-        arrays.append([s.clock])
-        arrays.extend(a for a in (s.theta, s.theta_t, s.theta_tt, s.zeta, s.zeta_t)
-                      if a is not None)
-    return digest(*arrays)
-
-
-def test_self_similar_growth_seed_7(iso_ss, pars_ss):
-    n = 192
-    x = np.linspace(0.0, iso_ss.R0, n + 1)
-    phi0, phi1 = negative_energy_data(iso_ss, pars_ss.delta, x, 1e-3, 7)
-    spec = SolverSpec(n_cells=n, n_emit=40, growth_threshold=0.1)
-    run = evolve_self_similar(iso_ss, pars_ss, (phi0, phi1), 600.0, spec, energy=True)
+def test_self_similar_growth_seed_7(c09_runs):
+    _, _, (run,) = c09_runs((7,), energy=True)
     growth = [e.clock for e in run.events if e.kind == "growth"]
     assert growth == [GROWTH_S]
     assert len(run.times) - 1 == STEPS

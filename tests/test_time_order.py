@@ -12,30 +12,18 @@ The thermodynamic run takes one step per emission, so doubling `n_emit`
 halves dt there; its order is read from theta at the mid node.
 """
 
-import functools
 import math
 
 import numpy as np
 import pytest
 
 from starlab import classify_expansion
-from starlab.acceptance import negative_energy_data
-from starlab.lagrangian import (SolverSpec, _located_crossing, evolve_linear_thermo,
-                                evolve_self_similar)
-
-THRESHOLD = 0.1
+from starlab.lagrangian import SolverSpec, _located_crossing, evolve_linear_thermo
 
 
 @pytest.fixture(scope="module")
-def growth(iso_ss, pars_ss):
-    @functools.cache
-    def run(order, n_cells, cfl):
-        x = np.linspace(0.0, iso_ss.R0, n_cells + 1)
-        phi0, phi1 = negative_energy_data(iso_ss, pars_ss.delta, x, 1e-3, 7)
-        spec = SolverSpec(n_cells=n_cells, order=order, cfl=cfl, n_emit=40,
-                          growth_threshold=THRESHOLD)
-        return evolve_self_similar(iso_ss, pars_ss, (phi0, phi1), 600.0, spec)
-    return run
+def growth(c09_runs):
+    return lambda order, n_cells, cfl: c09_runs((7,), n_cells, order, cfl)[2][0]
 
 
 def crossing(run) -> float:
