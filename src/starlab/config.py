@@ -209,6 +209,10 @@ def validate_config(raw) -> ScenarioConfig:
     md, gd, sd, idd, wd, td = sections.values()
 
     model = ModelParams(**_read(errors, md, ModelParams, "model"))
+    # JSON's NaN and Infinity parse as numbers; mu's own range row names them
+    nonfinite = [f"model.{k} is finite" for k, v in asdict(model).items()
+                 if isinstance(v, float) and k != "mu" and not math.isfinite(v)]
+    errors.extend(nonfinite)
     if model.kind not in ("isentropic", "thermo"):
         errors.append("model.kind must be 'isentropic' or 'thermo'")
     if model.a0 <= 0:
@@ -238,6 +242,9 @@ def validate_config(raw) -> ScenarioConfig:
     time = TimeConfig(**_read(errors, td, TimeConfig, "time"))
     if time.end <= 0:
         errors.append("time.end > 0")
+    elif not math.isfinite(time.end):
+        errors.append("time.end is finite")
+    finite = not nonfinite and math.isfinite(time.end)     # else the rows below would repeat it
 
     try:
         phase_grid = tuple(tuple(float(v) for v in p)
@@ -245,6 +252,8 @@ def validate_config(raw) -> ScenarioConfig:
     except (TypeError, ValueError):
         errors.append("phase_grid entries are [phi, phi_s] number pairs")
         phase_grid = ()
+    if not all(math.isfinite(v) for p in phase_grid for v in p):
+        errors.append("phase_grid entries are finite")
 
     # scenario-specific constraints
     if scenario == "evolve-thermo" or (scenario == "profile" and model.kind == "thermo"):
@@ -257,7 +266,8 @@ def validate_config(raw) -> ScenarioConfig:
         if model.delta != 0.0:
             errors.append("delta = 0 for the thermodynamic expansion")
         errors.extend(solver.violations(thermo=True))
-    if scenario in ("evolve-linear", "evolve-thermo") and model.a0 > 0 and model.a1 is not None:
+    if (scenario in ("evolve-linear", "evolve-thermo") and finite and model.a0 > 0
+            and model.a1 is not None):
         cls = classify_expansion(model.delta if scenario == "evolve-linear" else 0.0,
                                  model.a0, model.a1).classification
         if cls != LINEAR:
@@ -268,7 +278,7 @@ def validate_config(raw) -> ScenarioConfig:
     if scenario == "evolve-ss":
         if model.delta >= 0:
             errors.append("delta < 0 for the self-similar branch")
-        elif model.a0 > 0:
+        elif finite and model.a0 > 0:
             a1_star = math.sqrt(2.0 * abs(model.delta) / model.a0)
             if model.a1 is not None and abs(model.a1 - a1_star) > 1e-12 * a1_star:
                 errors.append("a1 = sqrt(2|delta|/a0) on the self-similar branch "

@@ -14,9 +14,15 @@ of the saddle at the origin.  The bracket
 (the signed vertical distance to the curve) satisfies
 B_s = (b/2)(1 + (1+phi)^{-3/2}) B, so off-curve states escape: B > 0 leads
 to unbounded expansion (phi -> infinity), B < 0 to collapse (phi -> -1 at
-finite s).  The integration tracks the exponent integral of that identity
-so the drift |B e^{-I} - B(0)| measures how well the discrete trajectory
-satisfies it.
+finite s).
+
+A trajectory is an expansion path A = alpha_ss (1 + phi) of the same delta, with
+A(0) = 1 + phi0 and A'(0) = b(1 + phi0) + phi_s0 = sqrt(2|delta|/A(0)) + B(0): the
+side of the curve is A's class, and `energy_homogeneous` its first integral.  With
+t = (e^{1.5 b s} - 1)/(1.5 b), phi = A(t) e^{-b s} - 1 and phi_s = A'(t) e^{b s/2} -
+b(1 + phi) come from A's closed-form clock (`expansion.AlphaClock`).  The bracket
+identity's exponent is I = (b/2)(s + s_A), s_A = int A^{-1/2} dtau, so the drift
+|B e^{-I} - B(0)| measures how well the samples satisfy it.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import DomainViolation, InvalidParams, StepFailure
+from .errors import DomainViolation, InvalidParams
+from .expansion import SELF_SIMILAR, AlphaClock, _increasing_root, classify_expansion
 
 STATIONARY = "Stationary"
 ON_CURVE = "OnCurve"
@@ -69,7 +75,14 @@ class PhaseTrajectory:
     curve_distance: np.ndarray     # |B|, the vertical distance to the curve
     identity_drift: float          # max |B(s) e^{-I(s)} - B(0)|
     delta: float
-    _sol: object = field(repr=False, default=None)
+    _clock: AlphaClock | None = field(repr=False, default=None)   # the path A
+
+    def phi_at(self, s):
+        """phi at the s clock values, from the closed form of the trajectory."""
+        s = np.asarray(s, dtype=float)
+        if self._clock is None:
+            return np.zeros_like(s)
+        return _sample(self._clock, s)[0]
 
 
 def curve_phi_s(phi, delta):
@@ -102,18 +115,58 @@ def bracket(phi, phi_s, delta):
     return np.asarray(phi_s, dtype=float) + b * (one - one**-0.5)
 
 
-def integrate_phase(initial: PhaseState, s_end: float, rtol: float = 1e-10,
-                    atol: float = 1e-10) -> PhaseTrajectory:
-    """Integrate a uniform perturbation and classify its fate.
+def _sample(clock: AlphaClock, s, tau=None):
+    """phi, phi_s and s_A at the s values on A's path; its tau values if given.
+
+    On the curve 1 + phi = (1 + (A0^{3/2} - 1) e^{-1.5 b s})^{2/3} at any s.
+    """
+    p, b = clock.params, clock.params.b
+    if p.classification == SELF_SIMILAR:
+        e = (p.a0**1.5 - 1.0) * np.exp(-1.5 * b * s)
+        one = (1.0 + e) ** (2.0 / 3.0)
+        return np.expm1(np.log1p(e) / 1.5), -b * e / np.sqrt(one), s + np.log(one / p.a0) / b
+    tau = clock.tau_at(np.expm1(1.5 * b * s) / (1.5 * b)) if tau is None else tau
+    A, A_tau, _ = clock.path(tau)
+    one = A * np.exp(-b * s)
+    return one - 1.0, A_tau / A * np.exp(0.5 * b * s) - b * one, clock.s_of(tau)
+
+
+def _log_one_plus_phi(clock: AlphaClock, tau):
+    """ln(1 + phi) = ln A - (2/3) ln(1 + 1.5 b t) at A's tau, its tau-derivative, and s."""
+    b = clock.params.b
+    A, A_tau, t = clock.path(tau)
+    g = 1.0 + 1.5 * b * t
+    return np.log(A) - np.log(g) / 1.5, A_tau / A - b * A / g, np.log(g) / (1.5 * b)
+
+
+def _crossing(clock: AlphaClock, taus, g, level, up):
+    """(tau, s) of the first crossing of ln(1 + phi) = level, or None; g = ln(1 + phi) - level."""
+    sign = 1.0 if up else -1.0
+    hit = np.flatnonzero((sign * g[:-1] <= 0) & (sign * g[1:] >= 0))
+    if hit.size == 0:
+        return None
+    lo, hi, g0, g1 = taus[hit[0]], taus[hit[0] + 1], g[hit[0]], g[hit[0] + 1]
+    if np.isinf(g1):                   # hi = tau_c, where ln A ~ 2 ln(tau_c - tau)
+        x0 = hi - (hi - lo) * math.exp(-0.5 * g0)
+    else:
+        x0 = lo + (hi - lo) * g0 / (g0 - g1) if g0 != g1 else lo
+    fun = lambda x: [sign * v for v in _log_one_plus_phi(clock, x)[:2]]
+    tau = float(_increasing_root(fun, sign * level, lo, hi, x0))
+    return tau, float(_log_one_plus_phi(clock, tau)[2])
+
+
+def integrate_phase(initial: PhaseState, s_end: float) -> PhaseTrajectory:
+    """Sample a uniform perturbation from its closed form and classify its fate.
 
     Fates: Stationary for the exact steady point; OnCurve when the state
     starts on the zero-energy curve and stays within 1e-8 of it;
     otherwise Expand/Collapse by the side of the curve, with
-    first_escape_s the first s where |phi| crosses 0.5.  Collapsing
-    runs stop just above phi = -1 and runaway expansions at a large cap;
-    either stop is a label, not an error.
+    first_escape_s the first s where |phi| crosses 0.5 outward.  A collapse
+    stops where 1 + phi first reaches 1e-6, a runaway expansion where phi
+    first reaches a large cap (at once, if it starts beyond); either stop is
+    a label, not an error.
     """
-    if s_end <= 0:
+    if not s_end > 0:
         raise InvalidParams("s_end must be positive")
     delta = initial.delta
     b = initial.b
@@ -126,51 +179,36 @@ def integrate_phase(initial: PhaseState, s_end: float, rtol: float = 1e-10,
                                curve_distance=z.copy(), identity_drift=0.0,
                                delta=delta)
 
-    def rhs(s, u):
-        phi, phi_s, _ = u
-        one = 1.0 + phi
-        dphi_s = -0.5 * b * phi_s - abs(delta) * (one**-2 - one)
-        # I' integrates the growth-rate factor of the bracket identity.
-        return (phi_s, dphi_s, 0.5 * b * (1.0 + one**-1.5))
-
-    def hit_up(s, u):
-        return u[0] - _ESCAPE
-
-    def hit_down(s, u):
-        return u[0] + _ESCAPE
-
-    def hit_floor(s, u):
-        return u[0] + 1.0 - _PHI_FLOOR_GAP
-
-    def hit_cap(s, u):
-        return u[0] - _PHI_CAP
-
-    hit_floor.terminal = True
-    hit_floor.direction = -1
-    hit_cap.terminal = True
-    hit_cap.direction = 1
-    hit_up.direction = 1
-    hit_down.direction = -1
-
-    sol = solve_ivp(rhs, (0.0, s_end), [initial.phi, initial.phi_s, 0.0],
-                    method="DOP853", rtol=rtol, atol=atol, dense_output=True,
-                    events=(hit_up, hit_down, hit_floor, hit_cap))
-    if not sol.success and sol.t_events[2].size == 0 and sol.t_events[3].size == 0:
-        raise StepFailure(f"phase integration failed: {sol.message}")
-
-    s_reach = float(sol.t[-1])
-    s = np.linspace(0.0, s_reach, _N_SAMPLES)
-    phi, phi_s, I = sol.sol(s)
+    one0 = 1.0 + initial.phi
+    clock = AlphaClock(classify_expansion(delta, one0, b * one0 + initial.phi_s))
+    escapes, tau = [], None
+    s = np.linspace(0.0, s_end, _N_SAMPLES)
+    if clock.params.classification != SELF_SIMILAR:     # off the curve: find the stop
+        up = clock.tau_c == math.inf   # the cap past an expansion, else the floor before tau_c
+        level = math.log(1.0 + _PHI_CAP) if up else math.log(_PHI_FLOOR_GAP)
+        hi = clock.tau_c if not up else abs(clock._rad) ** -0.5
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):     # A = 0 at tau_c
+            while up and hi < 1e300 and not _log_one_plus_phi(clock, hi)[0] >= level:
+                hi *= 2.0
+            taus = np.linspace(0.0, hi, 65)
+            g = _log_one_plus_phi(clock, taus)[0] - level
+        stop = (0.0, 0.0) if (g[0] > 0 if up else g[0] < 0) else _crossing(clock, taus, g, level, up)
+        if stop is not None and stop[1] < s_end:
+            s = np.linspace(0.0, stop[1], _N_SAMPLES)
+        else:
+            stop = None
+        tau = clock.tau_at(np.expm1(1.5 * b * s) / (1.5 * b))
+        if stop:
+            tau[-1] = stop[0]          # the stop state itself, not the inverse of its rounded t
+    phi, phi_s, s_A = _sample(clock, s, tau)
+    if tau is not None:
+        for level, up in ((math.log(1.0 + _ESCAPE), True), (math.log(1.0 - _ESCAPE), False)):
+            if (escape := _crossing(clock, tau, np.log1p(phi) - level, level, up)) is not None:
+                escapes.append(escape[1])
 
     B = bracket(phi, phi_s, delta)
     B0 = float(bracket(initial.phi, initial.phi_s, delta))
-    drift = float(np.max(np.abs(B * np.exp(-I) - B0)))
-
-    escapes = []
-    if sol.t_events[0].size:
-        escapes.append(float(sol.t_events[0][0]))
-    if sol.t_events[1].size:
-        escapes.append(float(sol.t_events[1][0]))
+    drift = float(np.max(np.abs(B * np.exp(-0.5 * b * (s + s_A)) - B0)))
     first_escape = min(escapes) if escapes else None
 
     if abs(B0) <= 1e-10 and np.max(np.abs(B)) <= _ON_CURVE_TOL:
@@ -183,4 +221,4 @@ def integrate_phase(initial: PhaseState, s_end: float, rtol: float = 1e-10,
     return PhaseTrajectory(
         s_samples=s, phi=phi, phi_s=phi_s, fate=fate, first_escape_s=first_escape,
         energy=energy_homogeneous(phi, phi_s, delta),
-        curve_distance=np.abs(B), identity_drift=drift, delta=delta, _sol=sol)
+        curve_distance=np.abs(B), identity_drift=drift, delta=delta, _clock=clock)

@@ -23,8 +23,8 @@ Gram factors (the midpoint solve reads its own), so a run without it builds
 accepted states without them.
 
 Every regime emits `PerturbationField`, tagged with its regime; thermodynamic
-fields also carry zeta and zeta_t.  One `_AlphaClock` per run gives alpha(clock)
-to the driver, the ledger and, through `RunResult.alpha_clock`, to
+fields also carry zeta and zeta_t.  One `expansion.AlphaClock` per run gives
+alpha(clock) to the driver, the ledger and, through `RunResult.alpha_clock`, to
 `reconstruct_eulerian`; its `coefficients(clock)` is the one regime switch for
 the momentum equation's (inertia, damping, viscosity).  A linearly expanding
 run made with `weights` checks them against R0, integrates
@@ -58,11 +58,11 @@ from . import functionals
 from .functionals import WeightSpec, gradient
 from .errors import (ConfigInvalid, DomainViolation, InvalidParams, StepFailure,
                      WrongClassification)
-from .expansion import _LINEAR_END, _SS_END, _SS_EXP_MAX, LINEAR, SELF_SIMILAR, ExpansionParams
+from .expansion import (_LINEAR_END, _SS_END, _SS_EXP_MAX, LINEAR, SELF_SIMILAR_REGIME,
+                        AlphaClock, ExpansionParams)
 from .kernel import _columns, _Kernel
 from .profiles import Background, sample_background
 
-SELF_SIMILAR_REGIME = "self-similar"
 LINEAR_REGIME = "linear-isentropic"
 THERMO_REGIME = "linear-thermo"
 
@@ -145,7 +145,7 @@ class RunResult:
     dissipation_online: dict | None  # ledger integrals at emission times
     weights: WeightSpec | None     # the ledger's weights (linear runs that keep one)
     background: Background
-    alpha_clock: _AlphaClock       # carries the expansion parameters
+    alpha_clock: AlphaClock        # carries the expansion parameters
     completed: bool
 
     @property
@@ -170,69 +170,6 @@ def _located_crossing(t0, t1, omega0, omega1, threshold):
     if omega0 >= threshold:            # initial data already at the threshold
         return t0
     return t0 + (t1 - t0) * math.log(threshold / omega0) / math.log(omega1 / omega0)
-
-
-# ---------------------------------------------------------------------------
-# the alpha clock
-# ---------------------------------------------------------------------------
-
-class _AlphaClock:
-    """alpha, alpha_tau, alpha'(t) and the momentum coefficients of the rescaled clock.
-
-    The first integral alpha_t^2 = sigma^2 - 2 delta/alpha, sigma^2 = a1^2 + 2 delta/a0,
-    reads alpha_tau^2 = sigma^2 alpha^2 - 2 delta alpha in tau; a linear path with
-    delta != 0 is then alpha = a0 cosh(sigma tau) + (a0 a1/sigma) sinh(sigma tau)
-    - (delta/sigma^2) 2 sinh^2(sigma tau/2), with cosh - 1 as 2 sinh^2 so that small
-    sigma tau does not cancel.
-    """
-
-    def __init__(self, params: ExpansionParams, regime: str):
-        self.params = params
-        self.regime = regime
-        if regime == SELF_SIMILAR_REGIME:
-            if params.classification != SELF_SIMILAR:
-                raise WrongClassification("self-similar run needs SelfSimilar parameters")
-        elif params.classification != LINEAR:
-            raise WrongClassification("linearly expanding run needs Linear parameters")
-        if regime != SELF_SIMILAR_REGIME and params.delta != 0.0:
-            self._rad = params.a1**2 + 2.0 * params.delta / params.a0
-            sigma = math.sqrt(self._rad)     # sigma and the sinh, sinh^2 weights of alpha
-            self._hyp = (sigma, params.a0 * params.a1 / sigma, -2.0 * params.delta / self._rad)
-
-    def alpha(self, clock: float) -> float:
-        p = self.params
-        if self.regime == SELF_SIMILAR_REGIME:
-            return p.a0 * math.exp(p.b * clock)
-        if p.delta == 0.0:
-            return p.a0 * math.exp(p.a1 * clock)
-        sigma, w_sinh, w_sinh2 = self._hyp
-        x = sigma * clock
-        return p.a0 * math.cosh(x) + w_sinh * math.sinh(x) + w_sinh2 * math.sinh(0.5 * x) ** 2
-
-    def alpha_tau(self, clock: float) -> float:
-        p = self.params
-        al = self.alpha(clock)
-        if self.regime == SELF_SIMILAR_REGIME:
-            return p.b * al
-        if p.delta == 0.0:
-            return p.a1 * al
-        return al * math.sqrt(max(self._rad - 2.0 * p.delta / al, 0.0))
-
-    def alpha_prime(self, clock: float) -> float:
-        """d alpha / dt, the physical-time derivative, at the given clock."""
-        p = self.params
-        if self.regime == SELF_SIMILAR_REGIME:
-            return math.sqrt(2.0 * abs(p.delta) / self.alpha(clock))
-        if p.delta == 0.0:
-            return p.a1
-        return self.alpha_tau(clock) / self.alpha(clock)
-
-    def coefficients(self, clock: float):
-        """(inertia, damping, viscosity) of the momentum equation at the clock."""
-        al = self.alpha(clock)
-        if self.regime == SELF_SIMILAR_REGIME:
-            return 1.0, 0.5 * self.params.b, al ** 2.5
-        return al, self.alpha_tau(clock), al ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +219,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
              "energy only for the self-similar regime")]
     if bad := spec.violations(thermo) + [text for ok, text in rows if not ok]:
         raise ConfigInvalid(bad)
-    alpha_clock = _AlphaClock(params, regime)
+    alpha_clock = AlphaClock(params, regime)
     kernel = _Kernel(bg, alpha_clock, mu)
     # the (B, N+1) state, or one member's 1-d state (see the module docstring)
     f, v, z = (None if k >= 2 + thermo else init[0][k] if len(init) == 1
@@ -516,7 +453,7 @@ def evolve_linear_thermo(profile, params: ExpansionParams, initial, tau_end: flo
 # Eulerian reconstruction
 # ---------------------------------------------------------------------------
 
-def reconstruct_eulerian(field, alpha_clock: _AlphaClock) -> EulerianSnapshot:
+def reconstruct_eulerian(field, alpha_clock: AlphaClock) -> EulerianSnapshot:
     """Map a Lagrangian perturbation field to Eulerian (r, rho, u[, theta]).
 
     r = alpha x (1 + f), rho = x^2 rho_bar / (r^2 r_x), u = r_t through the

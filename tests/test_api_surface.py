@@ -30,8 +30,6 @@ SEARCHED = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
 ALLOWED = {
     "isentropic_ode_residual": "oracle: profile ODE residual from an independent FD stencil",
     "thermo_ode_residual": "oracle: equilibrium residuals from independent FD stencils",
-    "ExpansionPath.alpha_prime_at": "oracle: alpha'(t) of the integrated path, against the "
-                                    "clock a run steps with",
 }
 
 # Solver fields only the tests set: their one way into the cfl-floor and

@@ -11,7 +11,8 @@ from starlab import classify_expansion
 from starlab.cli import run_scenario
 from starlab.config import validate_config
 from starlab.errors import InvalidParams
-from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, PerturbationField, _AlphaClock,
+from starlab.expansion import AlphaClock
+from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, PerturbationField,
                                 reconstruct_eulerian)
 from starlab.profiles import IsentropicProfile, ThermoProfile, sample_background
 
@@ -76,7 +77,7 @@ class TestGridMismatch:
             with pytest.raises(InvalidParams):
                 F.initial_energy_isentropic(x, z, z, z, bg, F.WeightSpec())
             with pytest.raises(InvalidParams):
-                reconstruct_eulerian(f, _AlphaClock(pars, LINEAR_REGIME))
+                reconstruct_eulerian(f, AlphaClock(pars, LINEAR_REGIME))
 
     def test_thermo_consumers_reject_another_grid(self, thermo14):
         x = grid(thermo14)
@@ -92,8 +93,8 @@ class TestGridMismatch:
         x = grid(iso0)
         f = PerturbationField(x, 0 * x, 0 * x, None, 0.0, LINEAR_REGIME)
         with pytest.raises(InvalidParams):
-            reconstruct_eulerian(f, _AlphaClock(classify_expansion(0.0, 1.0, 1.0),
-                                                LINEAR_REGIME))
+            reconstruct_eulerian(f, AlphaClock(classify_expansion(0.0, 1.0, 1.0),
+                                               LINEAR_REGIME))
 
 
 @pytest.mark.parametrize("config, cls, method", [

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from starlab import classify_expansion, lagrangian, solve_isentropic_profile
+from starlab import (classify_expansion, expansion, homogeneous, lagrangian,
+                     solve_isentropic_profile)
 from starlab.cli import main, run_scenario
 from starlab.config import (InitialSpec, build_initial, family_shape,
                             validate_config)
@@ -220,11 +221,14 @@ class TestScenarios:
     def test_one_alpha_clock_per_run(self, tmp_path, monkeypatch):
         # a general linear path builds one alpha clock, in closed form: the
         # ledger's physical energies and the final reconstruction use the run's clock
-        assert not hasattr(lagrangian, "solve_ivp")
+        for module in (lagrangian, expansion, homogeneous):
+            assert not hasattr(module, "solve_ivp")
         built = []
-        clock_class = lagrangian._AlphaClock
-        monkeypatch.setattr(lagrangian, "_AlphaClock",
-                            lambda *a, **kw: built.append(a) or clock_class(*a, **kw))
+        clock_class = expansion.AlphaClock
+        assert lagrangian.AlphaClock is clock_class
+        for module in (expansion, lagrangian):
+            monkeypatch.setattr(module, "AlphaClock",
+                                lambda *a, **kw: built.append(a) or clock_class(*a, **kw))
         with open(STABILITY_LINEAR) as fh:
             raw = json.load(fh)
         raw["model"].update(delta=-1e-3, a1=0.1)
@@ -298,6 +302,26 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("scenario, content, message", [
+        # the first two ran until a 60 s timeout; the rest ended in a ValueError traceback
+        ("expansion", '{"time": {"end": Infinity}}', "time.end is finite"),
+        ("expansion", '{"model": {"delta": NaN}}', "model.delta is finite"),
+        ("expansion", '{"model": {"a1": Infinity}}', "model.a1 is finite"),
+        ("phase", '{"model": {"delta": -0.5}, "phase_grid": [[NaN, 0.0]]}',
+         "phase_grid entries are finite"),
+        ("phase", '{"model": {"delta": -0.5}, "phase_grid": [[0.0, Infinity]]}',
+         "phase_grid entries are finite"),
+        ("phase", '{"model": {"delta": -0.5}, "time": {"end": NaN}}', "time.end is finite"),
+        ("evolve-linear", '{"model": {"a0": -Infinity}}', "model.a0 is finite"),
+    ])
+    def test_non_finite_value_named(self, tmp_path, capsys, scenario, content, message):
+        path = tmp_path / "c.json"
+        path.write_text(content)
+        code = main([scenario, "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: ") and message in err.splitlines()[0]
 
     @pytest.mark.parametrize("scenario, model, end", [
         ("evolve-linear", {"a1": 10.0}, 21.0),

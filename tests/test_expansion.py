@@ -1,13 +1,19 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from starlab import classify_expansion, integrate_alpha
+import oracles
+from starlab import PhaseState, classify_expansion, integrate_alpha, integrate_phase
 from starlab.config import validate_config
 from starlab.errors import ConfigInvalid, InvalidParams
-from starlab.expansion import (COLLAPSE, LINEAR, POSITIVE_DELTA, SELF_SIMILAR,
+from starlab.expansion import (COLLAPSE, LINEAR, POSITIVE_DELTA, SELF_SIMILAR, AlphaClock,
                                alpha_closed_form, fit_collapse_exponent,
                                integrate_to_collapse)
+
+PHASE_PORTRAIT = os.path.join(os.path.dirname(__file__), "..", "configs", "phase_portrait.json")
 
 
 class TestClassification:
@@ -61,14 +67,19 @@ class TestIntegration:
         assert path.alpha_at(4.0) == pytest.approx(14.0, abs=1e-10)
 
     def test_ode_residual_on_dense_output(self):
-        p = classify_expansion(1.0, 1.0, 0.0)
-        path = integrate_alpha(p, 5.0)
-        # alpha''(0) = delta / a0^2 = 1; FD on the integrated alpha'
+        clock = AlphaClock(classify_expansion(1.0, 1.0, 0.0))
+
+        def alpha_prime_at(t):
+            alpha, alpha_tau, _ = clock.path(clock.tau_at(t))
+            return alpha_tau / alpha
+
+        path = integrate_alpha(clock.params, 5.0)
+        # alpha''(0) = delta / a0^2 = 1; FD on the closed form's alpha'
         h = 1e-5
-        app = (path.alpha_prime_at(h) - path.alpha_prime_at(0.0)) / h
+        app = (alpha_prime_at(h) - alpha_prime_at(0.0)) / h
         assert app == pytest.approx(1.0, abs=1e-6)
         t = np.linspace(0.1, 4.9, 50)
-        app = (path.alpha_prime_at(t + h) - path.alpha_prime_at(t - h)) / (2 * h)
+        app = (alpha_prime_at(t + h) - alpha_prime_at(t - h)) / (2 * h)
         assert np.max(np.abs(app * path.alpha_at(t) ** 2 - 1.0)) < 1e-6
 
     def test_monotone_growth(self):
@@ -131,6 +142,61 @@ class TestClocks:
         path = integrate_alpha(classify_expansion(0.0, 1.0, 2.0), 3.0)
         assert np.max(np.abs(path.tau_samples
                              - np.log1p(2.0 * path.t_samples) / 2.0)) < 1e-10
+
+
+def _oracle_cases():
+    """c03's 12 cases, two collapses with a closed-form check, the phase portrait's starts."""
+    for d, a0, a1 in [(1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (0.5, 2.0, 0.5), (0.0, 1.0, 1.0),
+                      (0.0, 2.0, 3.0), (-0.5, 1.0, 1.0), (-0.5, 1.0, 1.2), (-0.5, 1.0, 0.5),
+                      (-2.0, 1.0, 2.0), (-2.0, 1.0, 2.5), (-2.0, 1.0, 1.0), (-0.5, 2.0, 0.2),
+                      # a root finder on alpha missed this tangency by 2e-7 in T
+                      (-0.5, 1.0, -2.0),
+                      (0.0, 1.0, -1.0)]:                    # T = 1 exactly
+        yield pytest.param("alpha", (d, a0, a1), id=f"alpha{(d, a0, a1)}")
+    with open(PHASE_PORTRAIT) as fh:
+        cfg = json.load(fh)
+    for phi0, phi_s0 in cfg["phase_grid"]:
+        yield pytest.param("phase", (phi0, phi_s0, cfg["model"]["delta"], cfg["time"]["end"]),
+                           id=f"phase{(phi0, phi_s0)}")
+
+
+class TestAgainstOracles:
+    """The closed forms against DOP853 at rtol = atol = 1e-12 (tests/oracles.py).
+
+    Measured: alpha within 4.1e-12 relative on the non-collapsing paths and 4.1e-11
+    on the collapsing ones short of the floor, T_collapse within 1.3e-13, phi
+    within 7.3e-10 short of a stop and the escapes within 2.2e-12.
+    """
+
+    @pytest.mark.parametrize("kind, case", _oracle_cases())
+    def test_clock_matches_dop853(self, kind, case):
+        if kind == "alpha":
+            params = classify_expansion(*case)
+            if params.classification != COLLAPSE:
+                path, ref = integrate_alpha(params, 10.0), oracles.integrate_alpha(params, 10.0)
+                assert np.max(np.abs(path.alpha_at(ref.t_samples) / ref.alpha - 1.0)) < 1e-11
+                return
+            path = integrate_to_collapse(params)
+            ref = oracles.integrate_alpha(params, 2.0 * path.T_collapse)
+            assert abs(path.T_collapse / ref.T_collapse - 1.0) < 1e-12
+            t = ref.t_samples[:-1]
+            assert np.max(np.abs(path.alpha_at(t) / ref.alpha[:-1] - 1.0)) < 2e-10
+            if case == (0.0, 1.0, -1.0):
+                assert path.T_collapse == 1.0
+            else:
+                assert abs(fit_collapse_exponent(path) - 2.0 / 3.0) < 2e-6
+            return
+        phi0, phi_s0, delta, s_end = case
+        traj = integrate_phase(PhaseState(phi0, phi_s0, delta), s_end)
+        ref = oracles.integrate_phase(PhaseState(phi0, phi_s0, delta), s_end)
+        if traj.fate == "Stationary":
+            assert np.all(ref.phi == 0.0)
+            return
+        assert traj.fate == ref.fate
+        assert np.max(np.abs(traj.phi_at(ref.s_samples[:-1]) - ref.phi[:-1])) < 2e-9
+        assert (traj.first_escape_s is None) == (ref.first_escape_s is None)
+        if ref.first_escape_s is not None:
+            assert abs(traj.first_escape_s - ref.first_escape_s) < 1e-11
 
 
 class TestGate:

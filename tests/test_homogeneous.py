@@ -91,6 +91,17 @@ class TestTrajectories:
             assert traj.fate == "OnCurve"
             assert np.max(traj.curve_distance) < 1e-8
 
+    @pytest.mark.parametrize("s_end", [5.0, 10.0, 40.0])
+    def test_curve_starts_stay_on_curve_on_long_runs(self, s_end):
+        # B0 is exactly 0 for these starts; DOP853 drifted off the stable manifold
+        # and labelled them Collapse from s_end = 10 (20 for phi0 = 0.2)
+        for phi0 in (-0.3, 0.2, 0.8):
+            state = PhaseState(phi0, float(curve_phi_s(phi0, -0.5)), -0.5)
+            assert bracket(state.phi, state.phi_s, state.delta) == 0.0
+            traj = integrate_phase(state, s_end)
+            assert traj.fate == "OnCurve"
+            assert np.max(traj.curve_distance) < 1e-8 and traj.identity_drift < 1e-8
+
     def test_identity_drift(self):
         traj = integrate_phase(PhaseState(0.0, 0.05, -0.5), 10.0)
         assert traj.identity_drift < 1e-8

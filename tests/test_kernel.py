@@ -114,11 +114,12 @@ class TestInPlaceRule:
     def test_geometry_and_states_unchanged(self, regime, iso_ss, pars_ss, thermo14):
         from starlab import classify_expansion
         from starlab.functionals import _amplitude, _energy_ss
-        from starlab.lagrangian import SELF_SIMILAR_REGIME, THERMO_REGIME, _AlphaClock
+        from starlab.expansion import AlphaClock
+        from starlab.lagrangian import SELF_SIMILAR_REGIME, THERMO_REGIME
         thermo = regime == "thermo"
         prof, params = ((thermo14, classify_expansion(0.0, 1.0, 20.0)) if thermo
                         else (iso_ss, pars_ss))
-        clock = _AlphaClock(params, THERMO_REGIME if thermo else SELF_SIMILAR_REGIME)
+        clock = AlphaClock(params, THERMO_REGIME if thermo else SELF_SIMILAR_REGIME)
         x = np.linspace(0.0, prof.R0, 65)
         kernel = _Kernel(sample_background(prof, x), clock, 1.0)
         rng = np.random.default_rng(4)

@@ -5,9 +5,11 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.optimize import brentq
 
-from starlab import classify_expansion, integrate_alpha, integrate_phase, PhaseState
+from oracles import integrate_alpha, integrate_phase
+from starlab import classify_expansion, PhaseState
 from starlab.errors import InvalidParams, WrongClassification
-from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, SolverSpec, _AlphaClock,
+from starlab.expansion import AlphaClock
+from starlab.lagrangian import (LINEAR_REGIME, THERMO_REGIME, SolverSpec,
                                 evolve_linear_isentropic, evolve_linear_thermo,
                                 evolve_self_similar, reconstruct_eulerian)
 from starlab.profiles import sample_background
@@ -59,10 +61,9 @@ class TestHomogeneousReduction:
         ones = np.ones(65)
         spec = SolverSpec(n_cells=64, order=2, dt_max=2e-3, n_emit=21, growth_threshold=1.0)
         run = evolve_self_similar(iso_ss, pars_ss, (0.01 * ones, 0.05 * ones), 2.0, spec)
-        traj = integrate_phase(PhaseState(0.01, 0.05, pars_ss.delta), 2.0,
-                               rtol=1e-12, atol=1e-12)
-        sup = max(abs(float(traj._sol.sol(s.clock)[0])) for s in run.snapshots)
-        err = max(abs(s.theta[32] - float(traj._sol.sol(s.clock)[0]))
+        traj = integrate_phase(PhaseState(0.01, 0.05, pars_ss.delta), 2.0)
+        sup = max(abs(float(traj.sol.sol(s.clock)[0])) for s in run.snapshots)
+        err = max(abs(s.theta[32] - float(traj.sol.sol(s.clock)[0]))
                   for s in run.snapshots)
         assert err / sup < 1e-4
         # spatial uniformity is preserved exactly by the discrete operators
@@ -255,7 +256,7 @@ class TestAlphaClock:
         # the oracle integrates alpha(t) in t with tau as a quadrature state; it
         # reaches tau = 5.4 to 44, past every run end in the tests and configs
         pars = classify_expansion(delta, a0, a1)
-        clock = _AlphaClock(pars, LINEAR_REGIME)
+        clock = AlphaClock(pars, LINEAR_REGIME)
         path = integrate_alpha(pars, 100.0)
         assert path.tau_samples[-1] > 5.0
         alpha = np.array([clock.alpha(tau) for tau in path.tau_samples])
@@ -265,8 +266,8 @@ class TestAlphaClock:
 
     @pytest.mark.parametrize("a1", [0.1, 1.0, 20.0])
     def test_vanishing_delta_meets_the_delta_zero_branch(self, a1):
-        near = _AlphaClock(classify_expansion(-1e-15, 1.0, a1), LINEAR_REGIME)
-        zero = _AlphaClock(classify_expansion(0.0, 1.0, a1), LINEAR_REGIME)
+        near = AlphaClock(classify_expansion(-1e-15, 1.0, a1), LINEAR_REGIME)
+        zero = AlphaClock(classify_expansion(0.0, 1.0, a1), LINEAR_REGIME)
         for tau in np.linspace(0.0, min(10.0, 170.0 / a1), 101):
             assert abs(near.alpha(tau) / zero.alpha(tau) - 1.0) < 1e-13
             assert abs(near.alpha_tau(tau) / zero.alpha_tau(tau) - 1.0) < 1e-12
