@@ -136,6 +136,9 @@ class AlphaClock:
     a0 a1 U1 - delta U2 and t = a0 U1 + a0 a1 U2 - delta U3 (`_universal`).  A
     collapse is the tangency alpha = alpha_tau = 0 at tau_c; about it, alpha =
     -delta U2(x) and t - T = -delta U3(x), x = tau - tau_c, lose nothing as alpha -> 0.
+    A PositiveDelta path with a1 < 0 turns at tau_m, where alpha_tau = 0 and alpha =
+    2C, C = delta/sigma^2; about it alpha = C (1 + cosh sigma x) is free of the
+    cancellation of its decaying mode from tau = 0.
     At delta = 0 the path is a0 e^{a1 tau}, and a collapse has tau_c infinite.
     """
 
@@ -156,7 +159,10 @@ class AlphaClock:
         if p.classification == LINEAR and p.delta != 0.0:
             sigma = math.sqrt(rad)     # sigma and the sinh, sinh^2 weights of alpha
             self._hyp = (sigma, p.a0 * p.a1 / sigma, -2.0 * p.delta / rad)
-        self.tau_c, self.T_collapse = math.inf, None
+        self.tau_c, self.T_collapse, self._turn = math.inf, None, None
+        if p.classification == POSITIVE_DELTA and p.a1 < 0:
+            sigma = math.sqrt(rad)     # sinh(sigma tau_m) = -a0 a1 sigma/delta
+            self._turn = (sigma, p.delta / rad, math.asinh(-p.a0 * p.a1 / p.delta * sigma) / sigma)
         self._tau_switch = math.inf    # a collapse is evaluated about tau_c beyond this tau
         if p.classification == COLLAPSE and p.delta == 0.0:
             self.T_collapse = p.a0 / -p.a1
@@ -215,9 +221,20 @@ class AlphaClock:
         d = self.params.delta
         return a * U0 + v * U1 - d * U2, v * U0 + (a * self._rad - d) * U1, a * U1 + v * U2 - d * U3
 
+    def _turning(self, tau):
+        """(alpha, alpha_tau, t) about the turning point: t = C (x + sinh(sigma x)/sigma) from
+        x = -tau_m, as C tau + (2C/sigma) cosh(sigma (tau/2 - tau_m)) sinh(sigma tau/2)."""
+        sigma, C, tau_m = self._turn
+        x = sigma * (tau - tau_m)
+        return (C * (1.0 + np.cosh(x)), self.params.delta / sigma * np.sinh(x),
+                C * (tau + 2.0 / sigma * np.cosh(sigma * (0.5 * tau - tau_m))
+                     * np.sinh(0.5 * sigma * tau)))
+
     def path(self, tau):
         """(alpha, alpha_tau, t) at the tau values (arrays)."""
         tau, p = np.asarray(tau, dtype=float), self.params
+        if self._turn is not None:
+            return self._turning(tau)
         if p.delta == 0.0:
             alpha = p.a0 * np.exp(p.a1 * tau)
             t = p.a0 * tau if p.a1 == 0.0 else p.a0 * np.expm1(p.a1 * tau) / p.a1
@@ -232,7 +249,8 @@ class AlphaClock:
         t, p = np.asarray(t, dtype=float), self.params
         if p.delta == 0.0:
             return t / p.a0 if p.a1 == 0.0 else np.log1p(p.a1 * t / p.a0) / p.a1
-        fwd = lambda x: self._about(x, p.a0, p.a0 * p.a1)[2::-2]     # (t, alpha) from tau = 0
+        fwd = lambda x: (self._about(x, p.a0, p.a0 * p.a1) if self._turn is None
+                         else self._turning(x))[2::-2]             # (t, alpha) before any tangency
         hi = self._tau_switch
         with np.errstate(over="ignore", invalid="ignore"):
             if hi == math.inf:         # no collapse: a bracket doubled from 1/sigma past the last t

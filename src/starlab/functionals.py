@@ -266,8 +266,9 @@ def amplitude(field) -> float:
 
 
 def _amplitude(x, stencil, theta, theta_t, zeta=None):
-    """`amplitude` along the last axis: one value per state of a batch."""
-    u = np.array((theta, theta_t) * 2)           # theta, theta_t, then x theta_x, x theta_xt
+    """`amplitude` along the last axis: one value per state of a batch, or per row of a list."""
+    u = np.empty((4, len(theta), x.size) if isinstance(theta, list) else (4, *theta.shape))
+    u[0], u[1] = theta, theta_t                  # theta, theta_t, then x theta_x, x theta_xt
     np.multiply(gradient(u[:2], stencil, u[2:]), x, u[2:])
     omega = np.maximum.reduce(np.abs(u, u), axis=(0, -1))
     if zeta is not None:
@@ -334,7 +335,8 @@ def frak_A_inequality(coef):
 # ---------------------------------------------------------------------------
 # total energy / dissipation ledgers
 # ---------------------------------------------------------------------------
-# fields per block of both ledgers; at N = 128 each row past the first adds ~18 KB
+# states per block of the driver's amplitude probe and online ledger, and snapshots per
+# block of `total_energy_ledger`; at N = 128 each ledger row past the first adds ~18 KB
 # (linear) or ~20 KB (thermo) to a run's traced peak
 _PROBE_BLOCK = 6
 _THERMO = ("theta", "theta_t", "zeta", "theta_tt", "zeta_t")   # the thermo ledgers' rows
@@ -376,9 +378,6 @@ def ledger_terms_isentropic(field, background, weights: WeightSpec, alpha) -> di
     rho43, chi = background.rho43, background.chi
     th_x, v_x = d1 = gradient(rows[:2], g)
     th_xx, v_xx = gradient(d1, g)
-    G_x = _entropy_grad(x, th, th_x, th_xx)
-    # G_t = 2 th_t/(1+th) + (th_t + x th_xt)/J; differentiate in x.
-    G_xt = gradient(2.0 * v / (1.0 + th) + (v + x * v_x) / (1.0 + th + x * th_x), g)
     p = lambda k: lambda al: al ** k
     def terms():
         yield "E_vel", lambda al: al + al ** (1 + a), x4rho * v**2
@@ -390,8 +389,10 @@ def ledger_terms_isentropic(field, background, weights: WeightSpec, alpha) -> di
         yield "E_int_vel", p(1 + a), chi * (v**2 + x2 * v_x**2)
         yield "E_int_field", None, chi * (th**2 + x2 * th_x**2)
         yield "E_int_acc", p(a - 5), chix2rho * acc**2
-        yield "E_entropy_grad", None, G_x**2
-        yield "E_entropy_grad_t", p(a - 1), G_xt**2
+        yield "E_entropy_grad", None, _entropy_grad(x, th, th_x, th_xx)**2
+        # G_t = 2 th_t/(1+th) + (th_t + x th_xt)/J; differentiate in x.
+        yield "E_entropy_grad_t", p(a - 1), gradient(
+            2.0 * v / (1.0 + th) + (v + x * v_x) / (1.0 + th + x * th_x), g)**2
         yield "E_elliptic_grad", None, th_x**2
         yield "E_elliptic_xx", None, x2 * th_xx**2
         yield "E_elliptic_grad_t", p(a - 1), v_x**2

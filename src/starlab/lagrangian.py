@@ -29,12 +29,24 @@ alpha(clock) to the driver, the ledger and, through `RunResult.alpha_clock`, to
 the momentum equation's (inertia, damping, viscosity).  A linearly expanding
 run made with `weights` checks them against R0, integrates
 `functionals.ledger_integrands` over every step and keeps the integrals at each
-emission for `functionals.total_energy_ledger`: the driver keeps each accepted
-state's rows (the in-place rule never overwrites them) and folds them in step order
-in blocks of `functionals._PROBE_BLOCK` states, and all pending ones before a
-member leaves the batch.  Each run samples its static
+emission for `functionals.total_energy_ledger`.  Each run samples its static
 star once on the solver grid (`profiles.sample_background`); the kernel, the
 fields, the RunResult and `reconstruct_eulerian` read it from there only.
+
+Omega, growth, the snapshots and the ledger are resolved at folds.  The step
+loop keeps each accepted state's rows (the in-place rule never overwrites them)
+and decides whether it emits (dt is clamped to the next emission time); the
+driver folds the pending states in step order in blocks of
+`functionals._PROBE_BLOCK`, and all of them before a member leaves the batch.
+A fold evaluates `functionals._amplitude` once on the block's stacked rows and
+walks it in step order: each state's omega, the snapshot of a state that emits
+(a batch row is copied; a state with no rates of its own takes theta_tt from its
+v, v_prev and dt), and at a member's first omega above the threshold its growth
+event, which drops the member's later times, E/D/W and pending states; the
+ledger then folds the states kept.  So a member steps on for at most
+`_PROBE_BLOCK` - 1 states past its growth, on its own rows, and the growth event
+replaces any stop it meets there: every output keeps the bits of a run resolved
+at every step.
 
 The first snapshot carries the initial theta_tt (and zeta_t) that the equations
 of motion imply, inverting the rho-weighted mass where it is positive (the end
@@ -227,31 +239,41 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
     emit = np.linspace(0.0, clock_end, spec.n_emit).tolist()
     results = [None] * len(init)
 
-    def field_of(m, i, acc, z_rate, copy=True):
-        """Member m (row i) as a field; a copied batch row holds no other member."""
-        rows = (f, v, acc, z, z_rate)
-        if f.ndim > 1:
-            rows = [None if a is None else a[i].copy() if copy else a[i] for a in rows]
-        return PerturbationField(bg.x, *rows[:3], m.clock, regime, *rows[3:], bg)
+    batch = f.ndim > 1
+
+    def rows_of(i, *arrays):
+        """Row i of each array, as views of a batch; a one-member state's arrays are its rows."""
+        return [None if a is None else a[i] for a in arrays] if batch else arrays
+
+    def field_of(rows, clock):
+        """A field of (theta, theta_t, theta_tt, zeta, zeta_t) rows at the clock."""
+        return PerturbationField(bg.x, *rows[:3], clock, regime, *rows[3:], bg)
+
+    def snapshot(rows, clock, dt=None, prev=None):
+        """A state's rows as a snapshot: a batch row is copied, so it holds no other member; a
+        pending state with no rates of its own takes them from its v, v_prev (prev) and dt."""
+        rows = [None if a is None else a.copy() for a in rows] if batch else list(rows)
+        if prev is not None:
+            rows[2] = (rows[1] - prev[0]) / dt
+            rows[4] = (rows[3] - prev[1]) / dt if thermo else None
+        return field_of(rows, clock)
 
     def rates():
-        """The last step's theta_tt (and zeta_t), built only for a ledger's or snapshot's fields."""
+        """The last step's theta_tt (and zeta_t), built for a ledger's fields."""
         return (v - v_prev) / dt, (z - z_prev) / dt if thermo else None
 
-    def record(m, field, entry=None):
-        """Emit a snapshot; a pending state's (entry's) online integrals follow at its fold."""
+    def record(m, field):
+        """Emit a snapshot with the member's last omega."""
         m.snapshots.append(field)
         m.omegas.append(m.omega)
-        if entry is not None:
-            entry[-1] = True
-        for k in m.series if entry is None else ():
-            m.series[k].append(m.online[k])
 
     def finish(m, i):
         """Close member m (row i): its stop, its last state as a snapshot, its RunResult."""
         m.events += [m.stop] if m.stop else []
         if m.snapshots[-1].clock < m.clock - 1e-12:
-            record(m, field_of(m, i, None, None))
+            record(m, snapshot(rows_of(i, f, v, None, z, None), m.clock))
+            for k in m.series:                 # its online integrals are all folded
+                m.series[k].append(m.online[k])
         results[m.index] = RunResult(
             regime, m.snapshots, np.asarray(m.omegas), m.events, np.asarray(m.times),
             *(map(np.asarray, (m.E, m.D, m.W)) if energy else (None,) * 3),
@@ -265,13 +287,47 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
 
         def probe():
             return functionals._energy_ss(spacing, bg.xm, v, geom, rho4, w, params.b, params.delta)
-    pending = []       # [member, field, dt, emits] of each accepted state the ledger has not had
+    # [member, (theta, theta_t, theta_tt, zeta, zeta_t) rows, dt, emits, index in its times,
+    # (v_prev, z_prev) rows where the rates are not kept] of each accepted state not yet folded
+    pending = []
+
+    def resolve(entries):
+        """Each state's omega, in step order: its snapshot if it emits, and at a member's first
+        omega above the threshold the growth event, which drops all the member has after it."""
+        nonlocal leaving
+        omegas = _per_row(functionals._amplitude(
+            bg.x, bg.grad, [e[1][0] for e in entries], [e[1][1] for e in entries],
+            np.array([e[1][3] for e in entries]) if thermo else None))
+        kept = []
+        for entry, omega in zip(entries, omegas):
+            m, rows, step, emits, j, prev = entry
+            if m.stop and m.stop.kind == "growth":
+                continue
+            omega_prev, m.omega = m.omega, omega
+            if j and omega > spec.growth_threshold:      # replaces any later stop of m
+                clock = m.times[j]
+                crossing = _located_crossing(m.times[j - 1], clock, omega_prev, omega,
+                                             spec.growth_threshold)
+                m.stop = RunEvent("growth", clock, f"amplitude = {omega:.3e}", crossing)
+                m.clock, leaving = clock, True
+                emits = entry[3] = True                 # and the ledger its online integrals
+                for series in (m.times, m.E, m.D, m.W) if energy else (m.times,):
+                    del series[j + 1:]
+                pending[:] = [e for e in pending if e[0] is not m]
+            if emits:
+                record(m, snapshot(rows, m.times[j], step, prev))
+            kept.append(entry)
+        return kept
 
     def fold():
-        """Fold the ledger of the first `_PROBE_BLOCK` pending states, one block, in step order."""
+        """Resolve the first `_PROBE_BLOCK` pending states, then fold the ledger of those kept."""
         entries, pending[:] = pending[:(n := functionals._PROBE_BLOCK)], pending[n:]
-        vals = functionals.ledger_integrands([e[1] for e in entries], weights, alpha_clock)
-        for r, (m, _, step, emits) in enumerate(entries):
+        entries = resolve(entries)        # nothing it allocates is alive in the ledger's call
+        if weights is None:
+            return
+        vals = functionals.ledger_integrands([field_of(e[1], e[0].times[e[4]]) for e in entries],
+                                             weights, alpha_clock)
+        for r, (m, _, step, emits, *_) in enumerate(entries):
             row = {k: vs[r] for k, vs in vals.items()}
             if m.prev is None:                        # the initial state
                 m.online, m.series = dict.fromkeys(row, 0.0), {k: [] for k in row}
@@ -297,20 +353,17 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
         acc = kernel.acceleration(geom, v, alpha_clock.coefficients(0.0), z)
         z_rate = kernel.zeta_rate(f, geom, v, z, 0.0) if thermo else None
         members = []
-        for i, omega in enumerate(_per_row(functionals._amplitude(bg.x, bg.grad, f, v, z))):
+        for i in range(len(init)):
             # the series are compact float arrays; ab32 is alpha^(3/2) of the last accepted state
             m = SimpleNamespace(
-                index=i, clock=0.0, dt=spec.dt_init or math.inf, emit_idx=1, omega=omega,
+                index=i, clock=0.0, dt=spec.dt_init or math.inf, emit_idx=1, omega=None,
                 omegas=array("d"), stop=None, snapshots=[], series={}, prev=None,
                 events=[RunEvent("outside-stability-range", 0.0, notice)] * outside,
                 times=array("d", [0.0]))
             if energy:
                 m.E, m.D, m.W, m.ab32 = (array("d", [aE[i] / alpha]), array("d", [D[i]]),
                                          array("d", [0.0]), alpha ** 1.5)
-            field, entry = field_of(m, i, acc, z_rate), None
-            if weights is not None:
-                pending.append(entry := [m, field, 0.0, False])
-            record(m, field, entry)
+            pending.append([m, rows_of(i, f, v, acc, z, z_rate), 0.0, True, 0, None])
             members.append(m)
 
         for _ in range(2_000_000):
@@ -375,8 +428,7 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
             f, v, z, geom = f_new, v_new, z_new, geom_new
             if energy:
                 aE, D = probe()
-            omega = _per_row(functionals._amplitude(bg.x, bg.grad, f, v, z))
-            rate = None                               # built once, for the fields kept or emitted
+            tt, zt = rates() if weights is not None else (None, None)   # the ledger's rates
             for i, m in enumerate(members):
                 if m.stop:
                     continue
@@ -389,21 +441,13 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
                     m.W.append(m.W[-1] + 0.5 * m.dt * (m.ab32 * D[i] + ab32_prev * m.D[-1]))
                     m.E.append(aE[i] / alpha)
                     m.D.append(D[i])
-                entry = None                # the state's rows (references), kept for the ledger
-                if weights is not None:
-                    pending.append(entry := [m, field_of(m, i, *(rate := rate or rates()),
-                                                         copy=False), m.dt, False])
-                omega_prev, m.omega = m.omega, omega[i]
-                if m.omega > spec.growth_threshold:
-                    crossing = _located_crossing(m.times[-2], m.clock, omega_prev, m.omega,
-                                                 spec.growth_threshold)
-                    m.stop = RunEvent("growth", m.clock, f"amplitude = {m.omega:.3e}", crossing)
-                    record(m, field_of(m, i, *(rate := rate or rates())), entry)
-                    leaving = True
-                elif m.emit_idx < len(emit) and m.clock >= emit[m.emit_idx] - 1e-12:
-                    record(m, field_of(m, i, *(rate := rate or rates())), entry)
+                if emits := m.emit_idx < len(emit) and m.clock >= emit[m.emit_idx] - 1e-12:
                     while m.emit_idx < len(emit) and m.clock >= emit[m.emit_idx] - 1e-12:
                         m.emit_idx += 1
+                # the state's rows (views), kept until its fold; without a ledger, a snapshot
+                # builds its rates from v_prev
+                pending.append([m, rows_of(i, f, v, tt, z, zt), m.dt, emits, len(m.times) - 1,
+                                None if weights is not None else rows_of(i, v_prev, z_prev)])
         else:
             raise StepFailure("step budget exhausted")
     return results

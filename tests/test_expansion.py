@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,33 @@ class TestClocks:
         path = integrate_alpha(classify_expansion(0.0, 1.0, 2.0), 3.0)
         assert np.max(np.abs(path.tau_samples
                              - np.log1p(2.0 * path.t_samples) / 2.0)) < 1e-10
+
+    @pytest.mark.parametrize("a1", [-3.0, -30.0, -1e4, -1e5])
+    def test_falling_positive_delta_path_keeps_its_digits(self, a1):
+        # the decaying mode cancels from tau = 0 (alpha lost 4e-10 at a1 = -30 and turned
+        # negative from a1 = -1e4); about the turning point nothing cancels
+        mpmath = pytest.importorskip("mpmath")
+        p = classify_expansion(1.0, 1.0, a1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = integrate_alpha(p, 10.0)
+        assert (path.alpha > 0).all() and np.isfinite(path.s_samples).all()
+        with mpmath.workdps(50):
+            d, a0, a1 = map(mpmath.mpf, (p.delta, p.a0, p.a1))
+            sigma = mpmath.sqrt(a1**2 + 2 * d / a0)
+            ref = []
+            for tau in map(mpmath.mpf, path.tau_samples):
+                c, s = mpmath.cosh(sigma * tau), mpmath.sinh(sigma * tau)
+                ref.append([float(a0 * c + a0 * a1 / sigma * s - d / sigma**2 * (c - 1)),
+                            float(a0 * sigma * s + a0 * a1 * c - d / sigma * s),
+                            float(a0 * s / sigma + a0 * a1 / sigma**2 * (c - 1)
+                                  - d / sigma**2 * (s / sigma - tau))])
+        alpha, alpha_tau, t = path.clock.path(path.tau_samples)
+        ref_alpha, ref_alpha_tau, ref_t = np.array(ref).T
+        np.testing.assert_allclose(alpha, ref_alpha, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(t, ref_t, rtol=1e-13, atol=0.0)
+        # alpha_tau passes through 0 at the turn: relative to its scale sigma alpha
+        assert np.max(np.abs(alpha_tau - ref_alpha_tau) / (float(sigma) * ref_alpha)) < 1e-13
 
 
 def _oracle_cases():

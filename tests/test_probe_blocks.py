@@ -1,14 +1,17 @@
-"""The online ledger and the energy ledger evaluate blocks of states; a block changes no bits.
+"""The amplitude probe and both ledgers evaluate blocks of states; a block changes no bits.
 
-With weights, `evolve_ensemble` keeps each accepted state's rows until
-`functionals._PROBE_BLOCK` of them are pending (or a member leaves the batch), then
-evaluates the ledger integrands on the stacked block and folds the online integrals
-and each emission's `dissipation_online` entry in step order; `total_energy_ledger`
-takes its snapshots in blocks of the same size.  Every output must be the same for
-any block size: one state per block, two, and a whole run in one block.  The block's
-working set is bounded: with the default block, the `stability_linear.json` ledger
-(its run and `total_energy_ledger`) keeps its traced peak within 64 KB of its peak
-with blocks of one.
+`evolve_ensemble` keeps each accepted state's rows until `functionals._PROBE_BLOCK`
+of them are pending (or a member leaves the batch).  It then evaluates the amplitude
+on the stacked block and walks it in step order: each state's omega, its snapshot if
+it emits, and a member's growth event, which drops all the member stepped after it
+and wins over any stop the member met since.  With weights it then evaluates the
+ledger integrands on the states kept and folds the online integrals and each
+emission's `dissipation_online` entry in step order; `total_energy_ledger` takes its
+snapshots in blocks of the same size.  Every output must be the same for any block
+size: one state per block, two, and a whole run in one block.  The block's working
+set is bounded: with the default block, the `stability_linear.json` ledger (its run
+and `total_energy_ledger`) keeps its traced peak within 64 KB of its peak with blocks
+of one.
 """
 
 import json
@@ -67,12 +70,36 @@ def thermo(thermo14, one):
                            regime=THERMO_REGIME, weights=F.WeightSpec())
 
 
+def growth_then_floor(iso_ss, pars_ss, one, threshold=2.25e-3):
+    # the first member's amplitude crosses the threshold on the last state before a step
+    # the change bound would need below dt_floor: a cfl-floor in the same block
+    spec = SolverSpec(n_cells=N, n_emit=7, dt_init=1e-4, max_rel_change=1e-4, dt_floor=0.04,
+                      growth_threshold=threshold)
+    initials = [(np.full(N + 1, 1.9e-3), np.full(N + 1, 2e-3)), uniform(1e-5)]
+    return evolve_ensemble(iso_ss, pars_ss, initials[:1] if one else initials, 6.0, spec,
+                           energy=True)
+
+
+def linear_growth(iso0, one):
+    # the (th0, th0) member's amplitude rises through the threshold on its seventh state,
+    # mid-block for the pair with the default block; the other runs to the end
+    x = np.linspace(0.0, iso0.R0, N + 1)
+    th0 = 1e-3 * np.cos(np.pi * x / iso0.R0)
+    initials = [(th0, th0), (0.1 * th0, 0 * th0)]
+    return evolve_ensemble(iso0, classify_expansion(0.0, 1.0, 1.0),
+                           initials[:1] if one else initials[::-1], 1.0,
+                           SolverSpec(n_cells=N, n_emit=5, growth_threshold=1.8392e-3),
+                           regime=LINEAR_REGIME, weights=F.WeightSpec())
+
+
 @pytest.fixture(scope="module")
 def cases(iso_ss, pars_ss, iso0, thermo14):
     return {f"{name}-{'one' if one else 'batch'}": (lambda run=run, one=one: run(one))
             for name, run in (("self-similar", lambda one: self_similar(iso_ss, pars_ss, one)),
                               ("linear", lambda one: linear(iso0, one)),
-                              ("thermo", lambda one: thermo(thermo14, one)))
+                              ("thermo", lambda one: thermo(thermo14, one)),
+                              ("growth-floor", lambda one: growth_then_floor(iso_ss, pars_ss, one)),
+                              ("linear-growth", lambda one: linear_growth(iso0, one)))
             for one in (True, False)}
 
 
@@ -99,9 +126,46 @@ def test_block_size_changes_no_bits(cases, default_runs, monkeypatch, block):
             [fingerprint(r) for r in default_runs[name]], name
 
 
+def test_growth_wins_over_a_later_stop(iso_ss, pars_ss, default_runs):
+    for one in (True, False):
+        grown = default_runs[f"growth-floor-{'one' if one else 'batch'}"][0]
+        [event] = grown.events
+        assert event.kind == "growth" and event.clock == grown.times[-1] == grown.final.clock
+        # the same member, never growing, stops at that clock on the step it tried next
+        [floor] = growth_then_floor(iso_ss, pars_ss, one, threshold=1e9)[0].events
+        assert (floor.kind, floor.clock) == ("cfl-floor", event.clock)
+    assert [r.completed for r in default_runs["growth-floor-batch"]] == [False, True]
+
+
+def test_states_after_growth_never_reach_the_ledger(cases, monkeypatch):
+    folded = []
+
+    def spy(block, weights, alpha_clock):
+        folded.extend(f.clock for f in block)
+        return integrands(block, weights, alpha_clock)
+
+    integrands = F.ledger_integrands
+    monkeypatch.setattr(F, "ledger_integrands", spy)
+    for one in (True, False):
+        folded.clear()
+        runs = cases[f"linear-growth-{'one' if one else 'batch'}"]()
+        grown = runs[-1]
+        assert [e.kind for e in grown.events] == ["growth"] and len(grown.times) == 7
+        assert sorted(folded) == sorted(t for r in runs for t in r.times)
+        for r in runs:                # one online entry for each snapshot
+            assert all(len(vs) == len(r.snapshots) for vs in r.dissipation_online.values())
+
+
+def test_omega_is_each_snapshots_amplitude(default_runs):
+    runs = [r for rs in default_runs.values() for r in rs]
+    assert len(runs) == 16
+    for r in runs:
+        assert r.omega.tolist() == [F.amplitude(s) for s in r.snapshots]
+
+
 def test_total_energy_ledger_is_the_same_in_blocks_of_one(default_runs, monkeypatch):
     runs = [r for rs in default_runs.values() for r in rs if r.completed and r.weights is not None]
-    assert len(runs) == 5
+    assert len(runs) == 6
     reports = [F.total_energy_ledger(r) for r in runs]
     monkeypatch.setattr(F, "_PROBE_BLOCK", 1)
     assert [F.total_energy_ledger(r) for r in runs] == reports
