@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from . import functionals as F
 from .config import InitialSpec, family_shape
@@ -75,7 +73,11 @@ class CriterionResult:
 def lane_emden_first_zero(index: float = 3.0) -> tuple[float, float]:
     """First zero xi1 of the standard Lane-Emden equation and theta'(xi1) from the same dense
     output, by an independent route: different variables (xi instead of y = 2 xi), different
-    integrator family (RK45), own bracketing/Newton refinement."""
+    integrator family (RK45), own bracketing/Newton refinement.  scipy is imported here, so
+    that only a run that verifies loads scipy.integrate and scipy.optimize."""
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
     def rhs(xi, u):
         th, dth = u
         return (dth, -2.0 * dth / xi - np.sign(th) * np.abs(th) ** index)

@@ -4,8 +4,10 @@ Both profile families solve a singular second-order ODE from the center out
 to the first zero of the density (the vacuum boundary).  Both start from a
 fourth-order center series, which the profile also evaluates below the start;
 one DOP853 launcher integrates each star from there and stops at a terminal
-downward event.  The fourth mass moment is accumulated as an extra quadrature
-state, so it inherits the integrator accuracy.
+downward event.  The integrator is the in-house `_dop853`: scipy's DOP853
+steps, dense output and event root with scipy's bits, without importing
+scipy.integrate or scipy.optimize.  The fourth mass moment is accumulated as
+an extra quadrature state, so it inherits the integrator accuracy.
 
 Isentropic family (pressure rho^{4/3}): w = rho^{1/3} solves
 
@@ -35,8 +37,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._dop853 import DenseOutput, dop853
 from .errors import (
     ConfigInvalid,
     InvalidParams,
@@ -89,35 +91,10 @@ class GridSpec:
 
     @property
     def tol_eff(self) -> float:
+        """rtol and atol of both solves: rtol * 1e-3, at least 1e-14.  The solve then raises
+        its rtol, not its atol, to 100 eps (2.2e-14) as scipy's DOP853 does, so a grid rtol
+        below about 2.2e-11 tightens only the absolute tolerance."""
         return max(_TOL_FLOOR, self.rtol * _TOL_SAFETY)
-
-
-class _DenseOutput:
-    """First n states of a DOP853 dense output in arrays: {state: values}, OdeSolution's bits.
-
-    Segment = interior breakpoints ts[1:-1] below t (scipy's clamped searchsorted);
-    Horner over F reversed in x = (t - t_old) / h, times x and 1 - x in turn; y_old last.
-    """
-
-    def __init__(self, sol, n):
-        self.ts = sol.ts[1:-1]
-        self.t_old, self.h = np.array([(p.t_old, p.h) for p in sol.interpolants]).T
-        self.y_old = np.array([p.y_old for p in sol.interpolants]).T[:n]
-        # (state, Horner step, segment); + 0.0 gives the +0.0 of scipy's 0 + F[-1]
-        self.F = np.array([p.F for p in sol.interpolants])[:, ::-1, :n].transpose(2, 1, 0) + 0.0
-
-    def __call__(self, t, rows) -> dict:
-        t = np.asarray(t, dtype=float)
-        seg = np.searchsorted(self.ts, t, side="left")
-        x = (t - self.t_old[seg]) / self.h[seg]
-        F, y_old = self.F[:, :, seg][rows], self.y_old[:, seg][rows]
-        out = {}
-        for r, f, y in zip(rows, F, y_old):
-            v = f[0] * x
-            for i in range(1, len(f)):
-                v = (v + f[i]) * (x if i % 2 == 0 else 1 - x)
-            out[r] = v + y
-        return out
 
 
 def _isentropic_series(y, delta):
@@ -140,7 +117,7 @@ class IsentropicProfile:
     rho_bar: np.ndarray
     fourth_moment: float          # int_0^{R0} s^4 rho(s) ds
     boundary_slope: float         # d/dy rho^{1/3} at R0 (finite, negative)
-    _dense: _DenseOutput = field(repr=False, default=None)
+    _dense: DenseOutput = field(repr=False, default=None)
     _y_series: float = field(repr=False, default=0.0)
 
     # Evaluation helpers, valid for 0 <= y <= R0.  sample_background uses
@@ -190,7 +167,7 @@ class ThermoProfile:
     theta_boundary_slope: float   # d/dy theta at R0
     rho_pow_boundary_slope: float  # d/dy rho^{1/m} at R0
     zero_gap: float = 0.0         # |implied rho zero - theta zero|
-    _dense: _DenseOutput = field(repr=False, default=None)
+    _dense: DenseOutput = field(repr=False, default=None)
     _y_series: float = field(repr=False, default=0.0)
     _y_cut: float = field(repr=False, default=0.0)
     _cut: tuple = field(repr=False, default=(0.0, 0.0, 0.0))   # rho, theta, M at _y_cut
@@ -306,20 +283,14 @@ def sample_background(profile, x) -> Background:
 
 def _launch(rhs, y0, state0, gs, max_step, row, level, what):
     """DOP853 from the series start y0 until state[row] falls to level (a terminal event):
-    the stop y, the state there and the dense solution."""
-    def hit(y, s):
-        return s[row] - level
-    hit.terminal, hit.direction = True, -1
-
-    sol = solve_ivp(rhs, (y0, gs.y_max), state0, method="DOP853", rtol=gs.tol_eff,
-                    atol=gs.tol_eff, events=hit, dense_output=True, max_step=max_step)
-    if not sol.success:
+    the stop y, the state there and the solution's steps."""
+    sol = dop853(rhs, (y0, gs.y_max), state0, gs.tol_eff, max_step, row, level)
+    if sol.message:
         raise ToleranceNotMet(f"{what} profile integration failed: {sol.message}")
-    if sol.t_events[0].size == 0:
+    if sol.t_event is None:
         raise NoFirstZero(f"{what} profile stayed positive up to y = {gs.y_max}; the "
                           "parameters may be outside the solvable range or y_max too small")
-    y_end = float(sol.t_events[0][0])
-    return y_end, sol.sol(y_end), sol.sol
+    return sol.t_event, sol.y_event, sol
 
 
 def solve_isentropic_profile(delta: float, grid_spec: GridSpec | None = None) -> IsentropicProfile:
@@ -351,7 +322,7 @@ def solve_isentropic_profile(delta: float, grid_spec: GridSpec | None = None) ->
         rho_bar=None,
         fourth_moment=float(q4_R0),
         boundary_slope=float(slope),
-        _dense=_DenseOutput(sol, 2),    # w and w'; the moment is read at R0 only
+        _dense=DenseOutput(sol, 2),    # w and w'; the moment is read at R0 only
         _y_series=y0,
     )
     w = profile.w_at(y_nodes)       # w(0) = 1 exactly, from the series
@@ -437,7 +408,7 @@ def solve_thermo_profile(K: float, epsilon: float,
         theta_boundary_slope=float(theta_slope),
         rho_pow_boundary_slope=float(u_p),
         zero_gap=float(abs(R0_rho - R0)),
-        _dense=_DenseOutput(sol, 4),    # u, theta, g, M; q4 is closed at the cut
+        _dense=DenseOutput(sol, 4),    # u, theta, g, M; q4 is closed at the cut
         _y_series=y0,
         _y_cut=y_cut,
         _cut=(float(rho_c), float(theta_c), float(M_c)),

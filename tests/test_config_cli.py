@@ -1,11 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from starlab import (classify_expansion, expansion, homogeneous, lagrangian,
-                     solve_isentropic_profile)
+from starlab import (acceptance, classify_expansion, expansion, homogeneous, lagrangian,
+                     profiles, solve_isentropic_profile)
 from starlab.cli import main, run_scenario
 from starlab.config import (InitialSpec, build_initial, family_shape,
                             validate_config)
@@ -221,7 +223,7 @@ class TestScenarios:
     def test_one_alpha_clock_per_run(self, tmp_path, monkeypatch):
         # a general linear path builds one alpha clock, in closed form: the
         # ledger's physical energies and the final reconstruction use the run's clock
-        for module in (lagrangian, expansion, homogeneous):
+        for module in (lagrangian, expansion, homogeneous, profiles, acceptance):
             assert not hasattr(module, "solve_ivp")
         built = []
         clock_class = expansion.AlphaClock
@@ -239,6 +241,24 @@ class TestScenarios:
         assert report.status == 0 and report.summary["completed"]
         assert "energy_reports.csv" in os.listdir(tmp_path)
         assert len(built) == 1
+
+    def test_evolve_runs_never_import_scipys_integrators(self, tmp_path):
+        # both stars come from the in-house DOP853; only c01's oracle (verify) loads these
+        ss = tmp_path / "ss.json"
+        ss.write_text(json.dumps({"model": {"delta": -1e-3, "a1": None},
+                                  "solver": {"n_cells": 32}, "time": {"end": 0.05, "n_emit": 4}}))
+        argvs = [[scenario, "--config", config, "--out", str(tmp_path / scenario)]
+                 for scenario, config in [("evolve-linear", STABILITY_LINEAR),
+                                          ("evolve-thermo", DEFAULTS), ("evolve-ss", str(ss))]]
+        code = (f"import sys\nfrom starlab.cli import main\n"
+                f"assert [main(argv) for argv in {argvs!r}] == [0, 0, 0]\n"
+                "print([m for m in sys.modules if m.split('.')[:2] in "
+                "(['scipy', 'integrate'], ['scipy', 'optimize'])])\n")
+        src = os.path.join(os.path.dirname(DEFAULTS), "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_determinism(self, tmp_path):
         raw = {

@@ -9,11 +9,12 @@ ledger integrands on the states kept and folds the online integrals and each
 emission's `dissipation_online` entry in step order; `total_energy_ledger` takes its
 snapshots in blocks of the same size.  Every output must be the same for any block
 size: one state per block, two, and a whole run in one block.  The block's working
-set is bounded: with the default block, the `stability_linear.json` ledger (its run
-and `total_energy_ledger`) keeps its traced peak within 64 KB of its peak with blocks
+set is bounded: with the default block, `total_energy_ledger` on the
+`stability_linear.json` run keeps its traced peak within 64 KB of its peak with blocks
 of one.
 """
 
+import gc
 import json
 import os
 import tracemalloc
@@ -196,13 +197,21 @@ def test_a_zero_edge_jacobian_raises_without_a_warning(iso_ss, pars_ss):
                                      np.ones(16), 1.0, pars_ss.delta, 0.0)
 
 
-def traced_peak(run):
+def ledger_transient(run):
+    """Traced peak of `total_energy_ledger` on a finished run: the block's working set.
+
+    Freelists are emptied first and nothing is collected inside, so the figure does not
+    depend on what the process allocated before.
+    """
+    gc.collect()
+    gc.disable()
     tracemalloc.start()
     try:
-        run()
+        F.total_energy_ledger(run)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        gc.enable()
 
 
 def test_the_default_block_keeps_the_peak_within_64_kb(iso0, monkeypatch):
@@ -214,13 +223,12 @@ def test_the_default_block_keeps_the_peak_within_64_kb(iso0, monkeypatch):
     omega = F.amplitude(PerturbationField(x, *initial, None, 0.0, LINEAR_REGIME))
     initial = tuple(a * (cfg.initial.amplitude / omega) for a in initial)
 
-    def ledger():
-        F.total_energy_ledger(evolve_linear_isentropic(
+    def run():
+        return evolve_linear_isentropic(
             iso0, classify_expansion(cfg.model.delta, cfg.model.a0, cfg.model.a1), initial,
-            cfg.time.end, cfg.solver, weights=cfg.weights))
+            cfg.time.end, cfg.solver, weights=cfg.weights)
 
-    ledger()                                     # caches and lazy set-up first
-    default = traced_peak(ledger)
+    default = ledger_transient(run())
     monkeypatch.setattr(F, "_PROBE_BLOCK", 1)
-    ones = traced_peak(ledger)
+    ones = ledger_transient(run())
     assert default <= ones + 64 * 1024, (default, ones)

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import OdeSolution, quad, solve_ivp
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
-from starlab import profiles, solve_isentropic_profile, solve_thermo_profile
+from starlab import _dop853, profiles, solve_isentropic_profile, solve_thermo_profile
 from starlab.acceptance import lane_emden_first_zero
-from starlab.errors import NoFirstZero, NonPhysicalVacuum, OutOfRange
+from starlab.errors import NoFirstZero, NonPhysicalVacuum, OutOfRange, ToleranceNotMet
 from starlab.profiles import (GridSpec, boundary_slope_fd, isentropic_ode_residual,
                               sample_background, thermo_ode_residual)
 
@@ -79,6 +82,19 @@ class TestIsentropic:
         with pytest.raises(NoFirstZero):
             solve_isentropic_profile(-0.1)
 
+    def test_stop_messages(self, monkeypatch):
+        with pytest.raises(NoFirstZero, match=r"^isentropic profile stayed positive up to "
+                           r"y = 5\.0; the parameters may be outside the solvable range or "
+                           r"y_max too small$"):
+            solve_isentropic_profile(0.0, GridSpec(y_max=5.0))
+        # a right-hand side that turns NaN at y = 5 shrinks the steps towards it
+        solve = profiles.dop853
+        monkeypatch.setattr(profiles, "dop853", lambda fun, *args: solve(
+            lambda y, s: fun(y, s) if y < 5.0 else (np.nan,) * len(s), *args))
+        with pytest.raises(ToleranceNotMet, match=r"^thermo profile integration failed: "
+                           r"Required step size is less than spacing between numbers\.$"):
+            solve_thermo_profile(1.0, 0.25)
+
     def test_solvable_window_probe(self):
         prof = solve_isentropic_profile(-2e-3, GridSpec(y_max=400.0))
         assert prof.boundary_slope < 0
@@ -129,8 +145,7 @@ class TestThermo:
         with pytest.raises(OutOfRange):
             solve_thermo_profile(1.0, 1.2)
 
-    # the reference floors at tol_eff = 1e-14, below which scipy raises rtol itself
-    @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
+    # the reference's tol_eff floors at 1e-14, and its solve raises rtol to 100 eps
     @pytest.mark.parametrize("solve, args", STAR_CASES)
     def test_converges_to_a_tighter_reference(self, monkeypatch, solve, args):
         prof = solve(*args)
@@ -171,19 +186,56 @@ STARS = {"iso0": lambda gs: solve_isentropic_profile(0.0, gs),
          "iso_ss": lambda gs: solve_isentropic_profile(-1e-3, gs),
          "thermo14": lambda gs: solve_thermo_profile(1.0, 0.25, gs)}
 
+# the three stars at two grids, one solve at the 100 eps rtol floor (tol_eff 1e-14) and
+# one loose solve of the m = 1 thermo star, which must reject steps
+ORACLE_STARS = {**STARS, "thermo_m1": lambda gs: solve_thermo_profile(1.0, 0.5, gs)}
+ORACLE_CASES = [*(pytest.param(star, GridSpec(n_cells=n), False, id=f"{star}-{n}")
+                  for star in STARS for n in (512, 1024)),
+                pytest.param("iso_ss", GridSpec(rtol=1e-11, atol=1e-11), False,
+                             id="iso_ss-rtol-floor"),
+                pytest.param("thermo_m1", GridSpec(rtol=1e-6, atol=1e-6), True,
+                             id="thermo_m1-loose")]
+
+
+def scipy_dop853(fun, t_span, y0, tol, max_step, row, level):
+    """solve_ivp on the arguments of `_dop853.dop853`: the oracle of its bits."""
+    def hit(t, s):
+        return s[row] - level
+    hit.terminal, hit.direction = True, -1
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "At least one element of `rtol` is too small")
+        return solve_ivp(fun, t_span, y0, method="DOP853", rtol=tol, atol=tol, events=hit,
+                         dense_output=True, max_step=max_step)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
 
 class TestPackedDenseOutput:
-    @pytest.mark.parametrize("n_cells", [512, 1024])
-    @pytest.mark.parametrize("star", list(STARS))
-    def test_packed_output_has_scipys_bits(self, monkeypatch, star, n_cells):
-        # the OdeSolution that solve_ivp returned is the oracle
+    @pytest.mark.parametrize("star, gs, must_reject", ORACLE_CASES)
+    def test_packed_output_has_scipys_bits(self, monkeypatch, star, gs, must_reject):
+        # scipy's solve_ivp, run on the arguments the in-house integrator was given
         solved = []
-        def spy(*args, **kwargs):
-            solved.append(solve_ivp(*args, **kwargs))
-            return solved[-1]
-        monkeypatch.setattr(profiles, "solve_ivp", spy)
-        prof = STARS[star](GridSpec(n_cells=n_cells))
-        sol, dense = solved[-1].sol, prof._dense
+        def spy(*args):
+            solved.append((args, _dop853.dop853(*args)))
+            return solved[-1][1]
+        monkeypatch.setattr(profiles, "dop853", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # the rtol floor warns no caller
+            prof = ORACLE_STARS[star](gs)
+        args, mine = solved[-1]
+        ref = scipy_dop853(*args)
+        steps, root = ref.sol.interpolants, ref.t_events[0][0]
+        assert same_bits(ref.sol.ts, [*mine.t_old, mine.t_event]) and root == mine.t_event
+        for name in ("t_old", "h", "y_old", "F"):
+            assert same_bits([getattr(p, name) for p in steps], getattr(mine, name)), name
+        assert same_bits(ref.sol(root), mine.y_event)
+        # each accepted step costs 15 evaluations and the start 2; a rejected one 12 more
+        assert ref.nfev > 2 + 15 * len(steps) or not must_reject
+
+        sol, dense = ref.sol, prof._dense
         rows = list(range(dense.F.shape[0]))
         lo, hi = sol.ts[0], sol.ts[-1]
         rng = np.random.default_rng(7)
@@ -191,10 +243,28 @@ class TestPackedDenseOutput:
                                  [lo - 1.0, lo - 1e-9, hi + 1e-9, hi + 1.0, 0.0]])
         packed, expected = dense(points, rows), sol(points)
         for r in rows:
-            assert np.array_equal(packed[r], expected[r])
+            assert same_bits(packed[r], expected[r])
         for t in np.concatenate([points[::97], sol.ts[::50], points[-5:]]):
             one = dense(t, rows)
-            assert np.array_equal([one[r] for r in rows], sol(t)[rows])
+            assert same_bits([one[r] for r in rows], sol(t)[rows])
+
+    def test_brentq_port_returns_scipys_root(self):
+        # seeded brackets of smooth functions, from near-linear to steep and lopsided
+        rng = np.random.default_rng(29)
+        shapes = [lambda x, r, k: (x - r) * (1.0 + k * (x - r) ** 2),
+                  lambda x, r, k: np.expm1(k * (x - r)),
+                  lambda x, r, k: np.tanh(k * (x - r)) + 1e-3 * (x - r),
+                  lambda x, r, k: np.cbrt(x - r) + k * (x - r) ** 3,
+                  lambda x, r, k: np.sin(x - r) * np.exp(-k * (x - r) ** 2) + 1e-2 * (x - r)]
+        tol = 4 * np.finfo(float).eps
+        for _ in range(60):                     # 300 brackets
+            r, k = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-2.0, 2.0)
+            a, b = r - 10.0 ** rng.uniform(-6.0, 0.5), r + 10.0 ** rng.uniform(-6.0, 0.5)
+            for shape in shapes:
+                f = lambda x: float(shape(x, r, k))
+                ends = (a, b) if rng.random() < 0.5 else (b, a)
+                assert _dop853.brentq(f, *ends) == brentq(f, *ends, xtol=tol, rtol=tol)
+        assert _dop853.brentq(lambda x: x * x + 1.0, -1.0, 1.0) is None
 
     @pytest.mark.parametrize("n", [96, 192])
     @pytest.mark.parametrize("star", ["iso_ss", "thermo14"])
@@ -211,17 +281,3 @@ class TestPackedDenseOutput:
         for key, method in methods.items():
             assert np.array_equal(getattr(bg, key), method(x))
             assert np.array_equal(getattr(bg, key + "_m"), method(bg.xm))
-
-    @pytest.mark.parametrize("star", ["iso_ss", "thermo14"])
-    def test_solved_profile_never_calls_scipys_dense_output(self, monkeypatch, request, star):
-        prof = request.getfixturevalue(star)
-        def refuse(self, t):
-            raise AssertionError("OdeSolution called after the solve")
-        monkeypatch.setattr(OdeSolution, "__call__", refuse)
-        y = np.linspace(0.0, prof.R0, 97)
-        sample_background(prof, y)
-        for name in ("w_at", "wprime_at", "rho_at", "rho43_at", "theta_at", "thetaprime_at",
-                     "cumulative_mass_at"):
-            if hasattr(prof, name):
-                getattr(prof, name)(y)
-                getattr(prof, name)(0.5 * prof.R0)
