@@ -227,9 +227,9 @@ def _energy_ss(spacing, xm, v, geom, rho4, w, b, delta):
     hold one value per row; each dot product is one `np.dot` of its row.  geom is
     f's `_Geometry` from `_edge_geometry`, whose Gram factors (g, a, c) make
     D = v^T K v >= 0 by construction.
-    A self-similar run made with `energy=True` calls this on every accepted
-    state, and no other run does; the solver's geometry check stands in for
-    the domain checks of `perturbation_energy_ss`.
+    A self-similar run made with `energy=True` calls this at each fold on the
+    stacked accepted states it keeps, and no other run does; the solver's
+    geometry check stands in for the domain checks of `perturbation_energy_ss`.
     """
     Hm, df, Jm, g, a, c, H, H2, Hm2, HHJ = geom
     F = np.multiply(np.multiply(v, v), 0.5)      # rho4 (v^2/2 + b H v - delta H^2 + delta/H)
@@ -335,7 +335,7 @@ def frak_A_inequality(coef):
 # ---------------------------------------------------------------------------
 # total energy / dissipation ledgers
 # ---------------------------------------------------------------------------
-# states per block of the driver's amplitude probe and online ledger, and snapshots per
+# states per block of the driver's amplitude probe, online ledger and E/D/W, and snapshots per
 # block of `total_energy_ledger`; at N = 128 each ledger row past the first adds ~18 KB
 # (linear) or ~20 KB (thermo) to a run's traced peak
 _PROBE_BLOCK = 6
@@ -424,8 +424,8 @@ def dissipation_integrands_isentropic(field, background, weights: WeightSpec,
     return _integrate(terms(), x, np.atleast_1d(alpha).tolist(), one)
 
 
-def initial_energy_isentropic(x, th0, th1, th2, background, weights: WeightSpec) -> float:
-    """The initial total energy of the linearly expanding isentropic ledger."""
+def initial_energy_isentropic(x, th0, th1, th2, background) -> float:
+    """The initial total energy of the isentropic ledger; no weight enters it at tau = 0."""
     x = np.asarray(x, dtype=float)
     g = background.require_grid(x)
     rho, rho43, chi = background.rho, background.rho43, background.chi
@@ -492,8 +492,8 @@ def dissipation_integrands_thermo(field, background, weights: WeightSpec, a1: fl
     return _integrate(terms(), x, clocks, one)
 
 
-def initial_energy_thermo(x, xi0, xi1, xi2, zeta0, zeta1, background,
-                          weights: WeightSpec) -> float:
+def initial_energy_thermo(x, xi0, xi1, xi2, zeta0, zeta1, background) -> float:
+    """The initial total energy of the thermodynamic ledger; no weight enters it at tau = 0."""
     x = np.asarray(x, dtype=float)
     g = background.require_grid(x)
     rho, chi = background.rho, background.chi
@@ -535,10 +535,9 @@ def total_energy_ledger(run) -> list[EnergyReport]:
     s0 = run.snapshots[0]
     if run.regime == "linear-thermo":
         E0 = initial_energy_thermo(s0.x_nodes, s0.theta, s0.theta_t, s0.theta_tt, s0.zeta,
-                                   s0.zeta_t, bg, weights)
+                                   s0.zeta_t, bg)
     else:
-        E0 = initial_energy_isentropic(s0.x_nodes, s0.theta, s0.theta_t, s0.theta_tt, bg,
-                                       weights)
+        E0 = initial_energy_isentropic(s0.x_nodes, s0.theta, s0.theta_t, s0.theta_tt, bg)
     reports = []
     for start in range(0, len(run.snapshots), _PROBE_BLOCK):
         block = run.snapshots[start:start + _PROBE_BLOCK]

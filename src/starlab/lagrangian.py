@@ -17,10 +17,10 @@ so each run has its own bits.  Only three parts depend on the regime: (a) the
 thermodynamic state zeta and its implicit temperature step; (b) the
 thermodynamic stop when the absolute temperature turns <= 0; (c) the
 self-similar probe of energy E, dissipation D and viscous work W, run only
-when the caller asks for it (`energy=True`) and then at every accepted step,
-from the state's geometry; at order 2 only that probe reads an accepted state's
-Gram factors (the midpoint solve reads its own), so a run without it builds
-accepted states without them.
+when the caller asks for it (`energy=True`) and then on every accepted state,
+from its geometry rebuilt at the fold (elementwise, so the step's bits), with W
+the trapezoid integral of alpha^{3/2} D.  At order 2 nothing reads an accepted
+state's Gram factors (the midpoint solve builds its own), so no run builds them.
 
 Every regime emits `PerturbationField`, tagged with its regime; thermodynamic
 fields also carry zeta and zeta_t.  One `expansion.AlphaClock` per run gives
@@ -29,24 +29,28 @@ alpha(clock) to the driver, the ledger and, through `RunResult.alpha_clock`, to
 the momentum equation's (inertia, damping, viscosity).  A linearly expanding
 run made with `weights` checks them against R0, integrates
 `functionals.ledger_integrands` over every step and keeps the integrals at each
-emission for `functionals.total_energy_ledger`.  Each run samples its static
+snapshot for `functionals.total_energy_ledger`.  Each run samples its static
 star once on the solver grid (`profiles.sample_background`); the kernel, the
 fields, the RunResult and `reconstruct_eulerian` read it from there only.
 
-Omega, growth, the snapshots and the ledger are resolved at folds.  The step
-loop keeps each accepted state's rows (the in-place rule never overwrites them)
-and decides whether it emits (dt is clamped to the next emission time); the
-driver folds the pending states in step order in blocks of
-`functionals._PROBE_BLOCK`, and all of them before a member leaves the batch.
-A fold evaluates `functionals._amplitude` once on the block's stacked rows and
-walks it in step order: each state's omega, the snapshot of a state that emits
-(a batch row is copied; a state with no rates of its own takes theta_tt from its
-v, v_prev and dt), and at a member's first omega above the threshold its growth
-event, which drops the member's later times, E/D/W and pending states; the
-ledger then folds the states kept.  So a member steps on for at most
-`_PROBE_BLOCK` - 1 states past its growth, on its own rows, and the growth event
-replaces any stop it meets there: every output keeps the bits of a run resolved
-at every step.
+An accepted state becomes output at a fold, and nowhere else.  The step loop
+keeps each accepted state's rows, with the v (and zeta) rows of the state before
+it (the in-place rule never overwrites them), and decides whether it emits (dt
+is clamped to the next emission time).  It holds back each member's newest state
+until the member steps on; the driver folds the other pending states in step
+order in blocks of `functionals._PROBE_BLOCK`, and all of them, with the newest
+state of each member that leaves, before a member leaves the batch.  A fold
+evaluates `functionals._amplitude` once on the block's stacked rows and walks it
+in step order: each state's omega; the rates theta_tt = (v - v_prev) / dt (and
+zeta_t) of a stepped state that emits or feeds the ledger; the snapshot of a
+state that emits or is the last of a member that leaves (a batch row is copied);
+and at a member's first omega above the threshold its growth event, which drops
+the member's later times and pending states.  The ledger, or E/D/W, then folds
+the states kept, each integral by the trapezoid rule.  So a member steps on for
+at most `_PROBE_BLOCK` states past its growth, on its own rows, and the growth
+event replaces any stop it meets there: every output keeps the bits of a run
+resolved at every step, and a stopped run's last snapshot carries its rates like
+any other.
 
 The first snapshot carries the initial theta_tt (and zeta_t) that the equations
 of motion imply, inverting the rho-weighted mass where it is positive (the end
@@ -150,11 +154,11 @@ class RunResult:
     snapshots: list
     omega: np.ndarray              # functionals.amplitude of each snapshot, from the driver
     events: list
-    times: np.ndarray              # every accepted step
-    energy: np.ndarray | None      # perturbation energy E(s) per step (ss run with energy)
-    dissipation: np.ndarray | None  # D(s) per step (ss run with energy)
-    visc_work: np.ndarray | None   # cumulative int alpha^{3/2} D ds (ss run with energy)
-    dissipation_online: dict | None  # ledger integrals at emission times
+    times: np.ndarray              # every accepted state's clock
+    energy: np.ndarray | None      # perturbation energy E(s) per accepted state (ss, energy)
+    dissipation: np.ndarray | None  # D(s) per accepted state (ss run with energy)
+    visc_work: np.ndarray | None   # cumulative int alpha^{3/2} D ds, trapezoid (ss, energy)
+    dissipation_online: dict | None  # ledger integrals at each snapshot's clock
     weights: WeightSpec | None     # the ledger's weights (linear runs that keep one)
     background: Background
     alpha_clock: AlphaClock        # carries the expansion parameters
@@ -241,42 +245,21 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
 
     batch = f.ndim > 1
 
-    def rows_of(i, *arrays):
+    def rows_of(i, arrays):
         """Row i of each array, as views of a batch; a one-member state's arrays are its rows."""
-        return [None if a is None else a[i] for a in arrays] if batch else arrays
+        return [None if a is None else a[i] for a in arrays] if batch else list(arrays)
 
     def field_of(rows, clock):
         """A field of (theta, theta_t, theta_tt, zeta, zeta_t) rows at the clock."""
-        return PerturbationField(bg.x, *rows[:3], clock, regime, *rows[3:], bg)
+        return PerturbationField(bg.x, *rows[:3], clock, regime, *rows[3:5], bg)
 
-    def snapshot(rows, clock, dt=None, prev=None):
-        """A state's rows as a snapshot: a batch row is copied, so it holds no other member; a
-        pending state with no rates of its own takes them from its v, v_prev (prev) and dt."""
-        rows = [None if a is None else a.copy() for a in rows] if batch else list(rows)
-        if prev is not None:
-            rows[2] = (rows[1] - prev[0]) / dt
-            rows[4] = (rows[3] - prev[1]) / dt if thermo else None
-        return field_of(rows, clock)
-
-    def rates():
-        """The last step's theta_tt (and zeta_t), built for a ledger's fields."""
-        return (v - v_prev) / dt, (z - z_prev) / dt if thermo else None
-
-    def record(m, field):
-        """Emit a snapshot with the member's last omega."""
-        m.snapshots.append(field)
-        m.omegas.append(m.omega)
-
-    def finish(m, i):
-        """Close member m (row i): its stop, its last state as a snapshot, its RunResult."""
+    def finish(m):
+        """Close member m: its stop and its RunResult; dropping its held entry leaves no cycle."""
         m.events += [m.stop] if m.stop else []
-        if m.snapshots[-1].clock < m.clock - 1e-12:
-            record(m, snapshot(rows_of(i, f, v, None, z, None), m.clock))
-            for k in m.series:                 # its online integrals are all folded
-                m.series[k].append(m.online[k])
+        m.last = None
         results[m.index] = RunResult(
             regime, m.snapshots, np.asarray(m.omegas), m.events, np.asarray(m.times),
-            *(map(np.asarray, (m.E, m.D, m.W)) if energy else (None,) * 3),
+            *(map(np.asarray, (m.E, m.D, m.series["W"])) if energy else (None,) * 3),
             {k: np.asarray(vs) for k, vs in m.series.items()} if weights is not None else None,
             weights, bg, alpha_clock, m.stop is None)
 
@@ -284,23 +267,22 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
         # the grid's node spacings and weights, computed once for every probe
         spacing, rho4 = bg.x[1:] - bg.x[:-1], bg.x**4 * kernel.rho
         w = (bg.x[1] - bg.x[0]) * (bg.xm**2 * bg.rho43_m)
-
-        def probe():
-            return functionals._energy_ss(spacing, bg.xm, v, geom, rho4, w, params.b, params.delta)
-    # [member, (theta, theta_t, theta_tt, zeta, zeta_t) rows, dt, emits, index in its times,
-    # (v_prev, z_prev) rows where the rates are not kept] of each accepted state not yet folded
+    # [member, its row, the step's (f, v, theta_tt, z, zeta_t, v_prev, z_prev), dt, emits,
+    # index in its times] of each accepted state not yet folded; a member's newest state is
+    # held back (`m.last`) until the member steps on or leaves
     pending = []
 
     def resolve(entries):
-        """Each state's omega, in step order: its snapshot if it emits, and at a member's first
-        omega above the threshold the growth event, which drops all the member has after it."""
+        """Each state's omega, in step order: its snapshot if it emits or is its member's last,
+        and at a member's first omega above the threshold the growth event, which drops all
+        the member has after it."""
         nonlocal leaving
         omegas = _per_row(functionals._amplitude(
             bg.x, bg.grad, [e[1][0] for e in entries], [e[1][1] for e in entries],
             np.array([e[1][3] for e in entries]) if thermo else None))
         kept = []
         for entry, omega in zip(entries, omegas):
-            m, rows, step, emits, j, prev = entry
+            m, rows, step, emits, j = entry
             if m.stop and m.stop.kind == "growth":
                 continue
             omega_prev, m.omega = m.omega, omega
@@ -309,36 +291,56 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
                 crossing = _located_crossing(m.times[j - 1], clock, omega_prev, omega,
                                              spec.growth_threshold)
                 m.stop = RunEvent("growth", clock, f"amplitude = {omega:.3e}", crossing)
-                m.clock, leaving = clock, True
-                emits = entry[3] = True                 # and the ledger its online integrals
-                for series in (m.times, m.E, m.D, m.W) if energy else (m.times,):
-                    del series[j + 1:]
+                m.clock, m.last, leaving, emits = clock, None, True, True
+                del m.times[j + 1:]
                 pending[:] = [e for e in pending if e[0] is not m]
-            if emits:
-                record(m, snapshot(rows, m.times[j], step, prev))
+            elif j == m.last[5]:           # held back until now: the last state of a leaver
+                emits = emits or m.snapshots[-1].clock < m.times[j] - 1e-12
+            if rows[2] is None and (emits or weights is not None):   # the rates of a step
+                rows[2] = (rows[1] - rows[5]) / step
+                rows[4] = (rows[3] - rows[6]) / step if thermo else None
+            if emits:                      # a batch row is copied: it holds no other member
+                m.snapshots.append(field_of([None if a is None else a.copy() for a in rows]
+                                            if batch else rows, m.times[j]))
+                m.omegas.append(omega)
+            entry[3] = emits               # and the ledger keeps its online integrals
             kept.append(entry)
         return kept
 
     def fold():
-        """Resolve the first `_PROBE_BLOCK` pending states, then fold the ledger of those kept."""
-        entries, pending[:] = pending[:(n := functionals._PROBE_BLOCK)], pending[n:]
-        entries = resolve(entries)        # nothing it allocates is alive in the ledger's call
-        if weights is None:
+        """Resolve the first `_PROBE_BLOCK` pending states, then fold the ledger (or E, D and W)
+        of those kept in step order, each term by the trapezoid rule."""
+        block, pending[:] = pending[:(n := functionals._PROBE_BLOCK)], pending[n:]
+        entries = resolve([[m, rows_of(i, state), step, emits, j]
+                           for m, i, state, step, emits, j in block])
+        if weights is not None:
+            vals = functionals.ledger_integrands([field_of(e[1], e[0].times[e[4]])
+                                                  for e in entries], weights, alpha_clock)
+        elif energy:         # (c) E and D of each state from its geometry, the integrand of W
+            aE, D = functionals._energy_ss(
+                spacing, bg.xm, np.array([e[1][1] for e in entries]),
+                kernel.edge_geometry(np.array([e[1][0] for e in entries])),
+                rho4, w, params.b, params.delta)
+            vals = {"W": []}
+            for (m, *_, j), ae, d in zip(entries, aE, D):
+                alpha = alpha_clock.alpha(m.times[j])
+                m.E.append(ae / alpha)
+                m.D.append(d)
+                vals["W"].append(alpha ** 1.5 * d)
+        else:
             return
-        vals = functionals.ledger_integrands([field_of(e[1], e[0].times[e[4]]) for e in entries],
-                                             weights, alpha_clock)
-        for r, (m, _, step, emits, *_) in enumerate(entries):
+        for r, (m, _, step, emits, _) in enumerate(entries):
             row = {k: vs[r] for k, vs in vals.items()}
             if m.prev is None:                        # the initial state
                 m.online, m.series = dict.fromkeys(row, 0.0), {k: [] for k in row}
             for k, val in row.items() if m.prev is not None else ():
                 m.online[k] += 0.5 * step * (val + m.prev[k])
             m.prev = row
-            for k in m.series if emits else ():
+            for k in m.series if emits or energy else ():    # W at every state
                 m.series[k].append(m.online[k])
 
     t_last = clock_end * (1.0 - 1e-14)     # a member that stops or gets here leaves the batch
-    half, gram = (0.5, energy) if spec.order == 2 else (1.0, True)  # midpoint share, Gram use
+    half, gram = (0.5, False) if spec.order == 2 else (1.0, True)  # midpoint share, Gram use
     change_bound = min(spec.max_rel_change, sys.float_info.max)   # rejects a non-finite change
     leaving = t_last <= 0.0
     # a non-finite initial rate or trial state ends in a failed attempt, not a numpy warning
@@ -348,31 +350,27 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
             raise DomainViolation("initial data degenerates the flow map")
         if thermo and np.any(z[..., 1:-1] + kernel.theta_b[1:-1] <= 0.0):
             raise InvalidParams("initial absolute temperature must stay positive")
-        aE, D = probe() if energy else (None, None)
-        alpha = alpha_clock.alpha(0.0)
         acc = kernel.acceleration(geom, v, alpha_clock.coefficients(0.0), z)
-        z_rate = kernel.zeta_rate(f, geom, v, z, 0.0) if thermo else None
-        members = []
-        for i in range(len(init)):
-            # the series are compact float arrays; ab32 is alpha^(3/2) of the last accepted state
-            m = SimpleNamespace(
-                index=i, clock=0.0, dt=spec.dt_init or math.inf, emit_idx=1, omega=None,
-                omegas=array("d"), stop=None, snapshots=[], series={}, prev=None,
-                events=[RunEvent("outside-stability-range", 0.0, notice)] * outside,
-                times=array("d", [0.0]))
-            if energy:
-                m.E, m.D, m.W, m.ab32 = (array("d", [aE[i] / alpha]), array("d", [D[i]]),
-                                         array("d", [0.0]), alpha ** 1.5)
-            pending.append([m, rows_of(i, f, v, acc, z, z_rate), 0.0, True, 0, None])
-            members.append(m)
+        state = (f, v, acc, z, kernel.zeta_rate(f, geom, v, z, 0.0) if thermo else None,
+                 None, None)
+        members = [SimpleNamespace(
+            index=i, clock=0.0, dt=spec.dt_init or math.inf, emit_idx=1, omega=None,
+            omegas=array("d"), stop=None, snapshots=[], series={}, prev=None,
+            events=[RunEvent("outside-stability-range", 0.0, notice)] * outside,
+            times=array("d", [0.0]), E=array("d"), D=array("d"))  # compact float arrays
+            for i in range(len(init))]
+        for i, m in enumerate(members):
+            m.last = [m, i, state, 0.0, True, 0]
 
         for _ in range(2_000_000):
+            if leaving:                # the last states of the members that leave are folded too
+                pending += [m.last for m in members if m.stop or m.clock >= t_last]
             while pending and (leaving or len(pending) >= functionals._PROBE_BLOCK):
                 fold()                 # a full block, and all of them before a member leaves
             if leaving:
                 ended = [i for i, m in enumerate(members) if m.stop or m.clock >= t_last]
                 for i in ended:
-                    finish(members[i], i)
+                    finish(members[i])
                 if not (live := [i for i in range(len(members)) if i not in ended]):
                     break
                 members = [members[i] for i in live]
@@ -418,36 +416,20 @@ def evolve_ensemble(profile, params: ExpansionParams, initials, clock_end: float
                 elif thermo and temp_low <= 0.0:      # (b) the absolute temperature stays positive
                     m.stop = RunEvent("temperature-negative", m.clock, f"min = {temp_low:.3e}")
                 leaving = leaving or m.stop is not None
-            if leaving:                                        # the stopped keep their state
-                stopped = [i for i, m in enumerate(members) if m.stop]
-                for new, old in ((f_new, f), (v_new, v), (z_new, z))[:2 + thermo]:
-                    new.reshape(-1, new.shape[-1])[stopped] = \
-                        old.reshape(-1, old.shape[-1])[stopped]
 
-            v_prev, z_prev = v, z
+            state = (f_new, v_new, None, z_new, None, v, z)   # rows kept to the fold
             f, v, z, geom = f_new, v_new, z_new, geom_new
-            if energy:
-                aE, D = probe()
-            tt, zt = rates() if weights is not None else (None, None)   # the ledger's rates
             for i, m in enumerate(members):
                 if m.stop:
                     continue
                 m.clock += m.dt
                 m.times.append(m.clock)
                 leaving = leaving or m.clock >= t_last
-                if energy:
-                    alpha = alpha_clock.alpha(m.clock)
-                    ab32_prev, m.ab32 = m.ab32, alpha ** 1.5
-                    m.W.append(m.W[-1] + 0.5 * m.dt * (m.ab32 * D[i] + ab32_prev * m.D[-1]))
-                    m.E.append(aE[i] / alpha)
-                    m.D.append(D[i])
                 if emits := m.emit_idx < len(emit) and m.clock >= emit[m.emit_idx] - 1e-12:
                     while m.emit_idx < len(emit) and m.clock >= emit[m.emit_idx] - 1e-12:
                         m.emit_idx += 1
-                # the state's rows (views), kept until its fold; without a ledger, a snapshot
-                # builds its rates from v_prev
-                pending.append([m, rows_of(i, f, v, tt, z, zt), m.dt, emits, len(m.times) - 1,
-                                None if weights is not None else rows_of(i, v_prev, z_prev)])
+                pending.append(m.last)         # the state it held back until this step
+                m.last = [m, i, state, m.dt, emits, len(m.times) - 1]
         else:
             raise StepFailure("step budget exhausted")
     return results

@@ -75,7 +75,7 @@ class TestGridMismatch:
             with pytest.raises(InvalidParams):
                 F.dissipation_integrands_isentropic(f, bg, F.WeightSpec(), 1.0)
             with pytest.raises(InvalidParams):
-                F.initial_energy_isentropic(x, z, z, z, bg, F.WeightSpec())
+                F.initial_energy_isentropic(x, z, z, z, bg)
             with pytest.raises(InvalidParams):
                 reconstruct_eulerian(f, AlphaClock(pars, LINEAR_REGIME))
 

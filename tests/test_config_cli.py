@@ -479,6 +479,31 @@ class TestMain:
                      "--verify"])
         assert code == 2
 
+    def test_a_stopped_ledger_run_writes_its_ledger(self, tmp_path, capsys):
+        # a uniform compression degenerates the flow map mid-run: the run still writes
+        # one ledger row per snapshot (its last carries its step's rates) and exits 0,
+        # and 2 under --verify
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "solver": {"n_cells": 48, "max_rel_change": 1e6, "growth_threshold": 1e9},
+            "initial": {"family": "constant", "amplitude": 0.0, "amplitude_t": -5.0},
+            "time": {"end": 1.0, "n_emit": 5},
+        }))
+        out = tmp_path / "s"
+        code = main(["evolve-linear", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        with open(out / "manifest.json") as fh:
+            events = json.load(fh)["events"]
+        assert [e["kind"] for e in events] == ["jacobian-degenerate"]
+        snapshots = [n for n in os.listdir(out) if n.startswith("snapshot_")]
+        with open(out / "energy_reports.csv") as fh:
+            rows = fh.read().splitlines()[1:]
+        assert len(rows) == len(snapshots) == 2
+        assert float(rows[-1].split(",")[0]) == events[0]["clock"]
+        code = main(["evolve-linear", "--config", str(cfg), "--out", str(tmp_path / "s2"),
+                     "--verify"])
+        assert code == 2
+
     @staticmethod
     def run_vanishing_viscosity(tmp_path, capsys, scenario, config, event):
         """A vanishing viscosity makes every trial state non-finite: the run stops at the

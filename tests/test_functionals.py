@@ -400,8 +400,7 @@ class TestLedger:
         th0 = 1e-3 * np.cos(np.pi * x / iso0.R0)
         th1 = 0 * x
         th2 = 0 * x
-        E0 = F.initial_energy_isentropic(x, th0, th1, th2, sample_background(iso0, x),
-                                         F.WeightSpec())
+        E0 = F.initial_energy_isentropic(x, th0, th1, th2, sample_background(iso0, x))
         assert E0 > 0
 
     def test_amplitude_bounded_by_ledger(self, iso0):

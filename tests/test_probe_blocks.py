@@ -1,10 +1,11 @@
 """The amplitude probe and both ledgers evaluate blocks of states; a block changes no bits.
 
 `evolve_ensemble` keeps each accepted state's rows until `functionals._PROBE_BLOCK`
-of them are pending (or a member leaves the batch).  It then evaluates the amplitude
-on the stacked block and walks it in step order: each state's omega, its snapshot if
-it emits, and a member's growth event, which drops all the member stepped after it
-and wins over any stop the member met since.  With weights it then evaluates the
+of them are pending (or a member leaves the batch); a member's newest state waits until
+the member steps on or leaves.  It then evaluates the amplitude on the stacked block and
+walks it in step order: each state's omega, its snapshot if it emits or is the last of
+a member that leaves, and a member's growth event, which drops all the member stepped
+after it and wins over any stop the member met since.  With weights it then evaluates the
 ledger integrands on the states kept and folds the online integrals and each
 emission's `dissipation_online` entry in step order; `total_energy_ledger` takes its
 snapshots in blocks of the same size.  Every output must be the same for any block
@@ -93,6 +94,27 @@ def linear_growth(iso0, one):
                            regime=LINEAR_REGIME, weights=F.WeightSpec())
 
 
+def linear_stop(iso0, one):
+    # a uniform compression degenerates the flow map at tau = 0.229, between emissions;
+    # the calm member runs to the end
+    x = np.linspace(0.0, iso0.R0, N + 1)
+    initials = [uniform(-5.0), (1e-3 * np.cos(np.pi * x / iso0.R0), 0 * x)]
+    return evolve_ensemble(iso0, classify_expansion(0.0, 1.0, 1.0), initials[:1 + (not one)],
+                           1.0, SolverSpec(n_cells=N, n_emit=5, max_rel_change=1e6,
+                                           growth_threshold=1e9),
+                           regime=LINEAR_REGIME, weights=F.WeightSpec())
+
+
+def floor_pair(iso0, one):
+    # both members stop at the dt floor: the 1e-2 member on step 21, the 8e-3 member
+    # on the next step, after the first has left the batch
+    initials = [uniform(1e-2), uniform(8e-3)]
+    return evolve_ensemble(iso0, classify_expansion(0.0, 1.0, 1.0), initials[one:], 1.0,
+                           SolverSpec(n_cells=N, n_emit=5, dt_init=1e-4, max_rel_change=1e-4,
+                                      dt_floor=1e-2),
+                           regime=LINEAR_REGIME, weights=F.WeightSpec())
+
+
 @pytest.fixture(scope="module")
 def cases(iso_ss, pars_ss, iso0, thermo14):
     return {f"{name}-{'one' if one else 'batch'}": (lambda run=run, one=one: run(one))
@@ -100,7 +122,9 @@ def cases(iso_ss, pars_ss, iso0, thermo14):
                               ("linear", lambda one: linear(iso0, one)),
                               ("thermo", lambda one: thermo(thermo14, one)),
                               ("growth-floor", lambda one: growth_then_floor(iso_ss, pars_ss, one)),
-                              ("linear-growth", lambda one: linear_growth(iso0, one)))
+                              ("linear-growth", lambda one: linear_growth(iso0, one)),
+                              ("linear-stop", lambda one: linear_stop(iso0, one)),
+                              ("floor-pair", lambda one: floor_pair(iso0, one)))
             for one in (True, False)}
 
 
@@ -115,6 +139,8 @@ def test_the_cases_stop_mid_block_and_span_emissions(default_runs):
     assert kinds["self-similar-batch"] == [["growth"], ["cfl-floor"], []]
     assert kinds["self-similar-one"] == [["growth"]]
     assert kinds["thermo-batch"] == [["temperature-negative"], []]
+    assert kinds["linear-stop-batch"] == [["jacobian-degenerate"], []]
+    assert kinds["floor-pair-batch"] == [["cfl-floor"], ["cfl-floor"]]
     for runs in default_runs.values():        # several accepted steps between emissions
         assert all(len(r.times) > 2 * len(r.snapshots) for r in runs if r.completed)
 
@@ -157,16 +183,26 @@ def test_states_after_growth_never_reach_the_ledger(cases, monkeypatch):
             assert all(len(vs) == len(r.snapshots) for vs in r.dissipation_online.values())
 
 
+def test_a_leaving_members_last_state_is_its_last_snapshot(default_runs):
+    for name in ("linear-stop", "floor-pair"):
+        for r in default_runs[f"{name}-one"] + default_runs[f"{name}-batch"]:
+            assert r.final.clock == r.times[-1] and r.final.theta_tt is not None
+            assert len(F.total_energy_ledger(r)) == len(r.snapshots)
+    first, second = default_runs["floor-pair-batch"]
+    assert len(second.times) == len(first.times) + 1
+    assert [len(r.snapshots) for r in (first, second)] == [2, 2]   # the initial and the last
+
+
 def test_omega_is_each_snapshots_amplitude(default_runs):
     runs = [r for rs in default_runs.values() for r in rs]
-    assert len(runs) == 16
+    assert len(runs) == 22
     for r in runs:
         assert r.omega.tolist() == [F.amplitude(s) for s in r.snapshots]
 
 
 def test_total_energy_ledger_is_the_same_in_blocks_of_one(default_runs, monkeypatch):
-    runs = [r for rs in default_runs.values() for r in rs if r.completed and r.weights is not None]
-    assert len(runs) == 6
+    runs = [r for rs in default_runs.values() for r in rs if r.weights is not None]
+    assert len(runs) == 15
     reports = [F.total_energy_ledger(r) for r in runs]
     monkeypatch.setattr(F, "_PROBE_BLOCK", 1)
     assert [F.total_energy_ledger(r) for r in runs] == reports

@@ -2,16 +2,18 @@
 
 Each stop leaves the run incomplete with one event, and the last snapshot
 holds the last accepted state (the stop clock is the last accepted time) with
-its amplitude in `RunResult.omega`.
+its amplitude in `RunResult.omega` and the rates of the step that reached it,
+so a stopped ledger run keeps a ledger row for every snapshot.
 """
 
 import numpy as np
 import pytest
 
 from starlab import classify_expansion
-from starlab.functionals import amplitude
+from starlab.functionals import WeightSpec, amplitude, total_energy_ledger
 from starlab.lagrangian import (THERMO_REGIME, SolverSpec, evolve_ensemble,
                                 evolve_linear_isentropic, evolve_linear_thermo, evolve_self_similar)
+from fingerprints import snapshot_digest
 
 N = 48
 # growth never stops these runs and the flow-map bound never rejects a step
@@ -27,13 +29,22 @@ def assert_stopped(run, kind):
     assert run.final.clock == run.times[-1]
     assert run.events[0].clock >= run.times[-1]
     assert run.omega.tolist() == [amplitude(s) for s in run.snapshots]
+    assert run.final.theta_tt is not None
+    assert (run.final.zeta_t is not None) == (run.regime == THERMO_REGIME)
 
 
-def run_isentropic(regime, iso0, iso_ss, pars_ss, initial, spec, end=1.0):
+def assert_same_steps_with_ledger(run, ledger_run):
+    """The weights move no step, and the stopped run keeps one ledger row per snapshot."""
+    assert snapshot_digest(ledger_run) == snapshot_digest(run)
+    assert ledger_run.omega.tolist() == run.omega.tolist()
+    assert len(total_energy_ledger(ledger_run)) == len(ledger_run.snapshots)
+
+
+def run_isentropic(regime, iso0, iso_ss, pars_ss, initial, spec, end=1.0, **kw):
     if regime == "self-similar":
-        return evolve_self_similar(iso_ss, pars_ss, initial(iso_ss.R0), end, spec)
+        return evolve_self_similar(iso_ss, pars_ss, initial(iso_ss.R0), end, spec, **kw)
     return evolve_linear_isentropic(iso0, classify_expansion(0.0, 1.0, 1.0),
-                                    initial(iso0.R0), end, spec)
+                                    initial(iso0.R0), end, spec, **kw)
 
 
 def uniform(theta, theta_t):
@@ -67,6 +78,16 @@ class TestIsentropic:
         assert_stopped(run, "jacobian-degenerate")
         assert run.events[0].clock == run.times[-1]
         assert run.events[0].detail.startswith("min(1+f, J) = ")
+        # the self-similar run asks for E/D/W, the linear one for its ledger
+        asked = run_isentropic(regime, iso0, iso_ss, pars_ss, compression(5.0),
+                               SolverSpec(**NO_LIMITS),
+                               **({"energy": True} if regime == "self-similar"
+                                  else {"weights": WeightSpec()}))
+        if regime == "self-similar":
+            assert snapshot_digest(asked) == snapshot_digest(run)
+            assert asked.energy.size == asked.visc_work.size == run.times.size
+        else:
+            assert_same_steps_with_ledger(run, asked)
 
     def test_step_failure(self, regime, iso0, iso_ss, pars_ss):
         spec = SolverSpec(n_cells=N, n_emit=5, max_rel_change=1e-30, dt_floor=0.0)
@@ -90,6 +111,9 @@ class TestThermo:
         assert_stopped(run, "jacobian-degenerate")
         assert run.events[0].clock == run.times[-1]
         assert run.events[0].detail.startswith("min(1+f, J) = ")
+        assert_same_steps_with_ledger(run, evolve_linear_thermo(
+            thermo14, classify_expansion(0.0, 1.0, 1.0), thermo_initial(-5.0), 0.5,
+            SolverSpec(**NO_LIMITS), weights=WeightSpec()))
 
     def test_temperature_negative(self, thermo14):
         # under weak damping (a1 = 0.1) a fast compression drives the
