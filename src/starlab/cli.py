@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, artifacts, functionals, svgplot
+from . import __version__, artifacts, functionals, kernel, svgplot
 from .config import SCENARIOS, ScenarioConfig, build_initial, validate_config
 from .errors import ConfigInvalid, StarlabError
 from .expansion import classify_expansion, integrate_alpha
@@ -203,7 +203,7 @@ def _run_evolution(cfg: ScenarioConfig, out_dir: str) -> ExitReport:
         summary["energy_identity_residual"] = float(
             abs(run.energy[-1] - run.energy[0] + run.visc_work[-1]))
     files.append(_manifest(cfg, out_dir, run.events,
-                           {"summary": summary,
+                           {"summary": summary, "lapack": kernel.LAPACK,
                             "grid": {"n_cells": spec.n_cells, "R0": prof.R0}}))
     return ExitReport(0, summary, run.events, files)
 

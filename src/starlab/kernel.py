@@ -37,6 +37,13 @@ One kernel per run, `_Kernel(bg, clock, mu)`, works along the last axis of a
 `functionals._edge_geometry` (which `perturbation_energy_ss` shares), and solves a
 batch's tridiagonal systems in one LAPACK dgtsv call.
 
+dgtsv comes from the OpenBLAS that numpy's wheel already loads, through ctypes, so a
+run imports no scipy; where numpy's build exports none (Accelerate, MKL) scipy's dgtsv
+serves (scipy's OpenBLAS gives numpy's bits).  `LAPACK` names the one found, for the
+run's manifest.  The kernel keeps one contiguous workspace per system shape with its
+call built once; the inputs are copied into it, so the solve leaves them intact and
+returns a fresh array.
+
 In-place rule: only fresh temporaries are overwritten, each by the IEEE operation it
 replaces, in its order; never a `_Geometry` field (it serves every retry and the next
 step), a Background array or a caller's state.  Updates pass a positional out.
@@ -44,34 +51,85 @@ step), a Background array or a caller's state.  Updates pass a positional out.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from numpy.linalg import LinAlgError
 
 from .functionals import _edge_geometry, gradient
 from .profiles import Background
 
 
-def _solve_tridiag(diag, off, rhs):
+def _find_lapack():
+    """(name, dgtsv) of the LAPACK that solves: numpy's own, or scipy's where numpy has none.
+
+    numpy's OpenBLAS wheels export LAPACK with 64-bit integers as scipy_dgtsv_64_, which
+    the core extension's loaded dependencies resolve.  Builds on Accelerate or MKL export
+    no such symbol; there dgtsv is None and each workspace imports scipy's dgtsv.
+    """
+    try:
+        dgtsv = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_dgtsv_64_
+    except (OSError, AttributeError):
+        return "scipy.linalg.lapack", None
+    dgtsv.argtypes, dgtsv.restype = (ctypes.c_void_p,) * 8, None   # all by reference
+    lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
+    return f"numpy {lapack['name']} {lapack['version']}", dgtsv
+
+
+LAPACK, _DGTSV = _find_lapack()
+
+
+class _Workspace:
+    """d | dl | b | du of one system shape, contiguous, and its dgtsv call, built once.
+
+    dl keeps a slot past its n - 1 entries, so in a batch's (B, n) view of it each block's
+    couplings are followed by the zero that uncouples the next block (the last is spare).
+    The zeros are set here only: partial pivoting never swaps rows across a zero
+    coupling, so dgtsv writes 0 back there.
+    """
+
+    def __init__(self, shape):
+        m = int(np.prod(shape))
+        ws = np.zeros(4 * m - 1)
+        d, dl, b, du = ws[:m], ws[m:2 * m], ws[2 * m:3 * m], ws[3 * m:]
+        self.checked = ws[:3 * m]                     # du is a copy of dl
+        self.d, self.b, self.dl, self.du = d.reshape(shape), b.reshape(shape), dl[:-1], du
+        self.couplings = dl.reshape(shape)[..., :-1]
+        if _DGTSV is None:
+            from scipy.linalg.lapack import dgtsv
+            self.gtsv = lambda: dgtsv(dl[:-1], d, du, b, 1, 1, 1, 1)[4]     # in place
+        else:
+            dgtsv, ints = _DGTSV, np.array([m, 1, 0], np.int64)   # n (= ldb), nrhs, info
+            args = (ints.ctypes.data, ints[1:].ctypes.data, dl.ctypes.data, d.ctypes.data,
+                    du.ctypes.data, b.ctypes.data, ints.ctypes.data, ints[2:].ctypes.data)
+
+            def gtsv():
+                dgtsv(*args)
+                return ints[2]
+            self.gtsv = gtsv
+
+
+def _solve_tridiag(diag, off, rhs, spaces):
     """dgtsv on the symmetric system with off[i] = A[i, i+1] = A[i+1, i].
 
     Rows of 2-d arguments are uncoupled blocks of one system, each with its own solve's
     bits.  A block with a non-finite entry solves to NaN, a step's failed attempt.
+    `spaces` maps each shape to its `_Workspace`; the result is a fresh array.
     """
-    finite = np.logical_and.reduce(np.isfinite(np.concatenate((diag, off, rhs), -1)), -1)
-    if not finite.all():
+    ws = spaces.get(diag.shape) or spaces.setdefault(diag.shape, _Workspace(diag.shape))
+    ws.d[...], ws.couplings[...], ws.b[...] = diag, off, rhs
+    if not np.isfinite(ws.checked).all():
+        finite = np.logical_and.reduce(np.isfinite(np.concatenate((diag, off, rhs), -1)), -1)
         x = np.full(diag.shape, np.nan)
         if finite.any():
-            x[finite] = _solve_tridiag(diag[finite], off[finite], rhs[finite])
+            x[finite] = _solve_tridiag(diag[finite], off[finite], rhs[finite], spaces)
         return x
-    if diag.ndim > 1:
-        off = np.concatenate([off, np.zeros((len(off), 1))], axis=1).ravel()[:-1]
-    x, info = dgtsv(off, diag.ravel(), off, rhs.ravel())[3:]   # copies: inputs intact
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    if info < 0:
+    ws.du[...] = ws.dl
+    if info := ws.gtsv():
+        if info > 0:
+            raise LinAlgError("singular matrix")
         raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-    return x.reshape(diag.shape)
+    return ws.b.copy()
 
 
 _OVERDAMPED_RATIO = 1e12
@@ -121,6 +179,7 @@ class _Kernel:
 
     def __init__(self, bg: Background, clock, mu: float):
         self.bg, self.clock, self.mu = bg, clock, mu
+        self.spaces = {}                     # `_solve_tridiag`'s workspace of each shape
         self.delta = clock.params.delta
         x = bg.x
         self.dx = float(x[1] - x[0])      # a float keeps the members' clocks floats
@@ -216,7 +275,7 @@ class _Kernel:
             np.subtract(rhs, np.multiply(visc, self.apply_viscous(K, v_old)), rhs)
         np.subtract(rhs, self.pressure_gravity(geom, zeta=zeta), rhs)
         np.add(np.multiply(diag, visc, diag), np.multiply(lumped, self.mass), diag)
-        return _solve_tridiag(diag, np.multiply(off, visc, off), rhs)
+        return _solve_tridiag(diag, np.multiply(off, visc, off), rhs, self.spaces)
 
     def acceleration(self, geom, v, coef, zeta=None):
         """Pointwise clock-acceleration from the semi-discrete equations.
@@ -296,4 +355,4 @@ class _Kernel:
         np.add(rhs, np.multiply(_flux_div(bgflux), alpha2), rhs)    # + alpha^2 div(bgflux)
         # Dirichlet zeta(R0) = 0: identity row, decoupled from zeta_{N-1}
         diag[..., -1], off[..., -1], rhs[..., -1] = 1.0, 0.0, 0.0
-        return _solve_tridiag(diag, off, rhs)
+        return _solve_tridiag(diag, off, rhs, self.spaces)

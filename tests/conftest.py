@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from starlab import classify_expansion, solve_isentropic_profile, solve_thermo_profile
+from starlab import classify_expansion, kernel, solve_isentropic_profile, solve_thermo_profile
 from starlab.acceptance import negative_energy_data
 from starlab.lagrangian import SolverSpec, evolve_ensemble
 from fingerprints import snapshot_arrays
@@ -19,6 +21,18 @@ settings.load_profile("starlab")
 # The empirically solvable negative-delta window is narrow; this is the
 # standard laboratory point for self-similar PDE runs.
 SS_DELTA = -1e-3
+
+
+@pytest.fixture
+def scipy_lapack(monkeypatch):
+    """The kernel as on a numpy build that exports no dgtsv (Accelerate, MKL): the LAPACK
+    lookup misses, and each workspace built from here on calls scipy's dgtsv."""
+    with monkeypatch.context() as lookup:
+        lookup.setattr(kernel.ctypes, "CDLL", lambda path: SimpleNamespace())
+        name, dgtsv = kernel._find_lapack()
+    assert (name, dgtsv) == ("scipy.linalg.lapack", None)
+    monkeypatch.setattr(kernel, "LAPACK", name)
+    monkeypatch.setattr(kernel, "_DGTSV", dgtsv)
 
 
 @pytest.fixture(scope="session")

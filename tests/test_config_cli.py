@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from starlab import (acceptance, classify_expansion, expansion, homogeneous, lagrangian,
-                     profiles, solve_isentropic_profile)
+from starlab import (acceptance, classify_expansion, expansion, homogeneous, kernel,
+                     lagrangian, profiles, solve_isentropic_profile)
 from starlab.cli import main, run_scenario
 from starlab.config import (InitialSpec, build_initial, family_shape,
                             validate_config)
@@ -242,23 +242,43 @@ class TestScenarios:
         assert "energy_reports.csv" in os.listdir(tmp_path)
         assert len(built) == 1
 
-    def test_evolve_runs_never_import_scipys_integrators(self, tmp_path):
-        # both stars come from the in-house DOP853; only c01's oracle (verify) loads these
+    def test_evolve_runs_never_import_scipy(self, tmp_path):
+        # both stars come from the in-house DOP853 and the kernel solves with numpy's own
+        # LAPACK; only c01's oracle (verify), the tests and the LAPACK fallback load scipy
         ss = tmp_path / "ss.json"
         ss.write_text(json.dumps({"model": {"delta": -1e-3, "a1": None},
                                   "solver": {"n_cells": 32}, "time": {"end": 0.05, "n_emit": 4}}))
         argvs = [[scenario, "--config", config, "--out", str(tmp_path / scenario)]
                  for scenario, config in [("evolve-linear", STABILITY_LINEAR),
                                           ("evolve-thermo", DEFAULTS), ("evolve-ss", str(ss))]]
-        code = (f"import sys\nfrom starlab.cli import main\n"
+        code = (f"import json, sys\nfrom starlab import kernel\nfrom starlab.cli import main\n"
                 f"assert [main(argv) for argv in {argvs!r}] == [0, 0, 0]\n"
-                "print([m for m in sys.modules if m.split('.')[:2] in "
-                "(['scipy', 'integrate'], ['scipy', 'optimize'])])\n")
+                "print(json.dumps([kernel.LAPACK, "
+                "[m for m in sys.modules if m.split('.')[0] == 'scipy']]))\n")
         src = os.path.join(os.path.dirname(DEFAULTS), "..", "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        lapack, loaded = json.loads(done.stdout.splitlines()[-1])
+        if lapack == "scipy.linalg.lapack":     # a numpy build without dgtsv: the fallback's
+            loaded = [m for m in loaded if m.split(".")[1:2] in (["integrate"], ["optimize"])]
+        assert loaded == []
+
+    def test_scipys_lapack_serves_where_numpys_has_no_dgtsv(self, tmp_path, request):
+        # the lookup misses: the same files, bit for bit, and the manifest names scipy's LAPACK
+        files, lapacks, found = {}, [], kernel.LAPACK
+        for side in ("numpy", "scipy"):
+            if side == "scipy":
+                request.getfixturevalue("scipy_lapack")
+            out = tmp_path / side
+            assert main(["evolve-thermo", "--config", DEFAULTS, "--out", str(out)]) == 0
+            files[side] = {name: (out / name).read_bytes() for name in os.listdir(out)}
+            manifest = json.loads(files[side].pop("manifest.json"))
+            lapacks.append(manifest.pop("lapack"))
+            assert manifest["config"].pop("out_dir") == str(out)
+            files[side]["manifest.json"] = manifest
+        assert files["numpy"] == files["scipy"]
+        assert lapacks == [found, "scipy.linalg.lapack"]
 
     def test_determinism(self, tmp_path):
         raw = {

@@ -1,8 +1,9 @@
 """Step-kernel building blocks against their numpy and scipy reference routines.
 
 The gradient stencil must reproduce `np.gradient(u, x, edge_order=2)` and the
-tridiagonal solve `scipy.linalg.solve_banded` bit for bit, since the solver's
-outputs are pinned to the bits those routines produced.  The kernel's own
+tridiagonal solve `scipy.linalg.solve_banded` and `scipy.linalg.lapack.dgtsv` bit
+for bit, since the solver's outputs are pinned to the bits those routines
+produced.  The kernel's own
 energy and dissipation probe is checked against the viscous matrix it solves
 with and against `functionals.perturbation_energy_ss`.
 """
@@ -12,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from starlab.functionals import gradient, gradient_stencil, perturbation_energy_ss
 from starlab.kernel import _OVERDAMPED_RATIO, _cap_overdamped, _Kernel, _solve_tridiag
@@ -157,29 +159,57 @@ def banded(diag, off):
     return np.array([np.concatenate([[0.0], off]), diag, np.concatenate([off, [0.0]])])
 
 
+def scipy_dgtsv(diag, off, rhs):
+    """scipy's dgtsv on the block-diagonal system of a batch's rows, and its info."""
+    if diag.ndim > 1:
+        off = np.concatenate([off, np.zeros((len(off), 1))], axis=1).ravel()[:-1]
+    x, info = dgtsv(off, diag.ravel(), off, rhs.ravel())[3:]
+    return x.reshape(diag.shape), info
+
+
 class TestSolveTridiag:
-    """One symmetric solve, `_solve_tridiag(diag, off, rhs)`, for a system or a stack of them."""
+    """One symmetric solve, `_solve_tridiag(diag, off, rhs, spaces)`, for a system or a stack
+    of them, on numpy's LAPACK and on the scipy fallback alike."""
 
     @pytest.mark.parametrize("n, seed", [(3, 0), (17, 1), (193, 2), (193, 3), (769, 4)])
     def test_bit_identical_to_solve_banded(self, n, seed):
         diag, off, rhs = random_system(n, seed)
         ref = solve_banded((1, 1), banded(diag, off), rhs)
-        assert np.array_equal(_solve_tridiag(diag, off, rhs), ref)
+        assert np.array_equal(_solve_tridiag(diag, off, rhs, {}), ref)
+
+    @pytest.mark.parametrize("lapack", ["numpy", "scipy"])
+    def test_bit_identical_to_scipys_dgtsv(self, lapack, request):
+        # 600 systems of 3 to 400 nodes, alone or in batches of up to 4, right-hand sides
+        # scaled by 1e-8 to 1e8 per row, through one set of workspaces
+        if lapack == "scipy":
+            request.getfixturevalue("scipy_lapack")
+        rng, spaces = np.random.default_rng(31), {}
+        for seed in range(600):
+            rows = () if seed % 3 == 0 else (int(rng.integers(1, 5)),)
+            diag, off, rhs = random_system(int(rng.integers(3, 401)), seed, rows)
+            rhs *= 10.0 ** rng.uniform(-8.0, 8.0, rows + (1,))
+            ref, info = scipy_dgtsv(diag, off, rhs)
+            assert info == 0 and np.array_equal(_solve_tridiag(diag, off, rhs, spaces), ref)
 
     @pytest.mark.parametrize("n", [3, 65])
     def test_batch_rows_are_their_own_solves(self, n):
         diag, off, rhs = random_system(n, 7, rows=(4,))
-        x = _solve_tridiag(diag, off, rhs)
+        x = _solve_tridiag(diag, off, rhs, {})
         assert x.shape == diag.shape
         for i in range(4):
-            assert np.array_equal(x[i], _solve_tridiag(diag[i], off[i], rhs[i]))
+            assert np.array_equal(x[i], _solve_tridiag(diag[i], off[i], rhs[i], {}))
 
     def test_singular_system(self):
-        diag = np.array([1.0, 0.0, 1.0, 1.0])
+        diag, spaces = np.array([1.0, 0.0, 1.0, 1.0]), {}
+        assert scipy_dgtsv(diag, np.zeros(3), np.ones(4))[1] == 2
         with pytest.raises(LinAlgError, match="singular"):
-            _solve_tridiag(diag, np.zeros(3), np.ones(4))
+            _solve_tridiag(diag, np.zeros(3), np.ones(4), spaces)
         with pytest.raises(LinAlgError, match="singular"):
-            _solve_tridiag(np.array([np.ones(4), diag]), np.zeros((2, 3)), np.ones((2, 4)))
+            _solve_tridiag(np.array([np.ones(4), diag]), np.zeros((2, 3)), np.ones((2, 4)),
+                           spaces)
+        # the failed solves leave workspaces that still solve, couplings and all
+        for args in (random_system(4, 8), random_system(4, 9, rows=(2,))):
+            assert np.array_equal(_solve_tridiag(*args, spaces), scipy_dgtsv(*args)[0])
 
     @pytest.mark.parametrize("which", range(4))
     def test_non_finite_input(self, which):
@@ -187,20 +217,43 @@ class TestSolveTridiag:
         batch = random_system(9, 5, rows=(3,))
         args = [a.copy() for a in batch]
         args[min(which, 2)][1, 1] = np.nan if which == 3 else np.inf
-        assert np.isnan(_solve_tridiag(*(a[1] for a in args))).all()
-        x = _solve_tridiag(*args)
+        assert np.isnan(_solve_tridiag(*(a[1] for a in args), {})).all()
+        x = _solve_tridiag(*args, {})
         assert np.isnan(x[1]).all()
         for i in (0, 2):
-            assert np.array_equal(x[i], _solve_tridiag(*(a[i] for a in batch)))
+            assert np.array_equal(x[i], _solve_tridiag(*(a[i] for a in batch), {}))
+        assert np.array_equal(x[[0, 2]], scipy_dgtsv(*(a[[0, 2]] for a in batch))[0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_entries_near_the_largest_double(self):
+        # the finite check is exact and quiet: a dot product of these entries overflows
+        for rows in ((), (3,)):
+            diag, off, rhs = random_system(40, 10, rows)
+            scale = 1e307 / np.abs(diag).max()
+            args = (diag * scale, off * scale, rhs * (1e307 / np.abs(rhs).max()))
+            ref, info = scipy_dgtsv(*args)
+            assert info == 0 and np.isfinite(ref).all()
+            assert np.array_equal(_solve_tridiag(*args, {}), ref)
 
     def test_inputs_unmodified(self):
         for rows in ((), (3,)):
             args = random_system(33, 6, rows)
             before = [a.copy() for a in args]
-            x = _solve_tridiag(*args)
+            x = _solve_tridiag(*args, {})
             for a, b in zip(args, before):
                 assert np.array_equal(a, b)
             assert not any(np.shares_memory(x, a) for a in args)
+
+    def test_a_second_solve_leaves_the_first_result(self):
+        # each shape's workspace is reused, so a result must be a copy of it
+        for rows in ((), (3,)):
+            spaces, first, second = {}, random_system(33, 11, rows), random_system(33, 12, rows)
+            x = _solve_tridiag(*first, spaces)
+            kept = x.copy()
+            y = _solve_tridiag(*second, spaces)
+            assert np.array_equal(x, kept) and np.array_equal(x, scipy_dgtsv(*first)[0])
+            assert np.array_equal(y, scipy_dgtsv(*second)[0])
+            assert not np.shares_memory(x, y)
 
 
 class TestCapOverdamped:

@@ -10,10 +10,13 @@ regimes (N = 64, the setting of c07), the overdamped cap of the velocity solve
 member and a batch, and the thermodynamic temperature step.  The pins hold for
 the platform's IEEE doubles with numpy's and LAPACK's summation orders, on
 numpy's AVX-512 dispatch for `power`, `exp`, `log` and `cbrt`, libm for the
-`math` scalars (the alpha clock, the ledger coefficients) and the LAPACK
-build's `dgtsv`.  Every pin here fails on numpy's AVX2 path (a host without
-AVX-512, or `NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`); a
-change to any of these shows here first.
+`math` scalars (the alpha clock, the ledger coefficients) and LAPACK's
+`dgtsv` from numpy's own scipy-openblas 0.3.31 (`scipy_dgtsv_64_`, the build
+`kernel.LAPACK` names and each evolve run's `manifest.json` records; scipy's
+fallback `dgtsv` gives the same bits).  Every pin here fails on numpy's AVX2
+path (a host without AVX-512, or
+`NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`); a change to any
+of these shows here first.
 """
 
 import numpy as np
