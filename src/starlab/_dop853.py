@@ -21,6 +21,7 @@ import numpy as np
 
 _EPS = np.finfo(float).eps
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_MAX_STEPS = 10_000     # a solve that has not met its event by then ends with a message
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_ORDER = 7
 _EXPONENT = -1 / (_ERROR_ORDER + 1)
@@ -247,6 +248,7 @@ def dop853(fun, t_span, y0, tol, max_step, row, level) -> Solution:
     scipy's solve_ivp(fun, t_span, y0, method="DOP853", rtol=tol, atol=tol,
     max_step=max_step, dense_output=True, events=e), with e(t, y) = y[row] - level
     terminal and of direction -1: its steps and its root, each with scipy's bits.
+    Unlike scipy, it gives up with a message after _MAX_STEPS steps without the event.
     """
     def rhs(t, y):
         return np.asarray(fun(t, y), dtype=float)
@@ -266,6 +268,8 @@ def dop853(fun, t_span, y0, tol, max_step, row, level) -> Solution:
         return Solution(*arrays, t_event, y_event, message)
 
     while t != t_bound:
+        if len(steps) == _MAX_STEPS:
+            return solution(message=f"no event within {_MAX_STEPS} steps, up to t = {t:.6g}")
         step = _step(rhs, t, y, f, h_abs, direction, t_bound, max_step, rtol, atol,
                      K[:_N_STAGES + 1])
         if step is None:

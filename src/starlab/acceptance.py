@@ -70,33 +70,20 @@ class CriterionResult:
 
 # -- 1 ------------------------------------------------------------------------
 
-def lane_emden_first_zero(index: float = 3.0) -> tuple[float, float]:
-    """First zero xi1 of the standard Lane-Emden equation and theta'(xi1) from the same dense
-    output, by an independent route: different variables (xi instead of y = 2 xi), different
-    integrator family (RK45), own bracketing/Newton refinement.  scipy is imported here, so
-    that only a run that verifies loads scipy.integrate and scipy.optimize."""
-    from scipy.integrate import solve_ivp
-    from scipy.optimize import brentq
-
-    def rhs(xi, u):
-        th, dth = u
-        return (dth, -2.0 * dth / xi - np.sign(th) * np.abs(th) ** index)
-
-    xi0 = 1e-6
-    u0 = [1.0 - xi0**2 / 6.0, -xi0 / 3.0]
-    sol = solve_ivp(rhs, (xi0, 20.0), u0, method="RK45", rtol=1e-12, atol=1e-12,
-                    dense_output=True)
-    xs = np.linspace(1.0, sol.t[-1], 4000)
-    th = sol.sol(xs)[0]
-    idx = np.argmax(th < 0)
-    xi1 = brentq(lambda x: sol.sol(x)[0], xs[idx - 1], xs[idx], xtol=1e-13)
-    return xi1, float(sol.sol(xi1)[1])
+# The index-3 Lane-Emden constants, correctly rounded: the first zero xi1 of
+# theta'' + (2/xi) theta' + theta^3 = 0, theta(0) = 1, theta'(0) = 0, and theta'(xi1)
+# (Chandrasekhar 1939, ch. IV: xi1 = 6.89685, -xi1^2 theta'(xi1) = 2.01824).
+# tests/test_profiles.py derives both again, with mpmath at 25 digits (a centre series
+# continued by Taylor steps) and with scipy's RK45 (tests/oracles.py).
+LANE_EMDEN_XI1 = 6.896848619376961
+LANE_EMDEN_DTHETA1 = -0.04242975760445295
 
 
 def c01_profile_isentropic() -> dict:
-    """R0 = 2 xi1 and w'(R0) = theta'(xi1)/2 (y = 2 xi) to the 1e-10 contract tolerance."""
+    """R0 = 2 xi1 and w'(R0) = theta'(xi1)/2 (y = 2 xi) to the 1e-10 contract tolerance,
+    against the pinned Lane-Emden constants, so both errors are the solver's own."""
     prof, _ = _point("linear")
-    xi1, dtheta1 = lane_emden_first_zero(3.0)
+    xi1, dtheta1 = LANE_EMDEN_XI1, LANE_EMDEN_DTHETA1
     details = {"R0": prof.R0, "oracle_2xi1": 2.0 * xi1, "R0_error": abs(prof.R0 - 2.0 * xi1),
                "slope_oracle_rel_error": abs(prof.boundary_slope / (0.5 * dtheta1) - 1.0)}
     assert details["R0_error"] < 1e-10 * prof.R0, "R0 disagrees with the rescaled oracle"

@@ -257,11 +257,12 @@ def validate_config(raw) -> ScenarioConfig:
 
     # scenario-specific constraints
     if scenario == "evolve-thermo" or (scenario == "profile" and model.kind == "thermo"):
-        ek = model.epsilon * model.K
-        if not (1.0 / 6.0 < ek < 1.0):
+        if not model.K > 0:
+            errors.append("model.K > 0")
+        if not (1.0 / 6.0 < model.epsilon * model.K < 1.0):
             errors.append("1/6 < epsilon*K < 1")
     if scenario == "evolve-thermo":
-        if abs(3.0 * model.K - model.c_nu) > 1e-9 * max(3.0 * model.K, model.c_nu):
+        if abs(3.0 * model.K - model.c_nu) > 1e-9 * max(abs(3.0 * model.K), abs(model.c_nu)):
             errors.append("3K - c_nu = 0")
         if model.delta != 0.0:
             errors.append("delta = 0 for the thermodynamic expansion")

@@ -11,10 +11,10 @@ from a `profiles.Background` sampled on the field's own x_nodes (by the
 solver, which hands it out on every field it emits).  They never evaluate a
 profile, and a background from another grid raises InvalidParams.
 
-Block rows: a ledger function takes a field or a block (a list of one run's fields),
-stacks each array as (K, N+1) rows and integrates each integrand in one trapezoid
-call; a row's coefficient is a Python `math` float (numpy's array `**` and `exp`
-can differ in the last bit).  A field is a block of one and gets floats back.
+Block rows: a ledger function takes a block (a list of one run's fields), stacks
+each array as (K, N+1) rows and integrates each integrand in one trapezoid call; a
+row's coefficient is a Python `math` float (numpy's array `**` and `exp` can differ
+in the last bit).
 """
 
 from __future__ import annotations
@@ -73,13 +73,13 @@ def _trapz(f, x):
     return float(s) if s.ndim == 0 else s
 
 
-def _integrate(terms, x, scalars, one) -> dict:
+def _integrate(terms, x, scalars) -> dict:
     """{name: [coef(s) int f dx for each row's s]} of terms' (name, coef or None, (K, N+1) f)."""
     out = {}
     for name, coef, f in terms:         # one trapezoid call per f, freed before the next
         vals, f = _trapz(f, x).tolist(), None
         out[name] = vals if coef is None else [coef(s) * val for s, val in zip(scalars, vals)]
-    return {k: vals[0] for k, vals in out.items()} if one else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +359,18 @@ def _entropy_grad(x, th, th_x, th_xx):
     return 2.0 * th_x / (1.0 + th) + (2.0 * th_x + x * th_xx) / (1.0 + th + x * th_x)
 
 
-def _rows(field, background, names):
-    """(x, stencil, (n, K, N+1) stack of `names`, K clocks, one) of a block or field (one)."""
-    fields = [field] if (one := not isinstance(field, list)) else field
+def _rows(fields, background, names):
+    """(x, stencil, (n, K, N+1) stack of `names`, K clocks) of a block of fields."""
     if missing := [n for n in names if any(getattr(f, n) is None for f in fields)]:
         raise MissingDerivative(f"the ledger needs {' and '.join(missing)}")
     x = np.asarray(fields[0].x_nodes, dtype=float)
     stack = np.array([[getattr(f, n) for f in fields] for n in names], dtype=float)
-    return x, background.require_grid(x), stack, [f.clock for f in fields], one
+    return x, background.require_grid(x), stack, [f.clock for f in fields]
 
 
-def ledger_terms_isentropic(field, background, weights: WeightSpec, alpha) -> dict:
+def ledger_terms_isentropic(block, background, weights: WeightSpec, alpha) -> dict:
     """Instantaneous terms of the linearly expanding isentropic total energy (alpha: per row)."""
-    x, g, rows, _, one = _rows(field, background, ("theta", "theta_t", "theta_tt"))
+    x, g, rows, _ = _rows(block, background, ("theta", "theta_t", "theta_tt"))
     th, v, acc = rows
     a = weights.a
     x2, x4, x4rho, chix2rho = background.ledger_weights
@@ -397,13 +396,13 @@ def ledger_terms_isentropic(field, background, weights: WeightSpec, alpha) -> di
         yield "E_elliptic_xx", None, x2 * th_xx**2
         yield "E_elliptic_grad_t", p(a - 1), v_x**2
         yield "E_elliptic_xx_t", p(a - 1), x2 * v_xx**2
-    return _integrate(terms(), x, np.atleast_1d(alpha).tolist(), one)
+    return _integrate(terms(), x, [float(al) for al in alpha])
 
 
-def dissipation_integrands_isentropic(field, background, weights: WeightSpec,
+def dissipation_integrands_isentropic(block, background, weights: WeightSpec,
                                       alpha) -> dict:
     """Integrands (per unit tau) of the isentropic dissipation ledger (alpha: per row)."""
-    x, g, rows, _, one = _rows(field, background, ("theta", "theta_t", "theta_tt"))
+    x, g, rows, _ = _rows(block, background, ("theta", "theta_t", "theta_tt"))
     th, v, acc = rows
     a = weights.a
     x2, _, x4rho, chix2rho = background.ledger_weights
@@ -421,7 +420,7 @@ def dissipation_integrands_isentropic(field, background, weights: WeightSpec,
         yield "D_int_acc", lambda al: al ** (a - 5), chix2rho * acc**2
         yield "D_int_acc2", lambda al: al ** (a - 3), chi * (acc**2 + x2 * acc_x**2)
         yield "D_entropy", lambda al: al ** (-3), rho43 * G_x**2
-    return _integrate(terms(), x, np.atleast_1d(alpha).tolist(), one)
+    return _integrate(terms(), x, [float(al) for al in alpha])
 
 
 def initial_energy_isentropic(x, th0, th1, th2, background) -> float:
@@ -437,9 +436,9 @@ def initial_energy_isentropic(x, th0, th1, th2, background) -> float:
         th0_x**2 + x**2 * th0_xx**2]), x))[-1])
 
 
-def ledger_terms_thermo(field, background, weights: WeightSpec, a1: float) -> dict:
+def ledger_terms_thermo(block, background, weights: WeightSpec, a1: float) -> dict:
     """Instantaneous terms of the thermodynamic total energy ledger (theta is xi)."""
-    x, g, rows, clocks, one = _rows(field, background, _THERMO)
+    x, g, rows, clocks = _rows(block, background, _THERMO)
     xi, v, zeta, acc, zeta_t = rows
     w = weights
     x2, x4, x4rho, chix2rho = background.ledger_weights
@@ -466,11 +465,11 @@ def ledger_terms_thermo(field, background, weights: WeightSpec, a1: float) -> di
         yield "E_zeta_grad", None, zeta_x**2
         yield "E_elliptic_t", e(w.r3 + 2), v_x**2 + x2 * v_xx**2
         yield "E_zeta_xx", None, x2 * zeta_xx**2
-    return _integrate(terms(), x, clocks, one)
+    return _integrate(terms(), x, clocks)
 
 
-def dissipation_integrands_thermo(field, background, weights: WeightSpec, a1: float) -> dict:
-    x, g, rows, clocks, one = _rows(field, background, _THERMO)
+def dissipation_integrands_thermo(block, background, weights: WeightSpec, a1: float) -> dict:
+    x, g, rows, clocks = _rows(block, background, _THERMO)
     xi, v, zeta, acc, zeta_t = rows
     w = weights
     x2, _, x4rho, chix2rho = background.ledger_weights
@@ -489,7 +488,7 @@ def dissipation_integrands_thermo(field, background, weights: WeightSpec, a1: fl
         yield "D_temp_grad_t", e(w.l2), x2 * zeta_tx**2
         yield "D_int_vel", e(3 + w.frak_r), chi * (x2 * v_x**2 + v**2)
         yield "D_int_acc", e(w.r3), chi * (x2 * acc_x**2 + acc**2)
-    return _integrate(terms(), x, clocks, one)
+    return _integrate(terms(), x, clocks)
 
 
 def initial_energy_thermo(x, xi0, xi1, xi2, zeta0, zeta1, background) -> float:

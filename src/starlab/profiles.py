@@ -284,6 +284,9 @@ def sample_background(profile, x) -> Background:
 def _launch(rhs, y0, state0, gs, max_step, row, level, what):
     """DOP853 from the series start y0 until state[row] falls to level (a terminal event):
     the stop y, the state there and the solution's steps."""
+    if not gs.y_max > y0:
+        raise NoFirstZero(f"{what} profile: grid.y_max = {gs.y_max} is not beyond the "
+                          f"series start y = {y0:.6g}")
     sol = dop853(rhs, (y0, gs.y_max), state0, gs.tol_eff, max_step, row, level)
     if sol.message:
         raise ToleranceNotMet(f"{what} profile integration failed: {sol.message}")
@@ -344,6 +347,8 @@ def solve_thermo_profile(K: float, epsilon: float,
     raised if they disagree by more than 1e-6 * R0.
     """
     gs = grid_spec or GridSpec()
+    if not K > 0:
+        raise OutOfRange(f"K = {K} is not > 0")
     ek = epsilon * K
     if not (1.0 / 6.0 < ek < 1.0):
         raise OutOfRange(f"epsilon*K = {ek} outside (1/6, 1)")

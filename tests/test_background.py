@@ -71,9 +71,9 @@ class TestGridMismatch:
         for bg in (sample_background(iso0, x[::2]), sample_background(iso_ss, grid(iso_ss))):
             f = PerturbationField(x, z, z, z, 0.0, LINEAR_REGIME, background=bg)
             with pytest.raises(InvalidParams):
-                F.ledger_terms_isentropic(f, bg, F.WeightSpec(), 1.0)
+                F.ledger_terms_isentropic([f], bg, F.WeightSpec(), [1.0])
             with pytest.raises(InvalidParams):
-                F.dissipation_integrands_isentropic(f, bg, F.WeightSpec(), 1.0)
+                F.dissipation_integrands_isentropic([f], bg, F.WeightSpec(), [1.0])
             with pytest.raises(InvalidParams):
                 F.initial_energy_isentropic(x, z, z, z, bg)
             with pytest.raises(InvalidParams):
@@ -85,9 +85,9 @@ class TestGridMismatch:
         bg = sample_background(thermo14, x[::2])
         f = PerturbationField(x, z, z, z, 0.0, THERMO_REGIME, z, z, background=bg)
         with pytest.raises(InvalidParams):
-            F.ledger_terms_thermo(f, bg, F.WeightSpec(), 20.0)
+            F.ledger_terms_thermo([f], bg, F.WeightSpec(), 20.0)
         with pytest.raises(InvalidParams):
-            F.dissipation_integrands_thermo(f, bg, F.WeightSpec(), 20.0)
+            F.dissipation_integrands_thermo([f], bg, F.WeightSpec(), 20.0)
 
     def test_field_without_background_cannot_be_reconstructed(self, iso0):
         x = grid(iso0)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -87,6 +88,10 @@ class TestValidation:
         ("evolve-linear", {"solver": {"dt_max": -1}}, "solver.dt_max > 0 when set"),
         ("profile", {"grid": {"y_max": -5}}, "grid.y_max > 0"),
         ("evolve-thermo", {"solver": {"order": 2}}, "solver.order = 1 for evolve-thermo"),
+        # epsilon*K = 0.5 with both negative: profile ended in a sqrt warning and
+        # ToleranceNotMet, evolve-thermo named "3K - c_nu = 0" for 3K = c_nu = -6
+        ("profile", {"model": {"kind": "thermo", "K": -2, "epsilon": -0.25}}, "model.K > 0"),
+        ("evolve-thermo", {"model": {"K": -2, "epsilon": -0.25, "c_nu": -6}}, "model.K > 0"),
     ])
     def test_constraint_named(self, scenario, raw, message):
         with pytest.raises(ConfigInvalid) as exc:
@@ -242,17 +247,20 @@ class TestScenarios:
         assert "energy_reports.csv" in os.listdir(tmp_path)
         assert len(built) == 1
 
-    def test_evolve_runs_never_import_scipy(self, tmp_path):
-        # both stars come from the in-house DOP853 and the kernel solves with numpy's own
-        # LAPACK; only c01's oracle (verify), the tests and the LAPACK fallback load scipy
+    def test_starlab_runs_never_import_scipy(self, tmp_path):
+        # both stars come from the in-house DOP853, the kernel solves with numpy's own LAPACK
+        # and c01 reads the pinned Lane-Emden constants; only the tests and the LAPACK
+        # fallback load scipy
         ss = tmp_path / "ss.json"
         ss.write_text(json.dumps({"model": {"delta": -1e-3, "a1": None},
                                   "solver": {"n_cells": 32}, "time": {"end": 0.05, "n_emit": 4}}))
         argvs = [[scenario, "--config", config, "--out", str(tmp_path / scenario)]
                  for scenario, config in [("evolve-linear", STABILITY_LINEAR),
                                           ("evolve-thermo", DEFAULTS), ("evolve-ss", str(ss))]]
-        code = (f"import json, sys\nfrom starlab import kernel\nfrom starlab.cli import main\n"
+        code = (f"import json, sys\nfrom starlab import acceptance, kernel\n"
+                f"from starlab.cli import main\n"
                 f"assert [main(argv) for argv in {argvs!r}] == [0, 0, 0]\n"
+                "assert [r.passed for r in acceptance.run_all(ids={1})] == [True]\n"
                 "print(json.dumps([kernel.LAPACK, "
                 "[m for m in sys.modules if m.split('.')[0] == 'scipy']]))\n")
         src = os.path.join(os.path.dirname(DEFAULTS), "..", "src")
@@ -444,6 +452,27 @@ class TestMain:
             with open(out / "manifest.json") as fh:
                 events = json.load(fh)["events"]
             assert [(e["kind"], e["clock"]) for e in events] == [("outside-stability-range", 0.0)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("content, message", [
+        # a star with no zero ran until killed at 60 s; the solve takes ~3.6 steps per unit y
+        ('{"grid": {"y_max": Infinity}, "model": {"delta": -0.5}}',
+         "ToleranceNotMet: isentropic profile integration failed: no event within 10000 "
+         "steps, up to t = 2755.25\n"),
+        # below the series start the solve ran backwards into divide-by-zero warnings
+        ('{"grid": {"y_max": 1e-300}}', "NoFirstZero: isentropic profile: grid.y_max = 1e-300 "
+         "is not beyond the series start y = 0.0138\n"),
+        ('{"grid": {"y_max": 0.0138}, "model": {"kind": "thermo"}}', "NoFirstZero: thermo "
+         "profile: grid.y_max = 0.0138 is not beyond the series start y = 0.0138\n"),
+    ])
+    def test_unusable_y_max_named(self, tmp_path, capsys, content, message):
+        path = tmp_path / "c.json"
+        path.write_text(content)
+        t0 = time.perf_counter()
+        code = main(["profile", "--config", str(path), "--out", str(tmp_path / "o")])
+        # the 10000-step budget takes 1.2-2.0 s on a 2-core host; the bound catches a hang
+        assert time.perf_counter() - t0 < 4.0
+        assert code == 2 and capsys.readouterr().err == message
 
     def test_profile_scenario(self, tmp_path, capsys):
         code = main(["profile", "--out", str(tmp_path / "o")])

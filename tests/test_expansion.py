@@ -241,3 +241,5 @@ class TestGate:
         assert "3K - c_nu = 0" not in gate_errors(1.0, 3.0)
         assert "3K - c_nu = 0" in gate_errors(1.0, 2.9)
         assert "3K - c_nu = 0" not in gate_errors(0.5, 1.5)
+        # a negative K is named by its own row, not by a negative tolerance on this one
+        assert gate_errors(-2.0, -6.0) == ["model.K > 0"]

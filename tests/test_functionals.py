@@ -393,7 +393,7 @@ class TestLedger:
         z = 0 * x
         f = PerturbationField(x, z, z, None, 0.0, LINEAR_REGIME)
         with pytest.raises(MissingDerivative):
-            F.ledger_terms_isentropic(f, sample_background(iso0, x), F.WeightSpec(), 1.0)
+            F.ledger_terms_isentropic([f], sample_background(iso0, x), F.WeightSpec(), [1.0])
 
     def test_initial_energy_positive(self, iso0):
         x = np.linspace(0.0, iso0.R0, 97)

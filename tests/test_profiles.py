@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,17 +8,30 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from starlab import _dop853, profiles, solve_isentropic_profile, solve_thermo_profile
-from starlab.acceptance import lane_emden_first_zero
+from starlab.acceptance import LANE_EMDEN_DTHETA1, LANE_EMDEN_XI1
 from starlab.errors import NoFirstZero, NonPhysicalVacuum, OutOfRange, ToleranceNotMet
 from starlab.profiles import (GridSpec, boundary_slope_fd, isentropic_ode_residual,
                               sample_background, thermo_ode_residual)
+from oracles import lane_emden_first_zero, lane_emden_mpmath
+
+
+def test_lane_emden_pins_match_both_derivations():
+    # c01's pinned xi1 and theta'(xi1) against mpmath at 25 digits and scipy's RK45
+    exact, rk45 = lane_emden_mpmath(25), lane_emden_first_zero(3.0)
+    for pin, ref, ref_rk45 in zip((LANE_EMDEN_XI1, LANE_EMDEN_DTHETA1), exact, rk45):
+        assert pin == float(ref)                        # correctly rounded
+        assert abs(pin / ref - 1) < 1e-15
+        assert abs(pin / ref_rk45 - 1) < 1e-11
+    with mpmath.workdps(25):
+        assert mpmath.nstr(exact[0], 20) == "6.8968486193769603755"
+        assert mpmath.nstr(exact[1], 20) == "-0.042429757604452951672"
+    assert round(-LANE_EMDEN_XI1**2 * LANE_EMDEN_DTHETA1, 5) == 2.01824   # Chandrasekhar
 
 
 class TestIsentropic:
     def test_first_zero_matches_rescaled_oracle(self, iso0):
         # y = 2 xi maps the delta = 0 equation onto the standard index-3 form
-        xi1, _ = lane_emden_first_zero(3.0)
-        assert abs(iso0.R0 - 2.0 * xi1) < 2e-3
+        assert abs(iso0.R0 - 2.0 * LANE_EMDEN_XI1) < 2e-3
         assert abs(iso0.R0 - 13.7937) < 2e-3
 
     def test_center_values(self, iso0):
@@ -120,9 +134,8 @@ class TestThermo:
 
     def test_radius_matches_scaled_lane_emden(self, thermo14):
         # theta solves the index-3 equation after y -> sqrt(eps A) y
-        xi1, _ = lane_emden_first_zero(3.0)
         scale = 1.0 / np.sqrt(thermo14.epsilon * thermo14.reduction_constant)
-        assert abs(thermo14.R0 - scale * xi1) / thermo14.R0 < 1e-3
+        assert abs(thermo14.R0 - scale * LANE_EMDEN_XI1) / thermo14.R0 < 1e-3
 
     def test_common_zero_and_slopes(self, thermo14):
         assert thermo14.zero_gap < 1e-6 * thermo14.R0
@@ -144,6 +157,11 @@ class TestThermo:
             solve_thermo_profile(1.0, 0.1)
         with pytest.raises(OutOfRange):
             solve_thermo_profile(1.0, 1.2)
+        # epsilon*K = 0.5 inside the window, but no real star: named before its sqrt(epsilon)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match=r"^K = -2\.0 is not > 0$"):
+                solve_thermo_profile(-2.0, -0.25)
 
     # the reference's tol_eff floors at 1e-14, and its solve raises rtol to 100 eps
     @pytest.mark.parametrize("solve, args", STAR_CASES)
